@@ -16,7 +16,7 @@
  * per-step replay, or the spill exceeds 6 bytes per instruction.
  *
  * `microbench --json-ooo [path]` runs the detailed-core gate: OoO
- * replay throughput plus the checkpoint-sharded reference at 8 shards,
+ * replay throughput plus the sharded reference at 8 shards,
  * written to BENCH_ooo.json. The binary exits nonzero only on
  * machine-independent correctness failures (stitched counters or CPI
  * drifting past the contract, replay diverging from live); the CI perf
@@ -134,8 +134,8 @@ BENCHMARK(BM_OoODetailed);
 void
 BM_ShardedReference(benchmark::State &state)
 {
-    // The checkpoint-sharded reference at 8 shards, one ladder spacing
-    // of functional warming per shard. The items/sec counter is the
+    // The sharded reference at 8 shards, one boundary spacing
+    // (shardSpacingFor) of functional warming per shard. The items/sec counter is the
     // whole-run detailed rate; divide by BM_OoODetailed for the
     // wall-clock speedup on this machine.
     SuiteConfig suite;
@@ -145,7 +145,7 @@ BM_ShardedReference(benchmark::State &state)
     SimConfig cfg = architecturalConfig(2);
     ShardOptions opts;
     opts.shards = 8;
-    opts.warmupInsts = trace->checkpointSpacing();
+    opts.warmupInsts = shardSpacingFor(trace->length());
     uint64_t insts = 0;
     for (auto _ : state) {
         ShardedRunResult r = runShardedReference(trace, cfg, opts);
@@ -560,8 +560,8 @@ runJsonGate(const char *path)
  * `microbench --json-ooo [path]`.
  *
  * Measures sequential detailed replay throughput (best of 3), then the
- * checkpoint-sharded reference at 8 shards with one ladder spacing of
- * functional warming per shard, and cross-checks the whole exactness
+ * sharded reference at 8 shards with full-prefix functional warming
+ * per shard, and cross-checks the whole exactness
  * contract: `--shards 1` bit-identical to sequential, sequential
  * replay bit-identical to live stepping, architectural counters exact
  * under sharding, and stitched CPI within 0.5%. Speedup is reported in

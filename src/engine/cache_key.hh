@@ -31,10 +31,12 @@ namespace yasim {
 /**
  * Bumped whenever the key layout, the result serialization, or the
  * meaning of any simulated statistic changes; old disk caches then
- * miss instead of resurrecting stale results.
+ * miss instead of resurrecting stale results. Version 2: live-mode
+ * sharded references no longer charge a checkpoint-generation pass,
+ * so their work units now equal the replay-mode values.
  */
 // yasim-lint: version(result)
-constexpr int kCacheFormatVersion = 1;
+constexpr int kCacheFormatVersion = 2;
 
 /**
  * Validating segment-by-segment cache-key builder.

@@ -54,7 +54,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
     if (opts.traces) {
         TraceStoreOptions topts;
         topts.cacheDir = opts.cacheDir;
-        topts.checkpointSpacing = opts.traceCheckpointSpacing;
         topts.maxBytes = opts.maxTraceBytes;
         topts.cacheBudgetBytes = opts.cacheBudgetBytes;
         traces = std::make_unique<TraceStore>(std::move(topts));

@@ -53,8 +53,6 @@ struct EngineOptions
      * work is shared.
      */
     bool traces = true;
-    /** Trace checkpoint spacing (0 = adaptive; see ExecTrace). */
-    uint64_t traceCheckpointSpacing = 0;
     /** In-memory trace budget in bytes (LRU eviction beyond it). */
     size_t maxTraceBytes = size_t(1) << 30;
     /**
@@ -65,7 +63,7 @@ struct EngineOptions
      */
     uint64_t cacheBudgetBytes = 0;
     /**
-     * Checkpoint-sharded parallel reference simulation (sim/sharded.hh),
+     * Sharded parallel reference simulation (sim/sharded.hh),
      * stamped into every TechniqueContext the engine builds. When
      * enabled and warmDir is empty, warmed-uarch summaries persist
      * under "<cacheDir>/warm" (memory-only engines skip persistence).

@@ -24,7 +24,7 @@
  *                     sampling fan-out (the default; see docs/perf.md)
  *   --no-livepoints   serial in-memory sampling loop (bit-identical)
  *   --shards N        split the reference detailed run into N parallel
- *                     checkpoint-aligned shards (see docs/perf.md)
+ *                     plan-aligned shards (see docs/perf.md)
  *   --shard-warmup M  functional-warming lead-in per shard, in
  *                     instructions (0 = warm the full prefix)
  *   --exact           force the sequential reference path regardless

@@ -1,196 +1,25 @@
 /**
  * @file
- * Architectural checkpoints.
+ * The retired architectural-checkpoint format version.
  *
- * A checkpoint captures a FunctionalSim's complete architectural state
- * — program counter, register files, instruction count, and (copy-on-
- * capture) data memory — so simulation can later resume from that point
- * without re-executing the prefix. This is the facility whose
- * generation cost the paper charges to SimPoint and the truncated
- * techniques: generating checkpoints is one pass over the program, and
- * every later run on a different machine configuration restores instead
- * of fast-forwarding.
- *
- * Microarchitectural state (caches, predictor) is *not* measured
- * state and is never required: techniques re-warm it, which is why
- * SimPoint pairs checkpoints with a warm-up policy. A checkpoint can
- * however carry an *optional* warmed-uarch summary — the serialized
- * cache tag arrays, TLB entries, and branch-predictor tables produced
- * by functional warming (uarch/warm_state.hh) — keyed by a caller-
- * supplied identity string, so repeated checkpoint-sharded runs skip
- * re-warming their lead-ins (docs/perf.md).
+ * yasim once persisted full architectural checkpoints ("yasim-ckpt"
+ * frames, *.ckpt). None are written any more: the trace is the
+ * replayable stream and sim/livepoint.hh is the one persisted
+ * entry-state format, including sharded warm summaries. Checkpoint
+ * generation survives only as a modeled cost
+ * (CostModel::checkpointPerInst). The constant stays so tools that
+ * audit old cache directories can still recognise the frame version.
  */
 
 #ifndef YASIM_SIM_CHECKPOINT_HH
 #define YASIM_SIM_CHECKPOINT_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
 
 namespace yasim {
 
-class FunctionalSim;
-class MemoryHierarchy;
-class CombinedPredictor;
-class Program;
-
-/**
- * Binary layout version of Checkpoint::writeBinary. Bumped whenever
- * the serialized field set or ordering changes; readBinary rejects
- * mismatches so stale embedded checkpoints can never be misparsed.
- * Version 2: version marker prepended, memory words emitted in
- * ascending address order (deterministic across standard libraries).
- * Version 3: optional warmed-uarch summary trailer (key + composite
- * blob, see uarch/warm_state.hh).
- */
-// yasim-lint: version(checkpoint)
+/** Frame version of the last checkpoint files yasim wrote. */
 constexpr uint32_t kCheckpointFormatVersion = 3;
-
-/** A restorable snapshot of architectural state. */
-class Checkpoint
-{
-  public:
-    /** Capture @p sim's full architectural state. */
-    static Checkpoint capture(const FunctionalSim &sim);
-
-    /**
-     * A carrier checkpoint at dynamic position @p icount with *no*
-     * architectural payload — it exists to hold a warmed-uarch summary
-     * for replay-mode sharding, where architectural state lives in the
-     * trace and only the warm tables are worth persisting.
-     */
-    static Checkpoint atPosition(uint64_t icount);
-
-    /**
-     * Restore into @p sim (which must run the same program). Requires
-     * hasArchState().
-     * @post sim.instsExecuted() == instruction() and execution
-     *       continues exactly as the original run did.
-     */
-    void restore(FunctionalSim &sim) const;
-
-    /** True when this checkpoint carries architectural state (i.e. it
-     *  was captured from a simulator, not built by atPosition). */
-    bool hasArchState() const { return !intRegs.empty(); }
-
-    /**
-     * Attach the warmed-uarch summary of @p mem and @p bp under
-     * identity @p key. The key must encode everything the warm state
-     * depends on (program content, warm span, machine configuration,
-     * format versions); restoreUarch refuses a key mismatch.
-     */
-    void attachUarch(const MemoryHierarchy &mem,
-                     const CombinedPredictor &bp, const std::string &key);
-
-    /** True when a warmed-uarch summary is attached. */
-    bool hasUarch() const { return !warmBlob.empty(); }
-
-    /** Identity key of the attached summary ("" when none). */
-    const std::string &uarchKey() const { return warmKey; }
-
-    /**
-     * Restore the attached warmed-uarch summary into @p mem and @p bp.
-     * @return false when no summary is attached, @p key does not
-     * match, or the blob fails structural validation — in which case
-     * @p mem / @p bp may be partially mutated and must be discarded
-     * (rebuild the core) or reset before use.
-     */
-    bool restoreUarch(MemoryHierarchy &mem, CombinedPredictor &bp,
-                      const std::string &key) const;
-
-    /** Dynamic instruction count at capture time. */
-    uint64_t instruction() const { return icount; }
-
-    /** Approximate in-memory footprint in bytes (for cost reports). */
-    size_t footprintBytes() const;
-
-    /**
-     * Serialize to @p os as native-endian binary (trace embedding; see
-     * docs/trace.md for the cache-locality caveats). The stream opens
-     * with kCheckpointFormatVersion.
-     */
-    void writeBinary(std::ostream &os) const;
-
-    /**
-     * Deserialize one checkpoint written by writeBinary into @p out.
-     * @return false on a short or malformed stream or a
-     *         format-version mismatch.
-     */
-    static bool readBinary(std::istream &is, Checkpoint &out);
-
-    /**
-     * Persist this checkpoint as a standalone file: the writeBinary
-     * stream framed, checksummed, and atomically published through
-     * support/artifact_io. @return false when the file could not be
-     * written (a warning is emitted; never throws).
-     */
-    bool saveFile(const std::string &path) const;
-
-    /**
-     * Load a checkpoint persisted by saveFile. A verification failure
-     * — bad frame, bad checksum, truncated or over-long payload —
-     * quarantines the file to "<path>.corrupt" and returns false, so
-     * callers fall back to regeneration.
-     */
-    static bool loadFile(const std::string &path, Checkpoint &out);
-
-  private:
-    Checkpoint() = default;
-
-    friend class ExecTrace; // builds checkpoint vectors during read()
-
-    uint64_t pc = 0;
-    uint64_t icount = 0;
-    bool halted = false;
-    std::vector<int64_t> intRegs;
-    std::vector<double> fpRegs;
-    /** Deep copy of every touched memory word (addr -> value). */
-    std::vector<std::pair<uint64_t, int64_t>> words;
-
-    /** Identity key of the optional warmed-uarch summary ("" = none). */
-    std::string warmKey;
-    /** Composite warm-state blob (uarch/warm_state.hh layout). */
-    std::string warmBlob;
-};
-
-/**
- * An ordered library of checkpoints for one program, built in one
- * architectural pass and then reused across machine configurations.
- */
-class CheckpointLibrary
-{
-  public:
-    /**
-     * Build checkpoints at the given dynamic-instruction positions
-     * (must be sorted ascending) by executing @p program once.
-     *
-     * @return instructions executed during generation (the cost).
-     */
-    uint64_t build(const Program &program,
-                   const std::vector<uint64_t> &positions);
-
-    /** Number of checkpoints held. */
-    size_t size() const { return checkpoints.size(); }
-
-    /**
-     * The latest checkpoint at or before @p position, or nullptr when
-     * none qualifies.
-     */
-    const Checkpoint *latestAtOrBefore(uint64_t position) const;
-
-    /** Checkpoint @p idx in position order. */
-    const Checkpoint &at(size_t idx) const { return checkpoints[idx]; }
-
-    /** Total footprint of all checkpoints in bytes. */
-    size_t footprintBytes() const;
-
-  private:
-    std::vector<Checkpoint> checkpoints;
-};
 
 } // namespace yasim
 

@@ -81,8 +81,7 @@ class FunctionalSim final : public StepSource
     const Program &program() const { return prog; }
 
   private:
-    friend class Checkpoint; // captures/restores architectural state
-    friend class LivePoint;  // partial capture + record-producing warm step
+    friend class LivePoint; // partial capture + record-producing warm step
 
     /** Execute one instruction; the caller has checked !isHalted. */
     template <bool MakeRecord, bool Warm>

@@ -55,20 +55,33 @@ hashProgram(Hasher &h, const Program &program)
 /**
  * Identity of one live-point library: the "livepoints{...}" cache-key
  * segment. Everything that shapes a point's bytes is in here — the
- * format versions, the program content, the sampling grid, and the
- * warm-relevant configuration. The warm stream is architectural, so
- * timing-only parameters (latencies, core sizing, bus width) are
- * deliberately excluded and a latency sweep over one machine shares
- * one library on disk.
+ * sampling grid plus warmIdentityDigest's format versions, program
+ * content, and warm-relevant configuration.
  */
-// yasim-lint: key(warm) covers CacheConfig(uarch/cache.hh)
-// yasim-lint: key(warm) covers BranchPredictorConfig(uarch/branch_predictor.hh)
-// yasim-lint: key(warm) covers MemoryConfig(uarch/memory_hierarchy.hh)
-// yasim-lint: key(warm) covers SimConfig(sim/config.hh)
 // yasim-lint: key(livepoint) covers SamplingPlan(sim/livepoint.hh)
 std::string
 livePointLibraryKey(const Program &program, const SamplingPlan &plan,
                     const SimConfig &config)
+{
+    return csprintf(
+        "livepoints{v=%u|u=%llu|w=%llu|len=%llu|p=%llu|n=%llu|id=%s}",
+        kLivePointFormatVersion,
+        static_cast<unsigned long long>(plan.unitInsts),
+        static_cast<unsigned long long>(plan.warmupInsts),
+        static_cast<unsigned long long>(plan.length),
+        static_cast<unsigned long long>(plan.period),
+        static_cast<unsigned long long>(plan.maxUnits),
+        warmIdentityDigest(program, config).c_str());
+}
+
+} // namespace
+
+// yasim-lint: key(warm) covers CacheConfig(uarch/cache.hh)
+// yasim-lint: key(warm) covers BranchPredictorConfig(uarch/branch_predictor.hh)
+// yasim-lint: key(warm) covers MemoryConfig(uarch/memory_hierarchy.hh)
+// yasim-lint: key(warm) covers SimConfig(sim/config.hh)
+std::string
+warmIdentityDigest(const Program &program, const SimConfig &config)
 {
     Hasher h;
     h.u32(kLivePointFormatVersion);
@@ -90,18 +103,8 @@ livePointLibraryKey(const Program &program, const SamplingPlan &plan,
     h.u32(config.bp.btbEntries).u32(config.bp.btbAssoc);
     h.b(config.bp.speculativeUpdate);
 
-    return csprintf(
-        "livepoints{v=%u|u=%llu|w=%llu|len=%llu|p=%llu|n=%llu|id=%s}",
-        kLivePointFormatVersion,
-        static_cast<unsigned long long>(plan.unitInsts),
-        static_cast<unsigned long long>(plan.warmupInsts),
-        static_cast<unsigned long long>(plan.length),
-        static_cast<unsigned long long>(plan.period),
-        static_cast<unsigned long long>(plan.maxUnits),
-        h.hex().c_str());
+    return h.hex();
 }
-
-} // namespace
 
 SamplingPlan
 SamplingPlan::make(uint64_t unit_insts, uint64_t warmup_insts,
@@ -352,8 +355,8 @@ LivePoint::decode(std::string_view payload, LivePoint &out)
         }
         out.warmKey.assign(payload.substr(at, key_len));
         at += key_len;
-        // Bounded like the checkpoint trailer: orders of magnitude
-        // above any real table geometry.
+        // Bounded at orders of magnitude above any real table
+        // geometry.
         if (!getVarint(payload, at, raw_len) ||
             raw_len > (256ULL << 20)) {
             return false;

@@ -3,10 +3,9 @@
  * Live-points: random-access entry states for sampled simulation.
  *
  * A live-point is the self-contained state one measurement unit of a
- * sampling technique needs — nothing more. Where a Checkpoint carries
- * the complete architectural state (every touched memory word), a
- * live-point carries only the *unit-relevant* slice, following
- * TurboSMARTSim's liblvpt:
+ * sampling technique needs — nothing more. Where a full architectural
+ * snapshot carries every touched memory word, a live-point carries only
+ * the *unit-relevant* slice, following TurboSMARTSim's liblvpt:
  *
  *  - the register file, PC, and dynamic position at the unit's
  *    warm-up start,
@@ -16,8 +15,7 @@
  *    irrelevant and are not captured,
  *  - the warmed-microarchitecture summary (cache tags, TLBs,
  *    predictor tables) produced by functional warming of the whole
- *    prefix, reusing the Checkpoint v3 warm-blob layout
- *    (uarch/warm_state.hh).
+ *    prefix, as one composite warm blob (uarch/warm_state.hh).
  *
  * Restoring a live-point into a fresh FunctionalSim + OooCore
  * reproduces the unit's instruction stream and warm state bit-exactly,
@@ -31,11 +29,13 @@
  * varint/RLE-compressed artifact (support/artifact_io, support/codec)
  * under the engine cache, and serves random-access loads. On-disk
  * points affect wall-clock only — never results and never modeled
- * cost (the same contract as sharded warm summaries).
+ * cost.
  *
  * In replay mode (an ExecTrace is available) architectural state lives
  * in the trace and the replayer seeks in O(1), so points carry only
- * the warm summary; in live mode they carry both.
+ * the warm summary; in live mode they carry both. Sharded warm
+ * summaries (sim/sharded.hh) are warm-only live-points too: one
+ * container and one loader serve every persisted entry state.
  */
 
 #ifndef YASIM_SIM_LIVEPOINT_HH
@@ -90,6 +90,17 @@ struct LivePointOptions
     // yasim-lint: key-exempt(result: changes wall-clock only)
     std::string dir;
 };
+
+/**
+ * Digest of everything a warmed-uarch summary depends on besides its
+ * warm span: the live-point and warm-state format versions, the
+ * program's full content, and the warm-relevant (table-shaping)
+ * configuration. Timing-only parameters are excluded, so a latency
+ * sweep shares one set of warm states. Both persisted warm stores —
+ * the live-point library key and sharded warm summaries — build on it.
+ */
+std::string warmIdentityDigest(const Program &program,
+                               const SimConfig &config);
 
 /**
  * The systematic sampling grid: maxUnits measurement units of
@@ -202,8 +213,12 @@ class LivePoint
     /** True when registers/PC were captured (live-mode point). */
     bool hasArchState() const { return !intRegs.empty(); }
 
-    /** Attach the warmed-uarch summary of @p mem and @p bp under
-     *  identity @p key (same contract as Checkpoint::attachUarch). */
+    /**
+     * Attach the warmed-uarch summary of @p mem and @p bp under
+     * identity @p key. The key must encode everything the warm state
+     * depends on (warmIdentityDigest plus the warm span);
+     * restoreUarch refuses a key mismatch.
+     */
     void attachUarch(const MemoryHierarchy &mem,
                      const CombinedPredictor &bp, const std::string &key);
 

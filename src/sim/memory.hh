@@ -51,9 +51,10 @@ class SparseMemory
     /**
      * Invoke @p fn(addr, value) for every *non-zero* word currently
      * stored (zero words are indistinguishable from untouched memory),
-     * in ascending address order. Checkpoint capture serializes this
-     * stream, so determinism here is what keeps checkpoint and trace
-     * artifacts byte-stable across runs and standard libraries.
+     * in ascending address order. The persisted fast-forward
+     * live-point (fastForwardDetailedRegion) captures this stream, so
+     * determinism here keeps that artifact byte-stable across runs and
+     * standard libraries.
      */
     template <typename Fn>
     void

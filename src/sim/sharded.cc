@@ -7,82 +7,47 @@
 #include <system_error>
 
 #include "sim/bb_profiler.hh"
-#include "sim/checkpoint.hh"
 #include "sim/functional.hh"
+#include "sim/livepoint.hh"
 #include "sim/ooo_core.hh"
 #include "sim/trace.hh"
 #include "support/check.hh"
 #include "support/hash.hh"
+#include "support/logging.hh"
 #include "support/thread_pool.hh"
-#include "uarch/warm_state.hh"
 
 namespace yasim {
 
 namespace {
 
 /**
- * Identity of one shard's warmed-uarch state: everything that shapes
- * the post-warming tag arrays, TLB entries, and predictor tables. The
- * warm stream is architectural, so timing-only parameters (latencies,
- * core sizing, bus width) are deliberately excluded — a latency sweep
- * over one machine shares one set of warm summaries.
+ * Identity of one shard's warmed-uarch state: @p identity (the
+ * warmIdentityDigest shared with the live-point library) plus the
+ * slice's warm span.
  */
-// yasim-lint: key(warm) covers CacheConfig(uarch/cache.hh)
-// yasim-lint: key(warm) covers BranchPredictorConfig(uarch/branch_predictor.hh)
-// yasim-lint: key(warm) covers MemoryConfig(uarch/memory_hierarchy.hh)
-// yasim-lint: key(warm) covers SimConfig(sim/config.hh)
 std::string
-warmSummaryKey(const Program &program, const ShardSlice &slice,
-               const SimConfig &config)
+warmSummaryKey(const std::string &identity, const ShardSlice &slice)
 {
-    Hasher h;
-    h.u32(kWarmStateFormatVersion);
-    h.u32(kCheckpointFormatVersion);
-
-    h.u64(program.size());
-    const Instruction *code = program.code();
-    for (uint64_t i = 0; i < program.size(); ++i) {
-        const Instruction &inst = code[i];
-        h.u32(static_cast<uint32_t>(inst.op));
-        h.u32(static_cast<uint32_t>(inst.rd));
-        h.u32(static_cast<uint32_t>(inst.rs1));
-        h.u32(static_cast<uint32_t>(inst.rs2));
-        h.u64(static_cast<uint64_t>(inst.imm));
-    }
-
-    h.u64(slice.warmStart);
-    h.u64(slice.begin);
-
-    auto cache = [&h](const CacheConfig &c) {
-        h.u32(c.sizeKb).u32(c.assoc).u32(c.blockBytes);
-        h.u32(static_cast<uint32_t>(c.replacement));
-    };
-    cache(config.mem.l1i);
-    cache(config.mem.l1d);
-    cache(config.mem.l2);
-    h.u32(config.mem.itlbEntries).u32(config.mem.dtlbEntries);
-    h.b(config.mem.nextLinePrefetch);
-
-    h.u32(static_cast<uint32_t>(config.bp.kind));
-    h.u32(config.bp.bhtEntries).u32(config.bp.globalHistoryBits);
-    h.u32(config.bp.btbEntries).u32(config.bp.btbAssoc);
-    h.b(config.bp.speculativeUpdate);
-
-    return h.hex();
+    return csprintf("warm{from=%llu|at=%llu|id=%s}",
+                    static_cast<unsigned long long>(slice.warmStart),
+                    static_cast<unsigned long long>(slice.begin),
+                    identity.c_str());
 }
 
 std::string
 warmSummaryPath(const std::string &dir, const std::string &key)
 {
-    return dir + "/warm-" + key + ".ckpt";
+    return dir + "/warm-" + Hasher().str(key).hex() + ".lvpt";
 }
 
-/** Per-shard prepared warm state, resolved serially before the fan-out. */
+/**
+ * Per-shard prepared warm state, resolved serially before the fan-out.
+ * `summary` carries a warm blob only when a persisted one loaded.
+ */
 struct ShardPrep
 {
     std::string key;
-    Checkpoint summary = Checkpoint::atPosition(0);
-    bool haveSummary = false;
+    LivePoint summary;
 };
 
 /**
@@ -96,10 +61,11 @@ makeCore(std::optional<OooCore> &core, const SimConfig &config,
          const ShardPrep &prep, bool &restored)
 {
     core.emplace(config);
-    restored = prep.haveSummary &&
-               prep.summary.restoreUarch(core->memHierarchy(),
-                                         core->predictor(), prep.key);
-    if (prep.haveSummary && !restored)
+    const bool loaded = prep.summary.hasUarch();
+    restored = loaded && prep.summary.restoreUarch(core->memHierarchy(),
+                                                   core->predictor(),
+                                                   prep.key);
+    if (loaded && !restored)
         core.emplace(config);
 }
 
@@ -117,21 +83,24 @@ prepareShards(const Program &program, const std::vector<ShardSlice> &plan,
         std::error_code ec;
         std::filesystem::create_directories(opts.warmDir, ec);
     }
+    const std::string identity = warmIdentityDigest(program, config);
     for (size_t k = 1; k < plan.size(); ++k) {
-        prep[k].key = warmSummaryKey(program, plan[k], config);
+        prep[k].key = warmSummaryKey(identity, plan[k]);
         if (opts.warmDir.empty())
             continue;
-        Checkpoint loaded = Checkpoint::atPosition(0);
-        if (Checkpoint::loadFile(warmSummaryPath(opts.warmDir, prep[k].key),
-                                 loaded) &&
-            loaded.instruction() == plan[k].begin &&
-            loaded.hasUarch() && loaded.uarchKey() == prep[k].key) {
-            prep[k].summary = loaded;
-            prep[k].haveSummary = true;
+        LivePoint loaded;
+        if (LivePoint::loadFile(warmSummaryPath(opts.warmDir, prep[k].key),
+                                loaded) &&
+            loaded.position() == plan[k].begin &&
+            loaded.uarchKey() == prep[k].key) {
+            prep[k].summary = std::move(loaded);
         }
     }
     return prep;
 }
+
+/** Most multiples of the boundary spacing a run may hold. */
+constexpr uint64_t kMaxShardRungs = 16;
 
 /** Plan-based modeled cost, independent of warm-summary hits. */
 void
@@ -153,9 +122,8 @@ constexpr uint64_t kWarmCancelChunk = 1 << 20;
  * @p warmed_done for honest partial-cost accounting. False = cancelled
  * mid-warm.
  */
-template <typename Src>
 bool
-warmChunked(Src &src, uint64_t n, OooCore &core,
+warmChunked(StepSource &src, uint64_t n, OooCore &core,
             const CancelToken &cancel, std::atomic<uint64_t> &warmed_done)
 {
     while (n > 0) {
@@ -189,6 +157,112 @@ refuseStitchIfCancelled(const CancelToken &cancel,
     throw err;
 }
 
+/**
+ * The one shard worker body behind both runShardedReference overloads.
+ * Each shard opens its own stream at position zero — a TraceReplayer
+ * cursor over @p trace, or a private FunctionalSim over @p program when
+ * @p trace is null — and fast-forwards it to its lead-in: an O(1) seek
+ * in replay, architectural interpretation live. Live mode alone
+ * attaches a per-shard profiler, because the trace already carries the
+ * whole-run profile.
+ */
+ShardedRunResult
+runShards(const std::shared_ptr<const ExecTrace> &trace,
+          const Program &program, uint64_t length, const SimConfig &config,
+          const ShardOptions &opts, const CancelToken &cancel)
+{
+    const std::vector<ShardSlice> plan =
+        planShards(length, opts.exact ? 1 : opts.shards, opts.warmupInsts);
+    std::vector<ShardPrep> prep = prepareShards(program, plan, config, opts);
+
+    ShardedRunResult result;
+    result.perShard.resize(plan.size());
+    chargePlan(plan, result);
+
+    std::atomic<uint32_t> restores{0};
+    std::atomic<uint32_t> saves{0};
+    std::atomic<uint64_t> detailedDone{0};
+    std::atomic<uint64_t> warmedDone{0};
+    const bool profile = trace == nullptr;
+    std::vector<std::vector<double>> bbefShard(plan.size());
+    std::vector<std::vector<double>> bbvShard(plan.size());
+
+    globalPool().parallelFor(plan.size(), [&](size_t k) {
+        const ShardSlice &slice = plan[k];
+        std::optional<TraceReplayer> replayer;
+        std::optional<FunctionalSim> sim;
+        StepSource *src = nullptr;
+        if (trace)
+            src = &replayer.emplace(trace);
+        else
+            src = &sim.emplace(program);
+
+        std::optional<OooCore> coreSlot;
+        bool warmed = false;
+        makeCore(coreSlot, config, prep[k], warmed);
+        OooCore &core = *coreSlot;
+        if (warmed) {
+            restores.fetch_add(1, std::memory_order_relaxed);
+            // Restored lead-ins charge like executed ones so partial
+            // cost never depends on warm-dir state (same rule as
+            // chargePlan). Only the stream position must still advance.
+            warmedDone.fetch_add(slice.begin - slice.warmStart,
+                                 std::memory_order_relaxed);
+            src->fastForward(slice.begin);
+        } else if (slice.begin > 0) {
+            src->fastForward(slice.warmStart);
+            if (!warmChunked(*src, slice.begin - slice.warmStart, core,
+                             cancel, warmedDone))
+                return; // cancelled mid-warm: publish no summary
+            if (!opts.warmDir.empty()) {
+                LivePoint summary = LivePoint::atPosition(slice.begin);
+                summary.attachUarch(core.memHierarchy(), core.predictor(),
+                                    prep[k].key);
+                if (summary.saveFile(
+                        warmSummaryPath(opts.warmDir, prep[k].key)))
+                    saves.fetch_add(1, std::memory_order_relaxed);
+            }
+        }
+        YASIM_DCHECK_EQ(src->instsExecuted(), slice.begin);
+
+        if (cancel.cancelled())
+            return;
+        std::optional<BbProfiler> profiler;
+        if (profile)
+            profiler.emplace(program);
+        uint64_t done = 0;
+        result.perShard[k] = core.runMeasured(
+            *src, slice.end - slice.begin, profiler ? &*profiler : nullptr,
+            &done, cancel);
+        detailedDone.fetch_add(done, std::memory_order_relaxed);
+        if (profiler) {
+            bbefShard[k] = profiler->bbef();
+            bbvShard[k] = profiler->bbv();
+        }
+    }, cancel);
+
+    refuseStitchIfCancelled(cancel, detailedDone, warmedDone);
+
+    if (profile) {
+        // Stitch the profile in shard-index order. Every count is an
+        // integral double (weight 1.0), so the sum is exact and matches
+        // the sequential whole-run profile bit for bit.
+        result.bbef.assign(program.numBlocks(), 0.0);
+        result.bbv.assign(program.numBlocks(), 0.0);
+        for (size_t k = 0; k < plan.size(); ++k) {
+            for (size_t i = 0; i < result.bbef.size(); ++i) {
+                result.bbef[i] += bbefShard[k][i];
+                result.bbv[i] += bbvShard[k][i];
+            }
+        }
+    }
+
+    result.stats = stitchStats(result.perShard);
+    result.warmRestores = restores.load();
+    result.warmSaves = saves.load();
+    return result;
+}
+
 } // namespace
 
 const char *
@@ -201,15 +275,28 @@ stitchModeName(StitchMode mode)
     return "unknown";
 }
 
+uint64_t
+shardSpacingFor(uint64_t length)
+{
+    uint64_t spacing = uint64_t(64) * 1024;
+    if (length == 0)
+        return spacing;
+    // floor((length-1)/spacing) counts the rungs: multiples of the
+    // spacing strictly before the run's end.
+    while ((length - 1) / spacing > kMaxShardRungs)
+        spacing *= 2;
+    return spacing;
+}
+
 std::vector<ShardSlice>
 planShards(uint64_t length, uint32_t shards, uint64_t warmup)
 {
     if (shards == 0)
         shards = 1;
-    const uint64_t spacing = ExecTrace::ladderSpacingFor(length);
+    const uint64_t spacing = shardSpacingFor(length);
 
-    // Interior boundaries at the ladder rung nearest each ideal split;
-    // rungs can collide for short runs, in which case shards merge.
+    // Interior boundaries at the rung nearest each ideal split; rungs
+    // can collide for short runs, in which case shards merge.
     std::vector<uint64_t> bounds;
     bounds.push_back(0);
     for (uint32_t k = 1; k < shards; ++k) {
@@ -245,66 +332,8 @@ runShardedReference(const std::shared_ptr<const ExecTrace> &trace,
                     const CancelToken &cancel)
 {
     YASIM_CHECK(trace != nullptr, "sharded replay requires a trace");
-    const uint64_t length = trace->length();
-    const std::vector<ShardSlice> plan =
-        planShards(length, opts.exact ? 1 : opts.shards, opts.warmupInsts);
-    std::vector<ShardPrep> prep =
-        prepareShards(trace->program(), plan, config, opts);
-
-    ShardedRunResult result;
-    result.perShard.resize(plan.size());
-    chargePlan(plan, result);
-
-    std::atomic<uint32_t> restores{0};
-    std::atomic<uint32_t> saves{0};
-    std::atomic<uint64_t> detailedDone{0};
-    std::atomic<uint64_t> warmedDone{0};
-
-    globalPool().parallelFor(plan.size(), [&](size_t k) {
-        const ShardSlice &slice = plan[k];
-        TraceReplayer replayer(trace);
-        std::optional<OooCore> coreSlot;
-        bool warmed = false;
-        makeCore(coreSlot, config, prep[k], warmed);
-        OooCore &core = *coreSlot;
-        if (warmed) {
-            restores.fetch_add(1, std::memory_order_relaxed);
-            // Restored lead-ins charge like executed ones so partial
-            // cost never depends on warm-dir state (same rule as
-            // chargePlan).
-            warmedDone.fetch_add(slice.begin - slice.warmStart,
-                                 std::memory_order_relaxed);
-        }
-
-        if (!warmed && slice.begin > 0) {
-            replayer.seek(slice.warmStart);
-            if (!warmChunked(replayer, slice.begin - slice.warmStart,
-                             core, cancel, warmedDone))
-                return; // cancelled mid-warm: publish no summary
-            if (!opts.warmDir.empty()) {
-                Checkpoint summary = Checkpoint::atPosition(slice.begin);
-                summary.attachUarch(core.memHierarchy(), core.predictor(),
-                                    prep[k].key);
-                if (summary.saveFile(
-                        warmSummaryPath(opts.warmDir, prep[k].key)))
-                    saves.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-
-        if (cancel.cancelled())
-            return;
-        replayer.seek(slice.begin);
-        uint64_t done = 0;
-        result.perShard[k] = core.runMeasured(
-            replayer, slice.end - slice.begin, nullptr, &done, cancel);
-        detailedDone.fetch_add(done, std::memory_order_relaxed);
-    }, cancel);
-
-    refuseStitchIfCancelled(cancel, detailedDone, warmedDone);
-    result.stats = stitchStats(result.perShard);
-    result.warmRestores = restores.load();
-    result.warmSaves = saves.load();
-    return result;
+    return runShards(trace, trace->program(), trace->length(), config,
+                     opts, cancel);
 }
 
 ShardedRunResult
@@ -312,112 +341,7 @@ runShardedReference(const Program &program, uint64_t length,
                     const SimConfig &config, const ShardOptions &opts,
                     const CancelToken &cancel)
 {
-    const std::vector<ShardSlice> plan =
-        planShards(length, opts.exact ? 1 : opts.shards, opts.warmupInsts);
-    std::vector<ShardPrep> prep = prepareShards(program, plan, config, opts);
-
-    // Architectural entry points for every bounded-warm-up shard, built
-    // in one functional pass. Built from the plan (not from summary
-    // availability) so the modeled checkpoint cost is deterministic,
-    // and so a corrupt summary always has a live fallback.
-    CheckpointLibrary library;
-    ShardedRunResult result;
-    {
-        std::vector<uint64_t> positions;
-        for (const ShardSlice &s : plan)
-            if (s.warmStart > 0)
-                positions.push_back(s.warmStart);
-        std::sort(positions.begin(), positions.end());
-        positions.erase(std::unique(positions.begin(), positions.end()),
-                        positions.end());
-        if (!positions.empty())
-            result.checkpointInsts = library.build(program, positions);
-    }
-
-    result.perShard.resize(plan.size());
-    chargePlan(plan, result);
-
-    std::atomic<uint32_t> restores{0};
-    std::atomic<uint32_t> saves{0};
-    std::atomic<uint64_t> detailedDone{0};
-    std::atomic<uint64_t> warmedDone{0};
-    std::vector<std::vector<double>> bbefShard(plan.size());
-    std::vector<std::vector<double>> bbvShard(plan.size());
-
-    globalPool().parallelFor(plan.size(), [&](size_t k) {
-        const ShardSlice &slice = plan[k];
-        FunctionalSim sim(program);
-        std::optional<OooCore> coreSlot;
-        bool warmed = false;
-        makeCore(coreSlot, config, prep[k], warmed);
-        OooCore &core = *coreSlot;
-        if (warmed) {
-            restores.fetch_add(1, std::memory_order_relaxed);
-            warmedDone.fetch_add(slice.begin - slice.warmStart,
-                                 std::memory_order_relaxed);
-        }
-
-        if (warmed && prep[k].summary.hasArchState()) {
-            // A live-saved summary carries the architectural state at
-            // the shard boundary too: one restore and we're measuring.
-            prep[k].summary.restore(sim);
-        } else {
-            if (slice.warmStart > 0) {
-                const Checkpoint *entry =
-                    library.latestAtOrBefore(slice.warmStart);
-                YASIM_CHECK(entry != nullptr,
-                            "missing shard entry checkpoint");
-                entry->restore(sim);
-            }
-            uint64_t lead = slice.begin - sim.instsExecuted();
-            if (warmed) {
-                // Replay-saved summary: warm tables came from the blob;
-                // only the architectural position must still advance.
-                sim.fastForward(lead);
-            } else if (lead > 0) {
-                if (!warmChunked(sim, lead, core, cancel, warmedDone))
-                    return; // cancelled mid-warm
-                if (!opts.warmDir.empty()) {
-                    Checkpoint summary = Checkpoint::capture(sim);
-                    summary.attachUarch(core.memHierarchy(),
-                                        core.predictor(), prep[k].key);
-                    if (summary.saveFile(
-                            warmSummaryPath(opts.warmDir, prep[k].key)))
-                        saves.fetch_add(1, std::memory_order_relaxed);
-                }
-            }
-        }
-        YASIM_DCHECK_EQ(sim.instsExecuted(), slice.begin);
-
-        if (cancel.cancelled())
-            return;
-        BbProfiler profiler(program);
-        uint64_t done = 0;
-        result.perShard[k] = core.runMeasured(
-            sim, slice.end - slice.begin, &profiler, &done, cancel);
-        detailedDone.fetch_add(done, std::memory_order_relaxed);
-        bbefShard[k] = profiler.bbef();
-        bbvShard[k] = profiler.bbv();
-    }, cancel);
-
-    refuseStitchIfCancelled(cancel, detailedDone, warmedDone);
-
-    // Stitch the profile in shard-index order. Every count is an
-    // integral double (weight 1.0), so the sum is exact and matches
-    // the sequential whole-run profile bit for bit.
-    result.bbef.assign(program.numBlocks(), 0.0);
-    result.bbv.assign(program.numBlocks(), 0.0);
-    for (size_t k = 0; k < plan.size(); ++k) {
-        for (size_t i = 0; i < result.bbef.size(); ++i) {
-            result.bbef[i] += bbefShard[k][i];
-            result.bbv[i] += bbvShard[k][i];
-        }
-    }
-
-    result.stats = stitchStats(result.perShard);
-    result.warmRestores = restores.load();
-    result.warmSaves = saves.load();
-    return result;
+    return runShards(nullptr, program, length, config, opts, cancel);
 }
 
 } // namespace yasim

@@ -1,17 +1,17 @@
 /**
  * @file
- * Checkpoint-sharded parallel detailed simulation.
+ * Sharded parallel detailed simulation.
  *
  * The full-reference detailed run is the slowest serial artifact in the
  * repo: every figure anchors to it, yet it occupies one core while the
  * engine's pool parallelizes only across configurations. Sharding
- * splits the measured region at the canonical checkpoint ladder into N
- * slices; each worker positions an independent core at its slice —
- * seeking a TraceReplayer, or restoring the nearest architectural
- * Checkpoint live — functionally warms caches and predictor through
- * its lead-in (the SMARTS warming path), detail-simulates the slice on
- * a drained pipeline, and the per-shard SimStats are stitched in
- * shard-index order into whole-run statistics.
+ * splits the measured region into N slices at boundaries that are pure
+ * plan arithmetic (shardSpacingFor); each worker positions its own
+ * stream at its slice — seeking a TraceReplayer, or fast-forwarding a
+ * private FunctionalSim live — functionally warms caches and predictor
+ * through its lead-in (the SMARTS warming path), detail-simulates the
+ * slice on a drained pipeline, and the per-shard SimStats are stitched
+ * in shard-index order into whole-run statistics.
  *
  * Exactness contract (docs/perf.md): instruction, conditional-branch,
  * data-reference, and trivial-op counters are bit-identical to the
@@ -22,11 +22,12 @@
  *
  * Warmed-uarch summaries: when ShardOptions::warmDir is set, each
  * shard's post-warming cache/TLB/predictor state is persisted as a
- * Checkpoint summary (sim/checkpoint.hh) keyed by the warm identity —
+ * warm-only LivePoint (sim/livepoint.hh) keyed by the warm identity —
  * program content, slice, warm-relevant configuration, and format
  * versions — so repeated runs (config sweeps varying only latencies
- * included) restore instead of re-warming. Summaries affect wall-clock
- * only, never results or modeled cost.
+ * included) restore instead of re-warming. Summaries carry no
+ * architectural state, are shared by replay and live mode, and affect
+ * wall-clock only, never results or modeled cost.
  */
 
 #ifndef YASIM_SIM_SHARDED_HH
@@ -68,8 +69,8 @@ struct ShardOptions
     /**
      * Functional-warming lead-in per shard in instructions; 0 warms
      * the full prefix (most accurate, most redundant work). Bounded
-     * warm-ups below one ladder spacing still warm from the aligned
-     * shard boundary minus the bound.
+     * warm-ups below one boundary spacing (shardSpacingFor) still warm
+     * from the aligned shard boundary minus the bound.
      */
     uint64_t warmupInsts = 0;
     /** Force the sequential path regardless of `shards` (--exact). */
@@ -102,13 +103,20 @@ struct ShardSlice
 };
 
 /**
+ * The spacing shard boundaries align to for a run of @p length
+ * instructions: the smallest 64Ki * 2^k that leaves at most 16 of its
+ * multiples strictly before the run's end. A pure function of the
+ * length, so replay and live mode plan identical shards.
+ */
+uint64_t shardSpacingFor(uint64_t length);
+
+/**
  * Split [0, length) into at most @p shards slices with boundaries
- * aligned to the nearest rung of the canonical checkpoint ladder
- * (ExecTrace::ladderSpacingFor). Boundaries that collide after
- * alignment merge, so short runs may yield fewer slices. Shard 0 is
- * never warmed (it starts cold, exactly like the sequential run);
- * later shards warm from `begin - warmup` (full prefix when
- * @p warmup == 0 or the bound reaches position zero).
+ * aligned to the nearest multiple of shardSpacingFor(length).
+ * Boundaries that collide after alignment merge, so short runs may
+ * yield fewer slices. Shard 0 is never warmed (it starts cold, exactly
+ * like the sequential run); later shards warm from `begin - warmup`
+ * (full prefix when @p warmup == 0 or the bound reaches position zero).
  */
 std::vector<ShardSlice> planShards(uint64_t length, uint32_t shards,
                                    uint64_t warmup);
@@ -133,8 +141,6 @@ struct ShardedRunResult
      * warm-dir state.
      */
     uint64_t warmedInsts = 0;
-    /** Modeled checkpoint-generation instructions (live mode only). */
-    uint64_t checkpointInsts = 0;
     /** Shards warmed from a persisted summary (wall-clock savings). */
     uint32_t warmRestores = 0;
     /** Summaries persisted by this run. */
@@ -160,13 +166,13 @@ ShardedRunResult runShardedReference(
     const CancelToken &cancel = CancelToken());
 
 /**
- * Live-mode overload: no trace, so shard lead-ins are reached through
- * an architectural CheckpointLibrary built in one functional pass
- * (charged as checkpointInsts) and the whole-run BBEF/BBV profile is
- * accumulated per shard and summed. Bit-identical to the trace
- * overload for the same @p length and @p config. Same cancellation
- * contract as the trace overload (the checkpoint-library pass itself
- * is not cancellable; it is bounded functional-mode work).
+ * Live-mode overload: no trace, so each shard fast-forwards its own
+ * FunctionalSim to its warm-up start, and the whole-run BBEF/BBV
+ * profile is accumulated per shard and summed. Bit-identical to the
+ * trace overload for the same @p length and @p config, modeled cost
+ * included. Same cancellation contract as the trace overload (the
+ * fast-forward to a shard's warm-up start is not polled; it is bounded
+ * functional-mode work).
  */
 ShardedRunResult runShardedReference(const Program &program,
                                      uint64_t length,

@@ -239,85 +239,25 @@ ExecTrace::appendBatch(const ExecRecord *recs, uint64_t n)
 std::shared_ptr<const ExecTrace>
 ExecTrace::record(const Program &program)
 {
-    return record(program, Options{});
-}
-
-std::shared_ptr<const ExecTrace>
-ExecTrace::record(const Program &program, const Options &options)
-{
     YASIM_CHECK(program.size() <= UINT32_MAX,
                 "program too large to trace (%zu static instructions)",
                 program.size());
     std::shared_ptr<ExecTrace> trace(new ExecTrace(program));
 
-    const bool adaptive = options.checkpointSpacing == 0;
-    uint64_t spacing =
-        adaptive ? uint64_t(64) * 1024 : options.checkpointSpacing;
-
     FunctionalSim sim(trace->prog);
     BbProfiler profiler(trace->prog);
     // Batched recording: one interpreter span, one profiler pass, one
-    // SoA append per batch. Batches never straddle a checkpoint rung,
-    // so snapshots land at exactly the positions the per-step loop
-    // captured.
+    // SoA append per batch.
     constexpr uint64_t kRecordBatch = 4096;
     std::vector<ExecRecord> batch(kRecordBatch);
-    uint64_t next_ckpt = spacing;
-    for (;;) {
-        uint64_t want = kRecordBatch;
-        const uint64_t pos = sim.instsExecuted();
-        if (next_ckpt > pos)
-            want = std::min(want, next_ckpt - pos);
-        const uint64_t n = sim.stepBatch(batch.data(), want);
-        if (n == 0)
-            break;
+    while (const uint64_t n = sim.stepBatch(batch.data(), kRecordBatch)) {
         profiler.recordBatch(batch.data(), n);
         trace->appendBatch(batch.data(), n);
-        if (sim.instsExecuted() == next_ckpt && !sim.halted()) {
-            if (adaptive &&
-                trace->checkpoints.size() == maxCheckpoints) {
-                // Thin the ladder to every other snapshot and double
-                // the spacing: at most maxCheckpoints are ever kept,
-                // and at most 2x that are ever captured.
-                std::vector<Checkpoint> kept;
-                for (size_t i = 1; i < trace->checkpoints.size(); i += 2)
-                    kept.push_back(std::move(trace->checkpoints[i]));
-                trace->checkpoints.swap(kept);
-                spacing *= 2;
-                next_ckpt = trace->checkpoints.empty()
-                                ? spacing
-                                : trace->checkpoints.back().instruction() +
-                                      spacing;
-                if (sim.instsExecuted() != next_ckpt)
-                    continue;
-            }
-            trace->checkpoints.push_back(Checkpoint::capture(sim));
-            next_ckpt += spacing;
-        }
     }
     trace->total = sim.instsExecuted();
-    trace->spacing = spacing;
     trace->bbefCounts = profiler.bbef();
     trace->bbvCounts = profiler.bbv();
-    // The closed form must track the incremental thinning exactly, or
-    // shard plans would diverge between replay and live mode.
-    if (adaptive)
-        YASIM_DCHECK_EQ(trace->spacing, ladderSpacingFor(trace->total));
     return trace;
-}
-
-uint64_t
-ExecTrace::ladderSpacingFor(uint64_t length)
-{
-    uint64_t spacing = uint64_t(64) * 1024;
-    if (length == 0)
-        return spacing;
-    // floor((length-1)/spacing) counts the ladder rungs (multiples of
-    // the spacing strictly before the halt); record() thins whenever a
-    // rung past maxCheckpoints would be captured.
-    while ((length - 1) / spacing > maxCheckpoints)
-        spacing *= 2;
-    return spacing;
 }
 
 size_t
@@ -329,36 +269,10 @@ ExecTrace::footprintBytes() const
                  c.memAddr.capacity() * sizeof(uint64_t) +
                  c.flags.capacity() * sizeof(uint8_t);
     }
-    for (const Checkpoint &cp : checkpoints)
-        bytes += cp.footprintBytes();
     bytes += (bbefCounts.capacity() + bbvCounts.capacity()) *
              sizeof(double);
     bytes += prog.size() * sizeof(Instruction);
     return bytes;
-}
-
-const Checkpoint *
-ExecTrace::checkpointAtOrBefore(uint64_t position) const
-{
-    const Checkpoint *best = nullptr;
-    for (const Checkpoint &cp : checkpoints) {
-        if (cp.instruction() <= position)
-            best = &cp;
-        else
-            break;
-    }
-    return best;
-}
-
-uint64_t
-ExecTrace::restoreTo(FunctionalSim &sim, uint64_t position) const
-{
-    YASIM_CHECK_LE(position, total);
-    const Checkpoint *cp = checkpointAtOrBefore(position);
-    if (cp && cp->instruction() >= sim.instsExecuted())
-        cp->restore(sim);
-    YASIM_CHECK_LE(sim.instsExecuted(), position);
-    return sim.fastForward(position - sim.instsExecuted());
 }
 
 // --- ExecTrace: serialization ----------------------------------------------
@@ -369,13 +283,10 @@ ExecTrace::write(std::ostream &os, const std::string &key_text) const
 {
     os << kTraceMagic << " " << kTraceFormatVersion << "\n";
     os << "key " << key_text << "\n";
-    os << "meta length=" << total << " spacing=" << spacing
-       << " program=" << prog.size() << " blocks=" << prog.numBlocks()
-       << " checkpoints=" << checkpoints.size() << "\n";
+    os << "meta length=" << total << " program=" << prog.size()
+       << " blocks=" << prog.numBlocks() << "\n";
     for (const Chunk &c : chunks)
         encodeChunkPlanes(c.pc, c.memAddr, c.flags, prog.code(), os);
-    for (const Checkpoint &cp : checkpoints)
-        cp.writeBinary(os);
     putVec(os, bbefCounts);
     putVec(os, bbvCounts);
     putRaw(os, kTraceEndMark);
@@ -393,25 +304,19 @@ ExecTrace::read(std::istream &is, const std::string &key_text,
     }
     if (!std::getline(is, line) || line != "key " + key_text)
         return nullptr;
-    uint64_t length = 0, spacing = 0, prog_size = 0, blocks = 0,
-             n_ckpts = 0;
+    uint64_t length = 0, prog_size = 0, blocks = 0;
     if (!std::getline(is, line) ||
         std::sscanf(line.c_str(),
-                    "meta length=%" SCNu64 " spacing=%" SCNu64
-                    " program=%" SCNu64 " blocks=%" SCNu64
-                    " checkpoints=%" SCNu64,
-                    &length, &spacing, &prog_size, &blocks,
-                    &n_ckpts) != 5) {
+                    "meta length=%" SCNu64 " program=%" SCNu64
+                    " blocks=%" SCNu64,
+                    &length, &prog_size, &blocks) != 3) {
         return nullptr;
     }
-    if (prog_size != program.size() || blocks != program.numBlocks() ||
-        n_ckpts > length) {
+    if (prog_size != program.size() || blocks != program.numBlocks())
         return nullptr;
-    }
 
     std::shared_ptr<ExecTrace> trace(new ExecTrace(program));
     trace->total = length;
-    trace->spacing = spacing;
     uint64_t remaining = length;
     while (remaining > 0) {
         // Chunk-at-a-time: each compressed chunk decodes straight into
@@ -426,13 +331,6 @@ ExecTrace::read(std::istream &is, const std::string &key_text,
             return nullptr;
         }
         remaining -= n;
-    }
-    trace->checkpoints.reserve(n_ckpts);
-    for (uint64_t i = 0; i < n_ckpts; ++i) {
-        Checkpoint cp; // constructible here: ExecTrace is a friend
-        if (!Checkpoint::readBinary(is, cp))
-            return nullptr;
-        trace->checkpoints.push_back(std::move(cp));
     }
     if (!getVec(is, trace->bbefCounts, blocks) ||
         !getVec(is, trace->bbvCounts, blocks)) {

@@ -10,10 +10,8 @@
  * buffer — 13 bytes per dynamic instruction in memory (4 pc + 8
  * memAddr + 1 flags; nextPc is derivable, see below), delta/byte-plane
  * compressed to ~1-2 bytes per instruction on disk — together with the
- * program,
- * the full-run BBEF/BBV profile, and a ladder of embedded architectural
- * checkpoints. A TraceReplayer then implements StepSource over the
- * recording:
+ * program and the full-run BBEF/BBV profile. A TraceReplayer then
+ * implements StepSource over the recording:
  *
  *  - step() is an array load instead of interpretation,
  *  - stepBatch() serves whole chunk-resident SoA spans with the flag
@@ -42,49 +40,32 @@
 #include <string>
 #include <vector>
 
-#include "sim/checkpoint.hh"
 #include "sim/step_source.hh"
 
 namespace yasim {
 
-class FunctionalSim;
-
 /**
  * Bumped whenever the on-disk trace layout or the semantics of the
  * recorded stream change; stale spills then miss instead of replaying
- * a stream with different meaning. Version 4: chunks are serialized as
- * delta/byte-plane encoded streams (varint + RLE, see trace.cc) at
- * roughly 1-2 bytes per instruction instead of the raw 13-byte SoA
- * rows. Version 3: embedded checkpoints use the version-3 layout
- * (optional warmed-uarch summary trailer).
+ * a stream with different meaning. Version 5: the embedded ladder of
+ * architectural checkpoints is gone (nothing read it), and with it the
+ * header's spacing= and checkpoints= fields. Version 4: chunks are
+ * serialized as delta/byte-plane encoded streams (varint + RLE, see
+ * trace.cc) at roughly 1-2 bytes per instruction instead of the raw
+ * 13-byte SoA rows.
  */
 // yasim-lint: version(trace)
-constexpr int kTraceFormatVersion = 4;
+constexpr int kTraceFormatVersion = 5;
 
 /** An immutable recording of one program's full execution. */
 class ExecTrace
 {
   public:
-    struct Options
-    {
-        /**
-         * Embedded-checkpoint spacing in instructions. 0 = adaptive:
-         * start at 64Ki and double (thinning the ladder) so at most
-         * maxCheckpoints snapshots are kept regardless of run length.
-         */
-        uint64_t checkpointSpacing = 0;
-    };
-
-    /** Ladder bound for adaptive checkpoint spacing. */
-    static constexpr size_t maxCheckpoints = 16;
-
     /**
      * Record @p program's complete execution (one functional
      * interpretation — the single pass a whole configuration sweep
      * amortizes). The program is copied into the trace.
      */
-    static std::shared_ptr<const ExecTrace> record(const Program &program,
-                                                   const Options &options);
     static std::shared_ptr<const ExecTrace> record(const Program &program);
 
     /** Dynamic length of the recording (Halt included). */
@@ -101,37 +82,6 @@ class ExecTrace
 
     /** Approximate in-memory footprint in bytes. */
     size_t footprintBytes() const;
-
-    /** Number of embedded checkpoints. */
-    size_t numCheckpoints() const { return checkpoints.size(); }
-
-    /** Final checkpoint spacing (after adaptive doubling). */
-    uint64_t checkpointSpacing() const { return spacing; }
-
-    /**
-     * The spacing the adaptive ladder (Options::checkpointSpacing == 0)
-     * converges to for a run of @p length instructions: the smallest
-     * 64Ki * 2^k whose rung count stays within maxCheckpoints. Shard
-     * planning aligns boundaries to this canonical ladder in both
-     * replay and live mode, so shard plans — and therefore sharded
-     * results — are identical with and without a trace.
-     */
-    static uint64_t ladderSpacingFor(uint64_t length);
-
-    /**
-     * The latest embedded checkpoint at or before dynamic position
-     * @p position, or nullptr when none qualifies.
-     */
-    const Checkpoint *checkpointAtOrBefore(uint64_t position) const;
-
-    /**
-     * Position a live simulator at @p position instructions executed,
-     * restoring from the nearest embedded checkpoint and fast-
-     * forwarding the remainder. @p sim must run this trace's program
-     * (structurally) and must not already be past @p position.
-     * @return instructions fast-forwarded (the residual cost).
-     */
-    uint64_t restoreTo(FunctionalSim &sim, uint64_t position) const;
 
     /**
      * Serialize to @p os: a text header carrying the format version
@@ -171,11 +121,9 @@ class ExecTrace
 
     Program prog;
     std::vector<Chunk> chunks;
-    std::vector<Checkpoint> checkpoints;
     std::vector<double> bbefCounts;
     std::vector<double> bbvCounts;
     uint64_t total = 0;
-    uint64_t spacing = 0;
 };
 
 /** StepSource over an ExecTrace: one cursor, any number per trace. */

@@ -3,7 +3,7 @@
  * Self-healing framed artifact I/O for every on-disk cache.
  *
  * Every artifact the library persists — result-cache entries,
- * reference lengths, trace spills, checkpoint files — goes through one
+ * reference lengths, trace spills, live-points — goes through one
  * reader/writer pair instead of three copy-pasted temp+rename blocks.
  * The wire format frames an opaque payload:
  *

@@ -10,12 +10,12 @@ namespace yasim {
 namespace {
 
 /**
- * The checkpoint-sharded reference path (sim/sharded.hh). Statistics
- * are stitched from per-shard measured regions; the modeled cost
- * charges every instruction at the detailed rate plus the planned
- * functional-warming lead-ins and the live checkpoint pass, so sharded
- * results report *more* work than sequential ones — parallelism buys
- * wall-clock, never work units.
+ * The sharded reference path (sim/sharded.hh). Statistics are stitched
+ * from per-shard measured regions; the modeled cost charges every
+ * instruction at the detailed rate plus the planned functional-warming
+ * lead-ins, so sharded results report *more* work than sequential ones
+ * — parallelism buys wall-clock, never work units. The charge is the
+ * same with and without a trace.
  */
 TechniqueResult
 runSharded(const TechniqueContext &ctx, const SimConfig &config)
@@ -56,9 +56,7 @@ runSharded(const TechniqueContext &ctx, const SimConfig &config)
     result.workUnits =
         ctx.cost.detailedPerInst * static_cast<double>(run.detailedInsts) +
         ctx.cost.functionalWarmPerInst *
-            static_cast<double>(run.warmedInsts) +
-        ctx.cost.checkpointPerInst *
-            static_cast<double>(run.checkpointInsts);
+            static_cast<double>(run.warmedInsts);
     return result;
 }
 

@@ -75,7 +75,7 @@ struct TechniqueContext
      */
     TraceStore *traces = nullptr;
     /**
-     * Checkpoint-sharded parallel detailed simulation (sim/sharded.hh).
+     * Sharded parallel detailed simulation (sim/sharded.hh).
      * Applies to the full-reference run only — sampling techniques are
      * already cheap and their measured units are not shard-sized. The
      * default (1 shard) is the exact sequential path.

@@ -38,12 +38,11 @@ TraceStore::keyText(const std::string &benchmark, InputSet input,
                     const SuiteConfig &suite) const
 {
     return csprintf("yasim-trace|v%d|bench=%s|input=%s|"
-                    "ref=%llu,seed=%llu|ckpt=%llu",
+                    "ref=%llu,seed=%llu",
                     kTraceFormatVersion, benchmark.c_str(),
                     inputSetName(input),
                     (unsigned long long)suite.referenceInstructions,
-                    (unsigned long long)suite.seed,
-                    (unsigned long long)opts.checkpointSpacing);
+                    (unsigned long long)suite.seed);
 }
 
 std::string
@@ -197,11 +196,8 @@ TraceStore::get(const std::string &benchmark, InputSet input,
         trace = loadFromDisk(key, workload.program);
         from_disk = trace != nullptr;
     }
-    if (!trace) {
-        ExecTrace::Options topts;
-        topts.checkpointSpacing = opts.checkpointSpacing;
-        trace = ExecTrace::record(workload.program, topts);
-    }
+    if (!trace)
+        trace = ExecTrace::record(workload.program);
 
     {
         std::lock_guard<std::mutex> lock(mutex);

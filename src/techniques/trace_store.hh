@@ -38,8 +38,6 @@ struct TraceStoreOptions
 {
     /** Spill directory; empty = in-memory only. */
     std::string cacheDir;
-    /** Embedded-checkpoint spacing (0 = adaptive; see ExecTrace). */
-    uint64_t checkpointSpacing = 0;
     /** In-memory trace budget in bytes; LRU eviction beyond it. */
     size_t maxBytes = size_t(1) << 30;
     /** Spill-directory budget in bytes (0 = unbounded); the oldest

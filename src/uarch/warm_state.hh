@@ -4,9 +4,10 @@
  *
  * Warmed-microarchitecture summaries (cache tag/LRU arrays, TLB
  * entries, branch-predictor tables) serialize as one composite blob
- * carried by a Checkpoint: the blob opens with kWarmStateFormatVersion
- * (written and checked by MemoryHierarchy::serializeWarmState) and
- * every component embeds its geometry as a guard, so a stream produced
+ * carried by a live-point (sim/livepoint.hh): the blob opens with
+ * kWarmStateFormatVersion (written and checked by
+ * MemoryHierarchy::serializeWarmState) and every component embeds its
+ * geometry as a guard, so a stream produced
  * under a different configuration — or a different layout of any
  * component — can never be restored into a live structure.
  */

@@ -217,6 +217,49 @@ TEST(LivePoint, EncodeDecodeRoundTripsEverything)
     MemoryHierarchy mem3(cfg.mem);
     CombinedPredictor bp3(cfg.bp);
     EXPECT_TRUE(decoded.restoreUarch(mem3, bp3, "unit-key"));
+
+    // A differently-shaped hierarchy must fail structural validation
+    // rather than silently absorb mismatched tables, key or no key.
+    MemoryConfig narrow = cfg.mem;
+    narrow.l1d.sizeKb = cfg.mem.l1d.sizeKb / 2;
+    MemoryHierarchy wrong(narrow);
+    CombinedPredictor wrongbp(cfg.bp);
+    EXPECT_FALSE(decoded.restoreUarch(wrong, wrongbp, "unit-key"));
+}
+
+TEST(Checkpoint, UarchRestoreRefusesWrongKeyOrGeometry)
+{
+    // A sharded warm summary is a warm-only checkpoint: a position and
+    // a warm blob, no architectural state. Its restore must refuse a
+    // foreign key and a differently-shaped hierarchy.
+    Program p = loopProgram();
+    MemoryConfig mcfg;
+    BranchPredictorConfig bcfg;
+    MemoryHierarchy mem(mcfg);
+    CombinedPredictor bp(bcfg);
+    FunctionalSim sim(p);
+    sim.fastForwardWarm(3000, &mem, &bp);
+
+    LivePoint cp = LivePoint::atPosition(3000);
+    cp.attachUarch(mem, bp, "warm-key");
+    EXPECT_FALSE(cp.hasArchState());
+
+    MemoryHierarchy same(mcfg);
+    CombinedPredictor samebp(bcfg);
+    EXPECT_FALSE(cp.restoreUarch(same, samebp, "other-key"));
+
+    // A differently-shaped hierarchy must fail structural validation
+    // rather than silently absorb mismatched tables.
+    MemoryConfig narrow = mcfg;
+    narrow.l1d.sizeKb = mcfg.l1d.sizeKb / 2;
+    MemoryHierarchy wrong(narrow);
+    CombinedPredictor wrongbp(bcfg);
+    EXPECT_FALSE(cp.restoreUarch(wrong, wrongbp, "warm-key"));
+
+    // The matching key and geometry restore.
+    MemoryHierarchy match(mcfg);
+    CombinedPredictor matchbp(bcfg);
+    EXPECT_TRUE(cp.restoreUarch(match, matchbp, "warm-key"));
 }
 
 TEST(LivePoint, DecodeRejectsEveryTruncation)

@@ -400,7 +400,7 @@ TEST(ServiceExecute, RunIsMemoizedAndDeterministic)
     ExperimentResponse first =
         executeRequest(engine, sampleRequest());
     ASSERT_EQ(first.status, ResponseStatus::Ok);
-    EXPECT_NE(first.key.find("v1|bench=gzip|"), std::string::npos);
+    EXPECT_NE(first.key.find("v2|bench=gzip|"), std::string::npos);
     EXPECT_GT(first.result.cpi, 0.0);
 
     ExperimentResponse second =
@@ -440,7 +440,7 @@ TEST(CacheKeyStamper, HistoricalLayoutPreservedByteForByte)
                           .stamp("cfg", "X")
                           .finish();
     EXPECT_EQ(key,
-              "v1|bench=gzip|ref=1000,seed=2|cost=C|"
+              "v2|bench=gzip|ref=1000,seed=2|cost=C|"
               "tech=reference|full|cfg=X");
 
     std::string sharded = resultKeyStamper()
@@ -453,7 +453,7 @@ TEST(CacheKeyStamper, HistoricalLayoutPreservedByteForByte)
                               .stamp("cfg", "X")
                               .finish();
     EXPECT_EQ(sharded,
-              "v1|bench=gzip|ref=1000,seed=2|cost=C|"
+              "v2|bench=gzip|ref=1000,seed=2|cost=C|"
               "shards{n=2,warm=500,stitch=sum}|"
               "tech=reference|full|cfg=X");
 
@@ -461,7 +461,7 @@ TEST(CacheKeyStamper, HistoricalLayoutPreservedByteForByte)
                              .stamp("bench", "gzip")
                              .stamp("suite", "ref=1000,seed=2")
                              .finish();
-    EXPECT_EQ(reflen, "v1|reflen|bench=gzip|ref=1000,seed=2");
+    EXPECT_EQ(reflen, "v2|reflen|bench=gzip|ref=1000,seed=2");
 }
 
 TEST(CacheKeyStamperDeath, MisuseIsDiagnosed)

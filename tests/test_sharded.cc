@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests for checkpoint-sharded parallel detailed simulation: the shard
- * planner, the drain-boundary exactness contract against the
- * sequential reference, replay/live bit-identity, and warmed-uarch
- * summary persistence.
+ * Tests for sharded parallel detailed simulation: the shard planner,
+ * the drain-boundary exactness contract against the sequential
+ * reference, replay/live bit-identity, and warmed-uarch summary
+ * persistence and corruption healing.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 
 #include "sim/functional.hh"
 #include "sim/ooo_core.hh"
@@ -55,7 +56,7 @@ expectWithin(double actual, double expected, double tol,
 TEST(ShardPlan, CoversRunContiguouslyOnLadderRungs)
 {
     const uint64_t length = 8'000'000;
-    const uint64_t spacing = ExecTrace::ladderSpacingFor(length);
+    const uint64_t spacing = shardSpacingFor(length);
     auto plan = planShards(length, 8, 0);
     ASSERT_EQ(plan.size(), 8u);
     EXPECT_EQ(plan.front().begin, 0u);
@@ -82,6 +83,59 @@ TEST(ShardPlan, BoundedWarmupClampsToRunStart)
     auto wide = planShards(8'000'000, 8, 100'000'000);
     for (const ShardSlice &s : wide)
         EXPECT_EQ(s.warmStart, 0u);
+}
+
+TEST(ShardPlan, BoundariesArePinned)
+{
+    // Shard boundaries are pure plan arithmetic; these literals pin the
+    // plans yasim has always produced, so no refactor may move a shard
+    // (and with it every sharded result and warm-summary key).
+    struct Case
+    {
+        uint64_t length;
+        uint32_t shards;
+        uint64_t warmup;
+        std::vector<ShardSlice> plan;
+    };
+    const std::vector<Case> cases = {
+        // gcc and mcf reference runs at --ref-insts 120000, 4 shards.
+        {85'321, 4, 0, {{0, 0, 65'536}, {0, 65'536, 85'321}}},
+        {125'218, 4, 0, {{0, 0, 65'536}, {0, 65'536, 125'218}}},
+        // gcc at --ref-insts 150000 --shards 4 --shard-warmup 65536.
+        {168'064, 4, 65'536,
+         {{0, 0, 65'536}, {0, 65'536, 131'072},
+          {65'536, 131'072, 168'064}}},
+        // gzip's default 2M-instruction reference run.
+        {2'193'851, 8, 65'536,
+         {{0, 0, 262'144}, {196'608, 262'144, 524'288},
+          {458'752, 524'288, 786'432}, {720'896, 786'432, 1'048'576},
+          {983'040, 1'048'576, 1'310'720},
+          {1'245'184, 1'310'720, 1'703'936},
+          {1'638'400, 1'703'936, 1'966'080},
+          {1'900'544, 1'966'080, 2'193'851}}},
+        {8'000'000, 8, 100'000,
+         {{0, 0, 1'048'576}, {948'576, 1'048'576, 2'097'152},
+          {1'997'152, 2'097'152, 3'145'728},
+          {3'045'728, 3'145'728, 4'194'304},
+          {4'094'304, 4'194'304, 5'242'880},
+          {5'142'880, 5'242'880, 5'767'168},
+          {5'667'168, 5'767'168, 6'815'744},
+          {6'715'744, 6'815'744, 8'000'000}}},
+        {40'000'000, 4, 0,
+         {{0, 0, 8'388'608}, {0, 8'388'608, 20'971'520},
+          {0, 20'971'520, 29'360'128}, {0, 29'360'128, 40'000'000}}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.length);
+        const std::vector<ShardSlice> plan =
+            planShards(c.length, c.shards, c.warmup);
+        ASSERT_EQ(plan.size(), c.plan.size());
+        for (size_t k = 0; k < plan.size(); ++k) {
+            EXPECT_EQ(plan[k].warmStart, c.plan[k].warmStart) << k;
+            EXPECT_EQ(plan[k].begin, c.plan[k].begin) << k;
+            EXPECT_EQ(plan[k].end, c.plan[k].end) << k;
+        }
+    }
 }
 
 TEST(ShardPlan, ShortRunsMergeCollidingShards)
@@ -165,7 +219,6 @@ TEST(Sharded, SingleShardMatchesSequentialBitForBit)
         EXPECT_EQ(r.stats.l2Misses, seq.l2Misses);
         EXPECT_EQ(r.stats.memStallCycles, seq.memStallCycles);
         EXPECT_EQ(r.warmedInsts, 0u);
-        EXPECT_EQ(r.checkpointInsts, 0u);
     }
 }
 
@@ -195,10 +248,10 @@ TEST(Sharded, ReplayAndLiveShardingBitIdentical)
     }
     EXPECT_EQ(replay.stats.cycles, live.stats.cycles);
     EXPECT_EQ(replay.stats.memStallCycles, live.stats.memStallCycles);
+    // Modeled cost is mode-independent too: neither mode charges an
+    // entry pass beyond the plan.
+    EXPECT_EQ(replay.detailedInsts, live.detailedInsts);
     EXPECT_EQ(replay.warmedInsts, live.warmedInsts);
-    // Only live mode pays for the architectural entry pass.
-    EXPECT_EQ(replay.checkpointInsts, 0u);
-    EXPECT_GT(live.checkpointInsts, 0u);
 }
 
 TEST(Sharded, LiveProfileMatchesSequentialExactly)
@@ -267,6 +320,67 @@ TEST(Sharded, WarmSummariesPersistAndNeverChangeResults)
     ShardedRunResult variant = runShardedReference(trace, slower, opts);
     EXPECT_EQ(variant.warmRestores, variant.perShard.size() - 1);
     EXPECT_NE(variant.stats.cycles, first.stats.cycles);
+
+    fs::remove_all(dir);
+}
+
+TEST(Sharded, CorruptWarmSummaryIsQuarantinedAndRewarmed)
+{
+    failpoint::ScopedSchedule off("");
+    fs::path dir = fs::path(::testing::TempDir()) / "yasim_shard_corrupt";
+    fs::remove_all(dir);
+
+    Workload w = workloadOf(400'000);
+    auto trace = ExecTrace::record(w.program);
+    SimConfig config;
+
+    ShardOptions opts;
+    opts.shards = 4;
+    opts.warmupInsts = 65'536;
+    opts.warmDir = dir.string();
+
+    ShardedRunResult first = runShardedReference(trace, config, opts);
+    ASSERT_GE(first.warmSaves, 2u);
+
+    // Flip one byte in the middle of one persisted summary.
+    std::vector<fs::path> summaries;
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == ".lvpt")
+            summaries.push_back(entry.path());
+    ASSERT_EQ(summaries.size(), first.warmSaves);
+    const fs::path victim = summaries.front();
+    {
+        std::fstream f(victim, std::ios::in | std::ios::out |
+                                   std::ios::binary);
+        ASSERT_TRUE(f.good());
+        const std::streamoff at =
+            static_cast<std::streamoff>(fs::file_size(victim) / 2);
+        f.seekg(at);
+        char byte = 0;
+        f.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0x5a);
+        f.seekp(at);
+        f.write(&byte, 1);
+    }
+
+    // The rerun quarantines the damaged file, re-warms that one shard
+    // (republishing its summary), restores the others, and stitches
+    // bit-identical statistics.
+    ShardedRunResult second = runShardedReference(trace, config, opts);
+    EXPECT_TRUE(fs::exists(victim.string() + ".corrupt"));
+    EXPECT_EQ(second.warmRestores, first.warmSaves - 1);
+    EXPECT_EQ(second.warmSaves, 1u);
+    EXPECT_EQ(second.stats.cycles, first.stats.cycles);
+    EXPECT_EQ(second.stats.l1dMisses, first.stats.l1dMisses);
+    EXPECT_EQ(second.stats.l2Misses, first.stats.l2Misses);
+    EXPECT_EQ(second.stats.condMispredicts, first.stats.condMispredicts);
+    EXPECT_EQ(second.stats.memStallCycles, first.stats.memStallCycles);
+    EXPECT_EQ(second.warmedInsts, first.warmedInsts);
+
+    // The republished summary serves the next run.
+    ShardedRunResult third = runShardedReference(trace, config, opts);
+    EXPECT_EQ(third.warmRestores, first.warmSaves);
+    EXPECT_EQ(third.stats.cycles, first.stats.cycles);
 
     fs::remove_all(dir);
 }

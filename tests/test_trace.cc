@@ -2,7 +2,7 @@
  * @file
  * Tests for the execution-trace record/replay subsystem: bit-identity
  * of the replayed stream, warming, and detailed simulation against live
- * interpretation; embedded-checkpoint resume; serialization round trips
+ * interpretation; serialization round trips
  * and rejection; the shared TraceStore (dedup, concurrency, disk spill,
  * LRU eviction); and the engine wiring that makes a whole configuration
  * sweep cost exactly one functional interpretation.
@@ -300,68 +300,6 @@ TEST(Trace, DetailedSimIsBitIdenticalAcrossConfigs)
     }
 }
 
-// --------------------------------------------------------- checkpoints
-
-TEST(Trace, CheckpointResumeMatchesReplayMidTrace)
-{
-    Workload w = buildWorkload("gzip", InputSet::Reference, tinySuite());
-    ExecTrace::Options options;
-    options.checkpointSpacing = 20'000;
-    auto trace = ExecTrace::record(w.program, options);
-    ASSERT_GE(trace->numCheckpoints(), 2u);
-    EXPECT_EQ(trace->checkpointSpacing(), 20'000u);
-
-    const uint64_t position = trace->length() / 2;
-
-    // Restoring a live simulator must cost at most one spacing of
-    // fast-forward, and the stream from there must equal the replayed
-    // stream from the same position.
-    FunctionalSim live(w.program);
-    uint64_t residual = trace->restoreTo(live, position);
-    EXPECT_LT(residual, options.checkpointSpacing);
-    EXPECT_EQ(live.instsExecuted(), position);
-
-    TraceReplayer replay(trace);
-    replay.seek(position);
-
-    ExecRecord lrec, rrec;
-    while (true) {
-        bool lmore = live.step(lrec);
-        bool rmore = replay.step(rrec);
-        ASSERT_EQ(lmore, rmore);
-        if (!lmore)
-            break;
-        ASSERT_EQ(lrec.pc, rrec.pc);
-        ASSERT_EQ(lrec.nextPc, rrec.nextPc);
-        ASSERT_EQ(lrec.memAddr, rrec.memAddr);
-        ASSERT_EQ(lrec.taken, rrec.taken);
-        ASSERT_EQ(lrec.trivial, rrec.trivial);
-    }
-}
-
-TEST(Trace, AdaptiveCheckpointLadderStaysBounded)
-{
-    // The 2M-instruction default run crosses several 64Ki grids, which
-    // exercises the thinning ladder: however long the run, at most
-    // maxCheckpoints snapshots survive.
-    SuiteConfig suite; // default: 2M reference instructions
-    Workload w = buildWorkload("gzip", InputSet::Reference, suite);
-    auto trace = ExecTrace::record(w.program);
-    EXPECT_GE(trace->numCheckpoints(), 1u);
-    EXPECT_LE(trace->numCheckpoints(), ExecTrace::maxCheckpoints);
-    EXPECT_GE(trace->checkpointSpacing(), uint64_t(64) * 1024);
-
-    // Checkpoints are usable: every one restores to its exact position.
-    for (size_t i = 0; i < trace->numCheckpoints(); ++i) {
-        const Checkpoint *cp =
-            trace->checkpointAtOrBefore(trace->length());
-        ASSERT_NE(cp, nullptr);
-    }
-    FunctionalSim live(w.program);
-    uint64_t residual = trace->restoreTo(live, trace->length() - 1);
-    EXPECT_LT(residual, trace->checkpointSpacing());
-}
-
 // --------------------------------------------------- batched stepping
 
 TEST(Trace, StepBatchMatchesStepForBothSources)
@@ -534,8 +472,6 @@ TEST(Trace, SerializationRoundTripsBitIdentically)
     ASSERT_NE(loaded, nullptr);
 
     EXPECT_EQ(loaded->length(), trace->length());
-    EXPECT_EQ(loaded->numCheckpoints(), trace->numCheckpoints());
-    EXPECT_EQ(loaded->checkpointSpacing(), trace->checkpointSpacing());
     EXPECT_TRUE(bitEq(loaded->bbef(), trace->bbef()));
     EXPECT_TRUE(bitEq(loaded->bbv(), trace->bbv()));
 
@@ -595,18 +531,24 @@ TEST(Trace, ReadRejectsMismatchedKeyVersionAndTruncation)
 
 TEST(Trace, CompressedSpillStaysUnderTheByteBudget)
 {
-    // The delta/byte-plane v4 encoding's reason to exist: the on-disk
+    // The delta/byte-plane encoding's reason to exist: the on-disk
     // footprint must stay at or under 6 bytes per dynamic instruction
-    // (the raw SoA rows were 13), embedded checkpoints and profiles
-    // included. The same bound is gated on an 8M-instruction trace by
+    // (the raw SoA rows were 13), header and profiles included. Checked
+    // on the test scale and on the default 2M-instruction reference
+    // run; the same bound is gated on an 8M-instruction trace by
     // `microbench --json`.
-    auto trace = recordGzip();
-    std::ostringstream os;
-    trace->write(os, "budget-key");
-    const double bytes_per_inst =
-        static_cast<double>(os.str().size()) /
-        static_cast<double>(trace->length());
-    EXPECT_LE(bytes_per_inst, 6.0);
+    SuiteConfig default_scale;
+    for (const SuiteConfig &suite : {tinySuite(), default_scale}) {
+        Workload w = buildWorkload("gzip", InputSet::Reference, suite);
+        auto trace = ExecTrace::record(w.program);
+        std::ostringstream os;
+        trace->write(os, "budget-key");
+        const double bytes_per_inst =
+            static_cast<double>(os.str().size()) /
+            static_cast<double>(trace->length());
+        EXPECT_LE(bytes_per_inst, 6.0)
+            << trace->length() << "-instruction trace";
+    }
 }
 
 // ---------------------------------------------------------- the store
@@ -918,25 +860,42 @@ TEST(TraceTechniques, AllFamiliesAreBitIdenticalUnderReplay)
     TechniqueContext replay_ctx = live_ctx;
     replay_ctx.traces = &store;
 
-    std::vector<TechniquePtr> families = {
-        std::make_shared<FullReference>(),
-        std::make_shared<ReducedInput>(InputSet::Small),
-        std::make_shared<RunZ>(30),
-        std::make_shared<FfRunZ>(50, 10),
-        std::make_shared<FfWuRunZ>(40, 10, 10),
-        std::make_shared<Smarts>(1000, 2000),
-        std::make_shared<RandomSampling>(20, 500, 500, 7),
-        std::make_shared<SimPoint>(10, 10, 1, "multiple 10M"),
+    // The sharded reference runs one shard worker over either stream;
+    // its statistics and modeled cost must not depend on the mode.
+    const ShardOptions sequential;
+    ShardOptions sharded;
+    sharded.shards = 4;
+    sharded.warmupInsts = 65'536;
+    struct Input
+    {
+        TechniquePtr technique;
+        ShardOptions shards;
+    };
+    const std::vector<Input> inputs = {
+        {std::make_shared<FullReference>(), sequential},
+        {std::make_shared<FullReference>(), sharded},
+        {std::make_shared<ReducedInput>(InputSet::Small), sequential},
+        {std::make_shared<RunZ>(30), sequential},
+        {std::make_shared<FfRunZ>(50, 10), sequential},
+        {std::make_shared<FfWuRunZ>(40, 10, 10), sequential},
+        {std::make_shared<Smarts>(1000, 2000), sequential},
+        {std::make_shared<RandomSampling>(20, 500, 500, 7), sequential},
+        {std::make_shared<SimPoint>(10, 10, 1, "multiple 10M"),
+         sequential},
     };
     for (int idx : {1, 3}) {
         const SimConfig config = architecturalConfig(idx);
-        for (const TechniquePtr &technique : families) {
-            TechniqueResult live =
-                technique->run(live_ctx, config);
+        for (const Input &input : inputs) {
+            TechniqueContext live_in = live_ctx;
+            live_in.shards = input.shards;
+            TechniqueContext replay_in = replay_ctx;
+            replay_in.shards = input.shards;
+            TechniqueResult live = input.technique->run(live_in, config);
             TechniqueResult replay =
-                technique->run(replay_ctx, config);
-            SCOPED_TRACE(technique->name() + " on config " +
-                         std::to_string(idx));
+                input.technique->run(replay_in, config);
+            SCOPED_TRACE(input.technique->name() + " x" +
+                         std::to_string(input.shards.shards) +
+                         " on config " + std::to_string(idx));
             expectBitIdentical(live, replay);
         }
     }
