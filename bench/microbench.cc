@@ -246,13 +246,12 @@ BM_LivePointBuild(benchmark::State &state)
     // SMARTS selection needs (in-memory; the library's cold path).
     Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
     SimConfig cfg = architecturalConfig(2);
-    FunctionalSim length_probe(w.program);
-    const uint64_t length = length_probe.fastForward(~0ULL);
-    SamplingPlan plan = SamplingPlan::make(1000, 2000, length);
+    auto trace = ExecTrace::record(w.program);
+    SamplingPlan plan = SamplingPlan::make(1000, 2000, trace->length());
     const std::vector<uint64_t> indices = plan.indicesFor(50);
     uint64_t insts = 0;
     for (auto _ : state) {
-        LivePointLibrary library(w.program, plan, cfg,
+        LivePointLibrary library(trace, plan, cfg,
                                  LivePointOptions{true, ""});
         insts += library.ensure(indices);
         benchmark::DoNotOptimize(library.counters().built);
@@ -273,18 +272,17 @@ BM_LivePointLoad(benchmark::State &state)
     fs::remove_all(dir);
     Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
     SimConfig cfg = architecturalConfig(2);
-    FunctionalSim length_probe(w.program);
-    const uint64_t length = length_probe.fastForward(~0ULL);
-    SamplingPlan plan = SamplingPlan::make(1000, 2000, length);
+    auto trace = ExecTrace::record(w.program);
+    SamplingPlan plan = SamplingPlan::make(1000, 2000, trace->length());
     const std::vector<uint64_t> indices = plan.indicesFor(50);
     LivePointOptions opts{true, dir.string()};
     {
-        LivePointLibrary seed_library(w.program, plan, cfg, opts);
+        LivePointLibrary seed_library(trace, plan, cfg, opts);
         seed_library.ensure(indices);
     }
     uint64_t points = 0;
     for (auto _ : state) {
-        LivePointLibrary library(w.program, plan, cfg, opts);
+        LivePointLibrary library(trace, plan, cfg, opts);
         library.ensure(indices);
         points += library.counters().diskLoads;
     }
@@ -688,7 +686,8 @@ runOooGate(const char *path)
  * The live-point sampled-simulation gate behind
  * `microbench --json-sampling [path]`.
  *
- * Runs the same SMARTS experiment twice on the gzip reference:
+ * Runs the same SMARTS experiment twice on the gzip reference, both
+ * replaying the DirectService's one recording of it:
  * `--no-livepoints` (the serial in-memory grid loop, best of 3) and
  * with a persisted live-point library (one untimed pass builds and
  * persists every point, then best of 3 steady-state passes load them

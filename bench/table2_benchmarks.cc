@@ -34,13 +34,14 @@ main(int argc, char **argv)
                         row.emplace_back("N/A");
                         continue;
                     }
-                    // Live stream through the seam (no store: a pure
-                    // length measurement has no replay customers).
-                    StepSourceHandle src = openStepSource(
-                        bench, input, driver.options().suite, nullptr);
-                    uint64_t len = src.source->fastForward(~0ULL);
+                    // The recorded trace's length is the measurement.
+                    const SuiteConfig &suite = driver.options().suite;
+                    uint64_t len = driver.engine()
+                                       .traceStore()
+                                       ->get(bench, input, suite)
+                                       ->length();
                     row.push_back(
-                        src.workload->label + " / " +
+                        buildWorkload(bench, input, suite).label + " / " +
                         Table::num(static_cast<double>(len) / 1e6, 2));
                 }
                 table.addRow(row);

@@ -40,8 +40,8 @@ main(int argc, char **argv)
             }
 
             SimilarityAnalysis analysis =
-                analyzeSimilarity(pairs, driver.options().suite, 8,
-                                  driver.engine().traceStore());
+                analyzeSimilarity(pairs, driver.options().suite,
+                                  *driver.engine().traceStore(), 8);
 
             Table table("Benchmark/input similarity (z-scored "
                         "characteristics, k-means/BIC clustering -> " +

@@ -33,7 +33,7 @@ WorkloadCharacteristics::metricNames()
 
 WorkloadCharacteristics
 characterizeWorkload(const std::string &benchmark, InputSet input,
-                     const SuiteConfig &suite, TraceStore *traces)
+                     const SuiteConfig &suite, TraceStore &traces)
 {
     WorkloadCharacteristics wc;
     wc.benchmark = benchmark;
@@ -131,7 +131,7 @@ zScoreNormalize(const std::vector<std::vector<double>> &vectors)
 SimilarityAnalysis
 analyzeSimilarity(
     const std::vector<std::pair<std::string, InputSet>> &pairs,
-    const SuiteConfig &suite, int max_k, TraceStore *traces)
+    const SuiteConfig &suite, TraceStore &traces, int max_k)
 {
     YASIM_ASSERT(!pairs.empty());
     SimilarityAnalysis analysis;

@@ -51,16 +51,15 @@ struct WorkloadCharacteristics
 };
 
 /**
- * Measure one benchmark/input pair's characteristics: one functional
- * pass for the instruction mix and one detailed run on each probe
- * machine (Table-3 #2 for the memory/branch metrics, a widened #4 for
- * the ILP proxy). With @p traces, all three passes replay one shared
- * recording instead of interpreting the program three times.
+ * Measure one benchmark/input pair's characteristics: one pass over
+ * the stream for the instruction mix and one detailed run on each
+ * probe machine (Table-3 #2 for the memory/branch metrics, a widened
+ * #4 for the ILP proxy). All three passes replay @p traces' one
+ * recording of the pair.
  */
 WorkloadCharacteristics
 characterizeWorkload(const std::string &benchmark, InputSet input,
-                     const SuiteConfig &suite,
-                     TraceStore *traces = nullptr);
+                     const SuiteConfig &suite, TraceStore &traces);
 
 /**
  * Z-score-normalize a set of characteristic vectors per coordinate
@@ -88,13 +87,13 @@ struct SimilarityAnalysis
  *
  * @param pairs items to analyze
  * @param suite workload scaling
+ * @param traces shared trace store for the characterizations
  * @param max_k cluster-count ceiling for the BIC selection
- * @param traces optional shared trace store for the characterizations
  */
 SimilarityAnalysis
 analyzeSimilarity(const std::vector<std::pair<std::string, InputSet>> &pairs,
-                  const SuiteConfig &suite, int max_k = 6,
-                  TraceStore *traces = nullptr);
+                  const SuiteConfig &suite, TraceStore &traces,
+                  int max_k = 6);
 
 } // namespace yasim
 

@@ -20,8 +20,8 @@
  *     }
  *
  * The driver owns the engine (honouring --cache-dir, --workers,
- * --trace/--no-trace and --engine-stats), and the SvAT figures collapse
- * further to the benchmark()/figure()/techniques() shortcut with a
+ * --shards and --engine-stats), and the SvAT figures collapse further
+ * to the benchmark()/figure()/techniques() shortcut with a
  * parameterless run().
  */
 

@@ -21,14 +21,15 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Inner frame magics for the engine's two artifact kinds. */
+/** Inner frame magic for the engine's result artifacts. */
 constexpr char kResultMagic[] = "yasim-result";
-constexpr char kRefLenMagic[] = "yasim-reflen";
 
 } // namespace
 
 ExperimentEngine::ExperimentEngine(EngineOptions options)
-    : opts(std::move(options))
+    : opts(std::move(options)),
+      traces(TraceStoreOptions{opts.cacheDir, opts.maxTraceBytes,
+                               opts.cacheBudgetBytes})
 {
     YASIM_CHECK_GE(opts.maxMemoEntries, size_t(1));
     if (!opts.cacheDir.empty()) {
@@ -50,13 +51,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
         // Same policy as warm summaries: live-points are cache
         // artifacts and live beside the result cache by default.
         opts.livepoints.dir = opts.cacheDir + "/livepoints";
-    }
-    if (opts.traces) {
-        TraceStoreOptions topts;
-        topts.cacheDir = opts.cacheDir;
-        topts.maxBytes = opts.maxTraceBytes;
-        topts.cacheBudgetBytes = opts.cacheBudgetBytes;
-        traces = std::make_unique<TraceStore>(std::move(topts));
     }
 }
 
@@ -331,68 +325,14 @@ ExperimentEngine::referenceLength(const std::string &benchmark,
         }
     }
 
-    // With the trace store on, the reference recording *is* the
-    // measurement: its dynamic length equals what a plain architectural
-    // fast-forward would count, and the trace is needed by the sweep
-    // anyway (the store dedups against its own memory/disk caches).
-    if (traces) {
-        uint64_t length =
-            traces->get(benchmark, InputSet::Reference, suite)->length();
-        std::lock_guard<std::mutex> lock(mutex);
-        ++ctr.refLengthFromTrace;
-        refLengths.emplace(key, length);
-        return length;
-    }
-
-    uint64_t length = 0;
-    bool from_disk = false;
-    if (!opts.cacheDir.empty()) {
-        const std::string path = diskPath(key, ".reflen");
-        ArtifactReadResult read =
-            readArtifact(path, kRefLenMagic, kCacheFormatVersion);
-        if (read.status == ArtifactStatus::Ok) {
-            std::istringstream payload(read.payload);
-            from_disk = readReferenceLength(payload, key, length);
-            if (!from_disk) {
-                quarantineArtifact(path);
-                noteFailedRead(path, "reference length",
-                               "unparseable payload", true, 0);
-            } else if (read.retries) {
-                std::lock_guard<std::mutex> lock(mutex);
-                ctr.ioRetries += read.retries;
-            }
-        } else if (read.status == ArtifactStatus::VersionMismatch) {
-            std::lock_guard<std::mutex> lock(mutex);
-            ctr.ioRetries += read.retries;
-            ++ctr.cacheVersionMiss;
-        } else if (read.status != ArtifactStatus::Missing) {
-            noteFailedRead(path, "reference length", read.error,
-                           read.status == ArtifactStatus::Corrupt,
-                           read.retries);
-        }
-    }
-    if (!from_disk) {
-        length = measureReferenceLength(benchmark, suite);
-        if (!opts.cacheDir.empty()) {
-            std::ostringstream payload;
-            writeReferenceLength(payload, key, length);
-            ArtifactWriteResult wrote =
-                writeArtifact(diskPath(key, ".reflen"), kRefLenMagic,
-                              kCacheFormatVersion, payload.str());
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                ctr.ioRetries += wrote.retries;
-            }
-            if (wrote.ok)
-                enforceCacheBudget();
-        }
-    }
-
+    // The reference recording *is* the measurement: its dynamic length
+    // equals what a plain architectural fast-forward would count, and
+    // the trace is needed by the sweep anyway (the store dedups against
+    // its own memory/disk caches).
+    uint64_t length =
+        traces.get(benchmark, InputSet::Reference, suite)->length();
     std::lock_guard<std::mutex> lock(mutex);
-    if (from_disk)
-        ++ctr.refLengthDiskHits;
-    else
-        ++ctr.refLengthMisses;
+    ++ctr.refLengthFromTrace;
     refLengths.emplace(key, length);
     return length;
 }
@@ -473,10 +413,6 @@ ExperimentEngine::printStats(std::ostream &os) const
                       ? Table::pct(100.0 * c.workUnitsSaved / total, 1)
                       : "-"});
     table.addRow({"ref-length hits", Table::count(c.refLengthHits)});
-    table.addRow(
-        {"ref-length disk hits", Table::count(c.refLengthDiskHits)});
-    table.addRow(
-        {"ref-length measured", Table::count(c.refLengthMisses)});
     table.addRow({"grid jobs scheduled", Table::count(c.gridJobs)});
     table.addRow({"cache corrupt (quarantined)",
                   Table::count(c.cacheCorrupt)});
@@ -490,27 +426,25 @@ ExperimentEngine::printStats(std::ostream &os) const
     table.addRow({"cache writes aborted",
                   Table::count(c.cacheWritesAborted)});
     table.addRule();
-    if (traces) {
-        TraceCounters t = traces->counters();
-        table.addRow({"trace recordings", Table::count(t.recordings)});
-        table.addRow({"trace hits", Table::count(t.hits)});
-        table.addRow(
-            {"trace in-flight joins", Table::count(t.inflightJoins)});
-        table.addRow({"trace disk loads", Table::count(t.diskLoads)});
-        table.addRow({"trace disk writes", Table::count(t.diskWrites)});
-        table.addRow({"trace evictions", Table::count(t.evictions)});
-        table.addRow(
-            {"trace insts recorded", Table::count(t.instsRecorded)});
-        table.addRow(
-            {"trace bytes in memory", Table::count(t.bytesInMemory)});
-        table.addRow({"trace quarantined", Table::count(t.quarantined)});
-        table.addRow({"trace version misses",
-                      Table::count(t.versionMisses)});
-        table.addRow({"trace io retries", Table::count(t.ioRetries)});
-        table.addRow({"ref lengths from traces",
-                      Table::count(c.refLengthFromTrace)});
-        table.addRule();
-    }
+    TraceCounters t = traces.counters();
+    table.addRow({"trace recordings", Table::count(t.recordings)});
+    table.addRow({"trace hits", Table::count(t.hits)});
+    table.addRow(
+        {"trace in-flight joins", Table::count(t.inflightJoins)});
+    table.addRow({"trace disk loads", Table::count(t.diskLoads)});
+    table.addRow({"trace disk writes", Table::count(t.diskWrites)});
+    table.addRow({"trace evictions", Table::count(t.evictions)});
+    table.addRow(
+        {"trace insts recorded", Table::count(t.instsRecorded)});
+    table.addRow(
+        {"trace bytes in memory", Table::count(t.bytesInMemory)});
+    table.addRow({"trace quarantined", Table::count(t.quarantined)});
+    table.addRow({"trace version misses",
+                  Table::count(t.versionMisses)});
+    table.addRow({"trace io retries", Table::count(t.ioRetries)});
+    table.addRow({"ref lengths from traces",
+                  Table::count(c.refLengthFromTrace)});
+    table.addRule();
     table.addRow({"pool workers",
                   Table::count(globalPool().workerThreads() + 1)});
     table.addRow({"pool batches", Table::count(pool.batches)});
@@ -548,8 +482,6 @@ ExperimentEngine::appendCounters(JsonReport &report) const
                      total > 0.0 ? 100.0 * c.workUnitsSaved / total
                                  : 0.0);
     report.setCount("ref_length_hits", c.refLengthHits);
-    report.setCount("ref_length_disk_hits", c.refLengthDiskHits);
-    report.setCount("ref_length_measured", c.refLengthMisses);
     report.setCount("grid_jobs", c.gridJobs);
     report.setCount("cache_corrupt", c.cacheCorrupt);
     report.setCount("cache_version_misses", c.cacheVersionMiss);
@@ -558,21 +490,19 @@ ExperimentEngine::appendCounters(JsonReport &report) const
     report.setCount("budget_evictions", c.budgetEvictions);
     report.setCount("runs_cancelled", c.runsCancelled);
     report.setCount("cache_writes_aborted", c.cacheWritesAborted);
-    if (traces) {
-        TraceCounters t = traces->counters();
-        report.setCount("trace_recordings", t.recordings);
-        report.setCount("trace_hits", t.hits);
-        report.setCount("trace_inflight_joins", t.inflightJoins);
-        report.setCount("trace_disk_loads", t.diskLoads);
-        report.setCount("trace_disk_writes", t.diskWrites);
-        report.setCount("trace_evictions", t.evictions);
-        report.setCount("trace_insts_recorded", t.instsRecorded);
-        report.setCount("trace_bytes_in_memory", t.bytesInMemory);
-        report.setCount("trace_quarantined", t.quarantined);
-        report.setCount("trace_version_misses", t.versionMisses);
-        report.setCount("trace_io_retries", t.ioRetries);
-        report.setCount("ref_lengths_from_traces", c.refLengthFromTrace);
-    }
+    TraceCounters t = traces.counters();
+    report.setCount("trace_recordings", t.recordings);
+    report.setCount("trace_hits", t.hits);
+    report.setCount("trace_inflight_joins", t.inflightJoins);
+    report.setCount("trace_disk_loads", t.diskLoads);
+    report.setCount("trace_disk_writes", t.diskWrites);
+    report.setCount("trace_evictions", t.evictions);
+    report.setCount("trace_insts_recorded", t.instsRecorded);
+    report.setCount("trace_bytes_in_memory", t.bytesInMemory);
+    report.setCount("trace_quarantined", t.quarantined);
+    report.setCount("trace_version_misses", t.versionMisses);
+    report.setCount("trace_io_retries", t.ioRetries);
+    report.setCount("ref_lengths_from_traces", c.refLengthFromTrace);
     report.setCount("pool_workers", globalPool().workerThreads() + 1);
     report.setCount("pool_batches", pool.batches);
     report.setCount("pool_tasks", pool.tasks);

@@ -46,13 +46,6 @@ struct EngineOptions
     std::string cacheDir;
     /** Memo-table bound; least-recently-used entries evict beyond it. */
     size_t maxMemoEntries = 1 << 16;
-    /**
-     * Record each benchmark's execution once and replay it for every
-     * configuration (--no-trace turns this off). Results are
-     * bit-identical either way; only the functional-interpretation
-     * work is shared.
-     */
-    bool traces = true;
     /** In-memory trace budget in bytes (LRU eviction beyond it). */
     size_t maxTraceBytes = size_t(1) << 30;
     /**
@@ -92,23 +85,21 @@ struct EngineCounters
     /** Technique::run invocations that actually simulated. */
     uint64_t runsExecuted = 0;
     uint64_t refLengthHits = 0;
-    uint64_t refLengthMisses = 0;
-    uint64_t refLengthDiskHits = 0;
     /** Reference lengths resolved from a recorded trace's length. */
     uint64_t refLengthFromTrace = 0;
     /** Jobs scheduled through prefetch(). */
     uint64_t gridJobs = 0;
     /**
-     * Result/reflen cache entries that failed verification (bad
-     * checksum, truncation, unparseable payload) and were quarantined
-     * to "<file>.corrupt", then recomputed.
+     * Result cache entries that failed verification (bad checksum,
+     * truncation, unparseable payload) and were quarantined to
+     * "<file>.corrupt", then recomputed.
      */
     uint64_t cacheCorrupt = 0;
     /**
-     * Result/reflen cache entries written by another format
-     * generation: cleanly framed, deleted as stale (no quarantine),
-     * recomputed. Counted apart from cacheCorrupt so a version bump
-     * never reads as data rot.
+     * Result cache entries written by another format generation:
+     * cleanly framed, deleted as stale (no quarantine), recomputed.
+     * Counted apart from cacheCorrupt so a version bump never reads as
+     * data rot.
      */
     uint64_t cacheVersionMiss = 0;
     /** Cache reads that stayed unreadable after bounded retries. */
@@ -185,8 +176,8 @@ class ExperimentEngine : public SimulationService
 
     const EngineOptions &options() const { return opts; }
 
-    /** The shared trace store, or nullptr when traces are disabled. */
-    TraceStore *traceStore() override { return traces.get(); }
+    /** The shared trace store (never null). */
+    TraceStore *traceStore() override { return &traces; }
 
     /** Snapshot of the counters. */
     EngineCounters counters() const;
@@ -254,8 +245,8 @@ class ExperimentEngine : public SimulationService
                     const TechniqueResult &result);
 
     EngineOptions opts;
-    /** Shared execution-trace store (null when opts.traces is false). */
-    std::unique_ptr<TraceStore> traces;
+    /** Shared execution-trace store. */
+    TraceStore traces;
 
     mutable std::mutex mutex;
     std::condition_variable inflightCv;

@@ -54,7 +54,7 @@ engineCliUsage()
 {
     return "          [--cache-dir DIR] [--cache-budget-mb N]\n"
            "          [--engine-stats] [--engine-stats-json FILE]\n"
-           "          [--workers N] [--trace] [--no-trace]\n"
+           "          [--workers N]\n"
            "          [--livepoints] [--no-livepoints]\n"
            "          [--shards N] [--shard-warmup M] [--exact]\n"
            "          [--failpoints SPEC]\n";
@@ -76,10 +76,6 @@ parseEngineCliOption(EngineCliOptions &options, int argc, char **argv,
         options.engineStats = true;
     } else if (std::strcmp(arg, "--engine-stats-json") == 0) {
         options.engineStatsJson = next();
-    } else if (std::strcmp(arg, "--trace") == 0) {
-        options.trace = true;
-    } else if (std::strcmp(arg, "--no-trace") == 0) {
-        options.trace = false;
     } else if (std::strcmp(arg, "--livepoints") == 0) {
         options.livepoints = true;
     } else if (std::strcmp(arg, "--no-livepoints") == 0) {
@@ -108,7 +104,6 @@ engineOptionsFrom(const EngineCliOptions &options)
     EngineOptions engine_options;
     engine_options.cacheDir = options.cacheDir;
     engine_options.cacheBudgetBytes = options.cacheBudgetMb << 20;
-    engine_options.traces = options.trace;
     engine_options.livepoints.enabled = options.livepoints;
     engine_options.shards.shards = options.shards;
     engine_options.shards.warmupInsts = options.shardWarmup;

@@ -18,8 +18,6 @@
  *   --engine-stats-json FILE  write the counters as a versioned JSON
  *                     report (result_io.hh schema) instead of a table
  *   --workers N       bound the work-stealing pool at N workers
- *   --trace           record/replay execution traces (the default)
- *   --no-trace        re-interpret functionally on every run
  *   --livepoints      persisted per-unit live-points and the parallel
  *                     sampling fan-out (the default; see docs/perf.md)
  *   --no-livepoints   serial in-memory sampling loop (bit-identical)
@@ -69,11 +67,6 @@ struct EngineCliOptions
     std::string engineStatsJson;
     /** Worker-pool bound (0 = auto-detect). */
     unsigned workers = 0;
-    /**
-     * Record each benchmark's execution once and replay it everywhere
-     * (--no-trace disables; results are bit-identical either way).
-     */
-    bool trace = true;
     /**
      * Persist per-unit live-points and fan sampled measurement units
      * across the worker pool (--no-livepoints selects the serial

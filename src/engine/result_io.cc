@@ -212,28 +212,6 @@ readResult(std::istream &is, const std::string &key_text,
     return readEndMarker(is);
 }
 
-void
-writeReferenceLength(std::ostream &os, const std::string &key_text,
-                     uint64_t length)
-{
-    os << "yasim-reflen " << kCacheFormatVersion << '\n';
-    os << "key " << key_text << '\n';
-    os << "length " << length << '\n';
-    os << "end\n";
-}
-
-bool
-readReferenceLength(std::istream &is, const std::string &key_text,
-                    uint64_t &length)
-{
-    if (!readHeader(is, "yasim-reflen", key_text))
-        return false;
-    std::string tag;
-    if (!(is >> tag >> length) || tag != "length")
-        return false;
-    return readEndMarker(is);
-}
-
 namespace {
 
 std::string

@@ -119,14 +119,6 @@ void writeResult(std::ostream &os, const std::string &key_text,
 bool readResult(std::istream &is, const std::string &key_text,
                 TechniqueResult &result);
 
-/** Serialize a reference-length measurement. */
-void writeReferenceLength(std::ostream &os, const std::string &key_text,
-                          uint64_t length);
-
-/** Parse a reference length; false on any mismatch. */
-bool readReferenceLength(std::istream &is, const std::string &key_text,
-                         uint64_t &length);
-
 } // namespace yasim
 
 #endif // YASIM_ENGINE_RESULT_IO_HH

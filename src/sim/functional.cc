@@ -266,11 +266,4 @@ FunctionalSim::fastForwardWarm(uint64_t count, MemoryHierarchy *hierarchy,
     return done;
 }
 
-// The record-producing warming mode has no public wrapper here: its
-// only consumer is LivePoint::stepWarm (sim/livepoint.cc), which
-// reaches it through friendship and needs the instantiation emitted.
-template void FunctionalSim::execOne<true, true>(ExecRecord *,
-                                                 MemoryHierarchy *,
-                                                 CombinedPredictor *);
-
 } // namespace yasim

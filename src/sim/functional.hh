@@ -81,8 +81,6 @@ class FunctionalSim final : public StepSource
     const Program &program() const { return prog; }
 
   private:
-    friend class LivePoint; // partial capture + record-producing warm step
-
     /** Execute one instruction; the caller has checked !isHalted. */
     template <bool MakeRecord, bool Warm>
     void execOne(ExecRecord *record, MemoryHierarchy *hierarchy,

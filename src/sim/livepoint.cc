@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
-#include <optional>
 #include <sstream>
 #include <system_error>
-#include <unordered_set>
 
 #include "sim/bb_profiler.hh"
-#include "sim/functional.hh"
 #include "sim/ooo_core.hh"
 #include "sim/trace.hh"
 #include "support/artifact_io.hh"
@@ -32,9 +28,6 @@ constexpr const char *kLivePointMagic = "yasim-lvpt";
 
 /** Instructions functionally warmed between cancellation polls. */
 constexpr uint64_t kWarmCancelChunk = 1 << 20;
-
-/** Structural bound on the captured word slice (2^27 words = 1 GB). */
-constexpr uint64_t kMaxWords = 1ULL << 27;
 
 /** Mix @p program's full content — the stream identity. */
 void
@@ -163,44 +156,6 @@ LivePoint::atPosition(uint64_t position)
     return p;
 }
 
-LivePoint
-LivePoint::captureArch(const FunctionalSim &sim)
-{
-    LivePoint p;
-    p.pc = sim.curPc;
-    p.icount = sim.icount;
-    p.halted = sim.isHalted;
-    p.intRegs.assign(sim.intRegs, sim.intRegs + numIntRegs);
-    p.fpRegs.assign(sim.fpRegs, sim.fpRegs + numFpRegs);
-    return p;
-}
-
-void
-LivePoint::noteWord(uint64_t addr, int64_t value)
-{
-    // A zero word is indistinguishable from untouched memory, and a
-    // restore target starts zeroed — skip it.
-    if (value != 0)
-        words.emplace_back(addr, value);
-}
-
-void
-LivePoint::restoreArch(FunctionalSim &sim) const
-{
-    YASIM_CHECK(hasArchState(),
-                "restoring a warm-only live-point (position %llu) into "
-                "a live simulator",
-                static_cast<unsigned long long>(icount));
-    sim.curPc = pc;
-    sim.icount = icount;
-    sim.isHalted = halted;
-    std::copy(intRegs.begin(), intRegs.end(), sim.intRegs);
-    std::copy(fpRegs.begin(), fpRegs.end(), sim.fpRegs);
-    sim.mem.clear();
-    for (const auto &[addr, value] : words)
-        sim.mem.write(addr, value);
-}
-
 void
 LivePoint::attachUarch(const MemoryHierarchy &mem,
                        const CombinedPredictor &bp, const std::string &key)
@@ -226,23 +181,10 @@ LivePoint::restoreUarch(MemoryHierarchy &mem, CombinedPredictor &bp,
     return is.peek() == std::istringstream::traits_type::eof();
 }
 
-bool
-LivePoint::stepWarm(FunctionalSim &sim, ExecRecord &record,
-                    MemoryHierarchy *mem, CombinedPredictor *bp)
-{
-    if (sim.isHalted)
-        return false;
-    sim.execOne<true, true>(&record, mem, bp);
-    return true;
-}
-
 size_t
 LivePoint::footprintBytes() const
 {
-    return sizeof(*this) + intRegs.size() * sizeof(int64_t) +
-           fpRegs.size() * sizeof(double) +
-           words.size() * sizeof(words[0]) + warmKey.size() +
-           warmBlob.size();
+    return sizeof(*this) + warmKey.size() + warmBlob.size();
 }
 
 // yasim-lint: serialized(livepoint)
@@ -251,31 +193,6 @@ LivePoint::encode() const
 {
     std::string out;
     putVarint(out, icount);
-    out.push_back(hasArchState() ? 1 : 0);
-    if (hasArchState()) {
-        putVarint(out, pc);
-        out.push_back(halted ? 1 : 0);
-        putVarint(out, intRegs.size());
-        for (int64_t r : intRegs)
-            putVarint(out, zigzagEncode(r));
-        putVarint(out, fpRegs.size());
-        for (double r : fpRegs) {
-            char bits[sizeof(double)];
-            std::memcpy(bits, &r, sizeof(double));
-            out.append(bits, sizeof(double));
-        }
-        // Words delta-encode best in address order; capture order is
-        // first-access order, so sort a copy (restore order is free).
-        std::vector<std::pair<uint64_t, int64_t>> sorted(words);
-        std::sort(sorted.begin(), sorted.end());
-        putVarint(out, sorted.size());
-        uint64_t prev = 0;
-        for (const auto &[addr, value] : sorted) {
-            putVarint(out, addr - prev);
-            putVarint(out, zigzagEncode(value));
-            prev = addr;
-        }
-    }
     out.push_back(hasUarch() ? 1 : 0);
     if (hasUarch()) {
         putVarint(out, warmKey.size());
@@ -297,54 +214,7 @@ LivePoint::decode(std::string_view payload, LivePoint &out)
 {
     out = LivePoint();
     size_t at = 0;
-    uint64_t v = 0;
-    if (!getVarint(payload, at, v))
-        return false;
-    out.icount = v;
-    if (at >= payload.size())
-        return false;
-    const bool has_arch = payload[at++] != 0;
-    if (has_arch) {
-        if (!getVarint(payload, at, out.pc) || at >= payload.size())
-            return false;
-        out.halted = payload[at++] != 0;
-        uint64_t n_int = 0, n_fp = 0, n_words = 0;
-        if (!getVarint(payload, at, n_int) || n_int > 4096)
-            return false;
-        out.intRegs.resize(n_int);
-        for (int64_t &r : out.intRegs) {
-            if (!getVarint(payload, at, v))
-                return false;
-            r = zigzagDecode(v);
-        }
-        if (!getVarint(payload, at, n_fp) || n_fp > 4096)
-            return false;
-        if (payload.size() - at < n_fp * sizeof(double))
-            return false;
-        out.fpRegs.resize(n_fp);
-        for (double &r : out.fpRegs) {
-            std::memcpy(&r, payload.data() + at, sizeof(double));
-            at += sizeof(double);
-        }
-        if (!getVarint(payload, at, n_words) || n_words > kMaxWords)
-            return false;
-        out.words.reserve(n_words);
-        uint64_t prev = 0, delta = 0;
-        for (uint64_t i = 0; i < n_words; ++i) {
-            if (!getVarint(payload, at, delta) ||
-                !getVarint(payload, at, v)) {
-                return false;
-            }
-            prev += delta;
-            // A zero value or a repeated address cannot come from an
-            // honest encode (zeros are skipped, addresses strictly
-            // ascend after the first).
-            if (zigzagDecode(v) == 0 || (i > 0 && delta == 0))
-                return false;
-            out.words.emplace_back(prev, zigzagDecode(v));
-        }
-    }
-    if (at >= payload.size())
+    if (!getVarint(payload, at, out.icount) || at >= payload.size())
         return false;
     const bool has_warm = payload[at++] != 0;
     if (has_warm) {
@@ -440,33 +310,13 @@ LivePointLibrary::LivePointLibrary(std::shared_ptr<const ExecTrace> trace_,
                                    const LivePointOptions &options)
     : trace(std::move(trace_)), gridPlan(plan), cfg(config), opts(options)
 {
-    YASIM_CHECK(trace != nullptr, "replay live-point library needs a trace");
+    YASIM_CHECK(trace != nullptr, "live-point library needs a trace");
     key = livePointLibraryKey(trace->program(), gridPlan, cfg);
     fileDigest = Hasher().str(key).hex();
     if (!opts.dir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(opts.dir, ec);
     }
-}
-
-LivePointLibrary::LivePointLibrary(const Program &program,
-                                   const SamplingPlan &plan,
-                                   const SimConfig &config,
-                                   const LivePointOptions &options)
-    : prog(&program), gridPlan(plan), cfg(config), opts(options)
-{
-    key = livePointLibraryKey(program, gridPlan, cfg);
-    fileDigest = Hasher().str(key).hex();
-    if (!opts.dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts.dir, ec);
-    }
-}
-
-const Program &
-LivePointLibrary::libraryProgram() const
-{
-    return trace ? trace->program() : *prog;
 }
 
 std::string
@@ -497,11 +347,6 @@ LivePointLibrary::loadPoint(uint64_t index)
     const std::string path = pointPath(index);
     LivePoint p;
     if (!LivePoint::loadFile(path, p, &ctr))
-        return false;
-    // A live-mode library needs the architectural slice; a warm-only
-    // point (written by a replay-mode run sharing the cache) is simply
-    // insufficient here — a miss, not rot.
-    if (!trace && !p.hasArchState())
         return false;
     // Identity and shape: the path digest pins program/plan/config, so
     // a point that disagrees with its own position or warm identity is
@@ -536,98 +381,52 @@ void
 LivePointLibrary::buildPoints(const std::vector<uint64_t> &missing,
                               const CancelToken &cancel)
 {
-    const Program &program = libraryProgram();
     MemoryHierarchy warm_mem(cfg.mem);
     CombinedPredictor warm_bp(cfg.bp);
     uint64_t warmed = 0;
 
-    // Bounded-chunk warming with a cancellation poll per chunk; a
-    // cancelled build throws with the honest partial warming count and
-    // leaves no partial artifacts (writes are atomic, and only
-    // completed points are written at all).
-    auto warm_to = [&](auto &src, uint64_t target) {
-        while (src.instsExecuted() < target && !src.halted()) {
+    // Architectural state lives in the trace, so the pass is pure
+    // functional warming. Resume from the latest resident point before
+    // the first missing position — warm blobs round-trip losslessly, so
+    // the continued pass is bit-identical to one long pass from zero.
+    TraceReplayer cursor(trace);
+    const LivePoint *resume = nullptr;
+    for (const auto &[idx, p] : points) {
+        if (p.position() <= gridPlan.warmStart(missing.front()) &&
+            (!resume || p.position() > resume->position())) {
+            resume = &p;
+        }
+    }
+    if (resume) {
+        YASIM_CHECK(resume->restoreUarch(warm_mem, warm_bp,
+                                         resume->uarchKey()),
+                    "resident live-point warm state failed to restore");
+        cursor.seek(resume->position());
+    }
+
+    for (uint64_t index : missing) {
+        // Bounded-chunk warming with a cancellation poll per chunk; a
+        // cancelled build throws with the honest partial warming count
+        // and leaves no partial artifacts (writes are atomic, and only
+        // completed points are written at all).
+        const uint64_t target = gridPlan.warmStart(index);
+        while (cursor.instsExecuted() < target && !cursor.halted()) {
             if (cancel.cancelled()) {
                 CancelledError err;
                 err.cause = cancel.cause();
                 err.warmedInsts = warmed;
                 throw err;
             }
-            uint64_t step = std::min(target - src.instsExecuted(),
+            uint64_t step = std::min(target - cursor.instsExecuted(),
                                      kWarmCancelChunk);
-            warmed += src.fastForwardWarm(step, &warm_mem, &warm_bp);
+            warmed += cursor.fastForwardWarm(step, &warm_mem, &warm_bp);
         }
-    };
-
-    auto publish = [&](uint64_t index, LivePoint &&p) {
+        LivePoint p = LivePoint::atPosition(cursor.instsExecuted());
+        p.attachUarch(warm_mem, warm_bp, pointKey(index));
         ++ctr.built;
         if (!opts.dir.empty())
             p.saveFile(pointPath(index), &ctr);
         points.emplace(index, std::move(p));
-    };
-
-    if (trace) {
-        // Replay mode: architectural state lives in the trace, so the
-        // pass is pure functional warming. Resume from the latest
-        // resident point before the first missing position — warm
-        // blobs round-trip losslessly, so the continued pass is
-        // bit-identical to one long pass from zero.
-        TraceReplayer cursor(trace);
-        const LivePoint *resume = nullptr;
-        for (const auto &[idx, p] : points) {
-            if (p.position() <= gridPlan.warmStart(missing.front()) &&
-                (!resume || p.position() > resume->position())) {
-                resume = &p;
-            }
-        }
-        if (resume) {
-            YASIM_CHECK(resume->restoreUarch(warm_mem, warm_bp,
-                                             resume->uarchKey()),
-                        "resident live-point warm state failed to "
-                        "restore");
-            cursor.seek(resume->position());
-        }
-        for (uint64_t index : missing) {
-            warm_to(cursor, gridPlan.warmStart(index));
-            LivePoint p = LivePoint::atPosition(cursor.instsExecuted());
-            p.attachUarch(warm_mem, warm_bp, pointKey(index));
-            publish(index, std::move(p));
-        }
-        return;
-    }
-
-    // Live mode: the architectural slice a point carries covers only
-    // its own unit span, so a resident point cannot re-seed a full
-    // interpreter — the pass always starts at instruction zero. That
-    // is wall-clock the disk library exists to save; modeled cost is
-    // charged by ensure() identically in both modes.
-    FunctionalSim cursor(program);
-    for (uint64_t index : missing) {
-        warm_to(cursor, gridPlan.warmStart(index));
-        LivePoint p = LivePoint::captureArch(cursor);
-        // The warm summary is the *entry* state: snapshot it before
-        // the span walk below warms the unit's own footprint into the
-        // tables (which would flatter the unit's miss rates).
-        p.attachUarch(warm_mem, warm_bp, pointKey(index));
-        // Walk the unit's span with warming still on, capturing the
-        // pre-span value of every word the span loads before storing
-        // — exactly the memory the restored unit can observe.
-        std::unordered_set<uint64_t> seen;
-        ExecRecord rec;
-        uint64_t left = gridPlan.span();
-        while (left > 0 &&
-               LivePoint::stepWarm(cursor, rec, &warm_mem, &warm_bp)) {
-            ++warmed;
-            --left;
-            if (rec.inst->isLoad() && seen.insert(rec.memAddr).second) {
-                // First span access and it is a load: the value just
-                // read is by construction the pre-span value.
-                p.noteWord(rec.memAddr, cursor.memory().read(rec.memAddr));
-            } else if (rec.inst->isStore()) {
-                seen.insert(rec.memAddr);
-            }
-        }
-        publish(index, std::move(p));
     }
 }
 
@@ -670,7 +469,7 @@ LivePointLibrary::measureUnits(const std::vector<uint64_t> &indices,
                                bool parallel,
                                const CancelToken &cancel) const
 {
-    const Program &program = libraryProgram();
+    const Program &program = trace->program();
     std::vector<UnitResult> results(indices.size());
     std::atomic<uint64_t> detailed_done{0};
 
@@ -694,26 +493,15 @@ LivePointLibrary::measureUnits(const std::vector<uint64_t> &indices,
                     "resident live-point warm state failed to restore");
 
         // Position a private stream at the warm-up start: an O(1)
-        // replayer seek, or a fresh interpreter seeded from the
-        // point's architectural slice.
-        std::optional<TraceReplayer> replayer;
-        std::optional<FunctionalSim> sim;
-        StepSource *stream = nullptr;
-        if (trace) {
-            replayer.emplace(trace);
-            replayer->seek(point->position());
-            stream = &*replayer;
-        } else {
-            sim.emplace(program);
-            point->restoreArch(*sim);
-            stream = &*sim;
-        }
+        // replayer seek.
+        TraceReplayer stream(trace);
+        stream.seek(point->position());
 
         if (gridPlan.warmupInsts > 0)
-            out.warmupDone = core.run(*stream, gridPlan.warmupInsts,
+            out.warmupDone = core.run(stream, gridPlan.warmupInsts,
                                       nullptr, cancel);
         BbProfiler profiler(program);
-        SimStats delta = core.runMeasured(*stream, gridPlan.unitInsts,
+        SimStats delta = core.runMeasured(stream, gridPlan.unitInsts,
                                           &profiler, &out.unitDone,
                                           cancel);
         detailed_done.fetch_add(out.warmupDone + out.unitDone,
@@ -746,50 +534,6 @@ LivePointLibrary::measureUnits(const std::vector<uint64_t> &indices,
         throw err;
     }
     return results;
-}
-
-uint64_t
-fastForwardDetailedRegion(StepSource &src, uint64_t count,
-                          uint64_t span_insts,
-                          const LivePointOptions &options,
-                          LivePointCounters *ctr)
-{
-    (void)span_insts; // the snapshot is full, span-independent
-    auto *sim = dynamic_cast<FunctionalSim *>(&src);
-    if (!sim || !options.enabled || options.dir.empty() || count == 0 ||
-        sim->instsExecuted() != 0) {
-        // Replay streams seek in O(1) already; a mid-stream or
-        // disabled jump takes the plain architectural path.
-        return src.fastForward(count);
-    }
-    const Program &program = sim->program();
-
-    // Configuration-independent identity: the jump is architectural,
-    // so one point serves every machine configuration in a sweep.
-    Hasher h;
-    h.u32(kLivePointFormatVersion);
-    hashProgram(h, program);
-    h.u64(count);
-    const std::string path =
-        options.dir + "/ff-" + h.hex() + ".lvpt";
-
-    LivePoint point;
-    if (LivePoint::loadFile(path, point, ctr) && point.hasArchState() &&
-        point.position() <= count && !point.hasUarch()) {
-        point.restoreArch(*sim);
-        return sim->instsExecuted();
-    }
-
-    const uint64_t done = sim->fastForward(count);
-    // The fast-forward target is a full architectural snapshot (the
-    // detailed region after it may touch any word), captured through
-    // the live-point serializer: PinPoints-style region checkpoints.
-    LivePoint captured = LivePoint::captureArch(*sim);
-    sim->memory().forEachWord([&](uint64_t addr, int64_t value) {
-        captured.noteWord(addr, value);
-    });
-    captured.saveFile(path, ctr);
-    return done;
 }
 
 } // namespace yasim

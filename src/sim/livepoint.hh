@@ -3,25 +3,20 @@
  * Live-points: random-access entry states for sampled simulation.
  *
  * A live-point is the self-contained state one measurement unit of a
- * sampling technique needs — nothing more. Where a full architectural
- * snapshot carries every touched memory word, a live-point carries only
- * the *unit-relevant* slice, following TurboSMARTSim's liblvpt:
+ * sampling technique needs — nothing more, following TurboSMARTSim's
+ * liblvpt: the unit's dynamic position at its warm-up start, plus the
+ * warmed-microarchitecture summary (cache tags, TLBs, predictor
+ * tables) produced by functional warming of the whole prefix, as one
+ * composite warm blob (uarch/warm_state.hh). Architectural state lives
+ * in the recorded trace (sim/trace.hh), whose replayer seeks to any
+ * position in O(1), so a point carries none of it.
  *
- *  - the register file, PC, and dynamic position at the unit's
- *    warm-up start,
- *  - the memory words the unit's own U+W instruction span *loads
- *    before storing* — everything the span stores first it will
- *    regenerate itself, so the pre-span values of those words are
- *    irrelevant and are not captured,
- *  - the warmed-microarchitecture summary (cache tags, TLBs,
- *    predictor tables) produced by functional warming of the whole
- *    prefix, as one composite warm blob (uarch/warm_state.hh).
- *
- * Restoring a live-point into a fresh FunctionalSim + OooCore
- * reproduces the unit's instruction stream and warm state bit-exactly,
- * so units become independent, embarrassingly-parallel jobs: the CPIs,
- * counters, and profiles a fanned-out SMARTS run computes are
- * byte-identical to a serial loop over the same units.
+ * Seeking a fresh TraceReplayer to a live-point's position and
+ * restoring its warm blob into a fresh OooCore reproduces the unit's
+ * instruction stream and warm state bit-exactly, so units become
+ * independent, embarrassingly-parallel jobs: the CPIs, counters, and
+ * profiles a fanned-out SMARTS run computes are byte-identical to a
+ * serial loop over the same units.
  *
  * A LivePointLibrary owns every point of one (program, sampling plan,
  * warm-geometry configuration): it builds missing points in a single
@@ -29,13 +24,8 @@
  * varint/RLE-compressed artifact (support/artifact_io, support/codec)
  * under the engine cache, and serves random-access loads. On-disk
  * points affect wall-clock only — never results and never modeled
- * cost.
- *
- * In replay mode (an ExecTrace is available) architectural state lives
- * in the trace and the replayer seeks in O(1), so points carry only
- * the warm summary; in live mode they carry both. Sharded warm
- * summaries (sim/sharded.hh) are warm-only live-points too: one
- * container and one loader serve every persisted entry state.
+ * cost. Sharded warm summaries (sim/sharded.hh) are live-points too:
+ * one container and one loader serve every persisted entry state.
  */
 
 #ifndef YASIM_SIM_LIVEPOINT_HH
@@ -55,12 +45,9 @@
 namespace yasim {
 
 class ExecTrace;
-struct ExecRecord;
-class FunctionalSim;
 class MemoryHierarchy;
 class CombinedPredictor;
 class Program;
-class StepSource;
 
 /**
  * Binary layout version of LivePoint::encode. Bumped whenever the
@@ -68,7 +55,7 @@ class StepSource;
  * rejects mismatches and readers treat stale files as misses.
  */
 // yasim-lint: version(livepoint)
-constexpr uint32_t kLivePointFormatVersion = 1;
+constexpr uint32_t kLivePointFormatVersion = 2;
 
 /** Live-point knobs, carried from the driver down to the techniques. */
 struct LivePointOptions
@@ -181,37 +168,8 @@ class LivePoint
   public:
     LivePoint() = default;
 
-    /**
-     * A warm-only carrier at dynamic position @p position — the replay
-     *-mode shape, where architectural state lives in the trace.
-     */
+    /** A point at dynamic position @p position, no warm state yet. */
     static LivePoint atPosition(uint64_t position);
-
-    /**
-     * Capture @p sim's registers, PC, and position. Memory words are
-     * *not* captured here: the library adds the unit-relevant slice
-     * via noteWord() while walking the unit's span.
-     */
-    static LivePoint captureArch(const FunctionalSim &sim);
-
-    /**
-     * Record the pre-span value of one memory word the unit loads
-     * before storing. Words must arrive in first-access order; zero
-     * values are skipped (restoring into zeroed memory is a no-op).
-     */
-    void noteWord(uint64_t addr, int64_t value);
-
-    /**
-     * Restore registers, PC, position, and the captured word slice
-     * into @p sim (fresh, same program). Requires hasArchState().
-     * Words the span stores before loading are deliberately absent:
-     * the span itself recreates them, so the replayed stream is
-     * bit-identical to the original run's.
-     */
-    void restoreArch(FunctionalSim &sim) const;
-
-    /** True when registers/PC were captured (live-mode point). */
-    bool hasArchState() const { return !intRegs.empty(); }
 
     /**
      * Attach the warmed-uarch summary of @p mem and @p bp under
@@ -240,16 +198,13 @@ class LivePoint
     /** Dynamic instruction position of this point. */
     uint64_t position() const { return icount; }
 
-    /** Captured memory words (diagnostics and tests). */
-    size_t wordCount() const { return words.size(); }
-
     /** Approximate in-memory footprint in bytes. */
     size_t footprintBytes() const;
 
     /**
      * Serialize to the compressed binary payload saveFile() frames:
-     * varint/zigzag-delta encoded architectural slice plus the
-     * RLE-compressed warm blob (support/codec).
+     * the varint position plus the RLE-compressed warm blob
+     * (support/codec).
      */
     std::string encode() const;
 
@@ -274,26 +229,8 @@ class LivePoint
     static bool loadFile(const std::string &path, LivePoint &out,
                          LivePointCounters *ctr = nullptr);
 
-    /**
-     * Execute one instruction of @p sim while functionally warming
-     * @p mem / @p bp *and* producing @p record — the combined mode the
-     * library's span walk needs (public step() does not warm; public
-     * fastForwardWarm() yields no record). Exposed through LivePoint
-     * because it is the friend seam into FunctionalSim.
-     * @return false when @p sim was already halted.
-     */
-    static bool stepWarm(FunctionalSim &sim, ExecRecord &record,
-                         MemoryHierarchy *mem, CombinedPredictor *bp);
-
   private:
-    uint64_t pc = 0;
     uint64_t icount = 0;
-    bool halted = false;
-    std::vector<int64_t> intRegs;
-    std::vector<double> fpRegs;
-    /** Unit-relevant word slice (addr -> pre-span value), in
-     *  first-access order; addresses are 8-byte aligned. */
-    std::vector<std::pair<uint64_t, int64_t>> words;
 
     /** Identity key of the optional warm summary ("" = none). */
     std::string warmKey;
@@ -312,20 +249,12 @@ class LivePointLibrary
 {
   public:
     /**
-     * Replay-mode library over a recorded trace: points are warm-only
-     * and workers seek private replayer cursors. @p config contributes
-     * only its warm-relevant geometry to the identity key.
+     * Library over a recorded trace: workers seek private replayer
+     * cursors to each point's position. @p config contributes only its
+     * warm-relevant geometry to the identity key.
      */
     LivePointLibrary(std::shared_ptr<const ExecTrace> trace,
                      const SamplingPlan &plan, const SimConfig &config,
-                     const LivePointOptions &options);
-
-    /**
-     * Live-mode library over @p program (which must outlive the
-     * library): points carry the architectural slice too.
-     */
-    LivePointLibrary(const Program &program, const SamplingPlan &plan,
-                     const SimConfig &config,
                      const LivePointOptions &options);
 
     LivePointLibrary(const LivePointLibrary &) = delete;
@@ -372,8 +301,8 @@ class LivePointLibrary
 
     /**
      * Measure the units in @p indices independently — each worker gets
-     * a fresh core, restores the unit's warm summary (and, live, its
-     * architectural slice), runs the detailed warm-up, and measures
+     * a fresh core, restores the unit's warm summary, seeks a private
+     * replayer to the unit, runs the detailed warm-up, and measures
      * the unit as a snapshot delta. Results come back in @p indices
      * order regardless of scheduling, and every per-unit value is
      * bit-identical between @p parallel true and false (the fan-out is
@@ -404,7 +333,6 @@ class LivePointLibrary
     const LivePointCounters &counters() const { return ctr; }
 
   private:
-    const Program &libraryProgram() const;
     std::string pointKey(uint64_t index) const;
     /** Load-and-verify one point from disk into the resident set. */
     bool loadPoint(uint64_t index);
@@ -412,8 +340,7 @@ class LivePointLibrary
     void buildPoints(const std::vector<uint64_t> &missing,
                      const CancelToken &cancel);
 
-    std::shared_ptr<const ExecTrace> trace; ///< replay mode when set
-    const Program *prog = nullptr;          ///< live mode when set
+    std::shared_ptr<const ExecTrace> trace;
     SamplingPlan gridPlan;
     SimConfig cfg;
     LivePointOptions opts;
@@ -424,23 +351,6 @@ class LivePointLibrary
     uint64_t chargedTo = 0;
     LivePointCounters ctr;
 };
-
-/**
- * Drop-in replacement for src.fastForward(@p count) ahead of a
- * detailed region of @p span_insts instructions: when @p src is a
- * live FunctionalSim at position zero and @p options enable
- * persistence, the jump is served from (or captured into) an
- * architectural live-point keyed by program content and position
- * alone — configuration-independent, so one file serves a whole
- * configuration sweep. The returned count and every subsequent
- * record of the stream are bit-identical to the plain call; replay
- * sources (O(1) seek already) and mid-stream sims fall through
- * untouched.
- */
-uint64_t fastForwardDetailedRegion(StepSource &src, uint64_t count,
-                                   uint64_t span_insts,
-                                   const LivePointOptions &options,
-                                   LivePointCounters *ctr = nullptr);
 
 } // namespace yasim
 

@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "support/ordered.hh"
 
 namespace yasim {
 
@@ -47,30 +46,6 @@ class SparseMemory
 
     /** Drop all contents (fresh zeroed memory). */
     void clear();
-
-    /**
-     * Invoke @p fn(addr, value) for every *non-zero* word currently
-     * stored (zero words are indistinguishable from untouched memory),
-     * in ascending address order. The persisted fast-forward
-     * live-point (fastForwardDetailedRegion) captures this stream, so
-     * determinism here keeps that artifact byte-stable across runs and
-     * standard libraries.
-     */
-    template <typename Fn>
-    void
-    forEachWord(Fn &&fn) const
-    {
-        for (const auto *kv : orderedView(pages)) {
-            const auto &page = kv->second;
-            if (!page)
-                continue;
-            uint64_t base = kv->first * pageBytes;
-            for (uint64_t i = 0; i < wordsPerPage; ++i) {
-                if ((*page)[i] != 0)
-                    fn(base + i * 8, (*page)[i]);
-            }
-        }
-    }
 
   private:
     static constexpr uint64_t pageBytes = 1ULL << 16;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/functional.hh"
 #include "sim/trace.hh"
 #include "support/check.hh"
 
@@ -277,14 +276,12 @@ uint64_t
 OooCore::run(StepSource &src, uint64_t max_insts, BbProfiler *profiler,
              const CancelToken &cancel)
 {
-    // One dynamic-type resolution per run() call instead of one virtual
-    // step() per instruction. The concrete sources are final, so the
-    // typed loops devirtualize; unknown StepSource subclasses (tests)
-    // take the generic virtual loop. All paths are bit-identical.
+    // One dynamic-type resolution per run() call: a replayer feeds the
+    // decoded fast path; any other source (the functional interpreter
+    // used as an oracle, wrappers) takes the generic batched loop. Both
+    // are bit-identical.
     if (auto *replay = dynamic_cast<TraceReplayer *>(&src))
         return runReplay(*replay, max_insts, profiler, cancel);
-    if (auto *live = dynamic_cast<FunctionalSim *>(&src))
-        return runSteps(*live, max_insts, profiler, cancel);
     return runSteps(src, max_insts, profiler, cancel);
 }
 
@@ -300,17 +297,16 @@ OooCore::runMeasured(StepSource &src, uint64_t max_insts,
     return snapshot() - before;
 }
 
-template <typename Source>
 uint64_t
-OooCore::runSteps(Source &src, uint64_t max_insts, BbProfiler *profiler,
+OooCore::runSteps(StepSource &src, uint64_t max_insts, BbProfiler *profiler,
                   const CancelToken &cancel)
 {
     const uint32_t l1i_block = cfg.mem.l1i.blockBytes;
     const uint64_t frontend = cfg.core.frontendDepth;
 
-    // Pull batches through the source's stepBatch kernel: one (possibly
-    // devirtualized) call per span instead of one per instruction. The
-    // buffer is small enough to live on the stack.
+    // Pull batches through the source's stepBatch kernel: one virtual
+    // call per span instead of one per instruction. The buffer is small
+    // enough to live on the stack.
     constexpr uint64_t kFetchBatch = 256;
     ExecRecord recs[kFetchBatch];
 

@@ -3,7 +3,7 @@
  * Cycle-level out-of-order superscalar core.
  *
  * The core is trace-driven: it consumes the in-order ExecRecord stream
- * from a FunctionalSim and computes, per dynamic instruction, the cycle
+ * of a StepSource and computes, per dynamic instruction, the cycle
  * of every pipeline event with a ready-time model. The model captures
  * everything the 43-factor PB space varies:
  *
@@ -58,19 +58,16 @@ class OooCore
     static constexpr uint64_t kCancelCheckInsts = 8192;
 
     /**
-     * Detail-simulate up to @p max_insts instructions from @p src — a
-     * live FunctionalSim or a TraceReplayer, indistinguishably — (stops
-     * early at Halt), optionally attributing every committed
+     * Detail-simulate up to @p max_insts instructions from @p src
+     * (stops early at Halt), optionally attributing every committed
      * instruction to @p profiler. A valid @p cancel token is polled
      * every kCancelCheckInsts committed instructions; on cancellation
      * the call returns early with the count committed so far (the
      * caller decides whether that partial progress is an error).
      *
-     * The dynamic StepSource type is resolved once per call, not once
-     * per instruction: both concrete sources are `final`, so the inner
-     * loops bind step() statically, and a TraceReplayer is consumed
-     * through its pre-decoded flat uop runs instead of step() entirely.
-     * All three paths execute the same per-instruction model and are
+     * A TraceReplayer is consumed through its pre-decoded flat uop
+     * runs; any other source goes through the generic stepBatch loop.
+     * Both paths execute the same per-instruction model and are
      * bit-identical.
      *
      * @return the number of instructions committed by this call.
@@ -241,11 +238,9 @@ class OooCore
                      bool trivial_hint, uint32_t l1i_block,
                      uint64_t frontend);
 
-    /** step()-driven loop; Source=final class => static dispatch. */
-    template <typename Source>
-    uint64_t runSteps(Source &src, uint64_t max_insts,
-                      BbProfiler *profiler,
-                      const CancelToken &cancel);
+    /** Generic loop over any source's stepBatch(). */
+    uint64_t runSteps(StepSource &src, uint64_t max_insts,
+                      BbProfiler *profiler, const CancelToken &cancel);
 
     /** Decoded-replay fast path over flat pre-decoded uop runs. */
     uint64_t runReplay(TraceReplayer &src, uint64_t max_insts,

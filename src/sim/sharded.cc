@@ -6,8 +6,6 @@
 #include <optional>
 #include <system_error>
 
-#include "sim/bb_profiler.hh"
-#include "sim/functional.hh"
 #include "sim/livepoint.hh"
 #include "sim/ooo_core.hh"
 #include "sim/trace.hh"
@@ -157,112 +155,6 @@ refuseStitchIfCancelled(const CancelToken &cancel,
     throw err;
 }
 
-/**
- * The one shard worker body behind both runShardedReference overloads.
- * Each shard opens its own stream at position zero — a TraceReplayer
- * cursor over @p trace, or a private FunctionalSim over @p program when
- * @p trace is null — and fast-forwards it to its lead-in: an O(1) seek
- * in replay, architectural interpretation live. Live mode alone
- * attaches a per-shard profiler, because the trace already carries the
- * whole-run profile.
- */
-ShardedRunResult
-runShards(const std::shared_ptr<const ExecTrace> &trace,
-          const Program &program, uint64_t length, const SimConfig &config,
-          const ShardOptions &opts, const CancelToken &cancel)
-{
-    const std::vector<ShardSlice> plan =
-        planShards(length, opts.exact ? 1 : opts.shards, opts.warmupInsts);
-    std::vector<ShardPrep> prep = prepareShards(program, plan, config, opts);
-
-    ShardedRunResult result;
-    result.perShard.resize(plan.size());
-    chargePlan(plan, result);
-
-    std::atomic<uint32_t> restores{0};
-    std::atomic<uint32_t> saves{0};
-    std::atomic<uint64_t> detailedDone{0};
-    std::atomic<uint64_t> warmedDone{0};
-    const bool profile = trace == nullptr;
-    std::vector<std::vector<double>> bbefShard(plan.size());
-    std::vector<std::vector<double>> bbvShard(plan.size());
-
-    globalPool().parallelFor(plan.size(), [&](size_t k) {
-        const ShardSlice &slice = plan[k];
-        std::optional<TraceReplayer> replayer;
-        std::optional<FunctionalSim> sim;
-        StepSource *src = nullptr;
-        if (trace)
-            src = &replayer.emplace(trace);
-        else
-            src = &sim.emplace(program);
-
-        std::optional<OooCore> coreSlot;
-        bool warmed = false;
-        makeCore(coreSlot, config, prep[k], warmed);
-        OooCore &core = *coreSlot;
-        if (warmed) {
-            restores.fetch_add(1, std::memory_order_relaxed);
-            // Restored lead-ins charge like executed ones so partial
-            // cost never depends on warm-dir state (same rule as
-            // chargePlan). Only the stream position must still advance.
-            warmedDone.fetch_add(slice.begin - slice.warmStart,
-                                 std::memory_order_relaxed);
-            src->fastForward(slice.begin);
-        } else if (slice.begin > 0) {
-            src->fastForward(slice.warmStart);
-            if (!warmChunked(*src, slice.begin - slice.warmStart, core,
-                             cancel, warmedDone))
-                return; // cancelled mid-warm: publish no summary
-            if (!opts.warmDir.empty()) {
-                LivePoint summary = LivePoint::atPosition(slice.begin);
-                summary.attachUarch(core.memHierarchy(), core.predictor(),
-                                    prep[k].key);
-                if (summary.saveFile(
-                        warmSummaryPath(opts.warmDir, prep[k].key)))
-                    saves.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-        YASIM_DCHECK_EQ(src->instsExecuted(), slice.begin);
-
-        if (cancel.cancelled())
-            return;
-        std::optional<BbProfiler> profiler;
-        if (profile)
-            profiler.emplace(program);
-        uint64_t done = 0;
-        result.perShard[k] = core.runMeasured(
-            *src, slice.end - slice.begin, profiler ? &*profiler : nullptr,
-            &done, cancel);
-        detailedDone.fetch_add(done, std::memory_order_relaxed);
-        if (profiler) {
-            bbefShard[k] = profiler->bbef();
-            bbvShard[k] = profiler->bbv();
-        }
-    }, cancel);
-
-    refuseStitchIfCancelled(cancel, detailedDone, warmedDone);
-
-    if (profile) {
-        // Stitch the profile in shard-index order. Every count is an
-        // integral double (weight 1.0), so the sum is exact and matches
-        // the sequential whole-run profile bit for bit.
-        result.bbef.assign(program.numBlocks(), 0.0);
-        result.bbv.assign(program.numBlocks(), 0.0);
-        for (size_t k = 0; k < plan.size(); ++k) {
-            for (size_t i = 0; i < result.bbef.size(); ++i) {
-                result.bbef[i] += bbefShard[k][i];
-                result.bbv[i] += bbvShard[k][i];
-            }
-        }
-    }
-
-    result.stats = stitchStats(result.perShard);
-    result.warmRestores = restores.load();
-    result.warmSaves = saves.load();
-    return result;
-}
-
 } // namespace
 
 const char *
@@ -331,17 +223,69 @@ runShardedReference(const std::shared_ptr<const ExecTrace> &trace,
                     const SimConfig &config, const ShardOptions &opts,
                     const CancelToken &cancel)
 {
-    YASIM_CHECK(trace != nullptr, "sharded replay requires a trace");
-    return runShards(trace, trace->program(), trace->length(), config,
-                     opts, cancel);
-}
+    YASIM_CHECK(trace != nullptr, "sharded reference requires a trace");
+    const std::vector<ShardSlice> plan = planShards(
+        trace->length(), opts.exact ? 1 : opts.shards, opts.warmupInsts);
+    std::vector<ShardPrep> prep =
+        prepareShards(trace->program(), plan, config, opts);
 
-ShardedRunResult
-runShardedReference(const Program &program, uint64_t length,
-                    const SimConfig &config, const ShardOptions &opts,
-                    const CancelToken &cancel)
-{
-    return runShards(nullptr, program, length, config, opts, cancel);
+    ShardedRunResult result;
+    result.perShard.resize(plan.size());
+    chargePlan(plan, result);
+
+    std::atomic<uint32_t> restores{0};
+    std::atomic<uint32_t> saves{0};
+    std::atomic<uint64_t> detailedDone{0};
+    std::atomic<uint64_t> warmedDone{0};
+
+    globalPool().parallelFor(plan.size(), [&](size_t k) {
+        // Each shard replays its own cursor over the shared trace and
+        // seeks it to the lead-in in O(1).
+        const ShardSlice &slice = plan[k];
+        TraceReplayer src(trace);
+
+        std::optional<OooCore> coreSlot;
+        bool warmed = false;
+        makeCore(coreSlot, config, prep[k], warmed);
+        OooCore &core = *coreSlot;
+        if (warmed) {
+            restores.fetch_add(1, std::memory_order_relaxed);
+            // Restored lead-ins charge like executed ones so partial
+            // cost never depends on warm-dir state (same rule as
+            // chargePlan). Only the stream position must still advance.
+            warmedDone.fetch_add(slice.begin - slice.warmStart,
+                                 std::memory_order_relaxed);
+            src.fastForward(slice.begin);
+        } else if (slice.begin > 0) {
+            src.fastForward(slice.warmStart);
+            if (!warmChunked(src, slice.begin - slice.warmStart, core,
+                             cancel, warmedDone))
+                return; // cancelled mid-warm: publish no summary
+            if (!opts.warmDir.empty()) {
+                LivePoint summary = LivePoint::atPosition(slice.begin);
+                summary.attachUarch(core.memHierarchy(), core.predictor(),
+                                    prep[k].key);
+                if (summary.saveFile(
+                        warmSummaryPath(opts.warmDir, prep[k].key)))
+                    saves.fetch_add(1, std::memory_order_relaxed);
+            }
+        }
+        YASIM_DCHECK_EQ(src.instsExecuted(), slice.begin);
+
+        if (cancel.cancelled())
+            return;
+        uint64_t done = 0;
+        result.perShard[k] = core.runMeasured(
+            src, slice.end - slice.begin, nullptr, &done, cancel);
+        detailedDone.fetch_add(done, std::memory_order_relaxed);
+    }, cancel);
+
+    refuseStitchIfCancelled(cancel, detailedDone, warmedDone);
+
+    result.stats = stitchStats(result.perShard);
+    result.warmRestores = restores.load();
+    result.warmSaves = saves.load();
+    return result;
 }
 
 } // namespace yasim

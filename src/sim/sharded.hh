@@ -6,12 +6,12 @@
  * repo: every figure anchors to it, yet it occupies one core while the
  * engine's pool parallelizes only across configurations. Sharding
  * splits the measured region into N slices at boundaries that are pure
- * plan arithmetic (shardSpacingFor); each worker positions its own
- * stream at its slice — seeking a TraceReplayer, or fast-forwarding a
- * private FunctionalSim live — functionally warms caches and predictor
- * through its lead-in (the SMARTS warming path), detail-simulates the
- * slice on a drained pipeline, and the per-shard SimStats are stitched
- * in shard-index order into whole-run statistics.
+ * plan arithmetic (shardSpacingFor); each worker seeks its own
+ * TraceReplayer cursor over the shared recording to its slice,
+ * functionally warms caches and predictor through its lead-in (the
+ * SMARTS warming path), detail-simulates the slice on a drained
+ * pipeline, and the per-shard SimStats are stitched in shard-index
+ * order into whole-run statistics.
  *
  * Exactness contract (docs/perf.md): instruction, conditional-branch,
  * data-reference, and trivial-op counters are bit-identical to the
@@ -22,12 +22,11 @@
  *
  * Warmed-uarch summaries: when ShardOptions::warmDir is set, each
  * shard's post-warming cache/TLB/predictor state is persisted as a
- * warm-only LivePoint (sim/livepoint.hh) keyed by the warm identity —
+ * LivePoint (sim/livepoint.hh) keyed by the warm identity —
  * program content, slice, warm-relevant configuration, and format
  * versions — so repeated runs (config sweeps varying only latencies
- * included) restore instead of re-warming. Summaries carry no
- * architectural state, are shared by replay and live mode, and affect
- * wall-clock only, never results or modeled cost.
+ * included) restore instead of re-warming. Summaries affect wall-clock
+ * only, never results or modeled cost.
  */
 
 #ifndef YASIM_SIM_SHARDED_HH
@@ -45,7 +44,6 @@
 namespace yasim {
 
 class ExecTrace;
-class Program;
 
 /** How per-shard statistics combine into whole-run statistics. */
 enum class StitchMode
@@ -106,7 +104,7 @@ struct ShardSlice
  * The spacing shard boundaries align to for a run of @p length
  * instructions: the smallest 64Ki * 2^k that leaves at most 16 of its
  * multiples strictly before the run's end. A pure function of the
- * length, so replay and live mode plan identical shards.
+ * length.
  */
 uint64_t shardSpacingFor(uint64_t length);
 
@@ -128,10 +126,6 @@ struct ShardedRunResult
     SimStats stats;
     /** Per-shard region statistics (diagnostics and tests). */
     std::vector<SimStats> perShard;
-    /** Whole-run BBEF/BBV profile (live mode only; empty in replay
-     *  mode, where the trace already carries the full profile). */
-    std::vector<double> bbef;
-    std::vector<double> bbv;
     /** Instructions detail-simulated (== run length). */
     uint64_t detailedInsts = 0;
     /**
@@ -164,22 +158,6 @@ ShardedRunResult runShardedReference(
     const std::shared_ptr<const ExecTrace> &trace, const SimConfig &config,
     const ShardOptions &opts,
     const CancelToken &cancel = CancelToken());
-
-/**
- * Live-mode overload: no trace, so each shard fast-forwards its own
- * FunctionalSim to its warm-up start, and the whole-run BBEF/BBV
- * profile is accumulated per shard and summed. Bit-identical to the
- * trace overload for the same @p length and @p config, modeled cost
- * included. Same cancellation contract as the trace overload (the
- * fast-forward to a shard's warm-up start is not polled; it is bounded
- * functional-mode work).
- */
-ShardedRunResult runShardedReference(const Program &program,
-                                     uint64_t length,
-                                     const SimConfig &config,
-                                     const ShardOptions &opts,
-                                     const CancelToken &cancel =
-                                         CancelToken());
 
 } // namespace yasim
 

@@ -4,11 +4,12 @@
  *
  * This header is the boundary between the functional layer and every
  * consumer of its output. The architectural stream is
- * machine-configuration-independent, so a recorded trace
- * (sim/trace.hh) can stand in for the interpreter: OooCore::run, the
- * techniques, and the profilers all program against StepSource and
- * cannot tell a TraceReplayer from a live FunctionalSim. Code above
- * the functional layer includes this header (or obtains a StepSource
+ * machine-configuration-independent, so it is interpreted once by
+ * FunctionalSim inside ExecTrace::record (sim/trace.hh) and every
+ * timing run replays the recording: OooCore::run, the techniques, and
+ * the profilers all program against StepSource, and the interpreter
+ * remains the oracle the replayer is tested against. Code above the
+ * functional layer includes this header (or obtains a StepSource
  * through techniques/trace_store.hh); only the simulator's own layer
  * includes sim/functional.hh.
  *
@@ -51,10 +52,10 @@ struct ExecRecord
 };
 
 /**
- * Producer of an in-order dynamic instruction stream. Implemented live
- * by FunctionalSim and from a recording by TraceReplayer; both must
- * produce bit-identical streams and warming call sequences for the same
- * program.
+ * Producer of an in-order dynamic instruction stream. Implemented by
+ * FunctionalSim (the recorder and oracle) and by TraceReplayer (every
+ * timing run); both must produce bit-identical streams and warming
+ * call sequences for the same program.
  */
 class StepSource
 {

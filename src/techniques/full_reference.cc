@@ -1,6 +1,5 @@
 #include "techniques/full_reference.hh"
 
-#include "sim/bb_profiler.hh"
 #include "sim/ooo_core.hh"
 #include "sim/sharded.hh"
 #include "techniques/trace_store.hh"
@@ -14,27 +13,16 @@ namespace {
  * from per-shard measured regions; the modeled cost charges every
  * instruction at the detailed rate plus the planned functional-warming
  * lead-ins, so sharded results report *more* work than sequential ones
- * — parallelism buys wall-clock, never work units. The charge is the
- * same with and without a trace.
+ * — parallelism buys wall-clock, never work units.
  */
 TechniqueResult
 runSharded(const TechniqueContext &ctx, const SimConfig &config)
 {
+    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
     ShardedRunResult run;
     try {
-        if (ctx.traces) {
-            auto trace = ctx.traces->get(ctx.benchmark,
-                                         InputSet::Reference, ctx.suite);
-            run = runShardedReference(trace, config, ctx.shards,
-                                      ctx.cancel);
-            run.bbef = trace->bbef();
-            run.bbv = trace->bbv();
-        } else {
-            StepSourceHandle src =
-                openStepSource(ctx, InputSet::Reference);
-            run = runShardedReference(src.program(), ctx.referenceLength,
-                                      config, ctx.shards, ctx.cancel);
-        }
+        run = runShardedReference(src.trace, config, ctx.shards,
+                                  ctx.cancel);
     } catch (CancelledError &cancelled) {
         // Convert raw partial progress to work units here, where the
         // cost model lives, so the engine can charge honestly.
@@ -48,8 +36,8 @@ runSharded(const TechniqueContext &ctx, const SimConfig &config)
 
     TechniqueResult result;
     result.detailed = run.stats;
-    result.bbef = std::move(run.bbef);
-    result.bbv = std::move(run.bbv);
+    result.bbef = src.trace->bbef();
+    result.bbv = src.trace->bbv();
     result.cpi = result.detailed.cpi();
     result.metrics = result.detailed.metricVector();
     result.detailedInsts = run.detailedInsts;
@@ -91,23 +79,15 @@ FullReference::run(const TechniqueContext &ctx,
         throw err;
     };
 
-    TechniqueResult result;
-    if (src.replay()) {
-        // The trace already carries the full-run profile (recorded with
-        // weight 1.0, exactly what a full detailed pass accumulates),
-        // so detailed simulation needs no profiler attached.
-        core.run(*src.source, ~0ULL, nullptr, ctx.cancel);
-        throwIfCancelled();
-        result.bbef = src.trace->bbef();
-        result.bbv = src.trace->bbv();
-    } else {
-        BbProfiler profiler(src.program());
-        core.run(*src.source, ~0ULL, &profiler, ctx.cancel);
-        throwIfCancelled();
-        result.bbef = profiler.bbef();
-        result.bbv = profiler.bbv();
-    }
+    // The trace already carries the full-run profile (recorded with
+    // weight 1.0, exactly what a full detailed pass accumulates), so
+    // detailed simulation needs no profiler attached.
+    core.run(*src.source, ~0ULL, nullptr, ctx.cancel);
+    throwIfCancelled();
 
+    TechniqueResult result;
+    result.bbef = src.trace->bbef();
+    result.bbv = src.trace->bbv();
     result.technique = name();
     result.permutation = permutation();
     result.detailed = core.snapshot();

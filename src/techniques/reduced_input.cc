@@ -1,6 +1,5 @@
 #include "techniques/reduced_input.hh"
 
-#include "sim/bb_profiler.hh"
 #include "sim/ooo_core.hh"
 #include "support/logging.hh"
 #include "techniques/trace_store.hh"
@@ -25,18 +24,13 @@ ReducedInput::run(const TechniqueContext &ctx,
     StepSourceHandle src = openStepSource(ctx, inputSet);
     OooCore core(config);
 
-    TechniqueResult result;
-    if (src.replay()) {
-        core.run(*src.source, ~0ULL);
-        result.bbef = src.trace->bbef();
-        result.bbv = src.trace->bbv();
-    } else {
-        BbProfiler profiler(src.program());
-        core.run(*src.source, ~0ULL, &profiler);
-        result.bbef = profiler.bbef();
-        result.bbv = profiler.bbv();
-    }
+    // The trace carries the full-run profile a detailed pass would
+    // accumulate, so the core runs without a profiler.
+    core.run(*src.source, ~0ULL);
 
+    TechniqueResult result;
+    result.bbef = src.trace->bbef();
+    result.bbv = src.trace->bbv();
     result.technique = name();
     result.permutation = permutation();
     result.detailed = core.snapshot();

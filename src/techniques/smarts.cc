@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "stats/summary.hh"
@@ -56,19 +55,12 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
         n = std::clamp<uint64_t>(n, 50, 3000);
     }
 
-    // The handle anchors the trace (replay) or the workload's program
-    // (live) for the library's whole lifetime.
     StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
     const bool parallel = ctx.livepoints.enabled;
     LivePointOptions lp_opts = ctx.livepoints;
     if (!lp_opts.enabled)
         lp_opts.dir.clear(); // sequential fallback: in-memory only
-
-    std::optional<LivePointLibrary> library;
-    if (src.replay())
-        library.emplace(src.trace, plan, config, lp_opts);
-    else
-        library.emplace(src.program(), plan, config, lp_opts);
+    LivePointLibrary library(src.trace, plan, config, lp_opts);
 
     TechniqueResult result;
     result.technique = name();
@@ -85,7 +77,7 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
     try {
         for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
             indices = plan.indicesFor(n);
-            warm_charged += library->ensure(indices, ctx.cancel);
+            warm_charged += library.ensure(indices, ctx.cancel);
 
             std::vector<uint64_t> missing;
             for (uint64_t j : indices) {
@@ -93,7 +85,7 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
                     missing.push_back(j);
             }
             for (auto &unit :
-                 library->measureUnits(missing, parallel, ctx.cancel)) {
+                 library.measureUnits(missing, parallel, ctx.cancel)) {
                 detailed_done += unit.warmupDone + unit.unitDone;
                 units.emplace(unit.index, std::move(unit));
             }

@@ -1,8 +1,6 @@
 #include "techniques/technique.hh"
 
-#include "support/check.hh"
 #include "techniques/service.hh"
-#include "techniques/trace_store.hh"
 
 namespace yasim {
 
@@ -10,20 +8,6 @@ std::string
 Technique::cacheKey() const
 {
     return name() + "|" + permutation();
-}
-
-uint64_t
-measureReferenceLength(const std::string &benchmark,
-                       const SuiteConfig &suite)
-{
-    // Through the StepSource seam (no trace store: one uncached live
-    // pass), so this layer never touches the interpreter directly.
-    StepSourceHandle handle = openStepSource(
-        benchmark, InputSet::Reference, suite, nullptr);
-    uint64_t length = handle.source->fastForward(~0ULL);
-    YASIM_CHECK(handle.source->halted(),
-                "reference run of '%s' did not halt", benchmark.c_str());
-    return length;
 }
 
 TechniqueContext

@@ -67,11 +67,10 @@ struct TechniqueContext
     /** Work-unit cost model. */
     CostModel cost;
     /**
-     * Shared execution-trace store (techniques/trace_store.hh), or
-     * nullptr to interpret live (--no-trace). Techniques open their
-     * instruction streams through openStepSource(ctx, input), which
-     * replays the store's recording when one is available; results are
-     * bit-identical either way.
+     * Shared execution-trace store (techniques/trace_store.hh), the
+     * only source of instruction streams: techniques open them through
+     * openStepSource(ctx, input), which replays the store's recording
+     * and refuses a context without one. make() fills it in.
      */
     TraceStore *traces = nullptr;
     /**
@@ -108,10 +107,9 @@ struct TechniqueContext
     }
 
     /**
-     * Build a context with the reference length resolved through
-     * @p service — with an ExperimentEngine this hits the in-memory /
-     * on-disk length cache instead of re-measuring. The preferred
-     * construction path.
+     * Build a context with the reference length and trace store of
+     * @p service — the length is the recorded reference trace's, so
+     * it is measured once per store. The preferred construction path.
      */
     static TechniqueContext make(const std::string &benchmark,
                                  const SuiteConfig &suite,
@@ -179,16 +177,6 @@ class Technique
 
 /** Shared pointer alias used by the permutation tables. */
 using TechniquePtr = std::shared_ptr<const Technique>;
-
-/**
- * Measure the dynamic length of a benchmark's reference input under
- * @p suite scaling. This is the raw primitive — one architectural
- * fast-forward pass, uncached. Callers that loop should go through a
- * SimulationService (an ExperimentEngine caches lengths in memory and
- * on disk).
- */
-uint64_t measureReferenceLength(const std::string &benchmark,
-                                const SuiteConfig &suite);
 
 } // namespace yasim
 

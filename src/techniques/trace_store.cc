@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <sstream>
 
-#include "sim/functional.hh"
 #include "support/artifact_io.hh"
 #include "support/check.hh"
 #include "support/hash.hh"
@@ -228,26 +227,22 @@ TraceStore::counters() const
 
 StepSourceHandle
 openStepSource(const std::string &benchmark, InputSet input,
-               const SuiteConfig &suite, TraceStore *traces)
+               const SuiteConfig &suite, TraceStore &traces)
 {
     StepSourceHandle handle;
-    if (traces) {
-        handle.trace = traces->get(benchmark, input, suite);
-        handle.source =
-            std::make_unique<TraceReplayer>(handle.trace);
-    } else {
-        handle.workload = std::make_unique<Workload>(
-            buildWorkload(benchmark, input, suite));
-        handle.source =
-            std::make_unique<FunctionalSim>(handle.workload->program);
-    }
+    handle.trace = traces.get(benchmark, input, suite);
+    handle.source = std::make_unique<TraceReplayer>(handle.trace);
     return handle;
 }
 
 StepSourceHandle
 openStepSource(const TechniqueContext &ctx, InputSet input)
 {
-    return openStepSource(ctx.benchmark, input, ctx.suite, ctx.traces);
+    YASIM_CHECK(ctx.traces != nullptr,
+                "technique context for '%s' has no trace store "
+                "(build it with TechniqueContext::make)",
+                ctx.benchmark.c_str());
+    return openStepSource(ctx.benchmark, input, ctx.suite, *ctx.traces);
 }
 
 } // namespace yasim

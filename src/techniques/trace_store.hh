@@ -12,9 +12,9 @@
  * repeated bench invocation performs zero functional interpretations.
  *
  * openStepSource() is the one call sites use: it yields a TraceReplayer
- * over the shared trace when a store is available, or a freshly-built
- * workload plus live FunctionalSim when not (--no-trace) — with
- * bit-identical downstream results either way.
+ * over the shared trace. The recording is the only source of
+ * architectural state for timing runs; the functional interpreter
+ * runs only inside ExecTrace::record.
  */
 
 #ifndef YASIM_TECHNIQUES_TRACE_STORE_HH
@@ -132,37 +132,29 @@ class TraceStore
 };
 
 /**
- * Either face of the StepSource seam, plus everything the source must
- * keep alive: the shared trace (replay) or the built workload (live).
+ * A replay cursor over a shared trace, plus the trace it keeps alive.
  */
 struct StepSourceHandle
 {
-    /** Non-null in replay mode. */
     std::shared_ptr<const ExecTrace> trace;
-    /** Non-null in live mode (owns the program the sim runs). */
-    std::unique_ptr<Workload> workload;
     std::unique_ptr<StepSource> source;
 
     /** The program behind the stream (for profilers and block maps). */
-    const Program &program() const
-    {
-        return trace ? trace->program() : workload->program;
-    }
-
-    /** True when steps come from a recording. */
-    bool replay() const { return trace != nullptr; }
+    const Program &program() const { return trace->program(); }
 };
 
 /**
  * Open the instruction stream for (@p benchmark, @p input, @p suite):
- * a TraceReplayer over @p traces when non-null, a live FunctionalSim
- * over a freshly-built workload otherwise.
+ * a TraceReplayer over @p traces' recording.
  */
 StepSourceHandle openStepSource(const std::string &benchmark,
                                 InputSet input, const SuiteConfig &suite,
-                                TraceStore *traces);
+                                TraceStore &traces);
 
-/** Convenience overload drawing benchmark/suite/store from @p ctx. */
+/**
+ * Convenience overload drawing benchmark/suite/store from @p ctx;
+ * a context without a trace store is a programming error.
+ */
 StepSourceHandle openStepSource(const TechniqueContext &ctx,
                                 InputSet input);
 

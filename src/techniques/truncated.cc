@@ -1,7 +1,6 @@
 #include "techniques/truncated.hh"
 
 #include "sim/bb_profiler.hh"
-#include "sim/livepoint.hh"
 #include "sim/ooo_core.hh"
 #include "support/logging.hh"
 #include "techniques/trace_store.hh"
@@ -54,18 +53,11 @@ TruncatedExecution::run(const TechniqueContext &ctx,
     const uint64_t warm_insts = warmM > 0 ? ctx.scaledM(warmM) : 0;
     const uint64_t run_insts = ctx.scaledM(runM);
 
-    // The fast-forward prefix is the PinPoints-style region-checkpoint
-    // case: one persisted architectural live-point replaces the whole
-    // architectural jump on every later run of any configuration. The
-    // returned count and the stream afterwards are bit-identical to a
-    // plain fastForward, and the modeled cost below charges the jump
-    // either way (disk state buys wall-clock, never work units).
-    uint64_t ff_done = 0;
-    if (ff_insts > 0) {
-        ff_done = fastForwardDetailedRegion(
-            *src.source, ff_insts, warm_insts + run_insts,
-            ctx.livepoints);
-    }
+    // The fast-forward prefix is an O(1) seek on the replayed trace.
+    // The modeled cost below still charges the architectural jump plus
+    // a checkpoint of the state it reaches — the cost the paper's
+    // technique pays, independent of how the simulator gets there.
+    const uint64_t ff_done = src.source->fastForward(ff_insts);
 
     // Warm-up: detailed simulation whose statistics are discarded.
     uint64_t warm_done = 0;

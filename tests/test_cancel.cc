@@ -21,6 +21,7 @@
 #include "sim/functional.hh"
 #include "sim/ooo_core.hh"
 #include "sim/sharded.hh"
+#include "sim/trace.hh"
 #include "support/backoff.hh"
 #include "support/cancel.hh"
 #include "support/failpoint.hh"
@@ -287,8 +288,7 @@ TEST(ThreadPoolCancel, MidMapCancelSkipsUnclaimedWork)
 TEST(ShardedCancel, RefusesToStitchAPartialRun)
 {
     failpoint::ScopedSchedule off("");
-    Program program = ilpLoop(40'000); // ~320k dynamic instructions
-    constexpr uint64_t kLength = 200'000;
+    auto trace = ExecTrace::record(ilpLoop(40'000)); // ~320k insts
     ShardOptions opts;
     opts.shards = 4;
     CancelSource source;
@@ -296,13 +296,12 @@ TEST(ShardedCancel, RefusesToStitchAPartialRun)
 
     bool threw = false;
     try {
-        runShardedReference(program, kLength, SimConfig{}, opts,
-                            source.token());
+        runShardedReference(trace, SimConfig{}, opts, source.token());
     } catch (const CancelledError &err) {
         threw = true;
         EXPECT_EQ(err.cause, CancelCause::Cancelled);
         // Honest partial accounting, never a full-length claim.
-        EXPECT_LT(err.detailedInsts, kLength);
+        EXPECT_LT(err.detailedInsts, trace->length());
     }
     EXPECT_TRUE(threw)
         << "a cancelled sharded run stitched whole-run statistics";
@@ -363,8 +362,7 @@ TEST(EngineCancel, AbortedCacheWritesLeaveNoArtifacts)
         // Every result publish aborts at the last moment, as if the
         // request were cancelled between completion and write.
         failpoint::ScopedSchedule sched("engine.cancel.write=always");
-        ExperimentEngine engine(
-            {.cacheDir = scratch.str(), .traces = false});
+        ExperimentEngine engine({.cacheDir = scratch.str()});
         result = engine.run(
             reference, engine.context("gzip", suite), config);
         EXPECT_GT(result.workUnits, 0.0);
@@ -381,7 +379,7 @@ TEST(EngineCancel, AbortedCacheWritesLeaveNoArtifacts)
     // A cold engine over the directory therefore recomputes, and the
     // recomputation is bit-identical.
     failpoint::ScopedSchedule off("");
-    ExperimentEngine cold({.cacheDir = scratch.str(), .traces = false});
+    ExperimentEngine cold({.cacheDir = scratch.str()});
     TechniqueResult recomputed =
         cold.run(reference, cold.context("gzip", suite), config);
     EXPECT_EQ(cold.counters().runsExecuted, 1u);
@@ -405,8 +403,7 @@ TEST(EngineCancel, TortureStormThenCleanVerify)
         failpoint::ScopedSchedule sched(
             "engine.cancel.token=1in4,engine.cancel.write=1in3,seed=" +
             std::to_string(round));
-        ExperimentEngine engine(
-            {.cacheDir = scratch.str(), .traces = false});
+        ExperimentEngine engine({.cacheDir = scratch.str()});
         TechniqueContext ctx = engine.context("gzip", suite);
         CancelSource source;
         ctx.cancel = source.token();
@@ -422,7 +419,7 @@ TEST(EngineCancel, TortureStormThenCleanVerify)
     EXPECT_GE(cancelled, 1);
 
     failpoint::ScopedSchedule off("");
-    ExperimentEngine after({.cacheDir = scratch.str(), .traces = false});
+    ExperimentEngine after({.cacheDir = scratch.str()});
     TechniqueResult survived =
         after.run(reference, after.context("gzip", suite), config);
 

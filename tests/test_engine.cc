@@ -133,9 +133,6 @@ expectDirEmptyOrValid(const std::string &dir)
         if (ext == ".result") {
             read = readArtifact(entry.path().string(), "yasim-result",
                                 kCacheFormatVersion);
-        } else if (ext == ".reflen") {
-            read = readArtifact(entry.path().string(), "yasim-reflen",
-                                kCacheFormatVersion);
         } else if (ext == ".trace") {
             read = readArtifact(entry.path().string(), "yasim-trace",
                                 kTraceFormatVersion);
@@ -263,19 +260,6 @@ TEST(ResultIo, RejectsWrongKeyAndTruncation)
     EXPECT_FALSE(readResult(truncated, key, loaded));
 }
 
-TEST(ResultIo, ReferenceLengthRoundTrip)
-{
-    std::stringstream buffer;
-    writeReferenceLength(buffer, "ref-key", 123'456'789ULL);
-    uint64_t length = 0;
-    ASSERT_TRUE(readReferenceLength(buffer, "ref-key", length));
-    EXPECT_EQ(length, 123'456'789ULL);
-
-    std::stringstream again(buffer.str());
-    again.seekg(0);
-    EXPECT_FALSE(readReferenceLength(again, "other-key", length));
-}
-
 TEST(ResultIo, RejectsTrailingGarbage)
 {
     // A well-formed payload followed by extra bytes is not something
@@ -293,12 +277,6 @@ TEST(ResultIo, RejectsTrailingGarbage)
     TechniqueResult loaded;
     std::stringstream tainted(buffer.str() + "zombie bytes\n");
     EXPECT_FALSE(readResult(tainted, key, loaded));
-
-    std::stringstream reflen;
-    writeReferenceLength(reflen, "ref-key", 42);
-    uint64_t length = 0;
-    std::stringstream tainted_len(reflen.str() + "extra");
-    EXPECT_FALSE(readReferenceLength(tainted_len, "ref-key", length));
 }
 
 // ------------------------------------------------------------- memoing
@@ -417,27 +395,6 @@ TEST(Engine, DiskCacheRoundTripsAcrossEngines)
     EXPECT_EQ(cold.traceStore()->counters().recordings, 0u);
     EXPECT_GE(cold.traceStore()->counters().diskLoads, 1u);
     expectBitIdentical(loaded, fresh);
-}
-
-TEST(Engine, RefLengthDiskCacheServesTracelessEngines)
-{
-    failpoint::ScopedSchedule off("");
-    ScratchDir scratch("yasim_engine_reflen_roundtrip");
-    SuiteConfig suite;
-    suite.referenceInstructions = kRefInsts;
-
-    uint64_t measured = 0;
-    {
-        ExperimentEngine warm(
-            {.cacheDir = scratch.str(), .traces = false});
-        measured = warm.referenceLength("gzip", suite);
-        EXPECT_EQ(warm.counters().refLengthMisses, 1u);
-    }
-
-    ExperimentEngine cold({.cacheDir = scratch.str(), .traces = false});
-    EXPECT_EQ(cold.traceStore(), nullptr);
-    EXPECT_EQ(cold.referenceLength("gzip", suite), measured);
-    EXPECT_GE(cold.counters().refLengthDiskHits, 1u);
 }
 
 TEST(Engine, CorruptDiskFilesReadAsMisses)
@@ -583,8 +540,7 @@ TEST(EngineRobustness, UnreadableEntriesAreCountedNotFatal)
     TechniqueResult fresh;
     {
         failpoint::ScopedSchedule off("");
-        ExperimentEngine warm(
-            {.cacheDir = scratch.str(), .traces = false});
+        ExperimentEngine warm({.cacheDir = scratch.str()});
         fresh = warm.run(smarts, warm.context("gzip", suite), config);
     }
 
@@ -592,7 +548,7 @@ TEST(EngineRobustness, UnreadableEntriesAreCountedNotFatal)
     // writes are dropped with a warning, the run still completes with
     // bit-identical results (the unreadable-entry satellite fix).
     failpoint::ScopedSchedule sched("io.open.transient=always");
-    ExperimentEngine cold({.cacheDir = scratch.str(), .traces = false});
+    ExperimentEngine cold({.cacheDir = scratch.str()});
     TechniqueResult recomputed =
         cold.run(smarts, cold.context("gzip", suite), config);
     expectBitIdentical(recomputed, fresh);
@@ -612,9 +568,8 @@ TEST(EngineRobustness, CacheBudgetEvictsOldestEntries)
 
     // A one-byte budget forces an eviction sweep after every publish;
     // only the newest artifact may survive each sweep.
-    ExperimentEngine engine({.cacheDir = scratch.str(),
-                             .traces = false,
-                             .cacheBudgetBytes = 1});
+    ExperimentEngine engine(
+        {.cacheDir = scratch.str(), .cacheBudgetBytes = 1});
     TechniqueContext ctx = engine.context("gzip", suite);
     engine.run(smarts, ctx, architecturalConfig(1));
     engine.run(smarts, ctx, architecturalConfig(2));
@@ -662,8 +617,8 @@ TEST(EngineRobustness, KilledWritersNeverPublishTornArtifacts)
     // The crash-safety torture test: fork a writer child and hard-kill
     // it (_exit from inside the write loop) at a failpoint-chosen
     // write offset, sweeping the offset across runs. Whatever the
-    // crash point — during the trace spill, the reflen, or the result
-    // write — the shared directory must stay empty-or-valid.
+    // crash point — during the trace spill or the result write — the
+    // shared directory must stay empty-or-valid.
     ScratchDir scratch("yasim_engine_torture");
     SuiteConfig suite;
     suite.referenceInstructions = kRefInsts;

@@ -5,9 +5,9 @@
  * format's round trip and structural rejection, corruption healing
  * (quarantine + rebuild, byte by byte), stale-version handling as a
  * miss rather than rot, cancellation storms leaving no partial
- * entries, the persisted fast-forward region point, and the headline
- * exactness contract: fanned-out SMARTS bit-identical to the serial
- * loop across the whole Table-2 suite.
+ * entries, and the headline exactness contract: fanned-out SMARTS
+ * bit-identical to the serial loop across the whole Table-2 suite and
+ * to the result pinned from live interpretation.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "isa/program_builder.hh"
 #include "sim/functional.hh"
 #include "sim/livepoint.hh"
+#include "sim/trace.hh"
 #include "support/artifact_io.hh"
 #include "support/cancel.hh"
 #include "support/failpoint.hh"
@@ -31,6 +32,8 @@
 #include "uarch/branch_predictor.hh"
 #include "uarch/memory_hierarchy.hh"
 #include "workloads/suite.hh"
+
+#include "result_digest.hh"
 
 namespace yasim {
 namespace {
@@ -179,36 +182,22 @@ TEST(SamplingPlan, DenserSelectionsAreSupersets)
 TEST(LivePoint, EncodeDecodeRoundTripsEverything)
 {
     Program p = loopProgram();
-    FunctionalSim sim(p);
-    sim.fastForward(2000);
-    LivePoint point = LivePoint::captureArch(sim);
-    point.noteWord(heapBase, -7);
-    point.noteWord(heapBase + 64, 123456789);
-    point.noteWord(heapBase + 8192, 1);
-
     SimConfig cfg = architecturalConfig(1);
     MemoryHierarchy mem(cfg.mem);
     CombinedPredictor bp(cfg.bp);
     FunctionalSim warmer(p);
     warmer.fastForwardWarm(2000, &mem, &bp);
+    LivePoint point = LivePoint::atPosition(2000);
     point.attachUarch(mem, bp, "unit-key");
 
     std::string payload = point.encode();
     LivePoint decoded;
     ASSERT_TRUE(LivePoint::decode(payload, decoded));
     EXPECT_EQ(decoded.position(), 2000u);
-    EXPECT_EQ(decoded.wordCount(), 3u);
-    EXPECT_TRUE(decoded.hasArchState());
     EXPECT_TRUE(decoded.hasUarch());
     EXPECT_EQ(decoded.uarchKey(), "unit-key");
-
-    // Restoring the decoded point resumes bit-identically to the
-    // original simulator.
-    FunctionalSim resumed(p);
-    decoded.restoreArch(resumed);
-    EXPECT_EQ(resumed.instsExecuted(), 2000u);
-    for (int r = 0; r < numIntRegs; ++r)
-        EXPECT_EQ(resumed.intReg(r), sim.intReg(r)) << "r" << r;
+    // Re-encoding the decoded point reproduces the payload exactly.
+    EXPECT_EQ(decoded.encode(), payload);
 
     // The warm blob restores under its key and only its key.
     MemoryHierarchy mem2(cfg.mem);
@@ -242,7 +231,6 @@ TEST(Checkpoint, UarchRestoreRefusesWrongKeyOrGeometry)
 
     LivePoint cp = LivePoint::atPosition(3000);
     cp.attachUarch(mem, bp, "warm-key");
-    EXPECT_FALSE(cp.hasArchState());
 
     MemoryHierarchy same(mcfg);
     CombinedPredictor samebp(bcfg);
@@ -265,10 +253,13 @@ TEST(Checkpoint, UarchRestoreRefusesWrongKeyOrGeometry)
 TEST(LivePoint, DecodeRejectsEveryTruncation)
 {
     Program p = loopProgram();
-    FunctionalSim sim(p);
-    sim.fastForward(1500);
-    LivePoint point = LivePoint::captureArch(sim);
-    point.noteWord(heapBase, 42);
+    SimConfig cfg = architecturalConfig(1);
+    MemoryHierarchy mem(cfg.mem);
+    CombinedPredictor bp(cfg.bp);
+    FunctionalSim warmer(p);
+    warmer.fastForwardWarm(1500, &mem, &bp);
+    LivePoint point = LivePoint::atPosition(1500);
+    point.attachUarch(mem, bp, "unit-key");
     std::string payload = point.encode();
 
     LivePoint out;
@@ -291,9 +282,8 @@ TEST(LivePointLibrary, CorruptionByteSweepHealsByRewarming)
 {
     failpoint::ScopedSchedule off("");
     ScratchDir scratch("yasim_lvpt_sweep");
-    Program p = loopProgram();
-    FunctionalSim probe(p);
-    uint64_t length = probe.fastForward(~0ULL);
+    auto trace = ExecTrace::record(loopProgram());
+    const uint64_t length = trace->length();
     SimConfig cfg = architecturalConfig(1);
     SamplingPlan plan = SamplingPlan::make(400, 150, length);
     LivePointOptions opts{true, scratch.str()};
@@ -301,7 +291,7 @@ TEST(LivePointLibrary, CorruptionByteSweepHealsByRewarming)
 
     // Build and persist the clean library; keep its bytes and its
     // measured truth.
-    LivePointLibrary clean(p, plan, cfg, opts);
+    LivePointLibrary clean(trace, plan, cfg, opts);
     clean.ensure(indices);
     auto baseline = clean.measureUnits(indices, false);
     const std::string victim = clean.pointPath(indices[1]);
@@ -326,7 +316,7 @@ TEST(LivePointLibrary, CorruptionByteSweepHealsByRewarming)
                               std::ios::binary | std::ios::trunc);
             out << bad;
         }
-        LivePointLibrary healed(p, plan, cfg, opts);
+        LivePointLibrary healed(trace, plan, cfg, opts);
         healed.ensure(indices);
         for (uint64_t idx : indices)
             ASSERT_NE(healed.at(idx), nullptr) << "byte " << pos;
@@ -348,15 +338,14 @@ TEST(LivePointLibrary, StaleFormatVersionIsMissNotCorruption)
 {
     failpoint::ScopedSchedule off("");
     ScratchDir scratch("yasim_lvpt_version");
-    Program p = loopProgram();
-    FunctionalSim probe(p);
-    uint64_t length = probe.fastForward(~0ULL);
+    auto trace = ExecTrace::record(loopProgram());
+    const uint64_t length = trace->length();
     SimConfig cfg = architecturalConfig(1);
     SamplingPlan plan = SamplingPlan::make(400, 150, length);
     LivePointOptions opts{true, scratch.str()};
     std::vector<uint64_t> indices = plan.indicesFor(2);
 
-    LivePointLibrary clean(p, plan, cfg, opts);
+    LivePointLibrary clean(trace, plan, cfg, opts);
     clean.ensure(indices);
     auto baseline = clean.measureUnits(indices, false);
     const std::string path = clean.pointPath(indices[0]);
@@ -368,7 +357,7 @@ TEST(LivePointLibrary, StaleFormatVersionIsMissNotCorruption)
                               kLivePointFormatVersion + 1, payload)
                     .ok);
 
-    LivePointLibrary healed(p, plan, cfg, opts);
+    LivePointLibrary healed(trace, plan, cfg, opts);
     healed.ensure(indices);
     EXPECT_EQ(healed.counters().versionMisses, 1u);
     EXPECT_EQ(healed.counters().quarantined, 0u);
@@ -382,9 +371,8 @@ TEST(LivePointLibrary, StaleFormatVersionIsMissNotCorruption)
 TEST(LivePointLibrary, CancelStormLeavesNoPartialEntries)
 {
     ScratchDir scratch("yasim_lvpt_storm");
-    Program p = loopProgram(20'000);
-    FunctionalSim probe(p);
-    uint64_t length = probe.fastForward(~0ULL);
+    auto trace = ExecTrace::record(loopProgram(20'000));
+    const uint64_t length = trace->length();
     SimConfig cfg = architecturalConfig(1);
     SamplingPlan plan = SamplingPlan::make(400, 150, length);
     LivePointOptions opts{true, scratch.str()};
@@ -394,7 +382,7 @@ TEST(LivePointLibrary, CancelStormLeavesNoPartialEntries)
     for (int round = 0; round < 8; ++round) {
         failpoint::ScopedSchedule storm(
             "engine.cancel.token=1in5,seed=" + std::to_string(round));
-        LivePointLibrary library(p, plan, cfg, opts);
+        LivePointLibrary library(trace, plan, cfg, opts);
         CancelSource source;
         try {
             library.ensure(indices, source.token());
@@ -420,58 +408,14 @@ TEST(LivePointLibrary, CancelStormLeavesNoPartialEntries)
     // Disarmed, the survivors plus rebuilds serve results
     // bit-identical to a cold library in a fresh directory.
     failpoint::ScopedSchedule off("");
-    LivePointLibrary after(p, plan, cfg, opts);
+    LivePointLibrary after(trace, plan, cfg, opts);
     after.ensure(indices);
     ScratchDir fresh("yasim_lvpt_storm_fresh");
-    LivePointLibrary cold(p, plan, cfg,
+    LivePointLibrary cold(trace, plan, cfg,
                           LivePointOptions{true, fresh.str()});
     cold.ensure(indices);
     expectUnitsIdentical(after.measureUnits(indices, false),
                          cold.measureUnits(indices, false));
-}
-
-// ------------------------------------------- fast-forward region point
-
-TEST(FastForwardDetailedRegion, PersistedPointMatchesPlainFastForward)
-{
-    failpoint::ScopedSchedule off("");
-    ScratchDir scratch("yasim_lvpt_ff");
-    Program p = loopProgram();
-    LivePointOptions opts{true, scratch.str()};
-    constexpr uint64_t kJump = 5000;
-
-    FunctionalSim plain(p);
-    uint64_t plain_done = plain.fastForward(kJump);
-
-    LivePointCounters ctr;
-    FunctionalSim first(p);
-    EXPECT_EQ(fastForwardDetailedRegion(first, kJump, 1000, opts, &ctr),
-              plain_done);
-    EXPECT_EQ(ctr.diskWrites, 1u);
-
-    // Second sim: the jump is served from the persisted point, and
-    // the restored state is indistinguishable from stepping there.
-    FunctionalSim second(p);
-    EXPECT_EQ(
-        fastForwardDetailedRegion(second, kJump, 1000, opts, &ctr),
-        plain_done);
-    EXPECT_EQ(ctr.diskLoads, 1u);
-    EXPECT_EQ(second.instsExecuted(), plain.instsExecuted());
-    for (int r = 0; r < numIntRegs; ++r)
-        EXPECT_EQ(second.intReg(r), plain.intReg(r)) << "r" << r;
-
-    // Running both to completion stays bit-identical.
-    plain.fastForward(~0ULL);
-    second.fastForward(~0ULL);
-    EXPECT_EQ(second.instsExecuted(), plain.instsExecuted());
-    for (int r = 0; r < numIntRegs; ++r)
-        EXPECT_EQ(second.intReg(r), plain.intReg(r)) << "r" << r;
-
-    // Disabled options fall straight through to plain fast-forward.
-    FunctionalSim bare(p);
-    EXPECT_EQ(fastForwardDetailedRegion(
-                  bare, kJump, 1000, LivePointOptions{false, ""}),
-              plain_done);
 }
 
 // ------------------------------------------------ exactness contract
@@ -506,21 +450,17 @@ TEST(Smarts, ReplayModeParallelMatchesLiveSerial)
     SimConfig cfg = architecturalConfig(1);
     Smarts smarts(800, 300);
 
-    // Replay-mode parallel: warm-only points over a recorded trace.
+    // Parallel fan-out over live-points on the engine's recorded trace.
     ExperimentEngine engine;
     TechniqueContext replay_ctx = engine.context("gzip", suite);
     ASSERT_NE(replay_ctx.traces, nullptr);
     replay_ctx.livepoints.enabled = true;
     TechniqueResult replay_par = smarts.run(replay_ctx, cfg);
 
-    // Live-mode serial: the ground truth.
-    DirectService service;
-    TechniqueContext live_ctx =
-        TechniqueContext::make("gzip", suite, service);
-    live_ctx.livepoints.enabled = false;
-    TechniqueResult live_seq = smarts.run(live_ctx, cfg);
-
-    expectBitIdentical(replay_par, live_seq);
+    // The ground truth: the serial loop over live functional
+    // interpretation, digested once before that path was retired.
+    EXPECT_EQ(resultDigest(replay_par),
+              "a927f314a1a813a589d970d455c1dc9f");
 }
 
 TEST(Smarts, PersistedLibraryServesRerunsWithoutRebuilding)

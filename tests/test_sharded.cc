@@ -2,8 +2,8 @@
  * @file
  * Tests for sharded parallel detailed simulation: the shard planner,
  * the drain-boundary exactness contract against the sequential
- * reference, replay/live bit-identity, and warmed-uarch summary
- * persistence and corruption healing.
+ * reference, and warmed-uarch summary persistence and corruption
+ * healing.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "sim/functional.hh"
 #include "sim/ooo_core.hh"
 #include "sim/sharded.hh"
 #include "sim/trace.hh"
@@ -222,60 +221,6 @@ TEST(Sharded, SingleShardMatchesSequentialBitForBit)
     }
 }
 
-TEST(Sharded, ReplayAndLiveShardingBitIdentical)
-{
-    Workload w = workloadOf(400'000);
-    auto trace = ExecTrace::record(w.program);
-    SimConfig config;
-
-    ShardOptions opts;
-    opts.shards = 4;
-    opts.warmupInsts = 65'536;
-    ShardedRunResult replay = runShardedReference(trace, config, opts);
-    ShardedRunResult live =
-        runShardedReference(w.program, trace->length(), config, opts);
-
-    ASSERT_EQ(replay.perShard.size(), live.perShard.size());
-    for (size_t k = 0; k < replay.perShard.size(); ++k) {
-        EXPECT_EQ(replay.perShard[k].instructions,
-                  live.perShard[k].instructions) << k;
-        EXPECT_EQ(replay.perShard[k].cycles, live.perShard[k].cycles)
-            << k;
-        EXPECT_EQ(replay.perShard[k].l1dMisses,
-                  live.perShard[k].l1dMisses) << k;
-        EXPECT_EQ(replay.perShard[k].condMispredicts,
-                  live.perShard[k].condMispredicts) << k;
-    }
-    EXPECT_EQ(replay.stats.cycles, live.stats.cycles);
-    EXPECT_EQ(replay.stats.memStallCycles, live.stats.memStallCycles);
-    // Modeled cost is mode-independent too: neither mode charges an
-    // entry pass beyond the plan.
-    EXPECT_EQ(replay.detailedInsts, live.detailedInsts);
-    EXPECT_EQ(replay.warmedInsts, live.warmedInsts);
-}
-
-TEST(Sharded, LiveProfileMatchesSequentialExactly)
-{
-    Workload w = workloadOf(400'000);
-    auto trace = ExecTrace::record(w.program);
-    SimConfig config;
-
-    ShardOptions opts;
-    opts.shards = 4;
-    ShardedRunResult live =
-        runShardedReference(w.program, trace->length(), config, opts);
-
-    // The trace records the full-run weight-1.0 profile — exactly what
-    // a sequential detailed pass accumulates. Stitched shard profiles
-    // must reproduce it bit for bit (integral doubles, exact sums).
-    ASSERT_EQ(live.bbef.size(), trace->bbef().size());
-    ASSERT_EQ(live.bbv.size(), trace->bbv().size());
-    for (size_t i = 0; i < live.bbef.size(); ++i) {
-        EXPECT_EQ(live.bbef[i], trace->bbef()[i]) << i;
-        EXPECT_EQ(live.bbv[i], trace->bbv()[i]) << i;
-    }
-}
-
 TEST(Sharded, WarmSummariesPersistAndNeverChangeResults)
 {
     failpoint::ScopedSchedule off("");
@@ -295,23 +240,16 @@ TEST(Sharded, WarmSummariesPersistAndNeverChangeResults)
     EXPECT_EQ(first.warmRestores, 0u);
     EXPECT_EQ(first.warmSaves, first.perShard.size() - 1);
 
-    // Second run warms from the persisted summaries...
+    // Second run warms from the persisted summaries.
     ShardedRunResult second = runShardedReference(trace, config, opts);
     EXPECT_EQ(second.warmRestores, second.perShard.size() - 1);
     EXPECT_EQ(second.warmSaves, 0u);
 
-    // ...and a live run shares them across modes.
-    ShardedRunResult live =
-        runShardedReference(w.program, trace->length(), config, opts);
-    EXPECT_EQ(live.warmRestores, live.perShard.size() - 1);
-
     // Summaries change wall-clock, never results or modeled cost.
-    for (const ShardedRunResult *r : {&second, &live}) {
-        EXPECT_EQ(r->stats.cycles, first.stats.cycles);
-        EXPECT_EQ(r->stats.l1dMisses, first.stats.l1dMisses);
-        EXPECT_EQ(r->stats.condMispredicts, first.stats.condMispredicts);
-        EXPECT_EQ(r->warmedInsts, first.warmedInsts);
-    }
+    EXPECT_EQ(second.stats.cycles, first.stats.cycles);
+    EXPECT_EQ(second.stats.l1dMisses, first.stats.l1dMisses);
+    EXPECT_EQ(second.stats.condMispredicts, first.stats.condMispredicts);
+    EXPECT_EQ(second.warmedInsts, first.warmedInsts);
 
     // A latency-only variant reuses the same warm files: the warm key
     // covers only table-shaping configuration.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/similarity.hh"
+#include "techniques/trace_store.hh"
 
 namespace yasim {
 namespace {
@@ -17,8 +18,10 @@ tinySuite()
 
 TEST(Similarity, CharacteristicsAreSane)
 {
+    TraceStore traces;
     WorkloadCharacteristics wc =
-        characterizeWorkload("art", InputSet::Reference, tinySuite());
+        characterizeWorkload("art", InputSet::Reference, tinySuite(),
+                             traces);
     EXPECT_EQ(wc.benchmark, "art");
     EXPECT_GT(wc.fpFraction, 0.2);       // FP benchmark
     EXPECT_GT(wc.branchAccuracy, 0.98);  // streaming loops
@@ -31,17 +34,20 @@ TEST(Similarity, CharacteristicsAreSane)
 
 TEST(Similarity, IntBenchmarksHaveNoFp)
 {
+    TraceStore traces;
     WorkloadCharacteristics wc =
-        characterizeWorkload("gzip", InputSet::Reference, tinySuite());
+        characterizeWorkload("gzip", InputSet::Reference, tinySuite(),
+                             traces);
     EXPECT_DOUBLE_EQ(wc.fpFraction, 0.0);
 }
 
 TEST(Similarity, PerlbmkIsBranchHeavy)
 {
+    TraceStore traces;
     WorkloadCharacteristics perl = characterizeWorkload(
-        "perlbmk", InputSet::Reference, tinySuite());
-    WorkloadCharacteristics eq =
-        characterizeWorkload("equake", InputSet::Reference, tinySuite());
+        "perlbmk", InputSet::Reference, tinySuite(), traces);
+    WorkloadCharacteristics eq = characterizeWorkload(
+        "equake", InputSet::Reference, tinySuite(), traces);
     EXPECT_GT(perl.branchFraction, eq.branchFraction * 2.0);
     EXPECT_LT(perl.branchAccuracy, eq.branchAccuracy);
 }
@@ -62,13 +68,15 @@ TEST(Similarity, ZScoreProperties)
 
 TEST(Similarity, McfSmallIsADifferentProgram)
 {
+    TraceStore traces;
     // The paper's reduced-input finding as a clustering result.
     std::vector<std::pair<std::string, InputSet>> pairs = {
         {"mcf", InputSet::Reference}, {"mcf", InputSet::Small},
         {"gzip", InputSet::Reference}, {"gzip", InputSet::Small},
         {"art", InputSet::Reference},
     };
-    SimilarityAnalysis analysis = analyzeSimilarity(pairs, tinySuite());
+    SimilarityAnalysis analysis =
+        analyzeSimilarity(pairs, tinySuite(), traces);
     ASSERT_EQ(analysis.items.size(), 5u);
     // mcf/small must sit far from mcf/reference — farther than
     // gzip/small sits from gzip/reference.
@@ -88,8 +96,10 @@ TEST(Similarity, Deterministic)
 {
     std::vector<std::pair<std::string, InputSet>> pairs = {
         {"gzip", InputSet::Reference}, {"vortex", InputSet::Reference}};
-    SimilarityAnalysis a = analyzeSimilarity(pairs, tinySuite());
-    SimilarityAnalysis b = analyzeSimilarity(pairs, tinySuite());
+    // Separate stores: each analysis records its own traces.
+    TraceStore traces_a, traces_b;
+    SimilarityAnalysis a = analyzeSimilarity(pairs, tinySuite(), traces_a);
+    SimilarityAnalysis b = analyzeSimilarity(pairs, tinySuite(), traces_b);
     EXPECT_EQ(a.cluster, b.cluster);
     EXPECT_EQ(a.distance, b.distance);
 }

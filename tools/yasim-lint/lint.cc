@@ -40,9 +40,6 @@ constexpr AllowEntry kBuiltinAllow[] = {
     // purpose) and builds the in-process daemon's engine directly.
     {"bench/bench_service.cc", kRuleD1},
     {"bench/bench_service.cc", kRuleL2},
-    // The live-interpretation fallback behind openStepSource() — the
-    // one sanctioned FunctionalSim construction site outside src/sim.
-    {"src/techniques/trace_store.cc", kRuleL1},
     // The one sanctioned temp+rename implementation: every other
     // library persistence path must go through it.
     {"src/support/artifact_io.cc", kRuleS2},

@@ -52,9 +52,9 @@ struct Options
     std::vector<std::string> rules;
     /**
      * Honour the built-in allowlist (the designated seam files:
-     * bench/microbench.cc for D1/L2, src/techniques/trace_store.cc
-     * for L1, src/support/artifact_io.cc for S2). Tests disable it to
-     * exercise the raw rules.
+     * bench/microbench.cc and bench/bench_service.cc for D1/L2,
+     * src/support/artifact_io.cc for S2). Tests disable it to exercise
+     * the raw rules.
      */
     bool builtinAllowlist = true;
     /** Extra "path-suffix:RULE" allowlist entries. */
