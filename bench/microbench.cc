@@ -16,8 +16,9 @@
  * per-step replay, or the spill exceeds 6 bytes per instruction.
  *
  * `microbench --json-ooo [path]` runs the detailed-core gate: OoO
- * replay throughput plus the sharded reference at 8 shards,
- * written to BENCH_ooo.json. The binary exits nonzero only on
+ * replay throughput, functional warming's cost relative to detailed
+ * simulation, and the sharded reference at 8 shards, written to
+ * BENCH_ooo.json. The binary exits nonzero only on
  * machine-independent correctness failures (stitched counters or CPI
  * drifting past the contract, replay diverging from live); the CI perf
  * job asserts the machine-dependent speedup from the JSON.
@@ -114,11 +115,12 @@ BM_DetailedSim(benchmark::State &state)
 BENCHMARK(BM_DetailedSim);
 
 void
-BM_OoODetailed(benchmark::State &state)
+BM_OoODetailed(benchmark::State &state, const char *bench)
 {
     // Detailed-core throughput over the decoded-replay fast path — the
-    // loop the sharded reference scales across workers.
-    Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
+    // loop the sharded reference scales across workers. mcf is the
+    // memory-bound case: long miss chains stress the slot pools.
+    Workload w = buildWorkload(bench, InputSet::Reference, benchSuite());
     SimConfig cfg = architecturalConfig(2);
     auto trace = ExecTrace::record(w.program);
     uint64_t insts = 0;
@@ -129,7 +131,29 @@ BM_OoODetailed(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<int64_t>(insts));
 }
-BENCHMARK(BM_OoODetailed);
+BENCHMARK_CAPTURE(BM_OoODetailed, gzip, "gzip");
+BENCHMARK_CAPTURE(BM_OoODetailed, mcf, "mcf");
+
+void
+BM_ReplayWarming(benchmark::State &state, const char *bench)
+{
+    // Functional warming over trace replay: the path SMARTS, live-point
+    // builds and shard lead-ins take (BM_FunctionalWarming times the
+    // interpreter's warming loop instead).
+    Workload w = buildWorkload(bench, InputSet::Reference, benchSuite());
+    SimConfig cfg = architecturalConfig(2);
+    auto trace = ExecTrace::record(w.program);
+    uint64_t insts = 0;
+    for (auto _ : state) {
+        TraceReplayer replayer(trace);
+        MemoryHierarchy mem(cfg.mem);
+        CombinedPredictor bp(cfg.bp);
+        insts += replayer.fastForwardWarm(~0ULL, &mem, &bp);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(insts));
+}
+BENCHMARK_CAPTURE(BM_ReplayWarming, gzip, "gzip");
+BENCHMARK_CAPTURE(BM_ReplayWarming, mcf, "mcf");
 
 void
 BM_ShardedReference(benchmark::State &state)
@@ -554,17 +578,57 @@ runJsonGate(const char *path)
 }
 
 /**
+ * Best-of-3 wall seconds to detail-simulate all of @p trace on @p cfg;
+ * @p stats (when non-null) receives the run's statistics.
+ */
+double
+bestDetailedSeconds(const std::shared_ptr<const ExecTrace> &trace,
+                    const SimConfig &cfg, SimStats *stats)
+{
+    double best = 1e30;
+    for (int pass = 0; pass < 3; ++pass) {
+        TraceReplayer replayer(trace);
+        OooCore core(cfg);
+        auto start = std::chrono::steady_clock::now();
+        core.run(replayer, ~0ULL);
+        best = std::min(best, secondsSince(start));
+        if (stats)
+            *stats = core.snapshot();
+    }
+    return best;
+}
+
+/** Best-of-3 wall seconds to functionally warm all of @p trace. */
+double
+bestWarmSeconds(const std::shared_ptr<const ExecTrace> &trace,
+                const SimConfig &cfg)
+{
+    double best = 1e30;
+    for (int pass = 0; pass < 3; ++pass) {
+        TraceReplayer replayer(trace);
+        MemoryHierarchy mem(cfg.mem);
+        CombinedPredictor bp(cfg.bp);
+        auto start = std::chrono::steady_clock::now();
+        replayer.fastForwardWarm(~0ULL, &mem, &bp);
+        best = std::min(best, secondsSince(start));
+    }
+    return best;
+}
+
+/**
  * The detailed-core / sharded-reference gate behind
  * `microbench --json-ooo [path]`.
  *
- * Measures sequential detailed replay throughput (best of 3), then the
- * sharded reference at 8 shards with full-prefix functional warming
- * per shard, and cross-checks the whole exactness
+ * Measures sequential detailed replay throughput (best of 3), the cost
+ * of functional warming relative to detailed simulation of the same
+ * trace (gzip and mcf), then the sharded reference at 8 shards with
+ * full-prefix functional warming per shard, and cross-checks the whole
+ * exactness
  * contract: `--shards 1` bit-identical to sequential, sequential
  * replay bit-identical to live stepping, architectural counters exact
- * under sharding, and stitched CPI within 0.5%. Speedup is reported in
- * the JSON but asserted only by CI (it is a property of the machine,
- * not of the code).
+ * under sharding, and stitched CPI within 0.5%. Speedup and the
+ * warming ratios are reported in the JSON but asserted only by CI
+ * (they are properties of the machine, not of the code).
  */
 int
 runOooGate(const char *path)
@@ -576,17 +640,21 @@ runOooGate(const char *path)
     SimConfig cfg = architecturalConfig(2);
 
     // Sequential detailed reference over replay, best of 3.
-    double seq_seconds = 1e30;
     SimStats seq;
-    for (int pass = 0; pass < 3; ++pass) {
-        TraceReplayer replayer(trace);
-        OooCore core(cfg);
-        auto start = std::chrono::steady_clock::now();
-        core.run(replayer, ~0ULL);
-        seq_seconds = std::min(seq_seconds, secondsSince(start));
-        seq = core.snapshot();
-    }
+    const double seq_seconds = bestDetailedSeconds(trace, cfg, &seq);
     double ooo_ips = static_cast<double>(trace->length()) / seq_seconds;
+
+    // Functional warming against detailed simulation of the same trace:
+    // sampling only pays if warming is much cheaper. mcf is the
+    // memory-bound case.
+    const double warm_over_detailed_gzip =
+        bestWarmSeconds(trace, cfg) / seq_seconds;
+    Workload mcf = buildWorkload("mcf", InputSet::Reference, suite);
+    auto mcf_trace = ExecTrace::record(mcf.program);
+    const double warm_over_detailed_mcf =
+        bestWarmSeconds(mcf_trace, cfg) /
+        bestDetailedSeconds(mcf_trace, cfg, nullptr);
+    mcf_trace.reset();
 
     // Live stepping must agree with replay cycle for cycle.
     FunctionalSim live_sim(w.program);
@@ -640,6 +708,8 @@ runOooGate(const char *path)
     // Historical field names under the versioned yasim-report schema.
     JsonReport report("perf-gate-ooo");
     report.setNumber("ooo_detailed_insts_per_sec", ooo_ips);
+    report.setNumber("warm_over_detailed_gzip", warm_over_detailed_gzip);
+    report.setNumber("warm_over_detailed_mcf", warm_over_detailed_mcf);
     report.setCount("sharded_shards", opts.shards);
     report.setCount("sharded_warmup_insts", opts.warmupInsts);
     report.setCount("workers", parallelWorkers());
@@ -653,6 +723,8 @@ runOooGate(const char *path)
     writeReportFile(report, path);
 
     std::printf("OoO detailed replay: %.2fM inst/s\n", ooo_ips / 1e6);
+    std::printf("functional warming / detailed: gzip %.3f, mcf %.3f\n",
+                warm_over_detailed_gzip, warm_over_detailed_mcf);
     std::printf("sharded reference (%u shards, %u workers): %.3fs vs "
                 "%.3fs sequential (%.2fx), CPI drift %.4f%%\n",
                 opts.shards, parallelWorkers(), sharded_seconds,

@@ -82,6 +82,9 @@ struct Instruction
      *  (absolute instruction index for branches and jumps). */
     int64_t imm = 0;
 
+    // The predicates are defined inline below: the timing model and
+    // the warming loops call several of them per instruction.
+
     /** True for conditional branches and unconditional jumps. */
     bool isControl() const;
     /** True for Beq/Bne/Blt/Bge only. */
@@ -102,6 +105,139 @@ struct Instruction
 
 /** Printable opcode mnemonic. */
 const char *opcodeName(Opcode op);
+
+/** Panic on an opcode outside the enum (kept out of line). */
+[[noreturn]] void unreachableOpcode(Opcode op);
+
+inline bool
+Instruction::isControl() const
+{
+    switch (op) {
+      case Opcode::Beq:
+      case Opcode::Bne:
+      case Opcode::Blt:
+      case Opcode::Bge:
+      case Opcode::Jmp:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+Instruction::isCondBranch() const
+{
+    switch (op) {
+      case Opcode::Beq:
+      case Opcode::Bne:
+      case Opcode::Blt:
+      case Opcode::Bge:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+Instruction::isLoad() const
+{
+    return op == Opcode::Ld || op == Opcode::FLd;
+}
+
+inline bool
+Instruction::isStore() const
+{
+    return op == Opcode::St || op == Opcode::FSt;
+}
+
+inline bool
+Instruction::isFp() const
+{
+    switch (op) {
+      case Opcode::FAdd:
+      case Opcode::FSub:
+      case Opcode::FMul:
+      case Opcode::FDiv:
+      case Opcode::FCvt:
+      case Opcode::FMov:
+      case Opcode::FLd:
+      case Opcode::FSt:
+        return true;
+      default:
+        return false;
+    }
+}
+
+inline bool
+Instruction::writesFpReg() const
+{
+    switch (op) {
+      case Opcode::FAdd:
+      case Opcode::FSub:
+      case Opcode::FMul:
+      case Opcode::FDiv:
+      case Opcode::FCvt:
+      case Opcode::FMov:
+      case Opcode::FLd:
+        return rd != noReg;
+      default:
+        return false;
+    }
+}
+
+inline FuClass
+Instruction::fuClass() const
+{
+    switch (op) {
+      case Opcode::Add:
+      case Opcode::Sub:
+      case Opcode::And:
+      case Opcode::Or:
+      case Opcode::Xor:
+      case Opcode::Shl:
+      case Opcode::Shr:
+      case Opcode::Slt:
+      case Opcode::AddI:
+      case Opcode::AndI:
+      case Opcode::OrI:
+      case Opcode::XorI:
+      case Opcode::ShlI:
+      case Opcode::ShrI:
+      case Opcode::SltI:
+      case Opcode::MovI:
+        return FuClass::IntAlu;
+      case Opcode::Mul:
+        return FuClass::IntMult;
+      case Opcode::Div:
+      case Opcode::Rem:
+        return FuClass::IntDiv;
+      case Opcode::FAdd:
+      case Opcode::FSub:
+      case Opcode::FCvt:
+      case Opcode::FMov:
+        return FuClass::FpAlu;
+      case Opcode::FMul:
+        return FuClass::FpMult;
+      case Opcode::FDiv:
+        return FuClass::FpDiv;
+      case Opcode::Ld:
+      case Opcode::FLd:
+        return FuClass::MemRead;
+      case Opcode::St:
+      case Opcode::FSt:
+        return FuClass::MemWrite;
+      case Opcode::Beq:
+      case Opcode::Bne:
+      case Opcode::Blt:
+      case Opcode::Bge:
+      case Opcode::Jmp:
+        return FuClass::Branch;
+      case Opcode::Nop:
+      case Opcode::Halt:
+        return FuClass::None;
+    }
+    unreachableOpcode(op);
+}
 
 } // namespace yasim
 

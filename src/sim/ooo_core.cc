@@ -1,81 +1,11 @@
 #include "sim/ooo_core.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/trace.hh"
 #include "support/check.hh"
 
 namespace yasim {
-
-// --- ZeroedArray / SlotPool -------------------------------------------------
-
-template <typename T>
-void
-OooCore::ZeroedArray<T>::alloc(size_t n)
-{
-    std::free(p);
-    p = static_cast<T *>(std::calloc(n, sizeof(T)));
-    YASIM_CHECK(p != nullptr,
-                "out of memory allocating %zu pipeline slots", n);
-}
-
-template <typename T>
-void
-OooCore::ZeroedArray<T>::clear(size_t n)
-{
-    std::memset(p, 0, n * sizeof(T));
-}
-
-void
-OooCore::SlotPool::init(uint32_t w)
-{
-    width = std::max<uint32_t>(w, 1);
-    gen = 1;
-    if (!used) {
-        used.alloc(window);
-        stampGen.alloc(window);
-        stampCycle.alloc(window);
-    } else {
-        stampGen.clear(window);
-    }
-}
-
-uint64_t
-OooCore::SlotPool::findFree(uint64_t earliest) const
-{
-    uint64_t c = earliest;
-    for (;;) {
-        uint64_t idx = c & mask;
-        if (!valid(idx, c)) {
-            claim(idx, c);
-            return c;
-        }
-        if (used[idx] < width)
-            return c;
-        ++c;
-    }
-}
-
-void
-OooCore::SlotPool::consume(uint64_t cycle)
-{
-    uint64_t idx = cycle & mask;
-    if (!valid(idx, cycle))
-        claim(idx, cycle);
-    ++used[idx];
-}
-
-void
-OooCore::SlotPool::reset()
-{
-    if (++gen == 0) {
-        // One wrap every 2^32 resets: invalidate the hard way so a
-        // stale generation-1 stamp can never be mistaken for live.
-        stampGen.clear(window);
-        gen = 1;
-    }
-}
 
 // --- InOrderStage ----------------------------------------------------------
 
@@ -188,8 +118,8 @@ OooCore::fuLatency(FuClass fu) const
 }
 
 uint64_t
-OooCore::scheduleIssue(uint64_t earliest, FuClass fu, bool is_mem,
-                       bool bypass_fu)
+OooCore::scheduleIssue(uint64_t earliest, uint64_t horizon, FuClass fu,
+                       bool is_mem, bool bypass_fu)
 {
     // Unpipelined dividers are tracked per unit.
     const bool div = !bypass_fu && !cfg.core.divPipelined &&
@@ -229,9 +159,9 @@ OooCore::scheduleIssue(uint64_t earliest, FuClass fu, bool is_mem,
 
     uint64_t c = earliest;
     for (;;) {
-        c = issueSlots.findFree(c);
+        c = issueSlots.findFree(c, horizon);
         if (pool) {
-            uint64_t c2 = pool->findFree(c);
+            uint64_t c2 = pool->findFree(c, horizon);
             if (c2 != c) {
                 c = c2;
                 continue;
@@ -247,7 +177,7 @@ OooCore::scheduleIssue(uint64_t earliest, FuClass fu, bool is_mem,
             }
         }
         if (is_mem) {
-            uint64_t c3 = memPorts.findFree(c);
+            uint64_t c3 = memPorts.findFree(c, horizon);
             if (c3 != c) {
                 c = c3;
                 continue;
@@ -256,9 +186,9 @@ OooCore::scheduleIssue(uint64_t earliest, FuClass fu, bool is_mem,
         break;
     }
 
-    issueSlots.consume(c);
+    issueSlots.consume(c, horizon);
     if (pool)
-        pool->consume(c);
+        pool->consume(c, horizon);
     if (div) {
         // Occupy the earliest-free divider for the full operation.
         size_t best_u = 0;
@@ -268,7 +198,7 @@ OooCore::scheduleIssue(uint64_t earliest, FuClass fu, bool is_mem,
         (*div_units)[best_u] = c + fuLatency(fu);
     }
     if (is_mem)
-        memPorts.consume(c);
+        memPorts.consume(c, horizon);
     return c;
 }
 
@@ -479,7 +409,7 @@ OooCore::simulateOne(const Instruction &inst, uint64_t pc_addr,
     if (trivial)
         ++trivialOps; // eliminated: no functional unit needed
     uint64_t issue_time =
-        scheduleIssue(ready, fu, is_mem, trivial);
+        scheduleIssue(ready, dispatch_time, fu, is_mem, trivial);
     iqIssue.push(issue_time);
 
     uint64_t exec_done;

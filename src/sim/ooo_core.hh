@@ -28,11 +28,11 @@
 #define YASIM_SIM_OOO_CORE_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "sim/bb_profiler.hh"
 #include "sim/config.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 #include "sim/step_source.hh"
 #include "support/cancel.hh"
@@ -114,76 +114,6 @@ class OooCore
     const SimConfig &config() const { return cfg; }
 
   private:
-    /**
-     * Zero-initialized array backed by calloc. Large allocations come
-     * from freshly-mapped zero pages, so neither construction nor the
-     * first touch of the array pays for zeroing the whole window the
-     * way vector::assign's memset does; pages fault in only as the
-     * simulation actually reaches their cycles.
-     */
-    template <typename T>
-    class ZeroedArray
-    {
-      public:
-        ZeroedArray() = default;
-        ~ZeroedArray() { std::free(p); }
-        ZeroedArray(const ZeroedArray &) = delete;
-        ZeroedArray &operator=(const ZeroedArray &) = delete;
-
-        void alloc(size_t n);
-        void clear(size_t n);
-        T &operator[](size_t i) const { return p[i]; }
-        explicit operator bool() const { return p != nullptr; }
-
-      private:
-        T *p = nullptr;
-    };
-
-    /**
-     * Per-cycle slot pool for non-monotonic schedulers (issue ports,
-     * memory ports, pipelined FU pools). A stamped ring buffer: slots
-     * for a cycle are lazily zeroed when the cycle is first touched,
-     * and a generation tag makes reset() O(1) — sampling techniques
-     * call resetPipeline() per sample, which used to memset the whole
-     * window (9 MB per core) every time.
-     */
-    class SlotPool
-    {
-      public:
-        void init(uint32_t width);
-        /** First cycle >= earliest with a free slot (does not consume). */
-        uint64_t findFree(uint64_t earliest) const;
-        /** Consume one slot at @p cycle. */
-        void consume(uint64_t cycle);
-        /** Invalidate every slot by bumping the generation. O(1). */
-        void reset();
-
-      private:
-        static constexpr uint32_t windowBits = 17;
-        static constexpr uint64_t window = 1ULL << windowBits;
-        static constexpr uint64_t mask = window - 1;
-
-        /** A slot belongs to @p cycle in the current generation. */
-        bool valid(uint64_t idx, uint64_t cycle) const
-        {
-            return stampGen[idx] == gen && stampCycle[idx] == cycle;
-        }
-        /** Lazily take a slot over for @p cycle with zero usage. */
-        void claim(uint64_t idx, uint64_t cycle) const
-        {
-            stampGen[idx] = gen;
-            stampCycle[idx] = cycle;
-            used[idx] = 0;
-        }
-
-        uint32_t width = 1;
-        /** Current generation; 0 never occurs, so calloc'd pages miss. */
-        uint32_t gen = 1;
-        mutable ZeroedArray<uint32_t> used;
-        mutable ZeroedArray<uint32_t> stampGen;
-        mutable ZeroedArray<uint64_t> stampCycle;
-    };
-
     /** Monotonic bandwidth limiter for in-order stages. */
     struct InOrderStage
     {
@@ -210,13 +140,14 @@ class OooCore
     };
 
     /**
-     * Schedule the issue of one instruction at or after @p earliest,
-     * respecting issue bandwidth, the functional-unit pool for @p fu,
+     * Schedule the issue of one instruction at or after @p earliest
+     * (after @p horizon, its dispatch cycle), respecting issue
+     * bandwidth, the functional-unit pool for @p fu,
      * and memory ports. @p bypass_fu skips the FU constraint entirely
      * (trivial computations are *eliminated*, not re-executed [Yi02]).
      */
-    uint64_t scheduleIssue(uint64_t earliest, FuClass fu, bool is_mem,
-                           bool bypass_fu = false);
+    uint64_t scheduleIssue(uint64_t earliest, uint64_t horizon, FuClass fu,
+                           bool is_mem, bool bypass_fu);
     uint64_t fuLatency(FuClass fu) const;
 
     /**

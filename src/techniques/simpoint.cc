@@ -1,8 +1,10 @@
 #include "techniques/simpoint.hh"
 
 #include <algorithm>
+#include <condition_variable>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <tuple>
 
@@ -102,8 +104,18 @@ SimPoint::choosePoints(const TechniqueContext &ctx) const
     // reuse published simulation points).
     using Key = std::tuple<std::string, uint64_t, uint64_t, double, int,
                            double, size_t, uint64_t, int, bool, double>;
-    static std::map<Key, std::vector<SimulationPoint>> cache;
+    struct Flight
+    {
+        bool done = false;
+        std::vector<SimulationPoint> points;
+    };
+    // Single-flight per key: the first caller computes, and callers
+    // arriving meanwhile wait for its points instead of profiling the
+    // same stream again. A failed computation drops its entry, so a
+    // waiter finds no entry and computes in its place.
+    static std::map<Key, std::shared_ptr<Flight>> cache;
     static std::mutex mutex;
+    static std::condition_variable cv;
     Key key{ctx.benchmark,
             ctx.suite.referenceInstructions,
             ctx.suite.seed,
@@ -115,13 +127,46 @@ SimPoint::choosePoints(const TechniqueContext &ctx) const
             restarts,
             early,
             earlyTolerance};
+    std::shared_ptr<Flight> flight;
     {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            auto it = cache.find(key);
+            if (it == cache.end())
+                break;
+            std::shared_ptr<Flight> other = it->second;
+            if (other->done)
+                return other->points;
+            cv.wait(lock, [&] { return other->done; });
+        }
+        flight = std::make_shared<Flight>();
+        cache.emplace(key, flight);
     }
 
+    std::vector<SimulationPoint> points;
+    try {
+        points = computePoints(ctx);
+    } catch (...) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            cache.erase(key);
+            flight->done = true;
+        }
+        cv.notify_all();
+        throw;
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        flight->points = points;
+        flight->done = true;
+    }
+    cv.notify_all();
+    return points;
+}
+
+std::vector<SimulationPoint>
+SimPoint::computePoints(const TechniqueContext &ctx) const
+{
     StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
     const uint64_t interval_insts = intervalInsts(ctx);
 
@@ -194,8 +239,6 @@ SimPoint::choosePoints(const TechniqueContext &ctx) const
               [](const SimulationPoint &a, const SimulationPoint &b) {
                   return a.startInst < b.startInst;
               });
-    std::lock_guard<std::mutex> lock(mutex);
-    cache.emplace(key, points);
     return points;
 }
 

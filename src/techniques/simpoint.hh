@@ -80,6 +80,10 @@ class SimPoint : public Technique
     choosePoints(const TechniqueContext &ctx) const;
 
   private:
+    /** choosePoints' profile-and-cluster pass, uncached. */
+    std::vector<SimulationPoint>
+    computePoints(const TechniqueContext &ctx) const;
+
     /** Interval length in instructions (scaled, with a noise floor). */
     uint64_t intervalInsts(const TechniqueContext &ctx) const;
 

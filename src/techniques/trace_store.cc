@@ -179,6 +179,7 @@ TraceStore::get(const std::string &benchmark, InputSet input,
                 break;
             // Another worker is recording this exact stream: join it
             // instead of interpreting the program a second time.
+            ++ctr.hits;
             ++ctr.inflightJoins;
             std::shared_ptr<InFlight> other = fit->second;
             inflightCv.wait(lock, [&] { return other->done; });

@@ -51,6 +51,7 @@ Cache::Cache(std::string name, const CacheConfig &config)
     numSets = static_cast<uint32_t>(num_lines / cfg.assoc);
     YASIM_ASSERT(isPow2(numSets));
     blockShift = log2u(cfg.blockBytes);
+    setShift = log2u(numSets);
     lines.assign(num_lines, Line());
 }
 
@@ -65,7 +66,7 @@ Cache::lookupAndFill(uint64_t addr)
 {
     uint64_t block = addr >> blockShift;
     uint32_t set = static_cast<uint32_t>(block & (numSets - 1));
-    uint64_t tag = block >> log2u(numSets);
+    uint64_t tag = block >> setShift;
 
     Line *base = &lines[static_cast<size_t>(set) * cfg.assoc];
     Line *victim = base;
@@ -119,7 +120,7 @@ Cache::probe(uint64_t addr) const
 {
     uint64_t block = addr >> blockShift;
     uint32_t set = static_cast<uint32_t>(block & (numSets - 1));
-    uint64_t tag = block >> log2u(numSets);
+    uint64_t tag = block >> setShift;
     const Line *base = &lines[static_cast<size_t>(set) * cfg.assoc];
     for (uint32_t w = 0; w < cfg.assoc; ++w)
         if (base[w].valid && base[w].tag == tag)

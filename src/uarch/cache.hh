@@ -123,6 +123,8 @@ class Cache
     CacheStats cacheStats;
     std::vector<Line> lines;
     uint32_t numSets;
+    /** log2(numSets): the tag is the block number shifted past the set. */
+    uint32_t setShift;
     uint32_t blockShift;
     uint64_t lruClock = 0;
     /** Deterministic xorshift state for random replacement. */

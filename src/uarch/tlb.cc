@@ -1,5 +1,8 @@
 #include "uarch/tlb.hh"
 
+#include <algorithm>
+
+#include "support/check.hh"
 #include "support/logging.hh"
 #include "uarch/warm_state.hh"
 
@@ -27,28 +30,160 @@ Tlb::Tlb(std::string name, uint32_t num_entries, uint32_t page_bytes)
     YASIM_ASSERT(page_bytes != 0 && (page_bytes & (page_bytes - 1)) == 0);
     pageShift = log2u(page_bytes);
     entries.assign(num_entries, Entry());
+    links.assign(num_entries, Link());
+    // At most half full, so every probe sequence meets an empty cell.
+    uint32_t index_bits = 1;
+    while ((uint64_t(1) << index_bits) < 2 * uint64_t(num_entries))
+        ++index_bits;
+    index.assign(size_t(1) << index_bits, IndexCell());
+    indexShift = 64 - index_bits;
+    freeSlots.reserve(num_entries);
+    rebuildDerived();
+}
+
+uint32_t
+Tlb::indexHome(uint64_t page) const
+{
+    return static_cast<uint32_t>((page * 0x9e3779b97f4a7c15ULL) >>
+                                 indexShift);
+}
+
+uint32_t
+Tlb::indexFind(uint64_t page) const
+{
+    const uint32_t mask = static_cast<uint32_t>(index.size() - 1);
+    for (uint32_t i = indexHome(page);; i = (i + 1) & mask) {
+        const IndexCell &cell = index[i];
+        if (cell.slot == kNoSlot)
+            return kNoSlot;
+        if (cell.page == page)
+            return cell.slot;
+    }
+}
+
+void
+Tlb::indexInsert(uint64_t page, uint32_t slot)
+{
+    const uint32_t mask = static_cast<uint32_t>(index.size() - 1);
+    uint32_t i = indexHome(page);
+    while (index[i].slot != kNoSlot)
+        i = (i + 1) & mask;
+    index[i] = IndexCell{page, slot};
+}
+
+void
+Tlb::indexErase(uint64_t page)
+{
+    const uint32_t mask = static_cast<uint32_t>(index.size() - 1);
+    uint32_t hole = indexHome(page);
+    while (index[hole].page != page)
+        hole = (hole + 1) & mask;
+    YASIM_DCHECK(index[hole].slot != kNoSlot);
+    // Backward-shift deletion: pull each later cell of the probe run
+    // into the hole unless its home lies cyclically in (hole, j].
+    for (uint32_t j = (hole + 1) & mask; index[j].slot != kNoSlot;
+         j = (j + 1) & mask) {
+        const uint32_t home = indexHome(index[j].page);
+        const bool stays = hole <= j ? (hole < home && home <= j)
+                                     : (hole < home || home <= j);
+        if (stays)
+            continue;
+        index[hole] = index[j];
+        hole = j;
+    }
+    index[hole] = IndexCell();
+}
+
+void
+Tlb::lruUnlink(uint32_t slot)
+{
+    const Link &l = links[slot];
+    if (l.prev == kNoSlot)
+        lruHead = l.next;
+    else
+        links[l.prev].next = l.next;
+    if (l.next == kNoSlot)
+        lruTail = l.prev;
+    else
+        links[l.next].prev = l.prev;
+}
+
+void
+Tlb::lruAppend(uint32_t slot)
+{
+    links[slot] = Link{lruTail, kNoSlot};
+    if (lruTail == kNoSlot)
+        lruHead = slot;
+    else
+        links[lruTail].next = slot;
+    lruTail = slot;
+}
+
+bool
+Tlb::rebuildDerived()
+{
+    std::fill(index.begin(), index.end(), IndexCell());
+    freeSlots.clear();
+    lruHead = lruTail = kNoSlot;
+    std::vector<uint32_t> order;
+    for (uint32_t s = 0; s < entries.size(); ++s) {
+        const Entry &e = entries[s];
+        if (!e.valid) {
+            freeSlots.push_back(s);
+            continue;
+        }
+        // Every stamp comes from ++lruClock and lookups stop at the
+        // first match, so a TLB never holds either of these.
+        if (e.lru > lruClock || indexFind(e.page) != kNoSlot)
+            return false;
+        indexInsert(e.page, s);
+        order.push_back(s);
+    }
+    // Ascending (lru, slot): the scan's victim among valid entries is
+    // the least lru, and the lowest slot among equal ones.
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return entries[a].lru < entries[b].lru;
+                     });
+    for (uint32_t s : order)
+        lruAppend(s);
+    return true;
 }
 
 bool
 Tlb::lookupAndFill(uint64_t addr)
 {
-    uint64_t page = addr >> pageShift;
-    Entry *victim = &entries[0];
-    for (Entry &e : entries) {
-        if (e.valid && e.page == page) {
-            e.lru = ++lruClock;
-            return true;
-        }
-        if (!e.valid) {
-            victim = &e;
-        } else if (victim->valid && e.lru < victim->lru) {
-            victim = &e;
-        }
+    const uint64_t page = addr >> pageShift;
+    // Every valid stamp is at most lruClock, so a fresh stamp always
+    // moves its entry to the list tail. The tail is therefore the most
+    // recent page, and restamping it leaves the order unchanged.
+    if (lruTail != kNoSlot && entries[lruTail].page == page) {
+        entries[lruTail].lru = ++lruClock;
+        return true;
     }
-    victim->valid = true;
-    victim->page = page;
-    victim->lru = ++lruClock;
-    return false;
+    uint32_t slot = indexFind(page);
+    const bool hit = slot != kNoSlot;
+    if (hit) {
+        lruUnlink(slot);
+    } else if (!freeSlots.empty()) {
+        // Slots only leave the free set, so its top stays the
+        // highest-index invalid slot.
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    } else {
+        slot = lruHead;
+        lruUnlink(slot);
+        indexErase(entries[slot].page);
+    }
+    Entry &e = entries[slot];
+    if (!hit) {
+        e.valid = true;
+        e.page = page;
+        indexInsert(page, slot);
+    }
+    e.lru = ++lruClock;
+    lruAppend(slot);
+    return hit;
 }
 
 bool
@@ -73,6 +208,7 @@ Tlb::reset()
     for (Entry &e : entries)
         e.valid = false;
     lruClock = 0;
+    rebuildDerived();
 }
 
 
@@ -96,23 +232,29 @@ bool
 Tlb::deserializeWarmState(std::istream &is)
 {
     using warmio::getPod;
-    uint32_t shift = 0;
-    uint64_t n = 0;
-    if (!getPod(is, shift) || !getPod(is, n))
-        return false;
-    if (shift != pageShift || n != entries.size())
-        return false;
-    if (!getPod(is, lruClock))
-        return false;
-    for (Entry &e : entries) {
-        uint8_t valid = 0;
-        if (!getPod(is, e.page) || !getPod(is, e.lru) ||
-            !getPod(is, valid)) {
+    auto read = [&]() {
+        uint32_t shift = 0;
+        uint64_t n = 0;
+        if (!getPod(is, shift) || !getPod(is, n))
             return false;
+        if (shift != pageShift || n != entries.size())
+            return false;
+        if (!getPod(is, lruClock))
+            return false;
+        for (Entry &e : entries) {
+            uint8_t valid = 0;
+            if (!getPod(is, e.page) || !getPod(is, e.lru) ||
+                !getPod(is, valid)) {
+                return false;
+            }
+            e.valid = valid != 0;
         }
-        e.valid = valid != 0;
-    }
-    return true;
+        return true;
+    };
+    if (read() && rebuildDerived())
+        return true;
+    reset();
+    return false;
 }
 
 } // namespace yasim

@@ -5,6 +5,13 @@
  * The PB parameter space includes I-TLB and D-TLB sizes and the TLB miss
  * latency; a fully-associative LRU array of page entries is enough to make
  * those parameters bite.
+ *
+ * Every access is O(1): a page->slot hash index finds a hit, an
+ * intrusive list ordered by (lru, slot) names the LRU victim, and a
+ * stack of free slots names the fill slot while any entry is invalid.
+ * These are derived state. The entry array, with its lru stamps, is
+ * the model and the serialized warm state, and the derived state
+ * reproduces exactly what a linear scan of it would choose.
  */
 
 #ifndef YASIM_UARCH_TLB_HH
@@ -58,11 +65,36 @@ class Tlb
     /** As Cache::serializeWarmState, for the TLB entry array. */
     void serializeWarmState(std::ostream &os) const;
 
-    /** As Cache::deserializeWarmState. */
+    /**
+     * As Cache::deserializeWarmState. A stream no TLB could have
+     * written (one page in two valid entries, or a valid stamp ahead
+     * of the clock) is rejected too. On failure the TLB is left reset.
+     */
     bool deserializeWarmState(std::istream &is);
 
   private:
+    static constexpr uint32_t kNoSlot = ~0u;
+
+    /**
+     * The linear-scan semantics, in O(1): a hit restamps the entry; a
+     * miss fills the highest-index invalid slot if there is one, else
+     * the valid entry with the least lru (lowest slot on ties).
+     */
     bool lookupAndFill(uint64_t addr);
+
+    /** Rebuild index, LRU list and free stack from the entry array. */
+    bool rebuildDerived();
+
+    uint32_t indexHome(uint64_t page) const;
+    /** Slot holding valid @p page, or kNoSlot. */
+    uint32_t indexFind(uint64_t page) const;
+    void indexInsert(uint64_t page, uint32_t slot);
+    /** Remove @p page (which must be present); backward-shift delete. */
+    void indexErase(uint64_t page);
+
+    void lruUnlink(uint32_t slot);
+    /** Link @p slot as the most recent entry. */
+    void lruAppend(uint32_t slot);
 
     std::string tlbName;
     uint32_t pageShift;
@@ -76,6 +108,27 @@ class Tlb
     };
     std::vector<Entry> entries;
     uint64_t lruClock = 0;
+
+    // --- Derived lookup state (never serialized) ---
+    /** Open-addressing (linear probing) page -> slot index. */
+    struct IndexCell
+    {
+        uint64_t page = 0;
+        uint32_t slot = kNoSlot;
+    };
+    std::vector<IndexCell> index;
+    uint32_t indexShift = 0;
+    /** Valid entries in ascending (lru, slot) order; head is the victim. */
+    struct Link
+    {
+        uint32_t prev = kNoSlot;
+        uint32_t next = kNoSlot;
+    };
+    std::vector<Link> links;
+    uint32_t lruHead = kNoSlot;
+    uint32_t lruTail = kNoSlot;
+    /** Invalid slots in ascending order; back() is the highest. */
+    std::vector<uint32_t> freeSlots;
 };
 
 } // namespace yasim

@@ -23,11 +23,14 @@ namespace yasim {
 
 /**
  * Layout version of the composite warmed-uarch blob. Bumped whenever
- * any component's serialized field set or ordering changes; mismatched
- * blobs fail deserialization and callers re-warm from scratch.
+ * any component's serialized field set or ordering changes, or how a
+ * component restores it; mismatched blobs fail deserialization and
+ * callers re-warm from scratch. Version 2 keeps version 1's bytes: the
+ * TLB's restore now rebuilds its lookup index and rejects entry arrays
+ * no TLB could have written.
  */
 // yasim-lint: version(warm)
-constexpr uint32_t kWarmStateFormatVersion = 1;
+constexpr uint32_t kWarmStateFormatVersion = 2;
 
 namespace warmio {
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "support/rng.hh"
 #include "uarch/cache.hh"
 #include "uarch/tlb.hh"
+#include "uarch/warm_state.hh"
 
 namespace yasim {
 namespace {
@@ -189,6 +195,203 @@ TEST(Tlb, ResetForgets)
     tlb.access(0x1000);
     tlb.reset();
     EXPECT_FALSE(tlb.access(0x1000));
+}
+
+// ------------------------------------------------ differential TLB check
+
+/**
+ * The linear-scan TLB that the indexed one replaced, kept as the
+ * reference model: the same entry array, stamps, victim rule and warm
+ * byte layout, at O(entries) per access.
+ */
+class ScanTlb
+{
+  public:
+    explicit ScanTlb(uint32_t n) : entries(n) {}
+
+    bool lookupAndFill(uint64_t addr)
+    {
+        uint64_t page = addr >> kPageShift;
+        Entry *victim = &entries[0];
+        for (Entry &e : entries) {
+            if (e.valid && e.page == page) {
+                e.lru = ++lruClock;
+                return true;
+            }
+            if (!e.valid) {
+                victim = &e;
+            } else if (victim->valid && e.lru < victim->lru) {
+                victim = &e;
+            }
+        }
+        victim->valid = true;
+        victim->page = page;
+        victim->lru = ++lruClock;
+        return false;
+    }
+
+    void reset()
+    {
+        for (Entry &e : entries)
+            e.valid = false;
+        lruClock = 0;
+    }
+
+    /** Tlb::serializeWarmState's byte layout. */
+    std::string serialize() const
+    {
+        std::ostringstream os;
+        warmio::putPod(os, kPageShift);
+        warmio::putPod(os, static_cast<uint64_t>(entries.size()));
+        warmio::putPod(os, lruClock);
+        for (const Entry &e : entries) {
+            warmio::putPod(os, e.page);
+            warmio::putPod(os, e.lru);
+            warmio::putPod(os, static_cast<uint8_t>(e.valid ? 1 : 0));
+        }
+        return os.str();
+    }
+
+    struct Entry
+    {
+        uint64_t page = 0;
+        uint64_t lru = 0;
+        bool valid = false;
+    };
+    static constexpr uint32_t kPageShift = 12;
+    std::vector<Entry> entries;
+    uint64_t lruClock = 0;
+};
+
+std::string
+tlbBytes(const Tlb &tlb)
+{
+    std::ostringstream os;
+    tlb.serializeWarmState(os);
+    return os.str();
+}
+
+bool
+restoreTlb(Tlb &tlb, const std::string &bytes)
+{
+    std::istringstream is(bytes);
+    return tlb.deserializeWarmState(is);
+}
+
+/**
+ * Drive @p tlb and @p ref with @p steps seeded accesses over
+ * @p working_set pages, half of them repeats of a recent page, mixing
+ * access() and touch(). Checks hit/miss on every call and the warm
+ * bytes every 97 steps.
+ */
+void
+driveBoth(Tlb &tlb, ScanTlb &ref, Rng &rng, uint64_t working_set,
+          int steps)
+{
+    uint64_t recent = 0;
+    for (int i = 0; i < steps; ++i) {
+        uint64_t page = rng.nextBool(0.5)
+                            ? recent + rng.nextBelow(2)
+                            : rng.nextBelow(working_set);
+        recent = page;
+        uint64_t addr = (page << ScanTlb::kPageShift) + rng.nextBelow(4096);
+        bool expected = ref.lookupAndFill(addr);
+        bool got = rng.nextBool(0.5) ? tlb.access(addr) : tlb.touch(addr);
+        ASSERT_EQ(got, expected) << "step " << i << " page " << page;
+        if (i % 97 == 0) {
+            ASSERT_EQ(tlbBytes(tlb), ref.serialize()) << "step " << i;
+        }
+    }
+    ASSERT_EQ(tlbBytes(tlb), ref.serialize());
+}
+
+TEST(TlbDifferential, MatchesLinearScanAcrossSizesAndWorkingSets)
+{
+    for (uint32_t n : {1u, 16u, 64u, 256u}) {
+        for (uint64_t working_set :
+             {uint64_t(std::max(1u, n / 2)), uint64_t(n),
+              uint64_t(n) + 1, uint64_t(2 * n), uint64_t(8 * n)}) {
+            SCOPED_TRACE("entries " + std::to_string(n) +
+                         ", working set " + std::to_string(working_set));
+            Rng rng(n * 1000003ULL + working_set);
+            Tlb tlb("t", n);
+            ScanTlb ref(n);
+            ASSERT_EQ(tlbBytes(tlb), ref.serialize());
+            driveBoth(tlb, ref, rng, working_set, 3000);
+
+            // reset() mid-stream: entries keep their stale pages and
+            // stamps, and the refill order must still match.
+            tlb.reset();
+            ref.reset();
+            ASSERT_EQ(tlbBytes(tlb), ref.serialize());
+            driveBoth(tlb, ref, rng, working_set, 3000);
+
+            // Serialize -> deserialize into a fresh TLB mid-stream.
+            Tlb restored("t", n);
+            ASSERT_TRUE(restoreTlb(restored, tlbBytes(tlb)));
+            ASSERT_EQ(tlbBytes(restored), ref.serialize());
+            driveBoth(restored, ref, rng, working_set, 3000);
+        }
+    }
+}
+
+TEST(TlbDifferential, HandMadeBlobWithTiesAndHolesEvictsLikeTheScan)
+{
+    // Eight slots: invalid at 1, 4 and 6; valid stamps tie at 5 (slots
+    // 0, 3, 7) and at 2 (slots 2, 5). The scan fills the holes from the
+    // highest (6, 4, 1), then evicts by (lru, slot): 2, 5, 0, 3, 7.
+    auto hand_made = []() {
+        ScanTlb ref(8);
+        ref.lruClock = 9;
+        const uint64_t lru[8] = {5, 8, 2, 5, 1, 2, 3, 5};
+        const bool valid[8] = {true,  false, true,  true,
+                               false, true,  false, true};
+        for (int s = 0; s < 8; ++s)
+            ref.entries[s] = {100 + uint64_t(s), lru[s], valid[s]};
+        return ref;
+    };
+    ScanTlb ref = hand_made();
+    const std::string blob = ref.serialize();
+    Tlb tlb("t", 8);
+    ASSERT_TRUE(restoreTlb(tlb, blob));
+    ASSERT_EQ(tlbBytes(tlb), blob);
+
+    // Fresh pages only: every access misses and picks a victim.
+    const int fill_order[] = {6, 4, 1, 2, 5, 0, 3, 7};
+    for (int i = 0; i < 8; ++i) {
+        uint64_t addr = (200 + uint64_t(i)) << ScanTlb::kPageShift;
+        ASSERT_FALSE(ref.lookupAndFill(addr));
+        ASSERT_FALSE(tlb.access(addr));
+        EXPECT_EQ(ref.entries[fill_order[i]].page, 200 + uint64_t(i));
+        ASSERT_EQ(tlbBytes(tlb), ref.serialize()) << "fill " << i;
+    }
+
+    // A seeded mixed stream from the same restored state, hitting the
+    // hand-made pages as well as new ones.
+    ScanTlb ref2 = hand_made();
+    Tlb again("t", 8);
+    ASSERT_TRUE(restoreTlb(again, blob));
+    Rng rng(7);
+    driveBoth(again, ref2, rng, 112, 2000);
+}
+
+TEST(TlbDifferential, RejectsBlobsNoTlbCouldWrite)
+{
+    ScanTlb forged(4);
+    forged.lruClock = 4;
+    forged.entries[0] = {7, 1, true};
+    forged.entries[2] = {7, 3, true}; // page 7 twice
+    Tlb tlb("t", 4);
+    EXPECT_FALSE(restoreTlb(tlb, forged.serialize()));
+    EXPECT_FALSE(tlb.access(7 << ScanTlb::kPageShift)); // left cold
+
+    forged.entries[2] = {8, 5, true}; // stamp ahead of the clock
+    EXPECT_FALSE(restoreTlb(tlb, forged.serialize()));
+    EXPECT_FALSE(tlb.access(8 << ScanTlb::kPageShift));
+
+    forged.entries[2] = {8, 3, true}; // the same array, made consistent
+    EXPECT_TRUE(restoreTlb(tlb, forged.serialize()));
+    EXPECT_TRUE(tlb.access(8 << ScanTlb::kPageShift));
 }
 
 /** Sweep: a working set of W blocks fits iff capacity >= W. */
