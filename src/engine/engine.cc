@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "engine/cache_key.hh"
@@ -350,14 +351,46 @@ ExperimentEngine::context(const std::string &benchmark,
 void
 ExperimentEngine::prefetch(const std::vector<GridJob> &jobs)
 {
+    // Record each stream the uncached cells replay before the grid
+    // fans out, one request per stream. No cell then waits on another
+    // cell's recording, so the trace store's counters do not depend
+    // on how the pool schedules the grid. A cell counts as cached
+    // when its result is memoized or has a file on disk.
+    std::set<std::string> seen;
+    std::vector<const GridJob *> streams;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        const GridJob &job = jobs[i];
+        YASIM_CHECK(job.technique && job.ctx && job.config,
+                    "prefetch grid job %zu has null pointees", i);
+        const std::string key =
+            resultCacheKey(*job.technique, *job.ctx, *job.config);
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (memo.count(key))
+                continue;
+        }
+        std::error_code ec;
+        if (!opts.cacheDir.empty() &&
+            fs::exists(diskPath(key, ".result"), ec))
+            continue;
+        if (seen.insert(traces.keyText(job.ctx->benchmark,
+                                       job.technique->input(),
+                                       job.ctx->suite))
+                .second)
+            streams.push_back(&job);
+    }
+    globalPool().parallelFor(streams.size(), [&](size_t i) {
+        const GridJob &job = *streams[i];
+        traces.get(job.ctx->benchmark, job.technique->input(),
+                   job.ctx->suite);
+    });
+
     {
         std::lock_guard<std::mutex> lock(mutex);
         ctr.gridJobs += jobs.size();
     }
     globalPool().parallelFor(jobs.size(), [&](size_t i) {
         const GridJob &job = jobs[i];
-        YASIM_CHECK(job.technique && job.ctx && job.config,
-                    "prefetch grid job %zu has null pointees", i);
         run(*job.technique, *job.ctx, *job.config);
     });
 }

@@ -160,6 +160,8 @@ struct LivePointCounters
     uint64_t versionMisses = 0;
     /** Transient-I/O retries performed by reads and writes. */
     uint64_t ioRetries = 0;
+
+    LivePointCounters &operator+=(const LivePointCounters &o);
 };
 
 /** One unit's entry state. See the file comment for what's inside. */
@@ -334,8 +336,9 @@ class LivePointLibrary
 
   private:
     std::string pointKey(uint64_t index) const;
-    /** Load-and-verify one point from disk into the resident set. */
-    bool loadPoint(uint64_t index);
+    /** Load-and-verify point @p index from disk into @p out. */
+    bool loadPoint(uint64_t index, LivePoint &out,
+                   LivePointCounters &c) const;
     /** Extend the warming pass to build @p missing (ascending). */
     void buildPoints(const std::vector<uint64_t> &missing,
                      const CancelToken &cancel);

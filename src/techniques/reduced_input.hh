@@ -30,7 +30,7 @@ class ReducedInput : public Technique
     TechniqueResult run(const TechniqueContext &ctx,
                         const SimConfig &config) const override;
 
-    InputSet input() const { return inputSet; }
+    InputSet input() const override { return inputSet; }
 
   private:
     InputSet inputSet;

@@ -164,6 +164,9 @@ class Technique
     virtual TechniqueResult run(const TechniqueContext &ctx,
                                 const SimConfig &config) const = 0;
 
+    /** The input set whose instruction stream run() replays. */
+    virtual InputSet input() const { return InputSet::Reference; }
+
     /**
      * Stable identity string for result caching. Must encode every
      * parameter that can change run()'s output; two techniques with
