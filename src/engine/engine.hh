@@ -161,6 +161,8 @@ class ExperimentEngine : public SimulationService
      * Warm the cache for every job on the work-stealing pool. Results
      * are discarded here; the subsequent (serial) table assembly hits
      * the memo table, so output ordering never depends on scheduling.
+     * The streams that uncached jobs replay are recorded first, one
+     * request each, so no job waits on another's recording.
      */
     void prefetch(const std::vector<GridJob> &jobs);
 
