@@ -1,12 +1,9 @@
 #include "techniques/simpoint.hh"
 
 #include <algorithm>
-#include <condition_variable>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <tuple>
 
 #include "sim/bb_profiler.hh"
 #include "sim/ooo_core.hh"
@@ -14,6 +11,7 @@
 #include "stats/projection.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "support/single_flight.hh"
 #include "techniques/trace_store.hh"
 
 namespace yasim {
@@ -101,66 +99,27 @@ SimPoint::choosePoints(const TechniqueContext &ctx) const
     // Points depend only on the program and the clustering parameters,
     // not on the machine configuration, so characterization loops that
     // sweep dozens of configurations reuse them (exactly as architects
-    // reuse published simulation points).
-    using Key = std::tuple<std::string, uint64_t, uint64_t, double, int,
-                           double, size_t, uint64_t, int, bool, double>;
-    struct Flight
-    {
-        bool done = false;
-        std::vector<SimulationPoint> points;
-    };
-    // Single-flight per key: the first caller computes, and callers
-    // arriving meanwhile wait for its points instead of profiling the
-    // same stream again. A failed computation drops its entry, so a
-    // waiter finds no entry and computes in its place.
-    static std::map<Key, std::shared_ptr<Flight>> cache;
+    // reuse published simulation points). Every SimPoint in the
+    // process shares one cache, and pool tasks reach it through run().
     static std::mutex mutex;
-    static std::condition_variable cv;
-    Key key{ctx.benchmark,
-            ctx.suite.referenceInstructions,
-            ctx.suite.seed,
-            intervalM,
-            maxK,
-            warmupM,
-            projDim,
-            seed,
-            restarts,
-            early,
-            earlyTolerance};
-    std::shared_ptr<Flight> flight;
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        for (;;) {
-            auto it = cache.find(key);
-            if (it == cache.end())
-                break;
-            std::shared_ptr<Flight> other = it->second;
-            if (other->done)
-                return other->points;
-            cv.wait(lock, [&] { return other->done; });
-        }
-        flight = std::make_shared<Flight>();
-        cache.emplace(key, flight);
-    }
+    // yasim-lint: guarded(mutex)
+    static std::map<std::string, std::vector<SimulationPoint>> cache;
+    // yasim-lint: guarded(mutex)
+    static SingleFlight<std::vector<SimulationPoint>> inflight(mutex);
+    const std::string key =
+        csprintf("%s|%llu|%llu|", ctx.benchmark.c_str(),
+                 (unsigned long long)ctx.suite.referenceInstructions,
+                 (unsigned long long)ctx.suite.seed) +
+        cacheKey();
 
-    std::vector<SimulationPoint> points;
-    try {
-        points = computePoints(ctx);
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            cache.erase(key);
-            flight->done = true;
-        }
-        cv.notify_all();
-        throw;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        flight->points = points;
-        flight->done = true;
-    }
-    cv.notify_all();
+    std::unique_lock<std::mutex> lock(mutex);
+    auto it = cache.find(key);
+    if (it != cache.end())
+        return it->second;
+    auto [points, joined] = inflight.run(
+        lock, key, ctx.cancel, [&] { return computePoints(ctx); });
+    if (!joined)
+        cache.emplace(key, points);
     return points;
 }
 

@@ -164,55 +164,37 @@ TraceStore::get(const std::string &benchmark, InputSet input,
 {
     const std::string key = keyText(benchmark, input, suite);
 
-    std::shared_ptr<InFlight> flight;
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        for (;;) {
-            auto it = entries.find(key);
-            if (it != entries.end()) {
-                ++ctr.hits;
-                lru.splice(lru.begin(), lru, it->second.lruPos);
-                return it->second.trace;
-            }
-            auto fit = inflight.find(key);
-            if (fit == inflight.end())
-                break;
-            // Another worker is recording this exact stream: join it
-            // instead of interpreting the program a second time.
-            ++ctr.hits;
-            ++ctr.inflightJoins;
-            std::shared_ptr<InFlight> other = fit->second;
-            inflightCv.wait(lock, [&] { return other->done; });
-            return other->trace;
-        }
-        flight = std::make_shared<InFlight>();
-        inflight.emplace(key, flight);
+    std::unique_lock<std::mutex> lock(mutex);
+    auto it = entries.find(key);
+    if (it != entries.end()) {
+        ++ctr.hits;
+        lru.splice(lru.begin(), lru, it->second.lruPos);
+        return it->second.trace;
     }
 
-    Workload workload = buildWorkload(benchmark, input, suite);
-    std::shared_ptr<const ExecTrace> trace;
     bool from_disk = false;
-    if (!opts.cacheDir.empty()) {
-        trace = loadFromDisk(key, workload.program);
-        from_disk = trace != nullptr;
+    auto [trace, joined] = inflight.run(lock, key, CancelToken(), [&] {
+        Workload workload = buildWorkload(benchmark, input, suite);
+        std::shared_ptr<const ExecTrace> loaded;
+        if (!opts.cacheDir.empty())
+            loaded = loadFromDisk(key, workload.program);
+        from_disk = loaded != nullptr;
+        return from_disk ? loaded : ExecTrace::record(workload.program);
+    });
+    if (joined) {
+        // Another request recorded (or loaded) this stream meanwhile.
+        ++ctr.hits;
+        ++ctr.inflightJoins;
+        return trace;
     }
-    if (!trace)
-        trace = ExecTrace::record(workload.program);
-
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (from_disk) {
-            ++ctr.diskLoads;
-        } else {
-            ++ctr.recordings;
-            ctr.instsRecorded += trace->length();
-        }
-        insertLocked(key, trace);
-        flight->trace = trace;
-        flight->done = true;
-        inflight.erase(key);
+    if (from_disk) {
+        ++ctr.diskLoads;
+    } else {
+        ++ctr.recordings;
+        ctr.instsRecorded += trace->length();
     }
-    inflightCv.notify_all();
+    insertLocked(key, trace);
+    lock.unlock();
 
     if (!from_disk && !opts.cacheDir.empty())
         spillToDisk(key, *trace);

@@ -20,7 +20,6 @@
 #ifndef YASIM_TECHNIQUES_TRACE_STORE_HH
 #define YASIM_TECHNIQUES_TRACE_STORE_HH
 
-#include <condition_variable>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -28,6 +27,7 @@
 #include <unordered_map>
 
 #include "sim/trace.hh"
+#include "support/single_flight.hh"
 #include "techniques/technique.hh"
 #include "workloads/suite.hh"
 
@@ -118,12 +118,6 @@ class TraceStore
         std::list<std::string>::iterator lruPos;
     };
 
-    struct InFlight
-    {
-        bool done = false;
-        std::shared_ptr<const ExecTrace> trace;
-    };
-
     std::string diskPath(const std::string &key_text) const;
     std::shared_ptr<const ExecTrace>
     loadFromDisk(const std::string &key_text, const Program &program);
@@ -135,11 +129,11 @@ class TraceStore
     TraceStoreOptions opts;
 
     mutable std::mutex mutex;
-    std::condition_variable inflightCv;
     std::unordered_map<std::string, Entry> entries;
     /** LRU order, most recent first; values are entry keys. */
     std::list<std::string> lru;
-    std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight;
+    /** Streams being recorded or loaded from disk. */
+    SingleFlight<std::shared_ptr<const ExecTrace>> inflight{mutex};
     TraceCounters ctr;
 };
 
