@@ -1,8 +1,8 @@
 // Fixture for C2: this file includes the executor header, so its
 // static-storage state is reachable from pool tasks. One unguarded
-// namespace-scope variable and one unguarded function-local static
-// are the positives; the guarded / atomic / const declarations are
-// the sanctioned forms.
+// namespace-scope variable and two unguarded function-local statics
+// (one in an out-of-line const member) are the positives; the
+// guarded / atomic / const declarations are the sanctioned forms.
 #include <atomic>
 #include <mutex>
 
@@ -25,6 +25,18 @@ countCalls()
     static int calls = 0;
     ++calls;
     return calls;
+}
+
+struct HitCounter
+{
+    int total() const;
+};
+
+int
+HitCounter::total() const
+{
+    static int totals = 0;
+    return ++totals;
 }
 
 void

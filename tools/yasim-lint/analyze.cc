@@ -1053,6 +1053,11 @@ executorReachable(const Project &project)
 /** Scope kinds for the brace-structure walk. */
 enum class ScopeKind { Namespace, Type, Function, Other };
 
+/** Words that may stand between a parameter list and its body. */
+const std::set<std::string> kTrailingQualifiers = {
+    "const", "override", "noexcept", "final",
+};
+
 /**
  * Flag mutable static-storage declarations in @p file: namespace-scope
  * variables and function-local statics without an immutability marker
@@ -1093,7 +1098,18 @@ scanSharedState(const FileModel &file, std::vector<Finding> &findings)
                 tok.text == "union" || tok.text == "enum")
                 return ScopeKind::Type;
         }
+        // A function body follows the parameter list, perhaps through
+        // trailing qualifiers: ") const {", ") override {".
         size_t prev = prevSignificantPos(code, at);
+        while (prev != std::string::npos && isIdentChar(code[prev])) {
+            size_t word = prev;
+            while (word > 0 && isIdentChar(code[word - 1]))
+                --word;
+            if (!kTrailingQualifiers.count(
+                    code.substr(word, prev + 1 - word)))
+                break;
+            prev = prevSignificantPos(code, word);
+        }
         if (prev != std::string::npos && code[prev] == ')')
             return ScopeKind::Function;
         return ScopeKind::Other;
