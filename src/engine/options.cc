@@ -56,7 +56,7 @@ engineCliUsage()
            "          [--engine-stats] [--engine-stats-json FILE]\n"
            "          [--workers N]\n"
            "          [--livepoints] [--no-livepoints]\n"
-           "          [--shards N] [--shard-warmup M] [--exact]\n"
+           "          [--shards N] [--shard-warmup M]\n"
            "          [--failpoints SPEC]\n";
 }
 
@@ -86,8 +86,6 @@ parseEngineCliOption(EngineCliOptions &options, int argc, char **argv,
             fatal("--shards must be at least 1");
     } else if (std::strcmp(arg, "--shard-warmup") == 0) {
         options.shardWarmup = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(arg, "--exact") == 0) {
-        options.exact = true;
     } else if (std::strcmp(arg, "--workers") == 0) {
         options.workers = unsigned(std::strtoul(next(), nullptr, 10));
         if (options.workers == 0)
@@ -107,7 +105,6 @@ engineOptionsFrom(const EngineCliOptions &options)
     engine_options.livepoints.enabled = options.livepoints;
     engine_options.shards.shards = options.shards;
     engine_options.shards.warmupInsts = options.shardWarmup;
-    engine_options.shards.exact = options.exact;
     return engine_options;
 }
 

@@ -25,8 +25,6 @@
  *                     plan-aligned shards (see docs/perf.md)
  *   --shard-warmup M  functional-warming lead-in per shard, in
  *                     instructions (0 = warm the full prefix)
- *   --exact           force the sequential reference path regardless
- *                     of --shards (byte-identical to --shards 1)
  *   --failpoints SPEC arm deterministic fault-injection sites
  *                     (see support/failpoint.hh for the grammar)
  */
@@ -77,8 +75,6 @@ struct EngineCliOptions
     uint32_t shards = 1;
     /** Per-shard functional-warming bound (0 = full prefix). */
     uint64_t shardWarmup = 0;
-    /** Force the exact sequential reference path. */
-    bool exact = false;
 };
 
 /** Parsed common options for the bench/example drivers. */

@@ -224,8 +224,8 @@ runShardedReference(const std::shared_ptr<const ExecTrace> &trace,
                     const CancelToken &cancel)
 {
     YASIM_CHECK(trace != nullptr, "sharded reference requires a trace");
-    const std::vector<ShardSlice> plan = planShards(
-        trace->length(), opts.exact ? 1 : opts.shards, opts.warmupInsts);
+    const std::vector<ShardSlice> plan =
+        planShards(trace->length(), opts.shards, opts.warmupInsts);
     std::vector<ShardPrep> prep =
         prepareShards(trace->program(), plan, config, opts);
 

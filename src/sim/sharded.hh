@@ -71,12 +71,6 @@ struct ShardOptions
      * from the aligned shard boundary minus the bound.
      */
     uint64_t warmupInsts = 0;
-    /** Force the sequential path regardless of `shards` (--exact). */
-    // yasim-lint: key-exempt(result: exact disables the shard segment)
-    // When exact is set, enabled() is false and the key reverts to the
-    // historical shards-absent layout — the sequential result is by
-    // construction the one that key already names.
-    bool exact = false;
     /**
      * Directory for persisted warmed-uarch summaries; "" disables
      * persistence (warming then always runs in-process).
@@ -89,7 +83,7 @@ struct ShardOptions
     StitchMode stitch = StitchMode::Drain;
 
     /** True when the sharded path is active. */
-    bool enabled() const { return !exact && shards > 1; }
+    bool enabled() const { return shards > 1; }
 };
 
 /** One shard: functionally warm [warmStart, begin), measure [begin, end). */

@@ -201,24 +201,19 @@ TEST(Sharded, SingleShardMatchesSequentialBitForBit)
 
     ShardOptions one;
     one.shards = 1;
-    ShardOptions exact;
-    exact.shards = 8;
-    exact.exact = true;
 
-    for (const ShardOptions &opts : {one, exact}) {
-        ShardedRunResult r = runShardedReference(trace, config, opts);
-        ASSERT_EQ(r.perShard.size(), 1u);
-        EXPECT_EQ(r.stats.instructions, seq.instructions);
-        EXPECT_EQ(r.stats.cycles, seq.cycles);
-        EXPECT_EQ(r.stats.condMispredicts, seq.condMispredicts);
-        EXPECT_EQ(r.stats.l1iAccesses, seq.l1iAccesses);
-        EXPECT_EQ(r.stats.l1iMisses, seq.l1iMisses);
-        EXPECT_EQ(r.stats.l1dMisses, seq.l1dMisses);
-        EXPECT_EQ(r.stats.l2Accesses, seq.l2Accesses);
-        EXPECT_EQ(r.stats.l2Misses, seq.l2Misses);
-        EXPECT_EQ(r.stats.memStallCycles, seq.memStallCycles);
-        EXPECT_EQ(r.warmedInsts, 0u);
-    }
+    ShardedRunResult r = runShardedReference(trace, config, one);
+    ASSERT_EQ(r.perShard.size(), 1u);
+    EXPECT_EQ(r.stats.instructions, seq.instructions);
+    EXPECT_EQ(r.stats.cycles, seq.cycles);
+    EXPECT_EQ(r.stats.condMispredicts, seq.condMispredicts);
+    EXPECT_EQ(r.stats.l1iAccesses, seq.l1iAccesses);
+    EXPECT_EQ(r.stats.l1iMisses, seq.l1iMisses);
+    EXPECT_EQ(r.stats.l1dMisses, seq.l1dMisses);
+    EXPECT_EQ(r.stats.l2Accesses, seq.l2Accesses);
+    EXPECT_EQ(r.stats.l2Misses, seq.l2Misses);
+    EXPECT_EQ(r.stats.memStallCycles, seq.memStallCycles);
+    EXPECT_EQ(r.warmedInsts, 0u);
 }
 
 TEST(Sharded, WarmSummariesPersistAndNeverChangeResults)
