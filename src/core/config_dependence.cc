@@ -33,14 +33,6 @@ referenceCpis(SimulationService &service, const TechniqueContext &ctx,
     return cpis;
 }
 
-std::vector<double>
-referenceCpis(const TechniqueContext &ctx,
-              const std::vector<SimConfig> &configs)
-{
-    DirectService direct;
-    return referenceCpis(direct, ctx, configs);
-}
-
 ConfigDependence
 configDependence(SimulationService &service, const Technique &technique,
                  const TechniqueContext &ctx,
@@ -60,15 +52,6 @@ configDependence(SimulationService &service, const Technique &technique,
         dep.errorHistogram.add(std::fabs(err));
     }
     return dep;
-}
-
-ConfigDependence
-configDependence(const Technique &technique, const TechniqueContext &ctx,
-                 const std::vector<SimConfig> &configs,
-                 const std::vector<double> &ref_cpis)
-{
-    DirectService direct;
-    return configDependence(direct, technique, ctx, configs, ref_cpis);
 }
 
 } // namespace yasim

@@ -52,20 +52,9 @@ configDependence(SimulationService &service, const Technique &technique,
                  const std::vector<SimConfig> &configs,
                  const std::vector<double> &ref_cpis);
 
-/** Uncached convenience overload (simulates every config afresh). */
-ConfigDependence
-configDependence(const Technique &technique, const TechniqueContext &ctx,
-                 const std::vector<SimConfig> &configs,
-                 const std::vector<double> &ref_cpis);
-
 /** Reference CPI per configuration through @p service. */
 std::vector<double>
 referenceCpis(SimulationService &service, const TechniqueContext &ctx,
-              const std::vector<SimConfig> &configs);
-
-/** Uncached reference CPI per configuration. */
-std::vector<double>
-referenceCpis(const TechniqueContext &ctx,
               const std::vector<SimConfig> &configs);
 
 } // namespace yasim

@@ -49,13 +49,4 @@ rankEnhancementEffect(SimulationService &service,
     return outcome;
 }
 
-EnhancementPbOutcome
-rankEnhancementEffect(const Technique &technique,
-                      const TechniqueContext &ctx,
-                      Enhancement enhancement)
-{
-    DirectService direct;
-    return rankEnhancementEffect(direct, technique, ctx, enhancement);
-}
-
 } // namespace yasim

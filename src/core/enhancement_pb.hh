@@ -47,12 +47,6 @@ rankEnhancementEffect(SimulationService &service,
                       const TechniqueContext &ctx,
                       Enhancement enhancement);
 
-/** Uncached convenience overload. */
-EnhancementPbOutcome
-rankEnhancementEffect(const Technique &technique,
-                      const TechniqueContext &ctx,
-                      Enhancement enhancement);
-
 } // namespace yasim
 
 #endif // YASIM_CORE_ENHANCEMENT_PB_HH

@@ -47,14 +47,6 @@ referenceSpeedup(SimulationService &service, const TechniqueContext &ctx,
     return base / enhanced;
 }
 
-double
-referenceSpeedup(const TechniqueContext &ctx, const SimConfig &config,
-                 Enhancement enhancement)
-{
-    DirectService direct;
-    return referenceSpeedup(direct, ctx, config, enhancement);
-}
-
 EnhancementImpact
 evaluateEnhancement(SimulationService &service, const Technique &technique,
                     const TechniqueContext &ctx, const SimConfig &config,
@@ -72,16 +64,6 @@ evaluateEnhancement(SimulationService &service, const Technique &technique,
     YASIM_ASSERT(enhanced > 0.0);
     impact.apparentSpeedup = base / enhanced;
     return impact;
-}
-
-EnhancementImpact
-evaluateEnhancement(const Technique &technique,
-                    const TechniqueContext &ctx, const SimConfig &config,
-                    Enhancement enhancement, double reference_speedup)
-{
-    DirectService direct;
-    return evaluateEnhancement(direct, technique, ctx, config, enhancement,
-                               reference_speedup);
 }
 
 } // namespace yasim

@@ -62,19 +62,9 @@ evaluateEnhancement(SimulationService &service, const Technique &technique,
                     const TechniqueContext &ctx, const SimConfig &config,
                     Enhancement enhancement, double reference_speedup);
 
-/** Uncached convenience overload. */
-EnhancementImpact
-evaluateEnhancement(const Technique &technique,
-                    const TechniqueContext &ctx, const SimConfig &config,
-                    Enhancement enhancement, double reference_speedup);
-
 /** Reference speedup of @p enhancement on @p config through @p service. */
 double referenceSpeedup(SimulationService &service,
                         const TechniqueContext &ctx,
-                        const SimConfig &config, Enhancement enhancement);
-
-/** Uncached reference speedup. */
-double referenceSpeedup(const TechniqueContext &ctx,
                         const SimConfig &config, Enhancement enhancement);
 
 } // namespace yasim

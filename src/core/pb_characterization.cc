@@ -52,14 +52,6 @@ runPbDesign(SimulationService &service, const Technique &technique,
     return outcome;
 }
 
-PbOutcome
-runPbDesign(const Technique &technique, const TechniqueContext &ctx,
-            const PbDesign &design)
-{
-    DirectService direct;
-    return runPbDesign(direct, technique, ctx, design);
-}
-
 double
 pbDistance(const PbOutcome &technique, const PbOutcome &reference)
 {

@@ -50,11 +50,6 @@ PbOutcome runPbDesign(SimulationService &service,
                       const TechniqueContext &ctx,
                       const PbDesign &design);
 
-/** Uncached convenience overload (simulates every row afresh). */
-PbOutcome runPbDesign(const Technique &technique,
-                      const TechniqueContext &ctx,
-                      const PbDesign &design);
-
 /** The design's corner configurations in run order (for prefetching). */
 std::vector<SimConfig> pbDesignConfigs(const PbDesign &design);
 

@@ -40,13 +40,4 @@ svatAnalysis(SimulationService &service, const TechniqueContext &ctx,
     return points;
 }
 
-std::vector<SvatPoint>
-svatAnalysis(const TechniqueContext &ctx,
-             const std::vector<TechniquePtr> &techniques,
-             const std::vector<SimConfig> &configs)
-{
-    DirectService direct;
-    return svatAnalysis(direct, ctx, techniques, configs);
-}
-
 } // namespace yasim

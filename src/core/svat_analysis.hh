@@ -53,12 +53,6 @@ svatAnalysis(SimulationService &service, const TechniqueContext &ctx,
              const std::vector<TechniquePtr> &techniques,
              const std::vector<SimConfig> &configs);
 
-/** Uncached convenience overload (simulates everything afresh). */
-std::vector<SvatPoint>
-svatAnalysis(const TechniqueContext &ctx,
-             const std::vector<TechniquePtr> &techniques,
-             const std::vector<SimConfig> &configs);
-
 } // namespace yasim
 
 #endif // YASIM_CORE_SVAT_ANALYSIS_HH

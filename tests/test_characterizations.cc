@@ -22,12 +22,14 @@
 namespace yasim {
 namespace {
 
+/** The uncached service every test here simulates through. */
+DirectService service;
+
 TechniqueContext
 smallContext(const std::string &benchmark = "gzip")
 {
     SuiteConfig suite;
     suite.referenceInstructions = 200'000;
-    static DirectService service;
     return TechniqueContext::make(benchmark, suite, service);
 }
 
@@ -82,7 +84,7 @@ TEST(PbCharacterization, ReferenceDistanceToItselfIsZero)
     // whole pipeline; the response only sees the first 7 real factors.
     PbDesign design = PbDesign::forFactors(numPbFactors(), false);
     FullReference reference;
-    PbOutcome ref = runPbDesign(reference, ctx, design);
+    PbOutcome ref = runPbDesign(service, reference, ctx, design);
     EXPECT_EQ(ref.responses.size(), design.numRuns());
     EXPECT_EQ(ref.ranks.size(), 43u);
     EXPECT_DOUBLE_EQ(pbDistance(ref, ref), 0.0);
@@ -155,7 +157,7 @@ TEST(Svat, ReferenceLikeTechniqueNearOrigin)
         std::make_shared<RunZ>(10000.0), // the whole program: exact
         std::make_shared<RunZ>(500.0),   // 5% prefix: cheap, wrong
     };
-    auto points = svatAnalysis(ctx, techniques, configs);
+    auto points = svatAnalysis(service, ctx, techniques, configs);
     ASSERT_EQ(points.size(), 2u);
     // Whole-program Run Z reproduces the reference exactly.
     EXPECT_NEAR(points[0].cpiDistance, 0.0, 1e-9);
@@ -171,11 +173,11 @@ TEST(ConfigDependence, PerfectTechniqueWithin3Pct)
     std::vector<SimConfig> configs = {architecturalConfig(1),
                                       architecturalConfig(2),
                                       architecturalConfig(3)};
-    std::vector<double> ref_cpis = referenceCpis(ctx, configs);
+    std::vector<double> ref_cpis = referenceCpis(service, ctx, configs);
     ASSERT_EQ(ref_cpis.size(), 3u);
     RunZ whole(10000.0);
     ConfigDependence dep =
-        configDependence(whole, ctx, configs, ref_cpis);
+        configDependence(service, whole, ctx, configs, ref_cpis);
     EXPECT_DOUBLE_EQ(dep.within3Pct(), 1.0);
     EXPECT_DOUBLE_EQ(dep.errorConsistency(), 1.0);
 }
@@ -185,10 +187,10 @@ TEST(ConfigDependence, HistogramBucketsErrors)
     TechniqueContext ctx = smallContext("mcf");
     std::vector<SimConfig> configs = {architecturalConfig(1),
                                       architecturalConfig(4)};
-    std::vector<double> ref_cpis = referenceCpis(ctx, configs);
+    std::vector<double> ref_cpis = referenceCpis(service, ctx, configs);
     RunZ prefix(500.0); // mcf's prefix is wildly unrepresentative
     ConfigDependence dep =
-        configDependence(prefix, ctx, configs, ref_cpis);
+        configDependence(service, prefix, ctx, configs, ref_cpis);
     EXPECT_EQ(dep.errorHistogram.total(), 2u);
     EXPECT_LT(dep.within3Pct(), 1.0);
 }
@@ -202,7 +204,7 @@ TEST(Enhancement, NlpSpeedsUpStreamingReference)
     TechniqueContext ctx = TechniqueContext::make("art", suite, service);
     SimConfig cfg = architecturalConfig(1);
     double speedup =
-        referenceSpeedup(ctx, cfg, Enhancement::NextLinePrefetch);
+        referenceSpeedup(service, ctx, cfg, Enhancement::NextLinePrefetch);
     EXPECT_GT(speedup, 1.0);
     EXPECT_LT(speedup, 3.0);
 }
@@ -212,7 +214,7 @@ TEST(Enhancement, TcSpeedsUpGcc)
     TechniqueContext ctx = smallContext("gcc");
     SimConfig cfg = architecturalConfig(1);
     double speedup =
-        referenceSpeedup(ctx, cfg, Enhancement::TrivialComputation);
+        referenceSpeedup(service, ctx, cfg, Enhancement::TrivialComputation);
     EXPECT_GT(speedup, 1.0);
 }
 
@@ -221,10 +223,10 @@ TEST(Enhancement, ImpactErrorIsDeltaOfSpeedups)
     TechniqueContext ctx = smallContext("gzip");
     SimConfig cfg = architecturalConfig(1);
     double ref =
-        referenceSpeedup(ctx, cfg, Enhancement::NextLinePrefetch);
+        referenceSpeedup(service, ctx, cfg, Enhancement::NextLinePrefetch);
     RunZ whole(10000.0);
     EnhancementImpact impact = evaluateEnhancement(
-        whole, ctx, cfg, Enhancement::NextLinePrefetch, ref);
+        service, whole, ctx, cfg, Enhancement::NextLinePrefetch, ref);
     EXPECT_NEAR(impact.speedupError(), 0.0, 1e-9);
 }
 
@@ -250,7 +252,7 @@ TEST(EnhancementPb, NlpRanksAmongBottlenecksOnMcf)
     TechniqueContext ctx = TechniqueContext::make("mcf", suite, service);
     FullReference reference;
     EnhancementPbOutcome out = rankEnhancementEffect(
-        reference, ctx, Enhancement::NextLinePrefetch);
+        service, reference, ctx, Enhancement::NextLinePrefetch);
     EXPECT_EQ(out.effects.size(), 44u);
     EXPECT_EQ(out.ranks.size(), 44u);
     EXPECT_LT(out.enhancementEffect, 0.0);

@@ -25,12 +25,14 @@
 namespace yasim {
 namespace {
 
+/** The uncached service every test here simulates through. */
+DirectService service;
+
 TechniqueContext
 ctxFor(const std::string &bench, uint64_t ref = 300'000)
 {
     SuiteConfig suite;
     suite.referenceInstructions = ref;
-    static DirectService service;
     return TechniqueContext::make(bench, suite, service);
 }
 
@@ -87,10 +89,10 @@ TEST(PaperInvariants, PbRanksOrderSmartsAboveReduced)
 {
     TechniqueContext ctx = ctxFor("mcf", 200'000);
     PbDesign design = PbDesign::forFactors(numPbFactors(), false);
-    PbOutcome ref = runPbDesign(FullReference(), ctx, design);
-    PbOutcome smarts = runPbDesign(Smarts(1000, 2000), ctx, design);
+    PbOutcome ref = runPbDesign(service, FullReference(), ctx, design);
+    PbOutcome smarts = runPbDesign(service, Smarts(1000, 2000), ctx, design);
     PbOutcome reduced =
-        runPbDesign(ReducedInput(InputSet::Small), ctx, design);
+        runPbDesign(service, ReducedInput(InputSet::Small), ctx, design);
     EXPECT_LT(pbDistance(smarts, ref) + 5.0, pbDistance(reduced, ref));
 }
 
@@ -100,9 +102,9 @@ TEST(PaperInvariants, McfMemoryLatencyBottleneckOnlyAtReference)
 {
     TechniqueContext ctx = ctxFor("mcf", 200'000);
     PbDesign design = PbDesign::forFactors(numPbFactors(), false);
-    PbOutcome ref = runPbDesign(FullReference(), ctx, design);
+    PbOutcome ref = runPbDesign(service, FullReference(), ctx, design);
     PbOutcome small =
-        runPbDesign(ReducedInput(InputSet::Small), ctx, design);
+        runPbDesign(service, ReducedInput(InputSet::Small), ctx, design);
 
     int mem_factor = -1;
     for (size_t j = 0; j < pbFactors().size(); ++j)
@@ -147,7 +149,7 @@ TEST(PaperInvariants, SvatOrderings)
         std::make_shared<RunZ>(1000.0),
         std::make_shared<FfRunZ>(1000.0, 1000.0),
     };
-    auto points = svatAnalysis(ctx, techniques, configs);
+    auto points = svatAnalysis(service, ctx, techniques, configs);
     ASSERT_EQ(points.size(), 4u);
     const SvatPoint &smarts = points[0];
     const SvatPoint &simpoint = points[1];
@@ -163,12 +165,13 @@ TEST(PaperInvariants, EnhancementErrorsOrder)
     TechniqueContext ctx = ctxFor("gcc");
     SimConfig cfg = architecturalConfig(2);
     double ref =
-        referenceSpeedup(ctx, cfg, Enhancement::TrivialComputation);
-    EnhancementImpact smarts = evaluateEnhancement(
-        Smarts(1000, 2000), ctx, cfg, Enhancement::TrivialComputation,
-        ref);
-    EnhancementImpact prefix = evaluateEnhancement(
-        RunZ(1000.0), ctx, cfg, Enhancement::TrivialComputation, ref);
+        referenceSpeedup(service, ctx, cfg, Enhancement::TrivialComputation);
+    EnhancementImpact smarts =
+        evaluateEnhancement(service, Smarts(1000, 2000), ctx, cfg,
+                            Enhancement::TrivialComputation, ref);
+    EnhancementImpact prefix =
+        evaluateEnhancement(service, RunZ(1000.0), ctx, cfg,
+                            Enhancement::TrivialComputation, ref);
     EXPECT_LT(std::fabs(smarts.speedupError()),
               std::fabs(prefix.speedupError()));
     EXPECT_LT(std::fabs(smarts.speedupError()), 0.04);
