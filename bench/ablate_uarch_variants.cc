@@ -37,8 +37,8 @@ main(int argc, char **argv)
             rp_table.setHeader({"benchmark", "LRU", "FIFO", "random"});
 
             for (const std::string &bench : driver.benchmarks()) {
-                // Through the StepSource seam: the six variant runs
-                // below replay one shared recording instead of
+                // Through openStream: the six variant runs below
+                // replay one shared recording instead of
                 // re-interpreting the benchmark per variant.
                 TechniqueContext ctx = driver.context(bench);
 
@@ -48,10 +48,10 @@ main(int argc, char **argv)
                       PredictorKind::Combined}) {
                     SimConfig cfg = architecturalConfig(2);
                     cfg.bp.kind = kind;
-                    StepSourceHandle src =
-                        openStepSource(ctx, InputSet::Reference);
+                    TraceReplayer src =
+                        openStream(ctx, InputSet::Reference);
                     OooCore core(cfg);
-                    core.run(*src.source, ~0ULL);
+                    core.run(src, ~0ULL);
                     bp_row.push_back(Table::pct(
                         core.snapshot().branchAccuracy() * 100.0, 2));
                 }
@@ -63,10 +63,10 @@ main(int argc, char **argv)
                       ReplacementPolicy::Random}) {
                     SimConfig cfg = architecturalConfig(2);
                     cfg.mem.l1d.replacement = policy;
-                    StepSourceHandle src =
-                        openStepSource(ctx, InputSet::Reference);
+                    TraceReplayer src =
+                        openStream(ctx, InputSet::Reference);
                     OooCore core(cfg);
-                    core.run(*src.source, ~0ULL);
+                    core.run(src, ~0ULL);
                     rp_row.push_back(Table::pct(
                         core.snapshot().l1dHitRate() * 100.0, 2));
                 }

@@ -30,8 +30,7 @@ windowCpi(const TechniqueContext &ctx, const SimConfig &config,
           uint64_t start, uint64_t warm, uint64_t len,
           bool functional_warming)
 {
-    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
-    StepSource &stream = *src.source;
+    TraceReplayer stream = openStream(ctx, InputSet::Reference);
     OooCore core(config);
     uint64_t ff = start >= warm ? start - warm : 0;
     if (functional_warming)

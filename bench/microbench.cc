@@ -9,9 +9,9 @@
  *
  * `microbench --json [path]` switches to the machine-readable perf
  * gate instead: it measures live vs replayed stepping (per-step and
- * batched), a 44-config PB sweep with and without the trace subsystem,
- * and the compressed spill's bytes/instruction and decode rate, writes
- * the numbers to BENCH_microbench.json, and exits nonzero when replay
+ * batched), a 44-config PB sweep over one shared trace, and the
+ * compressed spill's bytes/instruction and decode rate, writes the
+ * numbers to BENCH_microbench.json, and exits nonzero when replay
  * fails to beat live interpretation, batched replay fails to beat
  * per-step replay, or the spill exceeds 6 bytes per instruction.
  *
@@ -20,8 +20,8 @@
  * simulation, and the sharded reference at 8 shards, written to
  * BENCH_ooo.json. The binary exits nonzero only on
  * machine-independent correctness failures (stitched counters or CPI
- * drifting past the contract, replay diverging from live); the CI perf
- * job asserts the machine-dependent speedup from the JSON.
+ * drifting past the contract); the CI perf job asserts the
+ * machine-dependent speedup from the JSON.
  *
  * `microbench --json-sampling [path]` runs the live-point sampling
  * gate: the same SMARTS experiment serial vs fanned across the worker
@@ -100,25 +100,10 @@ BM_FunctionalWarming(benchmark::State &state)
 BENCHMARK(BM_FunctionalWarming);
 
 void
-BM_DetailedSim(benchmark::State &state)
-{
-    Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
-    SimConfig cfg = architecturalConfig(2);
-    uint64_t insts = 0;
-    for (auto _ : state) {
-        FunctionalSim fsim(w.program);
-        OooCore core(cfg);
-        insts += core.run(fsim, ~0ULL);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(insts));
-}
-BENCHMARK(BM_DetailedSim);
-
-void
 BM_OoODetailed(benchmark::State &state, const char *bench)
 {
-    // Detailed-core throughput over the decoded-replay fast path — the
-    // loop the sharded reference scales across workers. mcf is the
+    // Detailed-core throughput over trace replay — the loop every
+    // timing run and the sharded reference go through. mcf is the
     // memory-bound case: long miss chains stress the slot pools.
     Workload w = buildWorkload(bench, InputSet::Reference, benchSuite());
     SimConfig cfg = architecturalConfig(2);
@@ -221,8 +206,8 @@ BENCHMARK(BM_TraceReplay);
 void
 BM_TraceReplayStep(benchmark::State &state)
 {
-    // Per-record virtual step(): the unbatched baseline BM_TraceReplay
-    // is compared against.
+    // Per-record step(): the unbatched baseline BM_TraceReplay is
+    // compared against.
     Workload w = buildWorkload("gzip", InputSet::Reference, benchSuite());
     auto trace = ExecTrace::record(w.program);
     uint64_t insts = 0;
@@ -386,13 +371,14 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 /**
- * Step every instruction of @p source to exhaustion and return the
- * throughput in instructions per second. ExecRecord consumption mirrors
- * what OooCore::run does per step, so live-vs-replay compares the cost
- * a detailed region actually pays for its stream.
+ * Step every instruction of @p source (a FunctionalSim or a
+ * TraceReplayer) to exhaustion and return the throughput in
+ * instructions per second. The per-record consumption is the same for
+ * both, so live-vs-replay compares what producing the stream costs.
  */
+template <typename Source>
 double
-stepThroughput(StepSource &source)
+stepThroughput(Source &source)
 {
     uint64_t sink = 0;
     auto start = std::chrono::steady_clock::now();
@@ -407,11 +393,12 @@ stepThroughput(StepSource &source)
 
 /**
  * stepThroughput through stepBatch: the same per-record consumption,
- * pulled in 256-record spans — what the batch-converted consumers pay
- * for the stream.
+ * pulled in 256-record spans — what OooCore::run and the other
+ * batched consumers pay for the stream.
  */
+template <typename Source>
 double
-batchThroughput(StepSource &source)
+batchThroughput(Source &source)
 {
     uint64_t sink = 0;
     ExecRecord recs[256];
@@ -431,13 +418,12 @@ batchThroughput(StepSource &source)
  * Measures (a) live interpretation vs trace replay throughput on the
  * gzip reference stream, per-step and batched, (b) wall time for a
  * 44-configuration Plackett-Burman sweep (99% fast-forward + 1000
- * detailed instructions per configuration) with one FunctionalSim per
- * configuration vs one shared ExecTrace (recording time included in
- * the trace total), and (c) the compressed spill's on-disk
+ * detailed instructions per configuration) over one shared ExecTrace,
+ * recording time included, and (c) the compressed spill's on-disk
  * bytes/instruction and decode throughput. Writes the numbers as JSON
  * and returns nonzero when replay fails to beat live stepping, batched
- * replay fails to beat per-step replay, the spill exceeds 6
- * bytes/instruction, or the sweeps disagree on total cycles.
+ * replay fails to beat per-step replay, or the spill exceeds 6
+ * bytes/instruction.
  */
 int
 runJsonGate(const char *path)
@@ -470,28 +456,13 @@ runJsonGate(const char *path)
     auto trace_start = std::chrono::steady_clock::now();
     auto sweep_trace = ExecTrace::record(sweep_workload.program);
     uint64_t ff_insts = sweep_trace->length() * 99 / 100;
-    uint64_t trace_cycles = 0;
     for (const SimConfig &cfg : configs) {
         TraceReplayer replayer(sweep_trace);
         replayer.fastForward(ff_insts);
         OooCore core(cfg);
         core.run(replayer, kDetailedInsts);
-        trace_cycles += core.cycles();
     }
     double trace_seconds = secondsSince(trace_start);
-
-    auto live_start = std::chrono::steady_clock::now();
-    uint64_t live_cycles = 0;
-    for (const SimConfig &cfg : configs) {
-        FunctionalSim fsim(sweep_workload.program);
-        fsim.fastForward(ff_insts);
-        OooCore core(cfg);
-        core.run(fsim, kDetailedInsts);
-        live_cycles += core.cycles();
-    }
-    double live_seconds = secondsSince(live_start);
-
-    double speedup = live_seconds / (trace_seconds > 0 ? trace_seconds : 1e-9);
 
     // (c) On-disk footprint and decode rate of the compressed spill
     // format, on the 8M-instruction sweep trace. The byte count is
@@ -533,30 +504,20 @@ runJsonGate(const char *path)
     report.setNumber("trace_decode_insts_per_sec", decode_ips);
     report.setCount("sweep_configs", configs.size());
     report.setCount("sweep_detailed_insts", kDetailedInsts);
-    report.setNumber("sweep_wall_seconds_live", live_seconds);
     report.setNumber("sweep_wall_seconds_trace", trace_seconds);
-    report.setNumber("sweep_speedup", speedup);
-    report.setBool("sweep_cycles_match", trace_cycles == live_cycles);
     writeReportFile(report, path);
 
     std::printf("step throughput: live %.1fM inst/s, replay %.1fM inst/s "
                 "(%.2fx), batched replay %.1fM inst/s (%.2fx over step)\n",
                 live_ips / 1e6, replay_ips / 1e6, replay_ips / live_ips,
                 replay_batch_ips / 1e6, replay_batch_ips / replay_ips);
-    std::printf("%zu-config sweep: live %.3fs, traced %.3fs (%.2fx, "
-                "cycles %s)\n",
-                configs.size(), live_seconds, trace_seconds, speedup,
-                trace_cycles == live_cycles ? "match" : "MISMATCH");
+    std::printf("%zu-config sweep over one trace: %.3fs\n", configs.size(),
+                trace_seconds);
     std::printf("trace spill: %.2f bytes/inst on disk, decode %.1fM "
                 "inst/s\n",
                 bytes_per_inst, decode_ips / 1e6);
     std::printf("wrote %s\n", path);
 
-    if (trace_cycles != live_cycles) {
-        std::fprintf(stderr,
-                     "microbench: replayed sweep diverged from live\n");
-        return 1;
-    }
     if (replay_ips < live_ips) {
         std::fprintf(stderr,
                      "microbench: replay slower than live stepping\n");
@@ -622,13 +583,12 @@ bestWarmSeconds(const std::shared_ptr<const ExecTrace> &trace,
  * Measures sequential detailed replay throughput (best of 3), the cost
  * of functional warming relative to detailed simulation of the same
  * trace (gzip and mcf), then the sharded reference at 8 shards with
- * full-prefix functional warming per shard, and cross-checks the whole
- * exactness
- * contract: `--shards 1` bit-identical to sequential, sequential
- * replay bit-identical to live stepping, architectural counters exact
- * under sharding, and stitched CPI within 0.5%. Speedup and the
- * warming ratios are reported in the JSON but asserted only by CI
- * (they are properties of the machine, not of the code).
+ * full-prefix functional warming per shard, and cross-checks the
+ * exactness contract: `--shards 1` bit-identical to sequential,
+ * architectural counters exact under sharding, and stitched CPI within
+ * 0.5%. Speedup and the warming ratios are reported in the JSON but
+ * asserted only by CI (they are properties of the machine, not of the
+ * code).
  */
 int
 runOooGate(const char *path)
@@ -655,12 +615,6 @@ runOooGate(const char *path)
         bestWarmSeconds(mcf_trace, cfg) /
         bestDetailedSeconds(mcf_trace, cfg, nullptr);
     mcf_trace.reset();
-
-    // Live stepping must agree with replay cycle for cycle.
-    FunctionalSim live_sim(w.program);
-    OooCore live_core(cfg);
-    live_core.run(live_sim, ~0ULL);
-    bool replay_live_match = live_core.snapshot().cycles == seq.cycles;
 
     // One shard is the sequential path by contract — bit-identical.
     ShardOptions one;
@@ -719,7 +673,6 @@ runOooGate(const char *path)
     report.setNumber("sharded_cpi_drift", cpi_drift);
     report.setBool("counters_exact", counters_exact);
     report.setBool("shards1_bit_identical", single_identical);
-    report.setBool("replay_live_cycles_match", replay_live_match);
     writeReportFile(report, path);
 
     std::printf("OoO detailed replay: %.2fM inst/s\n", ooo_ips / 1e6);
@@ -732,10 +685,6 @@ runOooGate(const char *path)
     std::printf("wrote %s\n", path);
 
     // Exit status gates correctness only; CI asserts the speedup.
-    if (!replay_live_match) {
-        std::fprintf(stderr, "microbench: replay diverged from live\n");
-        return 1;
-    }
     if (!single_identical) {
         std::fprintf(stderr,
                      "microbench: --shards 1 not bit-identical\n");

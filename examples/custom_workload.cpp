@@ -1,21 +1,20 @@
 /**
  * @file
  * Custom workload: author your own program against the yasim ISA with
- * ProgramBuilder, then run the library's machinery on it — detailed
- * simulation, BBV profiling, and a hand-rolled SimPoint pipeline
- * (interval BBVs -> random projection -> k-means/BIC -> weighted
- * simulation points) built from the public stats API. This is the
- * drop-to-the-lower-level tour for users whose workload is not in the
- * shipped suite.
+ * ProgramBuilder, record its execution once, then run the library's
+ * machinery over replays of the recording — detailed simulation, BBV
+ * profiling, and a hand-rolled SimPoint pipeline (interval BBVs ->
+ * random projection -> k-means/BIC -> weighted simulation points)
+ * built from the public stats API. This is the drop-to-the-lower-level
+ * tour for users whose workload is not in the shipped suite.
  */
 
 #include <iostream>
 
 #include "isa/program_builder.hh"
-#include "sim/bb_profiler.hh"
-#include "sim/functional.hh"
 #include "sim/memory.hh"
 #include "sim/ooo_core.hh"
+#include "sim/trace.hh"
 #include "stats/kmeans.hh"
 #include "stats/projection.hh"
 #include "support/rng.hh"
@@ -82,14 +81,17 @@ main()
               << " static instructions, " << program.numBlocks()
               << " basic blocks\n";
 
+    // One functional interpretation; every pass below replays it.
+    auto trace = ExecTrace::record(program);
+
     // 1. Full detailed simulation (ground truth).
     SimConfig config = architecturalConfig(2);
     uint64_t total;
     double true_cpi;
     {
-        FunctionalSim fsim(program);
+        TraceReplayer stream(trace);
         OooCore core(config);
-        total = core.run(fsim, ~0ULL);
+        total = core.run(stream, ~0ULL);
         true_cpi = core.snapshot().cpi();
     }
     std::cout << "full run: " << Table::count(total)
@@ -102,11 +104,11 @@ main()
     RandomProjection projection(program.numBlocks(), 8, rng);
     std::vector<std::vector<double>> intervals;
     {
-        FunctionalSim fsim(program);
+        TraceReplayer stream(trace);
         ExecRecord rec;
         std::vector<double> bbv(program.numBlocks(), 0.0);
         uint64_t in_interval = 0;
-        while (fsim.step(rec)) {
+        while (stream.step(rec)) {
             bbv[program.blockOf(rec.pc)] += 1.0;
             if (++in_interval == interval) {
                 normalizeL1(bbv);
@@ -138,12 +140,12 @@ main()
                 break;
             }
         }
-        FunctionalSim fsim(program);
+        TraceReplayer stream(trace);
         OooCore core(config);
-        fsim.fastForwardWarm(idx * interval, &core.memHierarchy(),
-                             &core.predictor());
+        stream.fastForwardWarm(idx * interval, &core.memHierarchy(),
+                               &core.predictor());
         SimStats before = core.snapshot();
-        core.run(fsim, interval);
+        core.run(stream, interval);
         SimStats delta = core.snapshot() - before;
         double weight = static_cast<double>(population[c]) /
                         static_cast<double>(intervals.size());

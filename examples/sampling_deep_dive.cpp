@@ -18,13 +18,13 @@
 #include <iostream>
 
 #include "engine/engine.hh"
-#include "sim/functional.hh"
 #include "sim/ooo_core.hh"
 #include "stats/summary.hh"
 #include "support/table.hh"
 #include "techniques/full_reference.hh"
 #include "techniques/simpoint.hh"
 #include "techniques/smarts.hh"
+#include "techniques/trace_store.hh"
 
 using namespace yasim;
 
@@ -55,15 +55,14 @@ main(int argc, char **argv)
                       " simulation points)");
     phase_table.setHeader({"point @ instruction", "weight",
                            "CPI of the interval"});
-    Workload workload =
-        buildWorkload(benchmark, InputSet::Reference, ctx.suite);
     for (const SimulationPoint &p : points) {
-        FunctionalSim fsim(workload.program);
+        // Each point replays the engine's one recording of the run.
+        TraceReplayer stream = openStream(ctx, InputSet::Reference);
         OooCore core(config);
-        fsim.fastForwardWarm(p.startInst, &core.memHierarchy(),
-                             &core.predictor());
+        stream.fastForwardWarm(p.startInst, &core.memHierarchy(),
+                               &core.predictor());
         SimStats before = core.snapshot();
-        core.run(fsim, ctx.scaledM(100.0));
+        core.run(stream, ctx.scaledM(100.0));
         SimStats delta = core.snapshot() - before;
         phase_table.addRow({Table::count(p.startInst),
                             Table::num(p.weight, 3),

@@ -41,14 +41,13 @@ characterizeWorkload(const std::string &benchmark, InputSet input,
 
     // Instruction mix: one pass over the stream.
     {
-        StepSourceHandle src =
-            openStepSource(benchmark, input, suite, traces);
+        TraceReplayer src = openStream(benchmark, input, suite, traces);
         constexpr uint64_t kMixBatch = 4096;
         std::vector<ExecRecord> batch(kMixBatch);
         uint64_t total = 0, loads = 0, stores = 0, branches = 0,
                  fp = 0, muldiv = 0;
         uint64_t n;
-        while ((n = src.source->stepBatch(batch.data(), kMixBatch)) > 0) {
+        while ((n = src.stepBatch(batch.data(), kMixBatch)) > 0) {
             total += n;
             for (uint64_t i = 0; i < n; ++i) {
                 const Instruction &inst = *batch[i].inst;
@@ -80,10 +79,9 @@ characterizeWorkload(const std::string &benchmark, InputSet input,
 
     // Memory/branch behaviour on the mid-range probe machine.
     {
-        StepSourceHandle src =
-            openStepSource(benchmark, input, suite, traces);
+        TraceReplayer src = openStream(benchmark, input, suite, traces);
         OooCore core(architecturalConfig(2));
-        core.run(*src.source, ~0ULL);
+        core.run(src, ~0ULL);
         SimStats stats = core.snapshot();
         wc.branchAccuracy = stats.branchAccuracy();
         wc.l1dMissRate = 1.0 - stats.l1dHitRate();
@@ -99,10 +97,9 @@ characterizeWorkload(const std::string &benchmark, InputSet input,
         wide.core.robEntries = 512;
         wide.core.iqEntries = 256;
         wide.core.lsqEntries = 256;
-        StepSourceHandle src =
-            openStepSource(benchmark, input, suite, traces);
+        TraceReplayer src = openStream(benchmark, input, suite, traces);
         OooCore core(wide);
-        core.run(*src.source, ~0ULL);
+        core.run(src, ~0ULL);
         wc.ilpProxy = core.snapshot().ipc();
     }
     return wc;

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "isa/program.hh"
-#include "sim/step_source.hh"
+#include "sim/trace.hh"
 
 namespace yasim {
 

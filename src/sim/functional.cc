@@ -6,17 +6,6 @@
 
 namespace yasim {
 
-uint64_t
-StepSource::stepBatch(ExecRecord *out, uint64_t n)
-{
-    // Generic fallback for sources without a native batch kernel: the
-    // per-record virtual cost is unchanged, only the call site shrinks.
-    uint64_t done = 0;
-    while (done < n && step(out[done]))
-        ++done;
-    return done;
-}
-
 FunctionalSim::FunctionalSim(const Program &program)
     : prog(program), code(program.code())
 {

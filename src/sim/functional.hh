@@ -1,13 +1,15 @@
 /**
  * @file
- * Functional (architectural) simulator: the live StepSource.
+ * Functional (architectural) simulator: the recorder's interpreter and
+ * the oracle the replayer is tested against.
  *
- * Executes programs at architectural level only; the cycle-level core is
- * trace-driven from the ExecRecord stream this simulator produces. The
- * interface it implements — step / fastForward / fastForwardWarm — is
- * the StepSource seam (sim/step_source.hh); consumers above the
- * functional layer include that header, not this one, so a recorded
- * trace can stand in for the interpreter.
+ * Executes programs at architectural level only. ExecTrace::record
+ * (sim/trace.hh) runs it once per program through stepBatch, and every
+ * timing run replays that recording through a TraceReplayer (lint
+ * rules L1 and G1 keep the techniques, the characterizations and the
+ * bench drivers off this header). step, fastForward and
+ * fastForwardWarm stay for the oracle tests, which hold the replayer's
+ * records and warming call sequence to them.
  */
 
 #ifndef YASIM_SIM_FUNCTIONAL_HH
@@ -17,12 +19,12 @@
 
 #include "isa/program.hh"
 #include "sim/memory.hh"
-#include "sim/step_source.hh"
+#include "sim/trace.hh"
 
 namespace yasim {
 
 /** Architectural simulator for one program run. */
-class FunctionalSim final : public StepSource
+class FunctionalSim
 {
   public:
     /**
@@ -34,10 +36,10 @@ class FunctionalSim final : public StepSource
     explicit FunctionalSim(Program &&) = delete;
 
     /** True once a Halt has executed. */
-    bool halted() const override { return isHalted; }
+    bool halted() const { return isHalted; }
 
     /** Dynamic instructions executed so far (Halt included). */
-    uint64_t instsExecuted() const override { return icount; }
+    uint64_t instsExecuted() const { return icount; }
 
     /** Current instruction index. */
     uint64_t pc() const { return curPc; }
@@ -46,19 +48,20 @@ class FunctionalSim final : public StepSource
      * Execute one instruction and describe it in @p record.
      * @return false when the machine was already halted.
      */
-    bool step(ExecRecord &record) override;
+    bool step(ExecRecord &record);
 
     /**
-     * Execute up to @p n instructions, describing each in @p out — a
-     * tight interpreter loop with the virtual dispatch hoisted out.
+     * Execute up to @p n instructions, describing each in @p out: the
+     * recorder's interpreter loop.
+     * @return the number executed (less than n at Halt).
      */
-    uint64_t stepBatch(ExecRecord *out, uint64_t n) override;
+    uint64_t stepBatch(ExecRecord *out, uint64_t n);
 
     /**
      * Execute up to @p count instructions with no record production.
      * @return the number actually executed (less than count at Halt).
      */
-    uint64_t fastForward(uint64_t count) override;
+    uint64_t fastForward(uint64_t count);
 
     /**
      * Execute up to @p count instructions while functionally warming
@@ -66,7 +69,7 @@ class FunctionalSim final : public StepSource
      * @return the number actually executed.
      */
     uint64_t fastForwardWarm(uint64_t count, MemoryHierarchy *mem,
-                             CombinedPredictor *bp) override;
+                             CombinedPredictor *bp);
 
     /** Read an integer register (r0 reads zero). */
     int64_t intReg(int idx) const { return intRegs[idx]; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/trace.hh"
 #include "support/check.hh"
 
 namespace yasim {
@@ -203,41 +202,17 @@ OooCore::scheduleIssue(uint64_t earliest, uint64_t horizon, FuClass fu,
 }
 
 uint64_t
-OooCore::run(StepSource &src, uint64_t max_insts, BbProfiler *profiler,
+OooCore::run(TraceReplayer &src, uint64_t max_insts, BbProfiler *profiler,
              const CancelToken &cancel)
-{
-    // One dynamic-type resolution per run() call: a replayer feeds the
-    // decoded fast path; any other source (the functional interpreter
-    // used as an oracle, wrappers) takes the generic batched loop. Both
-    // are bit-identical.
-    if (auto *replay = dynamic_cast<TraceReplayer *>(&src))
-        return runReplay(*replay, max_insts, profiler, cancel);
-    return runSteps(src, max_insts, profiler, cancel);
-}
-
-SimStats
-OooCore::runMeasured(StepSource &src, uint64_t max_insts,
-                     BbProfiler *profiler, uint64_t *insts_done,
-                     const CancelToken &cancel)
-{
-    SimStats before = snapshot();
-    uint64_t done = run(src, max_insts, profiler, cancel);
-    if (insts_done)
-        *insts_done = done;
-    return snapshot() - before;
-}
-
-uint64_t
-OooCore::runSteps(StepSource &src, uint64_t max_insts, BbProfiler *profiler,
-                  const CancelToken &cancel)
 {
     const uint32_t l1i_block = cfg.mem.l1i.blockBytes;
     const uint64_t frontend = cfg.core.frontendDepth;
 
-    // Pull batches through the source's stepBatch kernel: one virtual
-    // call per span instead of one per instruction. The buffer is small
-    // enough to live on the stack.
+    // Pull spans through the replayer's stepBatch kernel into a buffer
+    // small enough to live on the stack. The batch divides the cancel
+    // quantum, so every poll lands exactly on a quantum boundary.
     constexpr uint64_t kFetchBatch = 256;
+    static_assert(kCancelCheckInsts % kFetchBatch == 0);
     ExecRecord recs[kFetchBatch];
 
     uint64_t done = 0;
@@ -256,8 +231,6 @@ OooCore::runSteps(StepSource &src, uint64_t max_insts, BbProfiler *profiler,
             break;
         for (uint64_t i = 0; i < n; ++i) {
             const ExecRecord &rec = recs[i];
-            // Replayed and live streams must satisfy the same contract.
-            YASIM_DCHECK(rec.inst != nullptr);
             if (profiler)
                 profiler->record(rec.pc);
             simulateOne(*rec.inst, Program::pcAddress(rec.pc), rec.nextPc,
@@ -269,40 +242,16 @@ OooCore::runSteps(StepSource &src, uint64_t max_insts, BbProfiler *profiler,
     return done;
 }
 
-uint64_t
-OooCore::runReplay(TraceReplayer &src, uint64_t max_insts,
-                   BbProfiler *profiler, const CancelToken &cancel)
+SimStats
+OooCore::runMeasured(TraceReplayer &src, uint64_t max_insts,
+                     BbProfiler *profiler, uint64_t *insts_done,
+                     const CancelToken &cancel)
 {
-    const uint32_t l1i_block = cfg.mem.l1i.blockBytes;
-    const uint64_t frontend = cfg.core.frontendDepth;
-
-    uint64_t done = 0;
-    uint64_t next_poll = kCancelCheckInsts;
-    while (done < max_insts) {
-        // Same quantum'd poll as runSteps: a decoded run can span many
-        // batches, so the bound is one quantum + one decoded run.
-        if (done >= next_poll) {
-            if (cancel.cancelled())
-                break;
-            next_poll = done + kCancelCheckInsts;
-        }
-        uint64_t n = 0;
-        const TraceReplayer::DecodedUop *uops =
-            src.decodeRun(max_insts - done, n);
-        if (n == 0)
-            break;
-        for (uint64_t i = 0; i < n; ++i) {
-            const TraceReplayer::DecodedUop &u = uops[i];
-            if (profiler)
-                profiler->record(u.pc);
-            simulateOne(*u.inst, Program::pcAddress(u.pc), u.nextPc,
-                        u.memAddr, u.taken, u.trivial, l1i_block,
-                        frontend);
-        }
-        src.advance(n);
-        done += n;
-    }
-    return done;
+    SimStats before = snapshot();
+    uint64_t done = run(src, max_insts, profiler, cancel);
+    if (insts_done)
+        *insts_done = done;
+    return snapshot() - before;
 }
 
 void

@@ -3,9 +3,9 @@
  * Cycle-level out-of-order superscalar core.
  *
  * The core is trace-driven: it consumes the in-order ExecRecord stream
- * of a StepSource and computes, per dynamic instruction, the cycle
- * of every pipeline event with a ready-time model. The model captures
- * everything the 43-factor PB space varies:
+ * of a TraceReplayer (sim/trace.hh) and computes, per dynamic
+ * instruction, the cycle of every pipeline event with a ready-time
+ * model. The model captures everything the 43-factor PB space varies:
  *
  *  - fetch bandwidth, taken-branch fetch breaks, I-cache/I-TLB stalls,
  *    fetch-queue backpressure, branch mispredict redirects
@@ -34,14 +34,12 @@
 #include "sim/config.hh"
 #include "sim/slot_pool.hh"
 #include "sim/stats.hh"
-#include "sim/step_source.hh"
+#include "sim/trace.hh"
 #include "support/cancel.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/memory_hierarchy.hh"
 
 namespace yasim {
-
-class TraceReplayer;
 
 /** The detailed timing model. */
 class OooCore
@@ -50,9 +48,9 @@ class OooCore
     explicit OooCore(const SimConfig &config);
 
     /**
-     * Instructions between cancellation polls in the run loops. A
+     * Instructions between cancellation polls in the run loop. A
      * cancelled run stops within one quantum of the cancel, and the
-     * hot loops stay poll-free in between (the poll on a default
+     * hot loop stays poll-free in between (the poll on a default
      * invalid token is a single null check).
      */
     static constexpr uint64_t kCancelCheckInsts = 8192;
@@ -65,14 +63,13 @@ class OooCore
      * the call returns early with the count committed so far (the
      * caller decides whether that partial progress is an error).
      *
-     * A TraceReplayer is consumed through its pre-decoded flat uop
-     * runs; any other source goes through the generic stepBatch loop.
-     * Both paths execute the same per-instruction model and are
-     * bit-identical.
+     * Records arrive through src.stepBatch in spans of a small local
+     * buffer. The loop never drains the pipeline, so splitting a run
+     * into several calls simulates exactly what one call would.
      *
      * @return the number of instructions committed by this call.
      */
-    uint64_t run(StepSource &src, uint64_t max_insts,
+    uint64_t run(TraceReplayer &src, uint64_t max_insts,
                  BbProfiler *profiler = nullptr,
                  const CancelToken &cancel = CancelToken());
 
@@ -85,7 +82,7 @@ class OooCore
      * @p insts_done receives the committed-instruction count when
      * non-null.
      */
-    SimStats runMeasured(StepSource &src, uint64_t max_insts,
+    SimStats runMeasured(TraceReplayer &src, uint64_t max_insts,
                          BbProfiler *profiler = nullptr,
                          uint64_t *insts_done = nullptr,
                          const CancelToken &cancel = CancelToken());
@@ -157,7 +154,7 @@ class OooCore
      * successor (address computed only for control flow), and
      * @p l1i_block / @p frontend are hoisted configuration loads.
      *
-     * Forcibly inlined into each typed run loop: the body is past the
+     * Forcibly inlined into the run loop: the body is past the
      * compiler's size heuristics, and an out-of-line call here costs
      * ~20% of detailed throughput.
      */
@@ -168,15 +165,6 @@ class OooCore
                      uint64_t next_pc, uint64_t mem_addr, bool taken,
                      bool trivial_hint, uint32_t l1i_block,
                      uint64_t frontend);
-
-    /** Generic loop over any source's stepBatch(). */
-    uint64_t runSteps(StepSource &src, uint64_t max_insts,
-                      BbProfiler *profiler, const CancelToken &cancel);
-
-    /** Decoded-replay fast path over flat pre-decoded uop runs. */
-    uint64_t runReplay(TraceReplayer &src, uint64_t max_insts,
-                       BbProfiler *profiler,
-                       const CancelToken &cancel);
 
     SimConfig cfg;
     MemoryHierarchy mem;

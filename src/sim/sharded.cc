@@ -121,7 +121,7 @@ constexpr uint64_t kWarmCancelChunk = 1 << 20;
  * mid-warm.
  */
 bool
-warmChunked(StepSource &src, uint64_t n, OooCore &core,
+warmChunked(TraceReplayer &src, uint64_t n, OooCore &core,
             const CancelToken &cancel, std::atomic<uint64_t> &warmed_done)
 {
     while (n > 0) {

@@ -18,10 +18,10 @@ namespace {
 TechniqueResult
 runSharded(const TechniqueContext &ctx, const SimConfig &config)
 {
-    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
+    TraceReplayer src = openStream(ctx, InputSet::Reference);
     ShardedRunResult run;
     try {
-        run = runShardedReference(src.trace, config, ctx.shards,
+        run = runShardedReference(src.trace(), config, ctx.shards,
                                   ctx.cancel);
     } catch (CancelledError &cancelled) {
         // Convert raw partial progress to work units here, where the
@@ -36,8 +36,8 @@ runSharded(const TechniqueContext &ctx, const SimConfig &config)
 
     TechniqueResult result;
     result.detailed = run.stats;
-    result.bbef = src.trace->bbef();
-    result.bbv = src.trace->bbv();
+    result.bbef = src.trace()->bbef();
+    result.bbv = src.trace()->bbv();
     result.cpi = result.detailed.cpi();
     result.metrics = result.detailed.metricVector();
     result.detailedInsts = run.detailedInsts;
@@ -61,7 +61,7 @@ FullReference::run(const TechniqueContext &ctx,
         return result;
     }
 
-    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
+    TraceReplayer src = openStream(ctx, InputSet::Reference);
     OooCore core(config);
 
     // Bail out of a cancelled sequential run at the core's next
@@ -82,12 +82,12 @@ FullReference::run(const TechniqueContext &ctx,
     // The trace already carries the full-run profile (recorded with
     // weight 1.0, exactly what a full detailed pass accumulates), so
     // detailed simulation needs no profiler attached.
-    core.run(*src.source, ~0ULL, nullptr, ctx.cancel);
+    core.run(src, ~0ULL, nullptr, ctx.cancel);
     throwIfCancelled();
 
     TechniqueResult result;
-    result.bbef = src.trace->bbef();
-    result.bbv = src.trace->bbv();
+    result.bbef = src.trace()->bbef();
+    result.bbv = src.trace()->bbv();
     result.technique = name();
     result.permutation = permutation();
     result.detailed = core.snapshot();

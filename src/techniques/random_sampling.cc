@@ -60,10 +60,9 @@ TechniqueResult
 RandomSampling::run(const TechniqueContext &ctx,
                     const SimConfig &config) const
 {
-    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
-    StepSource &stream = *src.source;
+    TraceReplayer stream = openStream(ctx, InputSet::Reference);
     OooCore core(config);
-    BbProfiler profiler(src.program());
+    BbProfiler profiler(stream.trace()->program());
 
     std::vector<uint64_t> positions = samplePositions(ctx);
 

@@ -21,16 +21,16 @@ TechniqueResult
 ReducedInput::run(const TechniqueContext &ctx,
                   const SimConfig &config) const
 {
-    StepSourceHandle src = openStepSource(ctx, inputSet);
+    TraceReplayer src = openStream(ctx, inputSet);
     OooCore core(config);
 
     // The trace carries the full-run profile a detailed pass would
     // accumulate, so the core runs without a profiler.
-    core.run(*src.source, ~0ULL);
+    core.run(src, ~0ULL);
 
     TechniqueResult result;
-    result.bbef = src.trace->bbef();
-    result.bbv = src.trace->bbv();
+    result.bbef = src.trace()->bbef();
+    result.bbv = src.trace()->bbv();
     result.technique = name();
     result.permutation = permutation();
     result.detailed = core.snapshot();

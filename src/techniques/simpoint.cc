@@ -47,10 +47,10 @@ namespace {
 
 /** Phase 1: one projected, L1-normalized BBV per interval. */
 std::vector<std::vector<double>>
-profileIntervals(StepSource &stream, const Program &program,
-                 uint64_t interval_insts, size_t proj_dim, uint64_t seed,
-                 uint64_t *profiled)
+profileIntervals(TraceReplayer &stream, uint64_t interval_insts,
+                 size_t proj_dim, uint64_t seed, uint64_t *profiled)
 {
+    const Program &program = stream.trace()->program();
     Rng rng(seed);
     RandomProjection projection(program.numBlocks(), proj_dim, rng);
 
@@ -126,13 +126,12 @@ SimPoint::choosePoints(const TechniqueContext &ctx) const
 std::vector<SimulationPoint>
 SimPoint::computePoints(const TechniqueContext &ctx) const
 {
-    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
+    TraceReplayer src = openStream(ctx, InputSet::Reference);
     const uint64_t interval_insts = intervalInsts(ctx);
 
     uint64_t profiled = 0;
-    auto intervals =
-        profileIntervals(*src.source, src.program(), interval_insts,
-                         projDim, seed, &profiled);
+    auto intervals = profileIntervals(src, interval_insts, projDim, seed,
+                                      &profiled);
 
     Rng rng(seed ^ 0x5eedULL);
     KSelection selection =
@@ -215,8 +214,7 @@ SimPoint::intervalInsts(const TechniqueContext &ctx) const
 TechniqueResult
 SimPoint::run(const TechniqueContext &ctx, const SimConfig &config) const
 {
-    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
-    StepSource &stream = *src.source;
+    TraceReplayer stream = openStream(ctx, InputSet::Reference);
     const uint64_t interval_insts = intervalInsts(ctx);
     const uint64_t warmup_insts =
         warmupM > 0
@@ -228,7 +226,7 @@ SimPoint::run(const TechniqueContext &ctx, const SimConfig &config) const
 
     // Phase 3: simulate each chosen interval in detail.
     OooCore core(config);
-    BbProfiler profiler(src.program());
+    BbProfiler profiler(stream.trace()->program());
 
     double weighted_cpi = 0.0;
     std::vector<double> weighted_metrics(4, 0.0);

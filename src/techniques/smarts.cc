@@ -55,12 +55,12 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
         n = std::clamp<uint64_t>(n, 50, 3000);
     }
 
-    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
+    TraceReplayer src = openStream(ctx, InputSet::Reference);
     const bool parallel = ctx.livepoints.enabled;
     LivePointOptions lp_opts = ctx.livepoints;
     if (!lp_opts.enabled)
         lp_opts.dir.clear(); // sequential fallback: in-memory only
-    LivePointLibrary library(src.trace, plan, config, lp_opts);
+    LivePointLibrary library(src.trace(), plan, config, lp_opts);
 
     TechniqueResult result;
     result.technique = name();

@@ -69,8 +69,9 @@ struct TechniqueContext
     /**
      * Shared execution-trace store (techniques/trace_store.hh), the
      * only source of instruction streams: techniques open them through
-     * openStepSource(ctx, input), which replays the store's recording
-     * and refuses a context without one. make() fills it in.
+     * openStream(ctx, input), which returns a TraceReplayer over the
+     * store's recording and refuses a context without one. make()
+     * fills it in.
      */
     TraceStore *traces = nullptr;
     /**

@@ -208,24 +208,21 @@ TraceStore::counters() const
     return ctr;
 }
 
-StepSourceHandle
-openStepSource(const std::string &benchmark, InputSet input,
-               const SuiteConfig &suite, TraceStore &traces)
+TraceReplayer
+openStream(const std::string &benchmark, InputSet input,
+           const SuiteConfig &suite, TraceStore &traces)
 {
-    StepSourceHandle handle;
-    handle.trace = traces.get(benchmark, input, suite);
-    handle.source = std::make_unique<TraceReplayer>(handle.trace);
-    return handle;
+    return TraceReplayer(traces.get(benchmark, input, suite));
 }
 
-StepSourceHandle
-openStepSource(const TechniqueContext &ctx, InputSet input)
+TraceReplayer
+openStream(const TechniqueContext &ctx, InputSet input)
 {
     YASIM_CHECK(ctx.traces != nullptr,
                 "technique context for '%s' has no trace store "
                 "(build it with TechniqueContext::make)",
                 ctx.benchmark.c_str());
-    return openStepSource(ctx.benchmark, input, ctx.suite, *ctx.traces);
+    return openStream(ctx.benchmark, input, ctx.suite, *ctx.traces);
 }
 
 } // namespace yasim

@@ -11,10 +11,10 @@
  * disk under versioned, key-verified headers (see docs/trace.md), so a
  * repeated bench invocation performs zero functional interpretations.
  *
- * openStepSource() is the one call sites use: it yields a TraceReplayer
- * over the shared trace. The recording is the only source of
- * architectural state for timing runs; the functional interpreter
- * runs only inside ExecTrace::record.
+ * openStream() is the one call sites use: it returns a TraceReplayer
+ * over the shared trace, which the replayer keeps alive. The recording
+ * is the only source of architectural state for timing runs; the
+ * functional interpreter runs only inside ExecTrace::record.
  */
 
 #ifndef YASIM_TECHNIQUES_TRACE_STORE_HH
@@ -138,31 +138,17 @@ class TraceStore
 };
 
 /**
- * A replay cursor over a shared trace, plus the trace it keeps alive.
- */
-struct StepSourceHandle
-{
-    std::shared_ptr<const ExecTrace> trace;
-    std::unique_ptr<StepSource> source;
-
-    /** The program behind the stream (for profilers and block maps). */
-    const Program &program() const { return trace->program(); }
-};
-
-/**
  * Open the instruction stream for (@p benchmark, @p input, @p suite):
  * a TraceReplayer over @p traces' recording.
  */
-StepSourceHandle openStepSource(const std::string &benchmark,
-                                InputSet input, const SuiteConfig &suite,
-                                TraceStore &traces);
+TraceReplayer openStream(const std::string &benchmark, InputSet input,
+                         const SuiteConfig &suite, TraceStore &traces);
 
 /**
  * Convenience overload drawing benchmark/suite/store from @p ctx;
  * a context without a trace store is a programming error.
  */
-StepSourceHandle openStepSource(const TechniqueContext &ctx,
-                                InputSet input);
+TraceReplayer openStream(const TechniqueContext &ctx, InputSet input);
 
 } // namespace yasim
 

@@ -45,9 +45,9 @@ TechniqueResult
 TruncatedExecution::run(const TechniqueContext &ctx,
                         const SimConfig &config) const
 {
-    StepSourceHandle src = openStepSource(ctx, InputSet::Reference);
+    TraceReplayer src = openStream(ctx, InputSet::Reference);
     OooCore core(config);
-    BbProfiler profiler(src.program());
+    BbProfiler profiler(src.trace()->program());
 
     const uint64_t ff_insts = ffM > 0 ? ctx.scaledM(ffM) : 0;
     const uint64_t warm_insts = warmM > 0 ? ctx.scaledM(warmM) : 0;
@@ -57,15 +57,15 @@ TruncatedExecution::run(const TechniqueContext &ctx,
     // The modeled cost below still charges the architectural jump plus
     // a checkpoint of the state it reaches — the cost the paper's
     // technique pays, independent of how the simulator gets there.
-    const uint64_t ff_done = src.source->fastForward(ff_insts);
+    const uint64_t ff_done = src.fastForward(ff_insts);
 
     // Warm-up: detailed simulation whose statistics are discarded.
     uint64_t warm_done = 0;
     if (warm_insts > 0)
-        warm_done = core.run(*src.source, warm_insts);
+        warm_done = core.run(src, warm_insts);
 
     SimStats before = core.snapshot();
-    uint64_t run_done = core.run(*src.source, run_insts, &profiler);
+    uint64_t run_done = core.run(src, run_insts, &profiler);
     SimStats measured = core.snapshot() - before;
 
     if (run_done == 0) {

@@ -1,4 +1,4 @@
-// Fixture: the sanctioned StepSource seam. It may include
+// Fixture: openStream's header, the sanctioned seam. It may include
 // sim/functional.hh itself; G1's reachability walk stops here.
 #ifndef FIXTURE_TECH_TRACE_STORE_HH
 #define FIXTURE_TECH_TRACE_STORE_HH
@@ -7,7 +7,7 @@
 
 namespace yasim {
 
-void openStepSource();
+void openStream();
 
 } // namespace yasim
 

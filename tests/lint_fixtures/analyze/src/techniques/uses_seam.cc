@@ -1,5 +1,5 @@
 // Fixture: G1 negative. Consuming the seam header is the sanctioned
-// way for a technique to obtain a step stream.
+// way for a technique to obtain a replayed stream.
 #include "techniques/trace_store.hh"
 
 namespace yasim {
@@ -7,7 +7,7 @@ namespace yasim {
 void
 replayEverything()
 {
-    openStepSource();
+    openStream();
 }
 
 } // namespace yasim

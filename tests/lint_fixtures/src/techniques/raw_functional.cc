@@ -1,7 +1,7 @@
 /**
  * @file
  * Lint fixture: L1 violation (a technique reaching for FunctionalSim
- * instead of the StepSource seam). Never compiled — linted by
+ * instead of replaying through openStream). Never compiled — linted by
  * test_lint only.
  */
 

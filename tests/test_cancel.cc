@@ -18,7 +18,6 @@
 
 #include "engine/engine.hh"
 #include "isa/program_builder.hh"
-#include "sim/functional.hh"
 #include "sim/ooo_core.hh"
 #include "sim/sharded.hh"
 #include "sim/trace.hh"
@@ -55,6 +54,17 @@ ilpLoop(uint64_t trips)
     b.blt(1, 2, top);
     b.halt();
     return b.finish();
+}
+
+/**
+ * A replayed run of ilpLoop(40000): 320,003 dynamic instructions, so
+ * the core's polls fall inside trace chunks (65,536 records each), not
+ * only at their edges.
+ */
+TraceReplayer
+multiChunkStream()
+{
+    return TraceReplayer(ExecTrace::record(ilpLoop(40000)));
 }
 
 /** A scratch cache directory wiped before and after each use. */
@@ -185,13 +195,12 @@ TEST(BackoffPolicy, DeterministicBoundedAndResettable)
 TEST(OooCoreCancel, PreCancelledRunStopsWithinOneQuantum)
 {
     failpoint::ScopedSchedule off("");
-    Program program = ilpLoop(8000); // ~64k dynamic instructions
-    FunctionalSim fsim(program);
+    TraceReplayer stream = multiChunkStream();
     OooCore core{SimConfig{}};
     CancelSource source;
     source.cancel();
 
-    uint64_t done = core.run(fsim, ~0ULL, nullptr, source.token());
+    uint64_t done = core.run(stream, ~0ULL, nullptr, source.token());
     // The poll cadence is kCancelCheckInsts; the first poll must see
     // the cancel and return, so the run commits one quantum, give or
     // take one fetch batch — never the whole program.
@@ -204,11 +213,10 @@ TEST(OooCoreCancel, FailpointCancelIsDeterministicAcrossRuns)
 {
     auto cancelledRun = [] {
         failpoint::ScopedSchedule sched("engine.cancel.token=after2");
-        Program program = ilpLoop(8000);
-        FunctionalSim fsim(program);
+        TraceReplayer stream = multiChunkStream();
         OooCore core{SimConfig{}};
         CancelSource source;
-        return core.run(fsim, ~0ULL, nullptr, source.token());
+        return core.run(stream, ~0ULL, nullptr, source.token());
     };
     uint64_t first = cancelledRun();
     // Fires on the third batch-boundary poll: under three quanta plus
@@ -220,22 +228,28 @@ TEST(OooCoreCancel, FailpointCancelIsDeterministicAcrossRuns)
 
 TEST(OooCoreCancel, UncancelledValidTokenIsBitIdentical)
 {
-    failpoint::ScopedSchedule off("");
+    // Armed far past the run's end, the token's failpoint never fires
+    // but counts every poll.
+    failpoint::ScopedSchedule count("engine.cancel.token=after1000000");
     SimConfig config;
-    Program program = ilpLoop(3000);
 
-    FunctionalSim plain_src(program);
+    TraceReplayer plain_src = multiChunkStream();
     OooCore plain{config};
     plain.run(plain_src, ~0ULL);
 
-    FunctionalSim token_src(program);
+    TraceReplayer token_src = multiChunkStream();
     OooCore tokened{config};
     CancelSource source;
-    tokened.run(token_src, ~0ULL, nullptr, source.token());
+    uint64_t done =
+        tokened.run(token_src, ~0ULL, nullptr, source.token());
 
     SimStats a = plain.snapshot(), b = tokened.snapshot();
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);
+    // The valid token was polled once per quantum, so the identity
+    // above held while the run kept checking.
+    EXPECT_EQ(failpoint::stats("engine.cancel.token").evaluations,
+              done / OooCore::kCancelCheckInsts);
 }
 
 // ------------------------------------------------- pool unwinding

@@ -6,10 +6,10 @@
 
 #include "isa/program_builder.hh"
 #include "sim/bb_profiler.hh"
-#include "sim/functional.hh"
 #include "sim/memory.hh"
 #include "sim/ooo_core.hh"
 #include "sim/slot_pool.hh"
+#include "sim/trace.hh"
 #include "support/rng.hh"
 
 namespace yasim {
@@ -73,13 +73,38 @@ trivialDivLoop(uint64_t trips)
     return b.finish();
 }
 
-SimStats
-simulate(Program program, SimConfig config)
+/** A replay cursor over one recorded run of @p program. */
+TraceReplayer
+replay(const Program &program)
 {
-    FunctionalSim fsim(program);
+    return TraceReplayer(ExecTrace::record(program));
+}
+
+SimStats
+simulate(const Program &program, SimConfig config)
+{
+    TraceReplayer stream = replay(program);
     OooCore core(config);
-    core.run(fsim, ~0ULL);
+    core.run(stream, ~0ULL);
     return core.snapshot();
+}
+
+void
+expectSameStats(const SimStats &a, const SimStats &b)
+{
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.condBranches, b.condBranches);
+    EXPECT_EQ(a.condMispredicts, b.condMispredicts);
+    EXPECT_EQ(a.l1iAccesses, b.l1iAccesses);
+    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
+    EXPECT_EQ(a.l1dAccesses, b.l1dAccesses);
+    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.trivialOps, b.trivialOps);
+    EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued);
+    EXPECT_EQ(a.memStallCycles, b.memStallCycles);
 }
 
 TEST(OooCore, IpcNeverExceedsWidth)
@@ -229,43 +254,52 @@ TEST(OooCore, StoreForwardingBeatsCacheLatency)
 
 TEST(OooCore, ResetPipelineKeepsCachesAndStats)
 {
-    Program p = ilpLoop(2000);
-    FunctionalSim fsim(p);
+    TraceReplayer stream = replay(ilpLoop(2000));
     SimConfig cfg;
     OooCore core(cfg);
-    core.run(fsim, 3000);
+    core.run(stream, 3000);
     SimStats mid = core.snapshot();
     core.resetPipeline();
-    core.run(fsim, ~0ULL);
+    core.run(stream, ~0ULL);
     SimStats end = core.snapshot();
     EXPECT_GT(end.instructions, mid.instructions);
     EXPECT_GE(end.cycles, mid.cycles);
 }
 
-TEST(OooCore, ChunkedRunMatchesMonolithicApproximately)
+TEST(OooCore, ChunkedRunMatchesMonolithicExactly)
 {
+    // run() never drains the pipeline (only resetPipeline() does), so
+    // a run split into pieces must simulate exactly what one call
+    // does. Piece sizes straddle the core's 256-record fetch batch and
+    // the trace's 65,536-record chunk, on a program several chunks
+    // long.
     SimConfig cfg;
-    SimStats mono = simulate(ilpLoop(4000), cfg);
+    auto trace = ExecTrace::record(ilpLoop(40000));
+    ASSERT_GT(trace->length(), uint64_t(4) * 65536);
+    TraceReplayer whole(trace);
+    OooCore mono_core(cfg);
+    mono_core.run(whole, ~0ULL);
+    const SimStats mono = mono_core.snapshot();
+    ASSERT_EQ(mono.instructions, trace->length());
 
-    Program prog_fsim = ilpLoop(4000);
-    FunctionalSim fsim(prog_fsim);
-    OooCore core(cfg);
-    while (core.run(fsim, 500) == 500) {
+    for (uint64_t piece : {1, 7, 255, 256, 257, 500, 8193, 65535, 65536,
+                           65537, 70000}) {
+        SCOPED_TRACE("piece " + std::to_string(piece));
+        TraceReplayer stream(trace);
+        OooCore core(cfg);
+        while (core.run(stream, piece) == piece) {
+        }
+        expectSameStats(core.snapshot(), mono);
     }
-    SimStats chunked = core.snapshot();
-    EXPECT_EQ(chunked.instructions, mono.instructions);
-    // Chunking adds pipeline drain/fill at the boundaries only.
-    EXPECT_NEAR(chunked.cpi(), mono.cpi(), mono.cpi() * 0.15);
 }
 
 TEST(OooCore, ProfilerSeesEveryInstruction)
 {
-    Program p = ilpLoop(100);
-    FunctionalSim fsim(p);
+    TraceReplayer stream = replay(ilpLoop(100));
     SimConfig cfg;
     OooCore core(cfg);
-    BbProfiler profiler(p);
-    uint64_t done = core.run(fsim, ~0ULL, &profiler);
+    BbProfiler profiler(stream.trace()->program());
+    uint64_t done = core.run(stream, ~0ULL, &profiler);
     double total = 0.0;
     for (double v : profiler.bbv())
         total += v;
@@ -274,13 +308,12 @@ TEST(OooCore, ProfilerSeesEveryInstruction)
 
 TEST(OooCore, SnapshotDeltasArePerRegion)
 {
-    Program p = ilpLoop(3000);
-    FunctionalSim fsim(p);
+    TraceReplayer stream = replay(ilpLoop(3000));
     SimConfig cfg;
     OooCore core(cfg);
-    core.run(fsim, 1000);
+    core.run(stream, 1000);
     SimStats a = core.snapshot();
-    core.run(fsim, 1000);
+    core.run(stream, 1000);
     SimStats b = core.snapshot();
     SimStats delta = b - a;
     EXPECT_EQ(delta.instructions, 1000u);

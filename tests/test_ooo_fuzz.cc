@@ -4,7 +4,8 @@
  * (but always-terminating) programs run on randomly chosen machine
  * configurations, checking the invariants any timing model must hold:
  *
- *  - the core commits exactly what the functional simulator executes
+ *  - the core commits exactly what the functional simulator executes,
+ *    replayed from its recording
  *  - IPC never exceeds the commit width
  *  - cycles are bounded above by a per-instruction worst case
  *  - timing is deterministic for identical runs
@@ -19,6 +20,7 @@
 #include "sim/functional.hh"
 #include "sim/memory.hh"
 #include "sim/ooo_core.hh"
+#include "sim/trace.hh"
 #include "support/rng.hh"
 
 namespace yasim {
@@ -129,12 +131,13 @@ TEST_P(OooFuzz, TimingInvariantsHold)
         functional_count = fsim.fastForward(~0ULL);
         ASSERT_TRUE(fsim.halted());
     }
+    auto trace = ExecTrace::record(program);
 
     for (int c = 0; c < 3; ++c) {
         SimConfig cfg = randomConfig(seed * 31 + static_cast<uint64_t>(c));
-        FunctionalSim fsim(program);
+        TraceReplayer stream(trace);
         OooCore core(cfg);
-        uint64_t committed = core.run(fsim, ~0ULL);
+        uint64_t committed = core.run(stream, ~0ULL);
         SimStats stats = core.snapshot();
 
         // Commit completeness.
@@ -156,9 +159,9 @@ TEST_P(OooFuzz, TimingInvariantsHold)
             << "config " << cfg.name;
 
         // Determinism.
-        FunctionalSim fsim2(program);
+        TraceReplayer stream2(trace);
         OooCore core2(cfg);
-        core2.run(fsim2, ~0ULL);
+        core2.run(stream2, ~0ULL);
         EXPECT_EQ(core2.snapshot().cycles, stats.cycles);
     }
 }
@@ -166,13 +169,13 @@ TEST_P(OooFuzz, TimingInvariantsHold)
 TEST_P(OooFuzz, EnhancementsAndLatenciesAreMonotone)
 {
     const uint64_t seed = GetParam();
-    Program program = randomProgram(seed);
+    auto trace = ExecTrace::record(randomProgram(seed));
     SimConfig base = architecturalConfig(1);
 
     auto cycles_for = [&](const SimConfig &cfg) {
-        FunctionalSim fsim(program);
+        TraceReplayer stream(trace);
         OooCore core(cfg);
-        core.run(fsim, ~0ULL);
+        core.run(stream, ~0ULL);
         return core.snapshot().cycles;
     };
 

@@ -7,9 +7,9 @@
 
 #include "isa/program_builder.hh"
 #include "sim/config.hh"
-#include "sim/functional.hh"
 #include "sim/memory.hh"
 #include "sim/ooo_core.hh"
+#include "sim/trace.hh"
 #include "stats/plackett_burman.hh"
 
 namespace yasim {
@@ -47,13 +47,13 @@ mixedProgram()
 
 TEST(SimConfigSpace, AllHighAndAllLowCornersRun)
 {
-    Program p = mixedProgram();
+    auto trace = ExecTrace::record(mixedProgram());
     for (int level : {-1, 1}) {
         std::vector<int> levels(numPbFactors(), level);
         SimConfig cfg = applyPbRow(levels, level > 0 ? "hi" : "lo");
-        FunctionalSim fsim(p);
+        TraceReplayer stream(trace);
         OooCore core(cfg);
-        uint64_t done = core.run(fsim, ~0ULL);
+        uint64_t done = core.run(stream, ~0ULL);
         EXPECT_GT(done, 1000u);
         EXPECT_GT(core.snapshot().cpi(), 0.0);
     }
@@ -61,17 +61,17 @@ TEST(SimConfigSpace, AllHighAndAllLowCornersRun)
 
 TEST(SimConfigSpace, AllHighFasterThanAllLow)
 {
-    Program p1 = mixedProgram(), p2 = mixedProgram();
+    auto trace = ExecTrace::record(mixedProgram());
     std::vector<int> hi(numPbFactors(), 1), lo(numPbFactors(), -1);
     // High levels are chosen "bigger/faster" for resources but *slower*
     // for latencies; on this mixed workload the resource side wins
     // except for the latency factors — flip those to check direction.
-    FunctionalSim f1(p1);
+    TraceReplayer s1(trace);
     OooCore big(applyPbRow(hi, "hi"));
-    big.run(f1, ~0ULL);
-    FunctionalSim f2(p2);
+    big.run(s1, ~0ULL);
+    TraceReplayer s2(trace);
     OooCore small(applyPbRow(lo, "lo"));
-    small.run(f2, ~0ULL);
+    small.run(s2, ~0ULL);
     // Both must at least produce sane, different CPIs.
     EXPECT_NE(big.snapshot().cycles, small.snapshot().cycles);
 }
@@ -80,16 +80,16 @@ TEST(SimConfigSpace, EveryPbRowSimulates)
 {
     // The whole characterization rests on every design corner being a
     // legal machine. Run a short burst on each of the 44 rows.
-    Program p = mixedProgram();
+    auto trace = ExecTrace::record(mixedProgram());
     PbDesign design = PbDesign::forFactors(numPbFactors(), false);
     for (size_t run = 0; run < design.numRuns(); ++run) {
         std::vector<int> levels(design.numFactors());
         for (size_t j = 0; j < design.numFactors(); ++j)
             levels[j] = design.level(run, j);
         SimConfig cfg = applyPbRow(levels, "row" + std::to_string(run));
-        FunctionalSim fsim(p);
+        TraceReplayer stream(trace);
         OooCore core(cfg);
-        uint64_t done = core.run(fsim, 2000);
+        uint64_t done = core.run(stream, 2000);
         EXPECT_EQ(done, 2000u) << "row " << run;
     }
 }
@@ -144,11 +144,11 @@ TEST(SimConfigSpace, LatencyFactorsSlowTheMachine)
     pbFactors()[static_cast<size_t>(mem_idx)].apply(slow, true);
     pbFactors()[static_cast<size_t>(mem_idx)].apply(base, false);
 
-    Program p1 = chase(), p2 = chase();
-    FunctionalSim f1(p1), f2(p2);
+    auto trace = ExecTrace::record(chase());
+    TraceReplayer s1(trace), s2(trace);
     OooCore fast_core(base), slow_core(slow);
-    fast_core.run(f1, ~0ULL);
-    slow_core.run(f2, ~0ULL);
+    fast_core.run(s1, ~0ULL);
+    slow_core.run(s2, ~0ULL);
     EXPECT_GT(slow_core.snapshot().cpi(),
               fast_core.snapshot().cpi() * 1.5);
 }

@@ -4,6 +4,7 @@
 
 #include "sim/functional.hh"
 #include "sim/ooo_core.hh"
+#include "sim/trace.hh"
 #include "workloads/builder_util.hh"
 #include "workloads/suite.hh"
 
@@ -141,9 +142,9 @@ TEST(Suite, McfReferenceIsMemoryBoundUnlikeReduced)
 
     auto cpi_of = [&](InputSet input) {
         Workload w = buildWorkload("mcf", input, suite);
-        FunctionalSim fsim(w.program);
+        TraceReplayer stream(ExecTrace::record(w.program));
         OooCore core(cfg);
-        core.run(fsim, ~0ULL);
+        core.run(stream, ~0ULL);
         return core.snapshot().cpi();
     };
     double ref_cpi = cpi_of(InputSet::Reference);
@@ -161,9 +162,9 @@ TEST(Suite, McfMemStallFractionSeparatesInputs)
     SimConfig cfg = architecturalConfig(2);
     auto stall_of = [&](InputSet input) {
         Workload w = buildWorkload("mcf", input, suite);
-        FunctionalSim fsim(w.program);
+        TraceReplayer stream(ExecTrace::record(w.program));
         OooCore core(cfg);
-        core.run(fsim, ~0ULL);
+        core.run(stream, ~0ULL);
         return core.snapshot().memStallFraction();
     };
     double ref = stall_of(InputSet::Reference);
@@ -198,9 +199,9 @@ TEST(Suite, PerlbmkBranchesAreHard)
     SimConfig cfg = architecturalConfig(2);
     auto accuracy_of = [&](const std::string &bench) {
         Workload w = buildWorkload(bench, InputSet::Reference, suite);
-        FunctionalSim fsim(w.program);
+        TraceReplayer stream(ExecTrace::record(w.program));
         OooCore core(cfg);
-        core.run(fsim, ~0ULL);
+        core.run(stream, ~0ULL);
         return core.snapshot().branchAccuracy();
     };
     // The interpreter's dispatch defeats the predictor; the FP codes

@@ -499,7 +499,7 @@ ruleG1(const Project &project, std::vector<Finding> &findings)
         {{"src/techniques/", "src/core/"},
          {"sim/functional.hh"},
          {"techniques/trace_store.hh"},
-         "consume the StepSource seam (openStepSource, "
+         "replay the recording through a TraceReplayer (openStream, "
          "techniques/trace_store.hh) instead"},
         {{"bench/"},
          {"support/thread_pool.hh", "support/parallel.hh",
@@ -1628,8 +1628,8 @@ analyzeRuleCatalog()
 {
     std::vector<RuleInfo> catalog = ruleCatalog();
     catalog.push_back({"G1", "layering by include-graph reachability: "
-                             "techniques/core stop at the StepSource "
-                             "seam, bench stops at the service API"});
+                             "techniques/core stop at openStream's "
+                             "header, bench stops at the service API"});
     catalog.push_back({"K1", "cache-key completeness: every config "
                              "field is stamped into its annotated "
                              "cache key or justified key-exempt"});

@@ -11,7 +11,7 @@
  *
  *   G1  layering by reachability: src/techniques and src/core must not
  *       reach sim/functional.hh through any chain of includes except
- *       the StepSource seam (techniques/trace_store.hh); bench drivers
+ *       openStream's header (techniques/trace_store.hh); bench drivers
  *       must not reach engine/pool internals past the driver/service
  *       API headers. Computed on the transitive include graph, so a
  *       violation hidden three headers deep is still a violation.

@@ -275,10 +275,11 @@ ruleL1(const std::string &path, const std::string &code,
             continue;
         (void)code;
         addFinding(findings, sup, path, kRuleL1, tok.line,
-                   "techniques/core must consume the StepSource seam "
-                   "(openStepSource, techniques/trace_store.hh), never "
-                   "FunctionalSim directly — direct use bypasses trace "
-                   "replay and forfeits the bit-identity guarantee");
+                   "techniques/core must replay the recorded stream "
+                   "(a TraceReplayer from openStream, "
+                   "techniques/trace_store.hh), never FunctionalSim "
+                   "directly — direct use bypasses trace replay and "
+                   "forfeits the bit-identity guarantee");
     }
 }
 
@@ -299,7 +300,7 @@ ruleL2(const std::string &path, const std::string &code,
                    "bench drivers must go through BenchDriver / "
                    "SimulationService; '" + tok.text +
                        "' is an engine internal (for custom passes, "
-                       "open streams with openStepSource(ctx, input))");
+                       "open streams with openStream(ctx, input))");
     }
 }
 
@@ -370,7 +371,7 @@ ruleCatalog()
         {kRuleD1, "no entropy or wall-clock sources in "
                   "result-affecting code"},
         {kRuleD2, "no direct iteration over unordered containers"},
-        {kRuleL1, "techniques/core consume StepSource, never "
+        {kRuleL1, "techniques/core replay a TraceReplayer, never "
                   "FunctionalSim"},
         {kRuleL2, "bench goes through BenchDriver/SimulationService, "
                   "never engine internals"},

@@ -14,8 +14,8 @@
  * Rules (see docs/static-analysis.md for the full catalog):
  *   D1  no entropy or wall-clock sources in result-affecting code
  *   D2  no direct iteration over unordered containers
- *   L1  src/techniques/ and src/core/ consume StepSource, never
- *       FunctionalSim directly
+ *   L1  src/techniques/ and src/core/ replay a TraceReplayer
+ *       (openStream), never FunctionalSim directly
  *   L2  bench drivers go through BenchDriver / SimulationService,
  *       never engine internals
  *   S1  raw serialization code must carry a format-version marker
