@@ -10,7 +10,8 @@
  */
 
 #include <cmath>
-#include <iostream>
+#include <iterator>
+#include <memory>
 
 #include "engine/bench_driver.hh"
 #include "support/table.hh"
@@ -31,23 +32,36 @@ main(int argc, char **argv)
         table.setHeader({"benchmark", "variant", "last point @",
                          "cost %", "CPI error"});
 
-        ExperimentEngine &engine = driver.engine();
-        for (const std::string &bench : driver.benchmarks()) {
-            TechniqueContext ctx = driver.context(bench);
-            FullReference reference;
-            TechniqueResult ref = engine.run(reference, ctx, config);
+        // The reference, then the standard and the early variant, on
+        // every benchmark in one batch.
+        const std::shared_ptr<const SimPoint> variants[] = {
+            std::make_shared<SimPoint>(100.0, 10, 0.0, "multiple 100M"),
+            std::make_shared<SimPoint>(100.0, 10, 0.0, "early 100M", 15,
+                                       42, 3, true)};
+        const std::vector<TechniquePtr> techniques = {
+            std::make_shared<FullReference>(), variants[0], variants[1]};
 
-            for (int variant = 0; variant < 2; ++variant) {
-                bool early = variant == 1;
-                SimPoint sp(100.0, 10, 0.0,
-                            early ? "early 100M" : "multiple 100M", 15,
-                            42, 3, early);
-                auto points = sp.choosePoints(ctx);
+        std::vector<TechniqueContext> contexts;
+        for (const std::string &bench : driver.benchmarks())
+            contexts.push_back(driver.context(bench));
+        std::vector<GridJob> jobs;
+        for (const TechniqueContext &ctx : contexts)
+            for (const TechniquePtr &technique : techniques)
+                jobs.push_back({technique.get(), &ctx, &config});
+        const std::vector<TechniqueResult> results =
+            driver.engine().runAll(jobs);
+
+        for (size_t b = 0; b < contexts.size(); ++b) {
+            const TechniqueContext &ctx = contexts[b];
+            const TechniqueResult *row = &results[b * techniques.size()];
+            const TechniqueResult &ref = row[0];
+            for (size_t v = 0; v < std::size(variants); ++v) {
+                auto points = variants[v]->choosePoints(ctx);
                 uint64_t last =
                     points.empty() ? 0 : points.back().startInst;
-                TechniqueResult r = engine.run(sp, ctx, config);
+                const TechniqueResult &r = row[v + 1];
                 table.addRow(
-                    {bench, early ? "early" : "standard",
+                    {ctx.benchmark, v == 1 ? "early" : "standard",
                      Table::pct(100.0 * static_cast<double>(last) /
                                     static_cast<double>(
                                         ctx.referenceLength),
@@ -58,7 +72,6 @@ main(int argc, char **argv)
                                 2)});
             }
             table.addRule();
-            std::cerr << "early-simpoints: " << bench << " done\n";
         }
 
         driver.print(table);

@@ -35,11 +35,13 @@ main(int argc, char **argv)
                              "top-5 agree"});
 
             ExperimentEngine &engine = driver.engine();
+            const std::vector<TechniquePtr> reference = {
+                std::make_shared<FullReference>()};
             for (const std::string &bench : driver.benchmarks()) {
                 TechniqueContext ctx = driver.context(bench);
-                FullReference reference;
-                PbOutcome a = runPbDesign(engine, reference, ctx, plain);
-                PbOutcome b = runPbDesign(engine, reference, ctx, folded);
+                PbOutcome a = runPbDesign(engine, reference, ctx, plain)[0];
+                PbOutcome b =
+                    runPbDesign(engine, reference, ctx, folded)[0];
 
                 // How many of the folded design's five biggest
                 // bottlenecks also rank top-5 in the plain design?

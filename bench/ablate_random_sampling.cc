@@ -12,7 +12,6 @@
  */
 
 #include <cmath>
-#include <iostream>
 
 #include "engine/bench_driver.hh"
 #include "support/table.hh"
@@ -33,31 +32,42 @@ main(int argc, char **argv)
         table.setHeader({"benchmark", "technique", "CPI error",
                          "cost %"});
 
-        ExperimentEngine &engine = driver.engine();
-        for (const std::string &bench : driver.benchmarks()) {
-            TechniqueContext ctx = driver.context(bench);
-            FullReference reference;
-            TechniqueResult ref = engine.run(reference, ctx, config);
+        // The reference, then Conte's axes (more warm-up, then more
+        // samples) and SMARTS, on every benchmark in one batch.
+        const std::vector<TechniquePtr> techniques = {
+            std::make_shared<FullReference>(),
+            std::make_shared<RandomSampling>(50, 1000, 0),
+            std::make_shared<RandomSampling>(50, 1000, 2000),
+            std::make_shared<RandomSampling>(50, 1000, 10000),
+            std::make_shared<RandomSampling>(200, 1000, 2000),
+            std::make_shared<Smarts>(1000, 2000)};
 
-            auto report = [&](const Technique &t) {
-                TechniqueResult r = engine.run(t, ctx, config);
+        std::vector<TechniqueContext> contexts;
+        for (const std::string &bench : driver.benchmarks())
+            contexts.push_back(driver.context(bench));
+        std::vector<GridJob> jobs;
+        for (const TechniqueContext &ctx : contexts)
+            for (const TechniquePtr &technique : techniques)
+                jobs.push_back({technique.get(), &ctx, &config});
+        const std::vector<TechniqueResult> results =
+            driver.engine().runAll(jobs);
+
+        for (size_t b = 0; b < contexts.size(); ++b) {
+            const TechniqueResult *row = &results[b * techniques.size()];
+            const TechniqueResult &ref = row[0];
+            for (size_t t = 1; t < techniques.size(); ++t) {
+                const TechniqueResult &r = row[t];
                 table.addRow(
-                    {bench, t.name() + " " + t.permutation(),
+                    {contexts[b].benchmark,
+                     techniques[t]->name() + " " +
+                         techniques[t]->permutation(),
                      Table::pct(std::fabs(r.cpi - ref.cpi) / ref.cpi *
                                     100.0,
                                 2),
                      Table::num(100.0 * r.workUnits / ref.workUnits,
                                 1)});
-            };
-
-            // Conte's axes: more warm-up, then more samples.
-            report(RandomSampling(50, 1000, 0));
-            report(RandomSampling(50, 1000, 2000));
-            report(RandomSampling(50, 1000, 10000));
-            report(RandomSampling(200, 1000, 2000));
-            report(Smarts(1000, 2000));
+            }
             table.addRule();
-            std::cerr << "random-sampling: " << bench << " done\n";
         }
 
         driver.print(table);

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <iterator>
 
 #include "engine/bench_driver.hh"
 #include "support/table.hh"
@@ -42,31 +43,44 @@ main(int argc, char **argv)
             d_header.push_back("dim=" + std::to_string(d));
         d_table.setHeader(d_header);
 
-        ExperimentEngine &engine = driver.engine();
-        for (const std::string &bench : driver.benchmarks()) {
-            TechniqueContext ctx = driver.context(bench);
-            FullReference reference;
-            double ref_cpi = engine.run(reference, ctx, config).cpi;
+        // The reference, the max_k sweep, then the dimensionality
+        // sweep, on every benchmark in one batch. "max_k=30" and
+        // "dim=15" are one experiment: the batch computes it once.
+        std::vector<TechniquePtr> techniques = {
+            std::make_shared<FullReference>()};
+        for (int k : ks)
+            techniques.push_back(std::make_shared<SimPoint>(
+                10.0, k, 1.0, "max_k=" + std::to_string(k)));
+        for (size_t d : dims)
+            techniques.push_back(std::make_shared<SimPoint>(
+                10.0, 30, 1.0, "dim=" + std::to_string(d), d));
 
-            std::vector<std::string> k_row = {bench};
-            for (int k : ks) {
-                SimPoint sp(10.0, k, 1.0, "max_k=" + std::to_string(k));
-                double cpi = engine.run(sp, ctx, config).cpi;
-                k_row.push_back(Table::pct(
-                    std::fabs(cpi - ref_cpi) / ref_cpi * 100.0, 2));
-            }
+        std::vector<TechniqueContext> contexts;
+        for (const std::string &bench : driver.benchmarks())
+            contexts.push_back(driver.context(bench));
+        std::vector<GridJob> jobs;
+        for (const TechniqueContext &ctx : contexts)
+            for (const TechniquePtr &technique : techniques)
+                jobs.push_back({technique.get(), &ctx, &config});
+        const std::vector<TechniqueResult> results =
+            driver.engine().runAll(jobs);
+
+        for (size_t b = 0; b < contexts.size(); ++b) {
+            const TechniqueResult *row = &results[b * techniques.size()];
+            const double ref_cpi = row[0].cpi;
+            auto error = [&](size_t t) {
+                return Table::pct(
+                    std::fabs(row[t].cpi - ref_cpi) / ref_cpi * 100.0, 2);
+            };
+            std::vector<std::string> k_row = {contexts[b].benchmark};
+            for (size_t i = 0; i < std::size(ks); ++i)
+                k_row.push_back(error(1 + i));
             k_table.addRow(k_row);
 
-            std::vector<std::string> d_row = {bench};
-            for (size_t d : dims) {
-                SimPoint sp(10.0, 30, 1.0, "dim=" + std::to_string(d),
-                            d);
-                double cpi = engine.run(sp, ctx, config).cpi;
-                d_row.push_back(Table::pct(
-                    std::fabs(cpi - ref_cpi) / ref_cpi * 100.0, 2));
-            }
+            std::vector<std::string> d_row = {contexts[b].benchmark};
+            for (size_t i = 0; i < std::size(dims); ++i)
+                d_row.push_back(error(1 + std::size(ks) + i));
             d_table.addRow(d_row);
-            std::cerr << "simpoint-k: " << bench << " done\n";
         }
 
         driver.print(k_table);

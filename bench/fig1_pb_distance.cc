@@ -44,30 +44,24 @@ main(int argc, char **argv)
             header.push_back(family);
         table.setHeader(header);
 
-        ExperimentEngine &engine = driver.engine();
-        const std::vector<SimConfig> configs = pbDesignConfigs(design);
         for (const std::string &bench : driver.benchmarks()) {
             TechniqueContext ctx = driver.context(bench);
             auto permutations = driver.options().full
                                     ? table1Permutations(bench)
                                     : representativePermutations(bench);
-            // Warm the whole technique x design-row grid on the
-            // engine's pool; the serial assembly below hits the memo
-            // table, so row order never depends on scheduling.
-            engine.prefetch(ctx, permutations, configs,
-                            /*include_reference=*/true);
-
-            FullReference reference;
-            PbOutcome ref = runPbDesign(engine, reference, ctx, design);
+            // The reference leads the list: outcome 0 holds its ranks.
+            std::vector<TechniquePtr> techniques = {
+                std::make_shared<FullReference>()};
+            techniques.insert(techniques.end(), permutations.begin(),
+                              permutations.end());
+            const std::vector<PbOutcome> outcomes =
+                runPbDesign(driver.engine(), techniques, ctx, design);
 
             std::map<std::string, std::vector<double>>
                 family_distances;
-            for (const TechniquePtr &technique : permutations) {
-                PbOutcome outcome =
-                    runPbDesign(engine, *technique, ctx, design);
-                family_distances[technique->name()].push_back(
-                    pbDistance(outcome, ref));
-            }
+            for (size_t t = 1; t < outcomes.size(); ++t)
+                family_distances[outcomes[t].technique].push_back(
+                    pbDistance(outcomes[t], outcomes[0]));
 
             std::vector<std::string> row = {bench};
             for (const std::string &family : techniqueFamilies()) {

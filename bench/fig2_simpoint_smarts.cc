@@ -28,10 +28,12 @@ main(int argc, char **argv)
     return BenchDriver(argc, argv).run([](BenchDriver &driver) {
         PbDesign design = PbDesign::forFactors(numPbFactors(), false);
 
-        // The most accurate permutation of each technique, as in the
-        // paper.
-        SimPoint simpoint(10.0, 100, 1.0, "multiple 10M");
-        Smarts smarts(1000, 2000);
+        // The reference, then the most accurate permutation of each
+        // technique, as in the paper.
+        const std::vector<TechniquePtr> techniques = {
+            std::make_shared<FullReference>(),
+            std::make_shared<SimPoint>(10.0, 100, 1.0, "multiple 10M"),
+            std::make_shared<Smarts>(1000, 2000)};
 
         const std::vector<size_t> shown = {1, 2, 3, 4, 5, 6, 8,
                                            10, 15, 20, 30, 43};
@@ -43,13 +45,13 @@ main(int argc, char **argv)
             header.push_back("N=" + std::to_string(n));
         table.setHeader(header);
 
-        ExperimentEngine &engine = driver.engine();
         for (const std::string &bench : driver.benchmarks()) {
             TechniqueContext ctx = driver.context(bench);
-            FullReference reference;
-            PbOutcome ref = runPbDesign(engine, reference, ctx, design);
-            PbOutcome sp = runPbDesign(engine, simpoint, ctx, design);
-            PbOutcome sm = runPbDesign(engine, smarts, ctx, design);
+            const std::vector<PbOutcome> outcomes =
+                runPbDesign(driver.engine(), techniques, ctx, design);
+            const PbOutcome &ref = outcomes[0];
+            const PbOutcome &sp = outcomes[1];
+            const PbOutcome &sm = outcomes[2];
             std::vector<double> series =
                 pbDistanceDifference(sp, sm, ref);
 

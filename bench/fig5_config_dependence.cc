@@ -75,39 +75,27 @@ main(int argc, char **argv)
             pooled.push_back(std::move(d));
         }
 
-        ExperimentEngine &engine = driver.engine();
         for (const std::string &bench : driver.benchmarks()) {
             TechniqueContext ctx = driver.context(bench);
 
-            // Applicable permutations for this benchmark, pre-run on
-            // the work-stealing pool (plus the reference baseline).
+            // The permutations this benchmark has an input for, and
+            // their rows in the pooled table.
             std::vector<TechniquePtr> applicable;
-            for (const auto &[label, technique] : permutations) {
-                if (technique->name() == "reduced") {
-                    auto *reduced = dynamic_cast<const ReducedInput *>(
-                        technique.get());
-                    if (!hasInput(bench, reduced->input()))
-                        continue;
-                }
-                applicable.push_back(technique);
-            }
-            engine.prefetch(ctx, applicable, configs);
-
-            std::vector<double> ref_cpis =
-                referenceCpis(engine, ctx, configs);
+            std::vector<size_t> rows;
             for (size_t i = 0; i < permutations.size(); ++i) {
-                const auto &[label, technique] = permutations[i];
-                if (technique->name() == "reduced") {
-                    auto *reduced = dynamic_cast<const ReducedInput *>(
-                        technique.get());
-                    if (!hasInput(bench, reduced->input()))
-                        continue;
-                }
-                ConfigDependence d = configDependence(
-                    engine, *technique, ctx, configs, ref_cpis);
-                for (double e : d.signedErrors) {
-                    pooled[i].signedErrors.push_back(e);
-                    pooled[i].errorHistogram.add(std::fabs(e));
+                const TechniquePtr &technique = permutations[i].second;
+                if (!hasInput(bench, technique->input()))
+                    continue;
+                applicable.push_back(technique);
+                rows.push_back(i);
+            }
+            const std::vector<ConfigDependence> deps =
+                configDependence(driver.engine(), applicable, ctx, configs);
+            for (size_t a = 0; a < deps.size(); ++a) {
+                ConfigDependence &row = pooled[rows[a]];
+                for (double e : deps[a].signedErrors) {
+                    row.signedErrors.push_back(e);
+                    row.errorHistogram.add(std::fabs(e));
                 }
             }
             std::cerr << "fig5: " << bench << " done\n";

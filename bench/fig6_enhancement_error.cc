@@ -63,7 +63,6 @@ main(int argc, char **argv)
         const std::string bench = options.benchmarks.size() == 1
                                       ? options.benchmarks[0]
                                       : "gcc";
-        ExperimentEngine &engine = driver.engine();
         TechniqueContext ctx = driver.context(bench);
         SimConfig config = architecturalConfig(2);
 
@@ -72,25 +71,18 @@ main(int argc, char **argv)
             Enhancement::TrivialComputation};
 
         auto techniques = figurePermutations(bench);
-
-        // Every (technique | reference) x (base | enhanced) cell, on
-        // the work-stealing pool.
-        std::vector<SimConfig> grid_configs = {config};
-        for (Enhancement e : enhancements)
-            grid_configs.push_back(withEnhancement(config, e));
-        engine.prefetch(ctx, techniques, grid_configs);
-
-        double ref_speedup[2];
+        std::vector<EnhancementImpact> impacts[2];
         for (int e = 0; e < 2; ++e)
-            ref_speedup[e] =
-                referenceSpeedup(engine, ctx, config, enhancements[e]);
+            impacts[e] = evaluateEnhancement(driver.engine(), techniques,
+                                             ctx, config, enhancements[e]);
 
+        auto ref_gain = [&](int e) {
+            return Table::num(
+                (impacts[e].front().referenceSpeedup - 1.0) * 100.0, 2);
+        };
         std::cout << "reference speedups on " << bench
-                  << "/config2: NLP "
-                  << Table::num((ref_speedup[0] - 1.0) * 100.0, 2)
-                  << "%, TC "
-                  << Table::num((ref_speedup[1] - 1.0) * 100.0, 2)
-                  << "%\n\n";
+                  << "/config2: NLP " << ref_gain(0) << "%, TC "
+                  << ref_gain(1) << "%\n\n";
 
         Table table("Figure 6: apparent-speedup error "
                     "(technique minus reference, percentage points) "
@@ -99,16 +91,12 @@ main(int argc, char **argv)
         table.setHeader({"technique", "permutation", "NLP error (pp)",
                          "TC error (pp)"});
 
-        for (const TechniquePtr &technique : techniques) {
-            std::vector<std::string> row = {technique->name(),
-                                            technique->permutation()};
-            for (int e = 0; e < 2; ++e) {
-                EnhancementImpact impact = evaluateEnhancement(
-                    engine, *technique, ctx, config, enhancements[e],
-                    ref_speedup[e]);
+        for (size_t t = 0; t < techniques.size(); ++t) {
+            std::vector<std::string> row = {techniques[t]->name(),
+                                            techniques[t]->permutation()};
+            for (int e = 0; e < 2; ++e)
                 row.push_back(
-                    Table::num(impact.speedupError() * 100.0, 2));
-            }
+                    Table::num(impacts[e][t].speedupError() * 100.0, 2));
             table.addRow(row);
         }
 

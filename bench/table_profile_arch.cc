@@ -28,8 +28,8 @@ int
 main(int argc, char **argv)
 {
     return BenchDriver(argc, argv).run([](BenchDriver &driver) {
-        std::vector<SimConfig> configs = architecturalConfigs();
-        SimConfig profile_config = configs[1]; // config #2
+        const std::vector<SimConfig> configs = architecturalConfigs();
+        const size_t profile_config = 1; // config #2
 
         Table table("Execution-profile (chi2 on BBV/BBEF at config #2) "
                     "and architecture-level (normalized metric distance "
@@ -38,7 +38,6 @@ main(int argc, char **argv)
                          "chi2 BBV", "chi2 BBEF", "similar?",
                          "arch distance"});
 
-        ExperimentEngine &engine = driver.engine();
         for (const std::string &bench : driver.benchmarks()) {
             TechniqueContext ctx = driver.context(bench);
 
@@ -46,29 +45,23 @@ main(int argc, char **argv)
                 driver.options().full
                     ? table1Permutations(bench)
                     : representativePermutations(bench);
-            engine.prefetch(ctx, permutations, configs);
+            // The reference leads the grid: row 0.
+            std::vector<TechniquePtr> techniques = {
+                std::make_shared<FullReference>()};
+            techniques.insert(techniques.end(), permutations.begin(),
+                              permutations.end());
+            const auto rows =
+                runGrid(driver.engine(), techniques, ctx, configs);
 
-            FullReference reference;
-            TechniqueResult ref_profile =
-                engine.run(reference, ctx, profile_config);
-            std::vector<TechniqueResult> ref_arch;
-            for (const SimConfig &config : configs)
-                ref_arch.push_back(engine.run(reference, ctx, config));
+            const std::vector<TechniqueResult> &ref = rows[0];
+            for (size_t t = 1; t < techniques.size(); ++t) {
+                const std::vector<TechniqueResult> &arch = rows[t];
+                ProfileComparison cmp = compareProfiles(
+                    arch[profile_config], ref[profile_config]);
+                double arch_dist = archDistanceOverConfigs(arch, ref);
 
-            for (const TechniquePtr &technique : permutations) {
-                TechniqueResult profile =
-                    engine.run(*technique, ctx, profile_config);
-                ProfileComparison cmp =
-                    compareProfiles(profile, ref_profile);
-
-                std::vector<TechniqueResult> arch;
-                for (const SimConfig &config : configs)
-                    arch.push_back(engine.run(*technique, ctx, config));
-                double arch_dist =
-                    archDistanceOverConfigs(arch, ref_arch);
-
-                table.addRow({bench, technique->name(),
-                              technique->permutation(),
+                table.addRow({bench, techniques[t]->name(),
+                              techniques[t]->permutation(),
                               Table::num(cmp.bbv.statistic, 1),
                               Table::num(cmp.bbef.statistic, 1),
                               cmp.bbv.similar ? "yes" : "no",

@@ -2,18 +2,8 @@
 
 #include "stats/distance.hh"
 #include "support/logging.hh"
-#include "techniques/full_reference.hh"
 
 namespace yasim {
-
-const std::vector<std::string> &
-archMetricNames()
-{
-    static const std::vector<std::string> names = {
-        "IPC", "branch accuracy", "L1-D hit rate", "L2 hit rate",
-    };
-    return names;
-}
 
 double
 archDistance(const TechniqueResult &technique,
@@ -36,20 +26,6 @@ archDistanceOverConfigs(const std::vector<TechniqueResult> &technique,
     for (size_t i = 0; i < technique.size(); ++i)
         total += archDistance(technique[i], reference[i]);
     return total / static_cast<double>(technique.size());
-}
-
-double
-runArchDistance(SimulationService &service, const Technique &technique,
-                const TechniqueContext &ctx,
-                const std::vector<SimConfig> &configs)
-{
-    FullReference reference;
-    std::vector<TechniqueResult> ref_results, results;
-    for (const SimConfig &config : configs) {
-        ref_results.push_back(service.run(reference, ctx, config));
-        results.push_back(service.run(technique, ctx, config));
-    }
-    return archDistanceOverConfigs(results, ref_results);
 }
 
 } // namespace yasim

@@ -13,13 +13,9 @@
 #ifndef YASIM_CORE_ARCH_CHARACTERIZATION_HH
 #define YASIM_CORE_ARCH_CHARACTERIZATION_HH
 
-#include "techniques/service.hh"
 #include "techniques/technique.hh"
 
 namespace yasim {
-
-/** Names of the architecture-level metrics, paper order. */
-const std::vector<std::string> &archMetricNames();
 
 /**
  * Normalized Euclidean distance between a technique's metric vector and
@@ -35,15 +31,6 @@ double archDistance(const TechniqueResult &technique,
 double archDistanceOverConfigs(
     const std::vector<TechniqueResult> &technique,
     const std::vector<TechniqueResult> &reference);
-
-/**
- * Simulate the technique and the reference run on every configuration
- * through @p service and average the metric distances.
- */
-double runArchDistance(SimulationService &service,
-                       const Technique &technique,
-                       const TechniqueContext &ctx,
-                       const std::vector<SimConfig> &configs);
 
 } // namespace yasim
 

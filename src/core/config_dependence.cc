@@ -21,37 +21,31 @@ ConfigDependence::errorConsistency() const
            static_cast<double>(signedErrors.size());
 }
 
-std::vector<double>
-referenceCpis(SimulationService &service, const TechniqueContext &ctx,
-              const std::vector<SimConfig> &configs)
-{
-    FullReference reference;
-    std::vector<double> cpis;
-    cpis.reserve(configs.size());
-    for (const SimConfig &config : configs)
-        cpis.push_back(service.run(reference, ctx, config).cpi);
-    return cpis;
-}
-
-ConfigDependence
-configDependence(SimulationService &service, const Technique &technique,
+std::vector<ConfigDependence>
+configDependence(SimulationService &service,
+                 const std::vector<TechniquePtr> &techniques,
                  const TechniqueContext &ctx,
-                 const std::vector<SimConfig> &configs,
-                 const std::vector<double> &ref_cpis)
+                 const std::vector<SimConfig> &configs)
 {
-    YASIM_ASSERT(configs.size() == ref_cpis.size());
-    ConfigDependence dep;
-    dep.technique = technique.name();
-    dep.permutation = technique.permutation();
+    // The reference leads the grid: row 0.
+    std::vector<TechniquePtr> grid = {std::make_shared<FullReference>()};
+    grid.insert(grid.end(), techniques.begin(), techniques.end());
+    const auto rows = runGrid(service, grid, ctx, configs);
 
-    for (size_t i = 0; i < configs.size(); ++i) {
-        TechniqueResult r = service.run(technique, ctx, configs[i]);
-        YASIM_ASSERT(ref_cpis[i] > 0.0);
-        double err = (r.cpi - ref_cpis[i]) / ref_cpis[i];
-        dep.signedErrors.push_back(err);
-        dep.errorHistogram.add(std::fabs(err));
+    std::vector<ConfigDependence> deps(techniques.size());
+    for (size_t t = 0; t < techniques.size(); ++t) {
+        ConfigDependence &dep = deps[t];
+        dep.technique = techniques[t]->name();
+        dep.permutation = techniques[t]->permutation();
+        for (size_t c = 0; c < configs.size(); ++c) {
+            const double ref_cpi = rows[0][c].cpi;
+            YASIM_ASSERT(ref_cpi > 0.0);
+            double err = (rows[t + 1][c].cpi - ref_cpi) / ref_cpi;
+            dep.signedErrors.push_back(err);
+            dep.errorHistogram.add(std::fabs(err));
+        }
     }
-    return dep;
+    return deps;
 }
 
 } // namespace yasim

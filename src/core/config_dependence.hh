@@ -40,22 +40,16 @@ struct ConfigDependence
 };
 
 /**
- * Run one technique across a configuration set and histogram its CPI
- * error against per-config reference CPIs, sharing simulations through
- * @p service.
- *
- * @param ref_cpis  reference CPI per configuration (same order)
+ * Run every technique and the reference across a configuration set in
+ * one runAll() batch through @p service, and histogram each technique's
+ * CPI error against the reference CPI per configuration. One entry per
+ * technique, in order.
  */
-ConfigDependence
-configDependence(SimulationService &service, const Technique &technique,
+std::vector<ConfigDependence>
+configDependence(SimulationService &service,
+                 const std::vector<TechniquePtr> &techniques,
                  const TechniqueContext &ctx,
-                 const std::vector<SimConfig> &configs,
-                 const std::vector<double> &ref_cpis);
-
-/** Reference CPI per configuration through @p service. */
-std::vector<double>
-referenceCpis(SimulationService &service, const TechniqueContext &ctx,
-              const std::vector<SimConfig> &configs);
+                 const std::vector<SimConfig> &configs);
 
 } // namespace yasim
 

@@ -23,8 +23,8 @@ rankEnhancementEffect(SimulationService &service,
     EnhancementPbOutcome outcome;
     outcome.enhancement = enhancement;
 
-    std::vector<double> responses;
-    responses.reserve(design.numRuns());
+    std::vector<SimConfig> configs;
+    configs.reserve(design.numRuns());
     for (size_t run = 0; run < design.numRuns(); ++run) {
         std::vector<int> levels(design.numFactors());
         for (size_t j = 0; j < design.numFactors(); ++j)
@@ -34,7 +34,15 @@ rankEnhancementEffect(SimulationService &service,
         // Factor 44: the enhancement at its high level.
         if (levels[base_factors] > 0)
             config = withEnhancement(config, enhancement);
-        TechniqueResult result = service.run(technique, ctx, config);
+        configs.push_back(std::move(config));
+    }
+    std::vector<GridJob> jobs;
+    for (const SimConfig &config : configs)
+        jobs.push_back({&technique, &ctx, &config});
+
+    std::vector<double> responses;
+    responses.reserve(configs.size());
+    for (const TechniqueResult &result : service.runAll(jobs)) {
         responses.push_back(result.cpi);
         outcome.workUnits += result.workUnits;
     }

@@ -36,7 +36,8 @@ struct EnhancementPbOutcome
 
 /**
  * Run the 44-factor design (43 processor parameters + the enhancement
- * as factor 44) under @p technique and rank the enhancement's effect.
+ * as factor 44) under @p technique, in one runAll() batch through
+ * @p service, and rank the enhancement's effect.
  *
  * The design grows to the next constructible size (48 runs); the
  * response is the technique's CPI estimate per run.

@@ -5,18 +5,6 @@
 
 namespace yasim {
 
-const char *
-enhancementName(Enhancement enhancement)
-{
-    switch (enhancement) {
-      case Enhancement::TrivialComputation:
-        return "trivial computation (TC)";
-      case Enhancement::NextLinePrefetch:
-        return "next-line prefetching (NLP)";
-    }
-    return "?";
-}
-
 SimConfig
 withEnhancement(const SimConfig &config, Enhancement enhancement)
 {
@@ -34,36 +22,30 @@ withEnhancement(const SimConfig &config, Enhancement enhancement)
     return enhanced;
 }
 
-double
-referenceSpeedup(SimulationService &service, const TechniqueContext &ctx,
-                 const SimConfig &config, Enhancement enhancement)
-{
-    FullReference reference;
-    double base = service.run(reference, ctx, config).cpi;
-    double enhanced =
-        service.run(reference, ctx, withEnhancement(config, enhancement))
-            .cpi;
-    YASIM_ASSERT(enhanced > 0.0);
-    return base / enhanced;
-}
-
-EnhancementImpact
-evaluateEnhancement(SimulationService &service, const Technique &technique,
+std::vector<EnhancementImpact>
+evaluateEnhancement(SimulationService &service,
+                    const std::vector<TechniquePtr> &techniques,
                     const TechniqueContext &ctx, const SimConfig &config,
-                    Enhancement enhancement, double reference_speedup)
+                    Enhancement enhancement)
 {
-    EnhancementImpact impact;
-    impact.technique = technique.name();
-    impact.permutation = technique.permutation();
-    impact.referenceSpeedup = reference_speedup;
+    // The reference leads the grid; each row is (base, enhanced).
+    std::vector<TechniquePtr> grid = {std::make_shared<FullReference>()};
+    grid.insert(grid.end(), techniques.begin(), techniques.end());
+    const auto rows = runGrid(service, grid, ctx,
+                              {config, withEnhancement(config, enhancement)});
+    auto speedup = [&](size_t row) {
+        YASIM_ASSERT(rows[row][1].cpi > 0.0);
+        return rows[row][0].cpi / rows[row][1].cpi;
+    };
 
-    double base = service.run(technique, ctx, config).cpi;
-    double enhanced =
-        service.run(technique, ctx, withEnhancement(config, enhancement))
-            .cpi;
-    YASIM_ASSERT(enhanced > 0.0);
-    impact.apparentSpeedup = base / enhanced;
-    return impact;
+    std::vector<EnhancementImpact> impacts(techniques.size());
+    for (size_t t = 0; t < techniques.size(); ++t) {
+        impacts[t].technique = techniques[t]->name();
+        impacts[t].permutation = techniques[t]->permutation();
+        impacts[t].referenceSpeedup = speedup(0);
+        impacts[t].apparentSpeedup = speedup(t + 1);
+    }
+    return impacts;
 }
 
 } // namespace yasim

@@ -26,9 +26,6 @@ enum class Enhancement
     NextLinePrefetch,
 };
 
-/** Printable enhancement name. */
-const char *enhancementName(Enhancement enhancement);
-
 /** A copy of @p config with @p enhancement switched on. */
 SimConfig withEnhancement(const SimConfig &config,
                           Enhancement enhancement);
@@ -51,21 +48,16 @@ struct EnhancementImpact
 };
 
 /**
- * Evaluate the enhancement under one technique, sharing the base and
- * enhanced simulations through @p service.
- *
- * @param reference_speedup CPI(base)/CPI(enhanced) from the reference
- *                          run on the same configuration
+ * Evaluate the enhancement on @p config under every technique: each
+ * technique and the reference run with and without it, in one runAll()
+ * batch through @p service. One impact per technique, in order; each
+ * carries the reference speedup.
  */
-EnhancementImpact
-evaluateEnhancement(SimulationService &service, const Technique &technique,
+std::vector<EnhancementImpact>
+evaluateEnhancement(SimulationService &service,
+                    const std::vector<TechniquePtr> &techniques,
                     const TechniqueContext &ctx, const SimConfig &config,
-                    Enhancement enhancement, double reference_speedup);
-
-/** Reference speedup of @p enhancement on @p config through @p service. */
-double referenceSpeedup(SimulationService &service,
-                        const TechniqueContext &ctx,
-                        const SimConfig &config, Enhancement enhancement);
+                    Enhancement enhancement);
 
 } // namespace yasim
 

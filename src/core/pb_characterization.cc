@@ -25,31 +25,36 @@ pbDesignConfigs(const PbDesign &design)
     return configs;
 }
 
-PbOutcome
-runPbDesign(SimulationService &service, const Technique &technique,
+std::vector<PbOutcome>
+runPbDesign(SimulationService &service,
+            const std::vector<TechniquePtr> &techniques,
             const TechniqueContext &ctx, const PbDesign &design)
 {
-    PbOutcome outcome;
-    outcome.technique = technique.name();
-    outcome.permutation = technique.permutation();
-    outcome.responses.reserve(design.numRuns());
+    const auto rows =
+        runGrid(service, techniques, ctx, pbDesignConfigs(design));
 
     const size_t factors = numPbFactors();
-    for (const SimConfig &config : pbDesignConfigs(design)) {
-        TechniqueResult result = service.run(technique, ctx, config);
-        outcome.responses.push_back(result.cpi);
-        outcome.workUnits += result.workUnits;
-    }
+    std::vector<PbOutcome> outcomes(techniques.size());
+    for (size_t t = 0; t < techniques.size(); ++t) {
+        PbOutcome &outcome = outcomes[t];
+        outcome.technique = techniques[t]->name();
+        outcome.permutation = techniques[t]->permutation();
+        outcome.responses.reserve(design.numRuns());
+        for (const TechniqueResult &result : rows[t]) {
+            outcome.responses.push_back(result.cpi);
+            outcome.workUnits += result.workUnits;
+        }
 
-    std::vector<double> all_effects =
-        design.computeEffects(outcome.responses);
-    // Only the real factors rank; any extra design columns are dummy
-    // factors that merely estimate noise.
-    outcome.effects.assign(all_effects.begin(),
-                           all_effects.begin() +
-                               static_cast<long>(factors));
-    outcome.ranks = rankByMagnitude(outcome.effects);
-    return outcome;
+        std::vector<double> all_effects =
+            design.computeEffects(outcome.responses);
+        // Only the real factors rank; any extra design columns are
+        // dummy factors that merely estimate noise.
+        outcome.effects.assign(all_effects.begin(),
+                               all_effects.begin() +
+                                   static_cast<long>(factors));
+        outcome.ranks = rankByMagnitude(outcome.effects);
+    }
+    return outcomes;
 }
 
 double

@@ -41,16 +41,18 @@ struct PbOutcome
 };
 
 /**
- * Run the full PB design for one technique through @p service. With an
- * ExperimentEngine handle the per-row simulations are shared across
- * techniques, analyses, and (with a cache directory) processes.
+ * Run the full PB design for every technique in one runAll() batch
+ * through @p service; one outcome per technique, in order. With an
+ * ExperimentEngine handle the batch runs on the pool, and the per-row
+ * simulations are shared across techniques, analyses, and (with a
+ * cache directory) processes.
  */
-PbOutcome runPbDesign(SimulationService &service,
-                      const Technique &technique,
-                      const TechniqueContext &ctx,
-                      const PbDesign &design);
+std::vector<PbOutcome>
+runPbDesign(SimulationService &service,
+            const std::vector<TechniquePtr> &techniques,
+            const TechniqueContext &ctx, const PbDesign &design);
 
-/** The design's corner configurations in run order (for prefetching). */
+/** The design's corner configurations in run order. */
 std::vector<SimConfig> pbDesignConfigs(const PbDesign &design);
 
 /**

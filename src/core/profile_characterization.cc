@@ -1,7 +1,6 @@
 #include "core/profile_characterization.hh"
 
 #include "support/logging.hh"
-#include "techniques/full_reference.hh"
 
 namespace yasim {
 
@@ -23,17 +22,6 @@ compareProfiles(const TechniqueResult &technique,
     cmp.bbv = chiSquaredCompare(technique.bbv, reference.bbv, confidence,
                                 mass);
     return cmp;
-}
-
-ProfileComparison
-runProfileComparison(SimulationService &service, const Technique &technique,
-                     const TechniqueContext &ctx, const SimConfig &config,
-                     double confidence)
-{
-    FullReference reference;
-    TechniqueResult ref = service.run(reference, ctx, config);
-    TechniqueResult res = service.run(technique, ctx, config);
-    return compareProfiles(res, ref, confidence);
 }
 
 } // namespace yasim

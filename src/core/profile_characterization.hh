@@ -17,7 +17,6 @@
 #define YASIM_CORE_PROFILE_CHARACTERIZATION_HH
 
 #include "stats/chi2.hh"
-#include "techniques/service.hh"
 #include "techniques/technique.hh"
 
 namespace yasim {
@@ -40,16 +39,6 @@ struct ProfileComparison
 ProfileComparison compareProfiles(const TechniqueResult &technique,
                                   const TechniqueResult &reference,
                                   double confidence = 0.95);
-
-/**
- * Simulate the technique and the reference run on @p config through
- * @p service and compare their profiles.
- */
-ProfileComparison runProfileComparison(SimulationService &service,
-                                       const Technique &technique,
-                                       const TechniqueContext &ctx,
-                                       const SimConfig &config,
-                                       double confidence = 0.95);
 
 } // namespace yasim
 

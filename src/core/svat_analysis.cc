@@ -13,23 +13,25 @@ svatAnalysis(SimulationService &service, const TechniqueContext &ctx,
 {
     YASIM_ASSERT(!configs.empty());
 
-    FullReference reference;
+    // The reference leads the grid: row 0.
+    std::vector<TechniquePtr> grid = {std::make_shared<FullReference>()};
+    grid.insert(grid.end(), techniques.begin(), techniques.end());
+    const auto rows = runGrid(service, grid, ctx, configs);
+
     std::vector<double> ref_cpis;
     double ref_work = 0.0;
-    for (const SimConfig &config : configs) {
-        TechniqueResult r = service.run(reference, ctx, config);
+    for (const TechniqueResult &r : rows[0]) {
         ref_cpis.push_back(r.cpi);
         ref_work += r.workUnits;
     }
 
     std::vector<SvatPoint> points;
-    for (const TechniquePtr &technique : techniques) {
+    for (size_t t = 0; t < techniques.size(); ++t) {
         SvatPoint point;
-        point.technique = technique->name();
-        point.permutation = technique->permutation();
+        point.technique = techniques[t]->name();
+        point.permutation = techniques[t]->permutation();
         double work = 0.0;
-        for (const SimConfig &config : configs) {
-            TechniqueResult r = service.run(*technique, ctx, config);
+        for (const TechniqueResult &r : rows[t + 1]) {
             point.cpis.push_back(r.cpi);
             work += r.workUnits;
         }

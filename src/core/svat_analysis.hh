@@ -37,10 +37,10 @@ struct SvatPoint
 
 /**
  * Run the SvAT analysis for one benchmark: every technique and the
- * reference run on every configuration, all through @p service — with
- * an ExperimentEngine handle the reference runs are shared with every
- * other analysis in the process (and, given a cache directory, across
- * processes).
+ * reference run on every configuration, in one runAll() batch through
+ * @p service — with an ExperimentEngine handle the batch runs on the
+ * pool, and the reference runs are shared with every other analysis in
+ * the process (and, given a cache directory, across processes).
  *
  * @param service     simulation service (engine or DirectService)
  * @param ctx         benchmark context

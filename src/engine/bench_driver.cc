@@ -84,7 +84,6 @@ BenchDriver::runSvat()
     TechniqueContext ctx = context(bench);
     std::vector<SimConfig> config_set = configs();
 
-    eng->prefetch(ctx, svatTechniques, config_set);
     auto points = svatAnalysis(*eng, ctx, svatTechniques, config_set);
     std::sort(points.begin(), points.end(),
               [](const SvatPoint &a, const SvatPoint &b) {

@@ -20,9 +20,11 @@
  *     }
  *
  * The driver owns the engine (honouring --cache-dir, --workers,
- * --shards and --engine-stats), and the SvAT figures collapse further
- * to the benchmark()/figure()/techniques() shortcut with a
- * parameterless run().
+ * --shards and --engine-stats). A body hands each grid to a core
+ * analysis, or to runGrid() or engine().runAll() directly; either way
+ * the grid runs as one batch on the pool and comes back in job order.
+ * The SvAT figures collapse further to the
+ * benchmark()/figure()/techniques() shortcut with a parameterless run().
  */
 
 #ifndef YASIM_ENGINE_BENCH_DRIVER_HH
@@ -72,10 +74,10 @@ class BenchDriver
 
     /**
      * Run the standard speed-versus-accuracy experiment configured via
-     * benchmark()/figure()/techniques(): prefetch the whole technique x
-     * configuration grid (plus the reference) on the work-stealing
-     * pool, then assemble the figure's table serially from the memo
-     * table — byte-identical to a serial run.
+     * benchmark()/figure()/techniques(): svatAnalysis() runs the whole
+     * technique x configuration grid (plus the reference) as one batch
+     * on the work-stealing pool, and the figure's table is assembled
+     * from its results in job order — byte-identical to a serial run.
      */
     int run();
 

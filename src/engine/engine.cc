@@ -326,22 +326,30 @@ ExperimentEngine::context(const std::string &benchmark,
     return ctx;
 }
 
-void
-ExperimentEngine::prefetch(const std::vector<GridJob> &jobs)
+std::vector<TechniqueResult>
+ExperimentEngine::runAll(const std::vector<GridJob> &jobs)
 {
-    // Record each stream the uncached cells replay before the grid
-    // fans out, one request per stream. No cell then waits on another
-    // cell's recording, so the trace store's counters do not depend
-    // on how the pool schedules the grid. A cell counts as cached
-    // when its result is memoized or has a file on disk.
-    std::set<std::string> seen;
+    // Only the first job of each result key runs in the fan-out: two
+    // jobs of one key running at once would make one wait on the other,
+    // and the split between memo hits and in-flight joins would depend
+    // on scheduling. Record each stream the uncached keys replay before
+    // the grid fans out, one request per stream, so no job waits on
+    // another job's recording either. A key counts as cached when its
+    // result is memoized or has a file on disk.
+    std::set<std::string> keys, seen;
+    std::vector<size_t> computed, repeated;
     std::vector<const GridJob *> streams;
     for (size_t i = 0; i < jobs.size(); ++i) {
         const GridJob &job = jobs[i];
         YASIM_CHECK(job.technique && job.ctx && job.config,
-                    "prefetch grid job %zu has null pointees", i);
+                    "runAll job %zu has null pointees", i);
         const std::string key =
             resultCacheKey(*job.technique, *job.ctx, *job.config);
+        if (!keys.insert(key).second) {
+            repeated.push_back(i);
+            continue;
+        }
+        computed.push_back(i);
         {
             std::lock_guard<std::mutex> lock(mutex);
             if (memo.count(key))
@@ -367,10 +375,16 @@ ExperimentEngine::prefetch(const std::vector<GridJob> &jobs)
         std::lock_guard<std::mutex> lock(mutex);
         ctr.gridJobs += jobs.size();
     }
-    globalPool().parallelFor(jobs.size(), [&](size_t i) {
-        const GridJob &job = jobs[i];
-        run(*job.technique, *job.ctx, *job.config);
+    std::vector<TechniqueResult> results(jobs.size());
+    globalPool().parallelFor(computed.size(), [&](size_t d) {
+        const GridJob &job = jobs[computed[d]];
+        results[computed[d]] = run(*job.technique, *job.ctx, *job.config);
     });
+    // A later job of a computed key reads it back as a memo hit under
+    // its own labels, as it would if the jobs ran one by one.
+    for (size_t i : repeated)
+        results[i] = run(*jobs[i].technique, *jobs[i].ctx, *jobs[i].config);
+    return results;
 }
 
 void
@@ -388,7 +402,7 @@ ExperimentEngine::prefetch(const TechniqueContext &ctx,
         for (const TechniquePtr &technique : techniques)
             jobs.push_back({technique.get(), &ctx, &config});
     }
-    prefetch(jobs);
+    runAll(jobs);
 }
 
 EngineCounters

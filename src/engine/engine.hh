@@ -10,9 +10,10 @@
  * across processes in a versioned on-disk cache, so a repeated bench
  * invocation performs zero simulations. Concurrent requests for the
  * same key collapse onto one computation (the others wait), and
- * prefetch() schedules a whole technique x configuration grid onto the
- * process-wide work-stealing pool while leaving the driver's table
- * assembly serial — and therefore byte-identical to a serial run.
+ * runAll() schedules a whole technique x configuration grid onto the
+ * process-wide work-stealing pool. It returns the results in job
+ * order, so the analysis that consumes them assembles the same table
+ * whatever the schedule — byte-identical to a serial run.
  *
  * The engine implements SimulationService, so every core analysis can
  * take it as a handle; counters (printStats) account for hits, misses,
@@ -95,7 +96,7 @@ struct EngineCounters
     uint64_t refLengthHits = 0;
     /** Reference lengths resolved from a recorded trace's length. */
     uint64_t refLengthFromTrace = 0;
-    /** Jobs scheduled through prefetch(). */
+    /** Jobs scheduled through runAll(). */
     uint64_t gridJobs = 0;
     /**
      * Result cache entries that failed verification (bad checksum,
@@ -157,27 +158,22 @@ class ExperimentEngine : public SimulationService
     TechniqueContext context(const std::string &benchmark,
                              const SuiteConfig &suite);
 
-    /** One grid cell for prefetch(). Pointees must outlive the call. */
-    struct GridJob
-    {
-        const Technique *technique = nullptr;
-        const TechniqueContext *ctx = nullptr;
-        const SimConfig *config = nullptr;
-    };
-
     /**
-     * Warm the cache for every job on the work-stealing pool. Results
-     * are discarded here; the subsequent (serial) table assembly hits
-     * the memo table, so output ordering never depends on scheduling.
-     * The streams that uncached jobs replay are recorded first, one
-     * request each, so no job waits on another's recording.
+     * Every job's result, in job order, computed on the work-stealing
+     * pool. The streams that uncached jobs replay are recorded first,
+     * one request each, so no job waits on another's recording. Jobs
+     * that share a result key are computed once: the first runs in the
+     * fan-out, and the later ones are filled afterwards as memo hits,
+     * each with its own technique's labels.
      */
-    void prefetch(const std::vector<GridJob> &jobs);
+    std::vector<TechniqueResult>
+    runAll(const std::vector<GridJob> &jobs) override;
 
     /**
-     * Convenience grid: every technique on every configuration, plus —
+     * runAll() over every technique on every configuration, plus —
      * when @p include_reference — the full reference run per
-     * configuration (the baseline every analysis needs anyway).
+     * configuration, discarding the results. Only perfbench's grid
+     * workload calls it.
      */
     void prefetch(const TechniqueContext &ctx,
                   const std::vector<TechniquePtr> &techniques,

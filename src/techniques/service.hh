@@ -3,11 +3,11 @@
  * The simulation-service seam between the analyses and the engine.
  *
  * Every characterization and driver obtains technique results through a
- * SimulationService instead of calling Technique::run directly. The
- * plain DirectService just forwards, over an in-memory trace store of
- * its own; the ExperimentEngine (src/engine/) implements the same
- * interface with memoization, an on-disk result cache, and pooled grid
- * scheduling. Keeping the interface here — below the engine in the
+ * SimulationService instead of calling Technique::run directly, one
+ * runAll() batch per grid. The plain DirectService runs the jobs one by
+ * one, over an in-memory trace store of its own; the ExperimentEngine
+ * (src/engine/) adds memoization, an on-disk result cache, and a pooled
+ * runAll(). Keeping the interface here — below the engine in the
  * dependency order — lets core analyses accept an engine handle
  * without core depending on the engine library.
  */
@@ -15,10 +15,20 @@
 #ifndef YASIM_TECHNIQUES_SERVICE_HH
 #define YASIM_TECHNIQUES_SERVICE_HH
 
+#include <vector>
+
 #include "techniques/technique.hh"
 #include "techniques/trace_store.hh"
 
 namespace yasim {
+
+/** One grid cell for runAll(). Pointees must outlive the call. */
+struct GridJob
+{
+    const Technique *technique = nullptr;
+    const TechniqueContext *ctx = nullptr;
+    const SimConfig *config = nullptr;
+};
 
 /** Abstract provider of technique results and reference lengths. */
 class SimulationService
@@ -30,6 +40,20 @@ class SimulationService
     virtual TechniqueResult run(const Technique &technique,
                                 const TechniqueContext &ctx,
                                 const SimConfig &config) = 0;
+
+    /**
+     * Every job's result, in job order. This implementation calls
+     * run() per job; the engine schedules the batch on its pool.
+     */
+    virtual std::vector<TechniqueResult>
+    runAll(const std::vector<GridJob> &jobs)
+    {
+        std::vector<TechniqueResult> results;
+        results.reserve(jobs.size());
+        for (const GridJob &job : jobs)
+            results.push_back(run(*job.technique, *job.ctx, *job.config));
+        return results;
+    }
 
     /** Dynamic length of @p benchmark's reference input. */
     virtual uint64_t referenceLength(const std::string &benchmark,
@@ -69,6 +93,27 @@ class DirectService final : public SimulationService
   private:
     TraceStore traces;
 };
+
+/**
+ * Every technique on every configuration in one runAll() batch through
+ * @p service: row t holds techniques[t]'s results in configuration
+ * order.
+ */
+inline std::vector<std::vector<TechniqueResult>>
+runGrid(SimulationService &service,
+        const std::vector<TechniquePtr> &techniques,
+        const TechniqueContext &ctx, const std::vector<SimConfig> &configs)
+{
+    std::vector<GridJob> jobs;
+    for (const TechniquePtr &technique : techniques)
+        for (const SimConfig &config : configs)
+            jobs.push_back({technique.get(), &ctx, &config});
+    std::vector<TechniqueResult> results = service.runAll(jobs);
+    std::vector<std::vector<TechniqueResult>> rows(techniques.size());
+    for (size_t i = 0; i < results.size(); ++i)
+        rows[i / configs.size()].push_back(std::move(results[i]));
+    return rows;
+}
 
 } // namespace yasim
 

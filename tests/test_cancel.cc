@@ -27,6 +27,7 @@
 #include "support/parallel.hh"
 #include "techniques/full_reference.hh"
 #include "techniques/service.hh"
+#include "techniques/smarts.hh"
 
 namespace yasim {
 namespace {
@@ -361,6 +362,45 @@ TEST(EngineCancel, CancelledRunIsChargedButNeverCached)
     TechniqueResult fresh =
         clean.run(reference, clean.context("gzip", suite), config);
     expectBitIdentical(retried, fresh);
+}
+
+TEST(EngineCancel, CancelledBatchThrowsAndMemoizesNothing)
+{
+    // A grid whose context is cancelled before it starts: runAll
+    // throws the cancellation, and no job leaves a result in the memo
+    // table or the cache directory. A clean batch afterwards computes
+    // every cell.
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_cancel_batch");
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    ExperimentEngine engine({.cacheDir = scratch.str()});
+    const std::vector<TechniquePtr> techniques = {
+        std::make_shared<FullReference>(),
+        std::make_shared<Smarts>(1000, 2000)};
+    const std::vector<SimConfig> configs = {architecturalConfig(1),
+                                            architecturalConfig(2)};
+
+    TechniqueContext ctx = engine.context("gzip", suite);
+    CancelSource source;
+    ctx.cancel = source.token();
+    source.cancel();
+    EXPECT_THROW(runGrid(engine, techniques, ctx, configs), CancelledError);
+    EngineCounters after = engine.counters();
+    EXPECT_GE(after.runsCancelled, 1u);
+    EXPECT_EQ(after.runsExecuted, 0u);
+    EXPECT_EQ(after.diskWrites, 0u);
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(scratch.str()))
+        EXPECT_NE(entry.path().extension(), ".result")
+            << "cancelled batch published " << entry.path().filename();
+
+    ctx.cancel = CancelToken();
+    EXPECT_EQ(runGrid(engine, techniques, ctx, configs).size(),
+              techniques.size());
+    EXPECT_EQ(engine.counters().runsExecuted,
+              techniques.size() * configs.size());
+    EXPECT_EQ(engine.counters().memoHits, 0u);
 }
 
 TEST(EngineCancel, AbortedCacheWritesLeaveNoArtifacts)

@@ -83,8 +83,10 @@ TEST(PbCharacterization, ReferenceDistanceToItselfIsZero)
     // A 7-factor toy design keeps this test fast while exercising the
     // whole pipeline; the response only sees the first 7 real factors.
     PbDesign design = PbDesign::forFactors(numPbFactors(), false);
-    FullReference reference;
-    PbOutcome ref = runPbDesign(service, reference, ctx, design);
+    std::vector<PbOutcome> outcomes = runPbDesign(
+        service, {std::make_shared<FullReference>()}, ctx, design);
+    ASSERT_EQ(outcomes.size(), 1u);
+    const PbOutcome &ref = outcomes[0];
     EXPECT_EQ(ref.responses.size(), design.numRuns());
     EXPECT_EQ(ref.ranks.size(), 43u);
     EXPECT_DOUBLE_EQ(pbDistance(ref, ref), 0.0);
@@ -173,11 +175,11 @@ TEST(ConfigDependence, PerfectTechniqueWithin3Pct)
     std::vector<SimConfig> configs = {architecturalConfig(1),
                                       architecturalConfig(2),
                                       architecturalConfig(3)};
-    std::vector<double> ref_cpis = referenceCpis(service, ctx, configs);
-    ASSERT_EQ(ref_cpis.size(), 3u);
-    RunZ whole(10000.0);
-    ConfigDependence dep =
-        configDependence(service, whole, ctx, configs, ref_cpis);
+    std::vector<ConfigDependence> deps = configDependence(
+        service, {std::make_shared<RunZ>(10000.0)}, ctx, configs);
+    ASSERT_EQ(deps.size(), 1u);
+    const ConfigDependence &dep = deps[0];
+    ASSERT_EQ(dep.signedErrors.size(), 3u);
     EXPECT_DOUBLE_EQ(dep.within3Pct(), 1.0);
     EXPECT_DOUBLE_EQ(dep.errorConsistency(), 1.0);
 }
@@ -187,10 +189,11 @@ TEST(ConfigDependence, HistogramBucketsErrors)
     TechniqueContext ctx = smallContext("mcf");
     std::vector<SimConfig> configs = {architecturalConfig(1),
                                       architecturalConfig(4)};
-    std::vector<double> ref_cpis = referenceCpis(service, ctx, configs);
-    RunZ prefix(500.0); // mcf's prefix is wildly unrepresentative
-    ConfigDependence dep =
-        configDependence(service, prefix, ctx, configs, ref_cpis);
+    // mcf's prefix is wildly unrepresentative.
+    std::vector<ConfigDependence> deps = configDependence(
+        service, {std::make_shared<RunZ>(500.0)}, ctx, configs);
+    ASSERT_EQ(deps.size(), 1u);
+    const ConfigDependence &dep = deps[0];
     EXPECT_EQ(dep.errorHistogram.total(), 2u);
     EXPECT_LT(dep.within3Pct(), 1.0);
 }
@@ -203,8 +206,11 @@ TEST(Enhancement, NlpSpeedsUpStreamingReference)
     static DirectService service;
     TechniqueContext ctx = TechniqueContext::make("art", suite, service);
     SimConfig cfg = architecturalConfig(1);
-    double speedup =
-        referenceSpeedup(service, ctx, cfg, Enhancement::NextLinePrefetch);
+    std::vector<EnhancementImpact> impacts =
+        evaluateEnhancement(service, {std::make_shared<FullReference>()},
+                            ctx, cfg, Enhancement::NextLinePrefetch);
+    ASSERT_EQ(impacts.size(), 1u);
+    double speedup = impacts[0].referenceSpeedup;
     EXPECT_GT(speedup, 1.0);
     EXPECT_LT(speedup, 3.0);
 }
@@ -213,21 +219,22 @@ TEST(Enhancement, TcSpeedsUpGcc)
 {
     TechniqueContext ctx = smallContext("gcc");
     SimConfig cfg = architecturalConfig(1);
-    double speedup =
-        referenceSpeedup(service, ctx, cfg, Enhancement::TrivialComputation);
-    EXPECT_GT(speedup, 1.0);
+    std::vector<EnhancementImpact> impacts =
+        evaluateEnhancement(service, {std::make_shared<FullReference>()},
+                            ctx, cfg, Enhancement::TrivialComputation);
+    ASSERT_EQ(impacts.size(), 1u);
+    EXPECT_GT(impacts[0].referenceSpeedup, 1.0);
 }
 
 TEST(Enhancement, ImpactErrorIsDeltaOfSpeedups)
 {
     TechniqueContext ctx = smallContext("gzip");
     SimConfig cfg = architecturalConfig(1);
-    double ref =
-        referenceSpeedup(service, ctx, cfg, Enhancement::NextLinePrefetch);
-    RunZ whole(10000.0);
-    EnhancementImpact impact = evaluateEnhancement(
-        service, whole, ctx, cfg, Enhancement::NextLinePrefetch, ref);
-    EXPECT_NEAR(impact.speedupError(), 0.0, 1e-9);
+    std::vector<EnhancementImpact> impacts =
+        evaluateEnhancement(service, {std::make_shared<RunZ>(10000.0)},
+                            ctx, cfg, Enhancement::NextLinePrefetch);
+    ASSERT_EQ(impacts.size(), 1u);
+    EXPECT_NEAR(impacts[0].speedupError(), 0.0, 1e-9);
 }
 
 TEST(Enhancement, ConfigToggles)

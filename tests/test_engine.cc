@@ -2,7 +2,7 @@
  * @file
  * Tests for the ExperimentEngine: cache-key construction, memoization
  * and its counters, the on-disk result cache (bit-identical
- * round-trips), in-flight deduplication, and pooled prefetch
+ * round-trips), in-flight deduplication, and pooled runAll
  * determinism.
  */
 
@@ -29,6 +29,7 @@
 #include "stats/plackett_burman.hh"
 #include "support/artifact_io.hh"
 #include "support/failpoint.hh"
+#include "support/thread_pool.hh"
 #include "techniques/full_reference.hh"
 #include "techniques/reduced_input.hh"
 #include "techniques/service.hh"
@@ -893,13 +894,14 @@ TEST(EngineRobustness, KilledWritersNeverPublishTornArtifacts)
     EXPECT_GE(crashes, 1);
 }
 
-// ------------------------------------------------------------ prefetch
+// -------------------------------------------------------------- runAll
 
-TEST(Engine, PrefetchedGridIsBitIdenticalToSerial)
+TEST(Engine, RunAllGridIsBitIdenticalToSerial)
 {
     SuiteConfig suite;
     suite.referenceInstructions = kRefInsts;
     std::vector<TechniquePtr> techniques = {
+        std::make_shared<FullReference>(),
         std::make_shared<Smarts>(1000, 2000),
         std::make_shared<ReducedInput>(InputSet::Small),
     };
@@ -908,21 +910,20 @@ TEST(Engine, PrefetchedGridIsBitIdenticalToSerial)
 
     ExperimentEngine pooled;
     TechniqueContext pctx = pooled.context("gzip", suite);
-    pooled.prefetch(pctx, techniques, configs);
+    const auto rows = runGrid(pooled, techniques, pctx, configs);
     const uint64_t executed = pooled.counters().runsExecuted;
-    // techniques x configs plus the reference per config.
-    EXPECT_EQ(executed, techniques.size() * configs.size() +
-                            configs.size());
+    // techniques x configs, the reference among them.
+    EXPECT_EQ(executed, techniques.size() * configs.size());
+    ASSERT_EQ(rows.size(), techniques.size());
 
     ExperimentEngine serial;
     TechniqueContext sctx = serial.context("gzip", suite);
-    for (const SimConfig &config : configs)
-        for (const TechniquePtr &technique : techniques) {
-            TechniqueResult p = pooled.run(*technique, pctx, config);
-            TechniqueResult s = serial.run(*technique, sctx, config);
-            expectBitIdentical(p, s);
-        }
-    // Table assembly above hit the memo only.
+    for (size_t t = 0; t < techniques.size(); ++t)
+        for (size_t c = 0; c < configs.size(); ++c)
+            expectBitIdentical(rows[t][c],
+                               serial.run(*techniques[t], sctx, configs[c]));
+    // A second batch of the same grid hits the memo only.
+    runGrid(pooled, techniques, pctx, configs);
     EXPECT_EQ(pooled.counters().runsExecuted, executed);
 }
 
@@ -943,14 +944,14 @@ TEST(Engine, PrefetchIsIdempotent)
     EXPECT_GT(engine.counters().gridJobs, 0u);
 }
 
-TEST(Engine, PrefetchRecordsEachStreamBeforeTheGridFansOut)
+TEST(Engine, RunAllRecordsEachStreamBeforeTheGridFansOut)
 {
     // Two reduced inputs on eight configurations: sixteen cells over
     // two streams. The grid records each stream once before it fans
     // out, so no cell waits on another's recording and the trace
     // counters are fixed however the pool runs the cells.
     failpoint::ScopedSchedule off("");
-    ScratchDir scratch("yasim_engine_prefetch_streams");
+    ScratchDir scratch("yasim_engine_runall_streams");
     SuiteConfig suite;
     suite.referenceInstructions = kRefInsts;
     std::vector<TechniquePtr> techniques = {
@@ -965,7 +966,7 @@ TEST(Engine, PrefetchRecordsEachStreamBeforeTheGridFansOut)
     {
         ExperimentEngine warm({.cacheDir = scratch.str()});
         TechniqueContext ctx = warm.context("gzip", suite);
-        warm.prefetch(ctx, techniques, configs, false);
+        runGrid(warm, techniques, ctx, configs);
         const TraceCounters t = warm.traceStore()->counters();
         // The reference (the context's length) and the two inputs.
         EXPECT_EQ(t.recordings, 3u);
@@ -978,12 +979,88 @@ TEST(Engine, PrefetchRecordsEachStreamBeforeTheGridFansOut)
     // length loads a trace.
     ExperimentEngine cold({.cacheDir = scratch.str()});
     TechniqueContext ctx = cold.context("gzip", suite);
-    cold.prefetch(ctx, techniques, configs, false);
+    runGrid(cold, techniques, ctx, configs);
     EXPECT_EQ(cold.counters().runsExecuted, 0u);
     const TraceCounters t = cold.traceStore()->counters();
     EXPECT_EQ(t.recordings, 0u);
     EXPECT_EQ(t.diskLoads, 1u);
     EXPECT_EQ(t.hits, 0u);
+}
+
+TEST(Engine, RunAllComputesADuplicateKeyOnce)
+{
+    // The two SimPoints share a result key: labels are not part of it,
+    // and 15 is the default projection. The batch computes the key
+    // once and fills the second job afterwards as a memo hit, so no
+    // job waits on another however many workers run the batch.
+    setParallelWorkers(4);
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    ExperimentEngine engine;
+    TechniqueContext ctx = engine.context("gzip", suite);
+    SimConfig config = architecturalConfig(2);
+    SimPoint max_k(10.0, 30, 1.0, "max_k=30");
+    SimPoint dim(10.0, 30, 1.0, "dim=15", 15);
+
+    const std::vector<TechniqueResult> results =
+        engine.runAll({{&max_k, &ctx, &config}, {&dim, &ctx, &config}});
+    ASSERT_EQ(results.size(), 2u);
+    const EngineCounters ctr = engine.counters();
+    EXPECT_EQ(ctr.runsExecuted, 1u);
+    EXPECT_EQ(ctr.inflightJoins, 0u);
+    EXPECT_EQ(ctr.memoHits, 1u);
+    EXPECT_EQ(results[0].permutation, "max_k=30");
+    EXPECT_EQ(results[1].permutation, "dim=15");
+    EXPECT_TRUE(bitEq(results[0].cpi, results[1].cpi));
+    EXPECT_TRUE(bitEq(ctr.workUnitsSaved, results[1].workUnits));
+}
+
+TEST(Service, RunAllMatchesRunInJobOrder)
+{
+    // One grid over techniques, configurations and two benchmarks:
+    // DirectService's runAll, the engine's pooled runAll and one run()
+    // per cell on a second engine agree bit for bit, job by job.
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    const std::vector<TechniquePtr> techniques = {
+        std::make_shared<FullReference>(),
+        std::make_shared<Smarts>(1000, 2000),
+        std::make_shared<ReducedInput>(InputSet::Small),
+    };
+    const std::vector<SimConfig> configs = {architecturalConfig(1),
+                                            architecturalConfig(3)};
+
+    DirectService direct;
+    ExperimentEngine pooled, serial;
+    std::vector<TechniqueContext> dctx, pctx, sctx;
+    for (const char *bench : {"gzip", "mcf"}) {
+        dctx.push_back(TechniqueContext::make(bench, suite, direct));
+        pctx.push_back(pooled.context(bench, suite));
+        sctx.push_back(serial.context(bench, suite));
+    }
+    auto grid = [&](const std::vector<TechniqueContext> &contexts) {
+        std::vector<GridJob> jobs;
+        for (const SimConfig &config : configs)
+            for (const TechniquePtr &technique : techniques)
+                for (const TechniqueContext &ctx : contexts)
+                    jobs.push_back({technique.get(), &ctx, &config});
+        return jobs;
+    };
+
+    const std::vector<TechniqueResult> from_direct =
+        direct.runAll(grid(dctx));
+    const std::vector<TechniqueResult> from_pool =
+        pooled.runAll(grid(pctx));
+    const std::vector<GridJob> jobs = grid(sctx);
+    ASSERT_EQ(from_direct.size(), jobs.size());
+    ASSERT_EQ(from_pool.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        const TechniqueResult one =
+            serial.run(*jobs[i].technique, *jobs[i].ctx, *jobs[i].config);
+        expectBitIdentical(from_direct[i], one);
+        expectBitIdentical(from_pool[i], one);
+    }
 }
 
 } // namespace

@@ -89,10 +89,16 @@ TEST(PaperInvariants, PbRanksOrderSmartsAboveReduced)
 {
     TechniqueContext ctx = ctxFor("mcf", 200'000);
     PbDesign design = PbDesign::forFactors(numPbFactors(), false);
-    PbOutcome ref = runPbDesign(service, FullReference(), ctx, design);
-    PbOutcome smarts = runPbDesign(service, Smarts(1000, 2000), ctx, design);
-    PbOutcome reduced =
-        runPbDesign(service, ReducedInput(InputSet::Small), ctx, design);
+    std::vector<PbOutcome> outcomes = runPbDesign(
+        service,
+        {std::make_shared<FullReference>(),
+         std::make_shared<Smarts>(1000, 2000),
+         std::make_shared<ReducedInput>(InputSet::Small)},
+        ctx, design);
+    ASSERT_EQ(outcomes.size(), 3u);
+    const PbOutcome &ref = outcomes[0];
+    const PbOutcome &smarts = outcomes[1];
+    const PbOutcome &reduced = outcomes[2];
     EXPECT_LT(pbDistance(smarts, ref) + 5.0, pbDistance(reduced, ref));
 }
 
@@ -102,9 +108,14 @@ TEST(PaperInvariants, McfMemoryLatencyBottleneckOnlyAtReference)
 {
     TechniqueContext ctx = ctxFor("mcf", 200'000);
     PbDesign design = PbDesign::forFactors(numPbFactors(), false);
-    PbOutcome ref = runPbDesign(service, FullReference(), ctx, design);
-    PbOutcome small =
-        runPbDesign(service, ReducedInput(InputSet::Small), ctx, design);
+    std::vector<PbOutcome> outcomes = runPbDesign(
+        service,
+        {std::make_shared<FullReference>(),
+         std::make_shared<ReducedInput>(InputSet::Small)},
+        ctx, design);
+    ASSERT_EQ(outcomes.size(), 2u);
+    const PbOutcome &ref = outcomes[0];
+    const PbOutcome &small = outcomes[1];
 
     int mem_factor = -1;
     for (size_t j = 0; j < pbFactors().size(); ++j)
@@ -164,14 +175,14 @@ TEST(PaperInvariants, EnhancementErrorsOrder)
 {
     TechniqueContext ctx = ctxFor("gcc");
     SimConfig cfg = architecturalConfig(2);
-    double ref =
-        referenceSpeedup(service, ctx, cfg, Enhancement::TrivialComputation);
-    EnhancementImpact smarts =
-        evaluateEnhancement(service, Smarts(1000, 2000), ctx, cfg,
-                            Enhancement::TrivialComputation, ref);
-    EnhancementImpact prefix =
-        evaluateEnhancement(service, RunZ(1000.0), ctx, cfg,
-                            Enhancement::TrivialComputation, ref);
+    std::vector<EnhancementImpact> impacts = evaluateEnhancement(
+        service,
+        {std::make_shared<Smarts>(1000, 2000),
+         std::make_shared<RunZ>(1000.0)},
+        ctx, cfg, Enhancement::TrivialComputation);
+    ASSERT_EQ(impacts.size(), 2u);
+    const EnhancementImpact &smarts = impacts[0];
+    const EnhancementImpact &prefix = impacts[1];
     EXPECT_LT(std::fabs(smarts.speedupError()),
               std::fabs(prefix.speedupError()));
     EXPECT_LT(std::fabs(smarts.speedupError()), 0.04);

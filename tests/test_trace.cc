@@ -860,10 +860,11 @@ TEST(TraceEngine, ConfigurationSweepInterpretsOnce)
     TechniqueContext ctx = engine.context("gzip", tinySuite());
 
     std::vector<TechniquePtr> techniques = {
+        std::make_shared<FullReference>(),
         std::make_shared<FfRunZ>(50, 10),
         std::make_shared<Smarts>(1000, 2000),
     };
-    engine.prefetch(ctx, techniques, architecturalConfigs());
+    runGrid(engine, techniques, ctx, architecturalConfigs());
 
     // However many techniques and configurations ran, gzip's reference
     // input was functionally interpreted exactly once.
