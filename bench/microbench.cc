@@ -23,12 +23,13 @@
  * drifting past the contract); the CI perf job asserts the
  * machine-dependent speedup from the JSON.
  *
- * `microbench --json-sampling [path]` runs the live-point sampling
- * gate: the same SMARTS experiment serial vs fanned across the worker
- * pool from a persisted live-point library, written to
- * BENCH_sampling.json. Exit status gates the byte-identity of the two
- * estimates; CI asserts the machine-dependent speedup and the on-disk
- * bytes-per-point budget from the JSON.
+ * `microbench --json-sampling [path]` runs the sampling gate: SMARTS
+ * units measured along the warming walk against the live-point
+ * library's measurement of the same selection, and SMARTS wall time
+ * over the full reference's, written to BENCH_sampling.json. Exit
+ * status gates the byte-identity of the two measurements; CI asserts
+ * the machine-dependent cost ratios and the on-disk bytes-per-point
+ * budget from the JSON.
  */
 
 #include <benchmark/benchmark.h>
@@ -46,8 +47,10 @@
 #include "sim/functional.hh"
 #include "sim/livepoint.hh"
 #include "sim/ooo_core.hh"
+#include "sim/sampling.hh"
 #include "sim/sharded.hh"
 #include "sim/trace.hh"
+#include "techniques/full_reference.hh"
 #include "techniques/service.hh"
 #include "techniques/smarts.hh"
 #include "stats/kmeans.hh"
@@ -261,7 +264,7 @@ BM_LivePointBuild(benchmark::State &state)
     uint64_t insts = 0;
     for (auto _ : state) {
         LivePointLibrary library(trace, plan, cfg,
-                                 LivePointOptions{true, ""});
+                                 LivePointOptions{});
         insts += library.ensure(indices);
         benchmark::DoNotOptimize(library.counters().built);
     }
@@ -284,7 +287,7 @@ BM_LivePointLoad(benchmark::State &state)
     auto trace = ExecTrace::record(w.program);
     SamplingPlan plan = SamplingPlan::make(1000, 2000, trace->length());
     const std::vector<uint64_t> indices = plan.indicesFor(50);
-    LivePointOptions opts{true, dir.string()};
+    LivePointOptions opts{dir.string()};
     {
         LivePointLibrary seed_library(trace, plan, cfg, opts);
         seed_library.ensure(indices);
@@ -703,66 +706,66 @@ runOooGate(const char *path)
     return 0;
 }
 
+/** Best-of-@p passes wall seconds of @p technique on @p ctx / @p cfg. */
+double
+bestRunSeconds(const Technique &technique, const TechniqueContext &ctx,
+               const SimConfig &cfg, int passes)
+{
+    double best = 1e30;
+    for (int pass = 0; pass < passes; ++pass) {
+        auto start = std::chrono::steady_clock::now();
+        TechniqueResult r = technique.run(ctx, cfg);
+        benchmark::DoNotOptimize(r.cpi);
+        best = std::min(best, secondsSince(start));
+    }
+    return best;
+}
+
 /**
- * The live-point sampled-simulation gate behind
- * `microbench --json-sampling [path]`.
+ * The sampled-simulation gate behind `microbench --json-sampling
+ * [path]`.
  *
- * Runs the same SMARTS experiment twice on the gzip reference, both
- * replaying the DirectService's one recording of it:
- * `--no-livepoints` (the serial in-memory grid loop, best of 3) and
- * with a persisted live-point library (one untimed pass builds and
- * persists every point, then best of 3 steady-state passes load them
- * and fan the measurement units across the worker pool). Cross-checks
- * the exactness contract — CPI, metrics, detailed counters, and the
- * weighted basic-block profile byte-identical between the two modes —
- * and reports the parallel speedup plus the on-disk bytes per point.
- * Exit status gates the bit-identity only; CI asserts the speedup and
- * the byte budget (the former is a property of the machine).
+ * Exactness: on the gzip 8M-instruction reference, one SMARTS
+ * selection (U=10000, W=2000, 50 units) is measured along the warming
+ * walk (walkUnits) and by the live-point oracle: LivePointLibrary
+ * builds and persists every point to a scratch directory, then
+ * measureUnits fans the units across the pool. Every unit's CPI,
+ * metric vector, counters and weighted profile must be byte-identical,
+ * and the directory gives the on-disk bytes per point.
+ *
+ * Cost: SMARTS(1000, 2000) and SMARTS(100, 200) against the full
+ * reference, gzip on Table-3 config 2 at the default 400k reference,
+ * best of six passes each (building the context records the trace
+ * first). A unit should cost its detailed length plus the walk's
+ * warming, so both ratios stay near 1. Exit status gates the
+ * bit-identity only; CI asserts the ratios and the byte budget.
  */
 int
 runSamplingGate(const char *path)
 {
     SuiteConfig suite;
     suite.referenceInstructions = 8'000'000;
-    DirectService service;
-    TechniqueContext base =
-        TechniqueContext::make("gzip", suite, service);
     SimConfig cfg = architecturalConfig(2);
-    Smarts smarts(10000, 2000, 0.997, 0.03, 50);
+    auto trace = ExecTrace::record(
+        buildWorkload("gzip", InputSet::Reference, suite).program);
+    const SamplingPlan plan =
+        SamplingPlan::make(10000, 2000, trace->length());
+    const std::vector<uint64_t> indices = plan.indicesFor(50);
 
-    // Serial baseline: the in-memory grid loop, re-warming the whole
-    // prefix functionally on every run (what --no-livepoints buys).
-    TechniqueContext seq_ctx = base;
-    seq_ctx.livepoints.enabled = false;
-    double seq_seconds = 1e30;
-    TechniqueResult seq;
-    for (int pass = 0; pass < 3; ++pass) {
-        auto start = std::chrono::steady_clock::now();
-        seq = smarts.run(seq_ctx, cfg);
-        seq_seconds = std::min(seq_seconds, secondsSince(start));
-    }
+    const std::vector<UnitResult> walked =
+        walkUnits(trace, plan, cfg, indices);
 
-    // Live-point fan-out, steady state: pass 0 builds and persists the
-    // library (untimed — a one-off cost the cache amortizes across the
-    // configuration sweep), later passes load points and measure in
-    // parallel — the behaviour a cache-dir-configured engine sees on
-    // every rerun.
     namespace fs = std::filesystem;
     fs::path lp_dir = fs::temp_directory_path() / "yasim_sampling_gate";
     fs::remove_all(lp_dir);
-    TechniqueContext par_ctx = base;
-    par_ctx.livepoints.enabled = true;
-    par_ctx.livepoints.dir = lp_dir.string();
-    TechniqueResult par = smarts.run(par_ctx, cfg);
-    double par_seconds = 1e30;
-    for (int pass = 0; pass < 3; ++pass) {
-        auto start = std::chrono::steady_clock::now();
-        par = smarts.run(par_ctx, cfg);
-        par_seconds = std::min(par_seconds, secondsSince(start));
-    }
+    LivePointLibrary library(trace, plan, cfg,
+                             LivePointOptions{lp_dir.string()});
+    library.ensure(indices);
+    const std::vector<UnitResult> oracle =
+        library.measureUnits(indices, true);
 
-    // On-disk footprint: every persisted measurement-unit point
-    // (lp-*.lvpt), compressed frame included.
+    // On-disk footprint: every persisted point (lp-*.lvpt), compressed
+    // frame included.
     uint64_t point_bytes = 0, point_count = 0;
     for (const auto &entry : fs::directory_iterator(lp_dir)) {
         if (entry.path().filename().string().rfind("lp-", 0) != 0)
@@ -775,64 +778,89 @@ runSamplingGate(const char *path)
         point_count ? static_cast<double>(point_bytes) /
                           static_cast<double>(point_count)
                     : 0.0;
-    double speedup = seq_seconds / par_seconds;
 
-    // The exactness contract: the fan-out must be byte-identical to
-    // the serial loop, not merely statistically close.
-    bool cpi_identical =
-        std::memcmp(&par.cpi, &seq.cpi, sizeof(double)) == 0;
-    bool metrics_identical = par.metrics == seq.metrics;
-    bool counters_exact =
-        par.detailed.cycles == seq.detailed.cycles &&
-        par.detailed.instructions == seq.detailed.instructions &&
-        par.detailed.l1iAccesses == seq.detailed.l1iAccesses &&
-        par.detailed.l1dMisses == seq.detailed.l1dMisses &&
-        par.detailed.condMispredicts == seq.detailed.condMispredicts &&
-        par.detailed.memStallCycles == seq.detailed.memStallCycles &&
-        par.detailedInsts == seq.detailedInsts;
-    bool profile_identical = par.bbef == seq.bbef && par.bbv == seq.bbv;
+    // The exactness contract: the walk must be byte-identical to the
+    // oracle, not merely statistically close.
+    bool cpi_identical = walked.size() == oracle.size();
+    bool metrics_identical = cpi_identical;
+    bool counters_exact = cpi_identical;
+    bool profile_identical = cpi_identical;
+    for (size_t i = 0; i < std::min(walked.size(), oracle.size()); ++i) {
+        const UnitResult &a = walked[i];
+        const UnitResult &b = oracle[i];
+        const double cpi_a = a.stats.cpi(), cpi_b = b.stats.cpi();
+        cpi_identical &= std::memcmp(&cpi_a, &cpi_b, sizeof(double)) == 0;
+        metrics_identical &=
+            a.stats.metricVector() == b.stats.metricVector();
+        counters_exact &=
+            a.index == b.index && a.measured == b.measured &&
+            a.warmupDone == b.warmupDone && a.unitDone == b.unitDone &&
+            std::memcmp(&a.stats, &b.stats, sizeof(SimStats)) == 0;
+        profile_identical &= a.bbef == b.bbef && a.bbv == b.bbv;
+    }
+
+    // What a sampled run costs next to the run it samples.
+    SuiteConfig ref_suite;
+    ref_suite.referenceInstructions = 400'000;
+    DirectService service;
+    TechniqueContext ctx =
+        TechniqueContext::make("gzip", ref_suite, service);
+    FullReference reference;
+    Smarts coarse(1000, 2000);
+    Smarts fine(100, 200);
+    const double ref_seconds = bestRunSeconds(reference, ctx, cfg, 6);
+    const double coarse_seconds = bestRunSeconds(coarse, ctx, cfg, 6);
+    const double fine_seconds = bestRunSeconds(fine, ctx, cfg, 6);
+    const double coarse_ratio = coarse_seconds / ref_seconds;
+    const double fine_ratio = fine_seconds / ref_seconds;
 
     JsonReport report("perf-gate-sampling");
     report.setCount("workers", parallelWorkers());
+    report.setCount("smarts_units", walked.size());
     report.setCount("livepoint_count", point_count);
     report.setNumber("livepoint_bytes_per_point", bytes_per_point);
-    report.setNumber("seq_smarts_wall_seconds", seq_seconds);
-    report.setNumber("parallel_smarts_wall_seconds", par_seconds);
-    report.setNumber("parallel_smarts_speedup", speedup);
-    report.setNumber("smarts_cpi", seq.cpi);
-    report.setCount("smarts_detailed_insts", seq.detailedInsts);
+    report.setNumber("reference_wall_seconds", ref_seconds);
+    report.setNumber("smarts_u1000_wall_seconds", coarse_seconds);
+    report.setNumber("smarts_u100_wall_seconds", fine_seconds);
+    report.setNumber("smarts_over_reference_u1000", coarse_ratio);
+    report.setNumber("smarts_over_reference_u100", fine_ratio);
     report.setBool("smarts_cpi_identical", cpi_identical);
     report.setBool("smarts_metrics_identical", metrics_identical);
     report.setBool("smarts_counters_exact", counters_exact);
     report.setBool("smarts_profile_identical", profile_identical);
     writeReportFile(report, path);
 
-    std::printf("SMARTS (%u workers): serial %.3fs, live-points %.3fs "
-                "(%.2fx), CPI %s\n",
-                parallelWorkers(), seq_seconds, par_seconds, speedup,
-                cpi_identical ? "identical" : "MISMATCH");
+    std::printf("SMARTS walk vs live-point oracle: %zu units, %s\n",
+                walked.size(),
+                cpi_identical && metrics_identical && counters_exact &&
+                        profile_identical
+                    ? "identical"
+                    : "MISMATCH");
+    std::printf("over the reference (%.3fs): U=1000 W=2000 %.3fs "
+                "(%.2fx), U=100 W=200 %.3fs (%.2fx)\n",
+                ref_seconds, coarse_seconds, coarse_ratio, fine_seconds,
+                fine_ratio);
     std::printf("live-point library: %llu points, %.0f bytes/point on "
                 "disk\n",
                 static_cast<unsigned long long>(point_count),
                 bytes_per_point);
     std::printf("wrote %s\n", path);
 
-    // Exit status gates correctness only; CI asserts the speedup.
+    // Exit status gates correctness only; CI asserts the ratios.
     if (!cpi_identical || !metrics_identical) {
         std::fprintf(stderr,
-                     "microbench: live-point SMARTS estimate diverged "
-                     "from the serial loop\n");
+                     "microbench: walked SMARTS units diverged from the "
+                     "live-point oracle\n");
         return 1;
     }
     if (!counters_exact) {
         std::fprintf(stderr,
-                     "microbench: live-point SMARTS counters not "
-                     "exact\n");
+                     "microbench: walked SMARTS counters not exact\n");
         return 1;
     }
     if (!profile_identical) {
         std::fprintf(stderr,
-                     "microbench: live-point SMARTS profile diverged\n");
+                     "microbench: walked SMARTS profile diverged\n");
         return 1;
     }
     if (point_count == 0) {

@@ -46,12 +46,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
         // a dedicated directory.
         opts.shards.warmDir = opts.cacheDir + "/warm";
     }
-    if (opts.livepoints.enabled && opts.livepoints.dir.empty() &&
-        !opts.cacheDir.empty()) {
-        // Same policy as warm summaries: live-points are cache
-        // artifacts and live beside the result cache by default.
-        opts.livepoints.dir = opts.cacheDir + "/livepoints";
-    }
 }
 
 ExperimentEngine::~ExperimentEngine() = default;
@@ -322,7 +316,6 @@ ExperimentEngine::context(const std::string &benchmark,
 {
     TechniqueContext ctx = TechniqueContext::make(benchmark, suite, *this);
     ctx.shards = opts.shards;
-    ctx.livepoints = opts.livepoints;
     return ctx;
 }
 

@@ -62,14 +62,6 @@ struct EngineOptions
      * under "<cacheDir>/warm" (memory-only engines skip persistence).
      */
     ShardOptions shards = {};
-    /**
-     * Live-point sampled simulation (sim/livepoint.hh), stamped into
-     * every TechniqueContext the engine builds. When enabled and dir
-     * is empty, live-points persist under "<cacheDir>/livepoints"
-     * (memory-only engines keep the library in memory). Results are
-     * bit-identical with or without it; only wall-clock changes.
-     */
-    LivePointOptions livepoints = {};
 };
 
 /** Monotonic engine counters (work units: see CostModel). */

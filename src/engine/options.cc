@@ -55,7 +55,6 @@ engineCliUsage()
     return "          [--cache-dir DIR] [--cache-budget-mb N]\n"
            "          [--engine-stats] [--engine-stats-json FILE]\n"
            "          [--workers N]\n"
-           "          [--livepoints] [--no-livepoints]\n"
            "          [--shards N] [--shard-warmup M]\n"
            "          [--failpoints SPEC]\n";
 }
@@ -76,10 +75,6 @@ parseEngineCliOption(EngineCliOptions &options, int argc, char **argv,
         options.engineStats = true;
     } else if (std::strcmp(arg, "--engine-stats-json") == 0) {
         options.engineStatsJson = next();
-    } else if (std::strcmp(arg, "--livepoints") == 0) {
-        options.livepoints = true;
-    } else if (std::strcmp(arg, "--no-livepoints") == 0) {
-        options.livepoints = false;
     } else if (std::strcmp(arg, "--shards") == 0) {
         options.shards = uint32_t(std::strtoul(next(), nullptr, 10));
         if (options.shards == 0)
@@ -102,7 +97,6 @@ engineOptionsFrom(const EngineCliOptions &options)
     EngineOptions engine_options;
     engine_options.cacheDir = options.cacheDir;
     engine_options.cacheBudgetBytes = options.cacheBudgetMb << 20;
-    engine_options.livepoints.enabled = options.livepoints;
     engine_options.shards.shards = options.shards;
     engine_options.shards.warmupInsts = options.shardWarmup;
     return engine_options;

@@ -18,9 +18,6 @@
  *   --engine-stats-json FILE  write the counters as a versioned JSON
  *                     report (result_io.hh schema) instead of a table
  *   --workers N       bound the work-stealing pool at N workers
- *   --livepoints      persisted per-unit live-points and the parallel
- *                     sampling fan-out (the default; see docs/perf.md)
- *   --no-livepoints   serial in-memory sampling loop (bit-identical)
  *   --shards N        split the reference detailed run into N parallel
  *                     plan-aligned shards (see docs/perf.md)
  *   --shard-warmup M  functional-warming lead-in per shard, in
@@ -65,12 +62,6 @@ struct EngineCliOptions
     std::string engineStatsJson;
     /** Worker-pool bound (0 = auto-detect). */
     unsigned workers = 0;
-    /**
-     * Persist per-unit live-points and fan sampled measurement units
-     * across the worker pool (--no-livepoints selects the serial
-     * in-memory loop; results are bit-identical either way).
-     */
-    bool livepoints = true;
     /** Reference-run shard count (1 = sequential; see docs/perf.md). */
     uint32_t shards = 1;
     /** Per-shard functional-warming bound (0 = full prefix). */

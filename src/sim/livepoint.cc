@@ -6,7 +6,6 @@
 #include <sstream>
 #include <system_error>
 
-#include "sim/bb_profiler.hh"
 #include "sim/ooo_core.hh"
 #include "sim/trace.hh"
 #include "support/artifact_io.hh"
@@ -51,7 +50,7 @@ hashProgram(Hasher &h, const Program &program)
  * sampling grid plus warmIdentityDigest's format versions, program
  * content, and warm-relevant configuration.
  */
-// yasim-lint: key(livepoint) covers SamplingPlan(sim/livepoint.hh)
+// yasim-lint: key(livepoint) covers SamplingPlan(sim/sampling.hh)
 std::string
 livePointLibraryKey(const Program &program, const SamplingPlan &plan,
                     const SimConfig &config)
@@ -97,55 +96,6 @@ warmIdentityDigest(const Program &program, const SimConfig &config)
     h.b(config.bp.speculativeUpdate);
 
     return h.hex();
-}
-
-SamplingPlan
-SamplingPlan::make(uint64_t unit_insts, uint64_t warmup_insts,
-                   uint64_t length)
-{
-    YASIM_ASSERT(unit_insts >= 1);
-    SamplingPlan plan;
-    plan.unitInsts = unit_insts;
-    // A warm-up longer than the whole run would swallow it; degrade to
-    // the largest warm-up that still leaves room for at least one
-    // measured unit (the historical SMARTS rule).
-    if (unit_insts + warmup_insts >= length) {
-        warmup_insts =
-            length > 2 * unit_insts ? length - 2 * unit_insts : 0;
-    }
-    plan.warmupInsts = warmup_insts;
-    plan.length = length;
-    uint64_t span = plan.span();
-    plan.maxUnits = std::max<uint64_t>(span > 0 ? length / span : 0, 1);
-    plan.period = std::max<uint64_t>(length / plan.maxUnits, 1);
-    return plan;
-}
-
-uint64_t
-SamplingPlan::strideFor(uint64_t n) const
-{
-    uint64_t target = std::max<uint64_t>(std::min(n, maxUnits), 1);
-    uint64_t stride = 1;
-    // Largest power of two whose selection still reaches the target;
-    // halving the stride always yields a superset of the selection.
-    // Past maxUnits the selection is {0} no matter what, so stop
-    // doubling there (a target of 1 would otherwise never converge).
-    while (stride < maxUnits &&
-           (maxUnits + stride * 2 - 1) / (stride * 2) >= target) {
-        stride *= 2;
-    }
-    return stride;
-}
-
-std::vector<uint64_t>
-SamplingPlan::indicesFor(uint64_t n) const
-{
-    uint64_t stride = strideFor(n);
-    std::vector<uint64_t> indices;
-    indices.reserve((maxUnits + stride - 1) / stride);
-    for (uint64_t j = 0; j < maxUnits; j += stride)
-        indices.push_back(j);
-    return indices;
 }
 
 LivePointCounters &
@@ -494,19 +444,17 @@ LivePointLibrary::ensure(const std::vector<uint64_t> &indices,
     return charge;
 }
 
-std::vector<LivePointLibrary::UnitResult>
+std::vector<UnitResult>
 LivePointLibrary::measureUnits(const std::vector<uint64_t> &indices,
                                bool parallel,
                                const CancelToken &cancel) const
 {
-    const Program &program = trace->program();
     std::vector<UnitResult> results(indices.size());
     std::atomic<uint64_t> detailed_done{0};
 
     auto measure_one = [&](size_t slot) {
         const uint64_t index = indices[slot];
-        UnitResult &out = results[slot];
-        out.index = index;
+        results[slot].index = index;
         if (cancel.cancelled())
             return;
         const LivePoint *point = at(index);
@@ -526,22 +474,10 @@ LivePointLibrary::measureUnits(const std::vector<uint64_t> &indices,
         // replayer seek.
         TraceReplayer stream(trace);
         stream.seek(point->position());
-
-        if (gridPlan.warmupInsts > 0)
-            out.warmupDone = core.run(stream, gridPlan.warmupInsts,
-                                      nullptr, cancel);
-        BbProfiler profiler(program);
-        SimStats delta = core.runMeasured(stream, gridPlan.unitInsts,
-                                          &profiler, &out.unitDone,
-                                          cancel);
-        detailed_done.fetch_add(out.warmupDone + out.unitDone,
-                                std::memory_order_relaxed);
-        if (out.unitDone == 0)
-            return; // the unit lies past program end
-        out.measured = true;
-        out.stats = delta;
-        out.bbef = profiler.bbef();
-        out.bbv = profiler.bbv();
+        results[slot] = measureUnit(core, stream, gridPlan, index, cancel);
+        detailed_done.fetch_add(
+            results[slot].warmupDone + results[slot].unitDone,
+            std::memory_order_relaxed);
     };
 
     if (parallel) {

@@ -15,17 +15,20 @@
  * restoring its warm blob into a fresh OooCore reproduces the unit's
  * instruction stream and warm state bit-exactly, so units become
  * independent, embarrassingly-parallel jobs: the CPIs, counters, and
- * profiles a fanned-out SMARTS run computes are byte-identical to a
+ * profiles a fanned-out measurement computes are byte-identical to a
  * serial loop over the same units.
  *
  * A LivePointLibrary owns every point of one (program, sampling plan,
  * warm-geometry configuration): it builds missing points in a single
  * resumable functional-warming pass, persists each one as a framed,
  * varint/RLE-compressed artifact (support/artifact_io, support/codec)
- * under the engine cache, and serves random-access loads. On-disk
- * points affect wall-clock only — never results and never modeled
- * cost. Sharded warm summaries (sim/sharded.hh) are live-points too:
- * one container and one loader serve every persisted entry state.
+ * in a caller-chosen directory, and serves random-access loads.
+ * On-disk points affect wall-clock only — never results and never
+ * modeled cost. SMARTS does not use the library: it measures its
+ * units along the warming walk (sim/sampling.hh), for which the
+ * library's measureUnits is the test oracle. Sharded warm summaries
+ * (sim/sharded.hh) are live-points too: one container and one loader
+ * serve every persisted entry state.
  */
 
 #ifndef YASIM_SIM_LIVEPOINT_HH
@@ -39,7 +42,7 @@
 #include <vector>
 
 #include "sim/config.hh"
-#include "sim/stats.hh"
+#include "sim/sampling.hh"
 #include "support/cancel.hh"
 
 namespace yasim {
@@ -57,18 +60,9 @@ class Program;
 // yasim-lint: version(livepoint)
 constexpr uint32_t kLivePointFormatVersion = 2;
 
-/** Live-point knobs, carried from the driver down to the techniques. */
+/** Live-point library knobs. */
 struct LivePointOptions
 {
-    /**
-     * Use the live-point library for sampled simulation: persisted
-     * points plus a parallel measurement fan-out (--no-livepoints
-     * falls back to the serial in-memory loop). Results are
-     * bit-identical either way — the per-unit math is shared — so
-     * this knob is deliberately absent from the result cache key.
-     */
-    // yasim-lint: key-exempt(result: results bit-identical either way)
-    bool enabled = true;
     /**
      * Directory for persisted live-points; "" keeps the library
      * in-memory only. Points are themselves keyed (libraryKey), so
@@ -88,59 +82,6 @@ struct LivePointOptions
  */
 std::string warmIdentityDigest(const Program &program,
                                const SimConfig &config);
-
-/**
- * The systematic sampling grid: maxUnits measurement units of
- * unitInsts instructions, each preceded by warmupInsts of detailed
- * warm-up, spaced period instructions apart over a run of length
- * instructions. Escalation selects every 2^k-th unit of the grid, so
- * a denser selection is always a superset of a sparser one and
- * already-measured units are reused verbatim.
- */
-struct SamplingPlan
-{
-    uint64_t unitInsts = 0;
-    uint64_t warmupInsts = 0;
-    uint64_t length = 0;
-    /** Grid spacing (>= span() except for single-unit runs). */
-    uint64_t period = 0;
-    /** Units on the grid (>= 1). */
-    uint64_t maxUnits = 0;
-
-    /**
-     * Lay the grid over a run of @p length instructions. Applies the
-     * SMARTS warm-up degrade rule first: a warm-up that would swallow
-     * the run shrinks to leave room for at least one measured unit.
-     */
-    static SamplingPlan make(uint64_t unit_insts, uint64_t warmup_insts,
-                             uint64_t length);
-
-    /** Detailed instructions per unit (warm-up + measured). */
-    uint64_t span() const { return unitInsts + warmupInsts; }
-
-    /** Dynamic position where unit @p j's detailed warm-up begins. */
-    uint64_t warmStart(uint64_t j) const
-    {
-        uint64_t gap = period > span() ? period - span() : 0;
-        return j * period + gap;
-    }
-
-    /** Dynamic position where unit @p j's measured region begins. */
-    uint64_t unitStart(uint64_t j) const
-    {
-        return warmStart(j) + warmupInsts;
-    }
-
-    /**
-     * The largest power-of-two grid stride that still yields at least
-     * min(@p n, maxUnits) units. Strides halve as n grows, so every
-     * selection contains all sparser selections.
-     */
-    uint64_t strideFor(uint64_t n) const;
-
-    /** Ascending unit indices {0, s, 2s, ...} for stride strideFor(n). */
-    std::vector<uint64_t> indicesFor(uint64_t n) const;
-};
 
 /** Monotonic live-point library counters. */
 struct LivePointCounters
@@ -287,20 +228,6 @@ class LivePointLibrary
     /** The resident point for grid index @p j (nullptr when absent). */
     const LivePoint *at(uint64_t index) const;
 
-    /** What measuring one unit produced. */
-    struct UnitResult
-    {
-        uint64_t index = 0;
-        /** False when the unit lies entirely past program end. */
-        bool measured = false;
-        /** Snapshot-delta statistics of the measured region. */
-        SimStats stats;
-        uint64_t warmupDone = 0;
-        uint64_t unitDone = 0;
-        std::vector<double> bbef;
-        std::vector<double> bbv;
-    };
-
     /**
      * Measure the units in @p indices independently — each worker gets
      * a fresh core, restores the unit's warm summary, seeks a private
@@ -308,7 +235,7 @@ class LivePointLibrary
      * the unit as a snapshot delta. Results come back in @p indices
      * order regardless of scheduling, and every per-unit value is
      * bit-identical between @p parallel true and false (the fan-out is
-     * the only difference).
+     * the only difference) and to walkUnits over the same indices.
      *
      * All requested points must be resident (ensure() first). On
      * cancellation the call throws CancelledError instead of

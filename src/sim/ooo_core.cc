@@ -441,6 +441,22 @@ OooCore::resetPipeline()
     storeFwd.assign(fwdEntries, FwdEntry());
 }
 
+void
+OooCore::restart(const MemoryHierarchy &warm_mem,
+                 const CombinedPredictor &warm_bp)
+{
+    mem = warm_mem;
+    bp = warm_bp;
+    // A pipeline reset at cycle 0 leaves every clock, ring and pool as
+    // the constructor does; the pools answer exactly at any window.
+    lastCommitCycle = 0;
+    resetPipeline();
+    retired = 0;
+    trivialOps = 0;
+    memStallCycles = 0;
+    tcEnabled = cfg.core.trivialComputation;
+}
+
 SimStats
 OooCore::snapshot() const
 {

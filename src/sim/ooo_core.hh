@@ -94,6 +94,16 @@ class OooCore
      */
     void resetPipeline();
 
+    /**
+     * Return to the just-constructed state with copies of @p warm_mem
+     * and @p warm_bp as the caches and predictor: the entry state of a
+     * sampled unit whose tables were warmed elsewhere
+     * (sim/sampling.hh). A restarted core simulates exactly what a
+     * fresh core would, without reallocating its pools and rings.
+     */
+    void restart(const MemoryHierarchy &warm_mem,
+                 const CombinedPredictor &warm_bp);
+
     /** Enable the trivial-computation enhancement (TC). */
     void setTrivialComputation(bool enabled) { tcEnabled = enabled; }
 

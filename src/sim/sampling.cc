@@ -1,0 +1,147 @@
+#include "sim/sampling.hh"
+
+#include <algorithm>
+
+#include "sim/bb_profiler.hh"
+#include "sim/ooo_core.hh"
+#include "sim/trace.hh"
+#include "support/check.hh"
+#include "support/logging.hh"
+#include "uarch/branch_predictor.hh"
+#include "uarch/memory_hierarchy.hh"
+
+namespace yasim {
+
+namespace {
+
+/** Instructions functionally warmed between cancellation polls. */
+constexpr uint64_t kWarmCancelChunk = 1 << 20;
+
+} // namespace
+
+SamplingPlan
+SamplingPlan::make(uint64_t unit_insts, uint64_t warmup_insts,
+                   uint64_t length)
+{
+    YASIM_ASSERT(unit_insts >= 1);
+    SamplingPlan plan;
+    plan.unitInsts = unit_insts;
+    // A warm-up longer than the whole run would swallow it; degrade to
+    // the largest warm-up that still leaves room for at least one
+    // measured unit (the historical SMARTS rule).
+    if (unit_insts + warmup_insts >= length) {
+        warmup_insts =
+            length > 2 * unit_insts ? length - 2 * unit_insts : 0;
+    }
+    plan.warmupInsts = warmup_insts;
+    plan.length = length;
+    uint64_t span = plan.span();
+    plan.maxUnits = std::max<uint64_t>(span > 0 ? length / span : 0, 1);
+    plan.period = std::max<uint64_t>(length / plan.maxUnits, 1);
+    return plan;
+}
+
+uint64_t
+SamplingPlan::strideFor(uint64_t n) const
+{
+    uint64_t target = std::max<uint64_t>(std::min(n, maxUnits), 1);
+    uint64_t stride = 1;
+    // Largest power of two whose selection still reaches the target;
+    // halving the stride always yields a superset of the selection.
+    // Past maxUnits the selection is {0} no matter what, so stop
+    // doubling there (a target of 1 would otherwise never converge).
+    while (stride < maxUnits &&
+           (maxUnits + stride * 2 - 1) / (stride * 2) >= target) {
+        stride *= 2;
+    }
+    return stride;
+}
+
+std::vector<uint64_t>
+SamplingPlan::indicesFor(uint64_t n) const
+{
+    uint64_t stride = strideFor(n);
+    std::vector<uint64_t> indices;
+    indices.reserve((maxUnits + stride - 1) / stride);
+    for (uint64_t j = 0; j < maxUnits; j += stride)
+        indices.push_back(j);
+    return indices;
+}
+
+UnitResult
+measureUnit(OooCore &core, TraceReplayer &stream, const SamplingPlan &plan,
+            uint64_t index, const CancelToken &cancel)
+{
+    UnitResult out;
+    out.index = index;
+    if (plan.warmupInsts > 0)
+        out.warmupDone =
+            core.run(stream, plan.warmupInsts, nullptr, cancel);
+    BbProfiler profiler(stream.trace()->program());
+    SimStats delta = core.runMeasured(stream, plan.unitInsts, &profiler,
+                                      &out.unitDone, cancel);
+    if (out.unitDone == 0)
+        return out; // the unit lies past program end
+    out.measured = true;
+    out.stats = delta;
+    out.bbef = profiler.bbef();
+    out.bbv = profiler.bbv();
+    return out;
+}
+
+std::vector<UnitResult>
+walkUnits(const std::shared_ptr<const ExecTrace> &trace,
+          const SamplingPlan &plan, const SimConfig &config,
+          const std::vector<uint64_t> &indices, const CancelToken &cancel)
+{
+    YASIM_CHECK(trace != nullptr, "the sampling walk needs a trace");
+    MemoryHierarchy warm_mem(config.mem);
+    CombinedPredictor warm_bp(config.bp);
+    OooCore core(config);
+    TraceReplayer cursor(trace);
+    TraceReplayer detail(trace);
+    uint64_t warmed = 0;
+    uint64_t detailed = 0;
+
+    auto cancelled = [&] {
+        CancelledError err;
+        err.cause = cancel.cause();
+        err.warmedInsts = warmed;
+        err.detailedInsts = detailed;
+        return err;
+    };
+
+    std::vector<UnitResult> results(indices.size());
+    for (size_t slot = 0; slot < indices.size(); ++slot) {
+        const uint64_t index = indices[slot];
+        YASIM_CHECK_LT(index, plan.maxUnits);
+        if (slot > 0)
+            YASIM_CHECK_GT(index, indices[slot - 1]);
+
+        // Warm up to the unit in bounded chunks, polling before each
+        // one, so every unit polls at least once.
+        const uint64_t target = plan.warmStart(index);
+        do {
+            if (cancel.cancelled())
+                throw cancelled();
+            const uint64_t step = std::min(
+                target - cursor.instsExecuted(), kWarmCancelChunk);
+            warmed += cursor.fastForwardWarm(step, &warm_mem, &warm_bp);
+        } while (cursor.instsExecuted() < target && !cursor.halted());
+
+        // The excursion: a core at its just-constructed state over the
+        // warmed tables, on its own replayer; the warming pair never
+        // sees the unit's detailed accesses.
+        core.restart(warm_mem, warm_bp);
+        detail.seek(cursor.instsExecuted());
+        results[slot] = measureUnit(core, detail, plan, index, cancel);
+        detailed += results[slot].warmupDone + results[slot].unitDone;
+        // The core polls on its own; a run it cut short must never
+        // feed a CPI estimate. Reading the sticky cause polls nothing.
+        if (cancel.cause() != CancelCause::None)
+            throw cancelled();
+    }
+    return results;
+}
+
+} // namespace yasim

@@ -1,0 +1,134 @@
+/**
+ * @file
+ * Systematic sampling: the SamplingPlan grid and the warming walk that
+ * measures a selection of its units.
+ *
+ * The walk is SMARTS's cost model made literal: one functional-warming
+ * pass over the recorded trace plus a detailed excursion per selected
+ * unit. A MemoryHierarchy and CombinedPredictor pair warms along the
+ * trace; at each selected unit's warm start the walk copies those
+ * tables into its OooCore, restarted to its just-constructed state,
+ * and runs the unit's detailed warm-up and measured region on a second
+ * replayer. The excursion never feeds back into the warming pair, so
+ * every unit sees exactly the warm state a whole-prefix functional
+ * pass leaves at its position, and nothing is serialized or persisted.
+ */
+
+#ifndef YASIM_SIM_SAMPLING_HH
+#define YASIM_SIM_SAMPLING_HH
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "sim/config.hh"
+#include "sim/stats.hh"
+#include "support/cancel.hh"
+
+namespace yasim {
+
+class ExecTrace;
+class OooCore;
+class TraceReplayer;
+
+/**
+ * The systematic sampling grid: maxUnits measurement units of
+ * unitInsts instructions, each preceded by warmupInsts of detailed
+ * warm-up, spaced period instructions apart over a run of length
+ * instructions. Escalation selects every 2^k-th unit of the grid, so
+ * a denser selection is always a superset of a sparser one and
+ * already-measured units are reused verbatim.
+ */
+struct SamplingPlan
+{
+    uint64_t unitInsts = 0;
+    uint64_t warmupInsts = 0;
+    uint64_t length = 0;
+    /** Grid spacing (>= span() except for single-unit runs). */
+    uint64_t period = 0;
+    /** Units on the grid (>= 1). */
+    uint64_t maxUnits = 0;
+
+    /**
+     * Lay the grid over a run of @p length instructions. Applies the
+     * SMARTS warm-up degrade rule first: a warm-up that would swallow
+     * the run shrinks to leave room for at least one measured unit.
+     */
+    static SamplingPlan make(uint64_t unit_insts, uint64_t warmup_insts,
+                             uint64_t length);
+
+    /** Detailed instructions per unit (warm-up + measured). */
+    uint64_t span() const { return unitInsts + warmupInsts; }
+
+    /** Dynamic position where unit @p j's detailed warm-up begins. */
+    uint64_t warmStart(uint64_t j) const
+    {
+        uint64_t gap = period > span() ? period - span() : 0;
+        return j * period + gap;
+    }
+
+    /** Dynamic position where unit @p j's measured region begins. */
+    uint64_t unitStart(uint64_t j) const
+    {
+        return warmStart(j) + warmupInsts;
+    }
+
+    /**
+     * The largest power-of-two grid stride that still yields at least
+     * min(@p n, maxUnits) units. Strides halve as n grows, so every
+     * selection contains all sparser selections.
+     */
+    uint64_t strideFor(uint64_t n) const;
+
+    /** Ascending unit indices {0, s, 2s, ...} for stride strideFor(n). */
+    std::vector<uint64_t> indicesFor(uint64_t n) const;
+};
+
+/** What measuring one unit produced. */
+struct UnitResult
+{
+    uint64_t index = 0;
+    /** False when the unit lies entirely past program end. */
+    bool measured = false;
+    /** Snapshot-delta statistics of the measured region. */
+    SimStats stats;
+    uint64_t warmupDone = 0;
+    uint64_t unitDone = 0;
+    std::vector<double> bbef;
+    std::vector<double> bbv;
+};
+
+/**
+ * Run unit @p index of @p plan on @p core from @p stream, which must
+ * sit at the unit's warm start: the detailed warm-up, then the
+ * measured region as a snapshot delta with its block profile. The
+ * one per-unit measurement every entry-state source shares. A
+ * cancelled @p cancel stops the core within one poll quantum; the
+ * caller must then discard the result.
+ */
+UnitResult measureUnit(OooCore &core, TraceReplayer &stream,
+                       const SamplingPlan &plan, uint64_t index,
+                       const CancelToken &cancel = CancelToken());
+
+/**
+ * Measure the units @p indices (ascending grid indices of @p plan)
+ * along one in-order walk over @p trace from its first instruction:
+ * functional warming up to each unit's warm start, then the unit's
+ * detailed warm-up and its measured region as a snapshot delta on a
+ * core that starts from the warmed tables (see the file comment).
+ * Results come back in @p indices order.
+ *
+ * A valid cancelled @p cancel token is polled once per unit and once
+ * per further warming chunk, and by the core every
+ * OooCore::kCancelCheckInsts; the call then throws CancelledError
+ * carrying the instructions this walk warmed and simulated in detail.
+ */
+std::vector<UnitResult>
+walkUnits(const std::shared_ptr<const ExecTrace> &trace,
+          const SamplingPlan &plan, const SimConfig &config,
+          const std::vector<uint64_t> &indices,
+          const CancelToken &cancel = CancelToken());
+
+} // namespace yasim
+
+#endif // YASIM_SIM_SAMPLING_HH

@@ -424,9 +424,13 @@ evictToBudget(const std::string &dir, uint64_t max_bytes)
     std::vector<File> files;
     uint64_t total = 0;
 
+    // The whole tree: warm summaries and other artifact kinds live in
+    // subdirectories of the cache dir, and the budget bounds them too.
     std::error_code ec;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
+    for (fs::recursive_directory_iterator
+             it(dir, fs::directory_options::skip_permission_denied, ec),
+         end;
+         !ec && it != end; it.increment(ec)) {
         if (!it->is_regular_file(ec))
             continue;
         const std::string name = it->path().filename().string();

@@ -157,10 +157,11 @@ ArtifactWriteResult writeArtifact(const std::string &path,
 bool quarantineArtifact(const std::string &path);
 
 /**
- * Delete the oldest regular files (by modification time, then name)
- * in @p dir until the directory's total size is at most @p max_bytes.
- * The newest file always survives, whatever its size; in-flight
- * ".tmp." files are skipped. Returns the number of files removed.
+ * Delete the oldest regular files (by modification time, then path)
+ * in @p dir and every directory below it until the tree's total size
+ * is at most @p max_bytes. The newest file always survives, whatever
+ * its size; in-flight ".tmp." files are skipped. Returns the number
+ * of files removed.
  */
 uint64_t evictToBudget(const std::string &dir, uint64_t max_bytes);
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "sim/sampling.hh"
 #include "stats/summary.hh"
 #include "support/logging.hh"
 #include "techniques/trace_store.hh"
@@ -55,12 +56,8 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
         n = std::clamp<uint64_t>(n, 50, 3000);
     }
 
-    TraceReplayer src = openStream(ctx, InputSet::Reference);
-    const bool parallel = ctx.livepoints.enabled;
-    LivePointOptions lp_opts = ctx.livepoints;
-    if (!lp_opts.enabled)
-        lp_opts.dir.clear(); // sequential fallback: in-memory only
-    LivePointLibrary library(src.trace(), plan, config, lp_opts);
+    const std::shared_ptr<const ExecTrace> trace =
+        openStream(ctx, InputSet::Reference).trace();
 
     TechniqueResult result;
     result.technique = name();
@@ -68,8 +65,8 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
 
     // Units measured so far, by grid index. Escalation selections are
     // supersets, so nothing here is ever measured twice — re-runs pay
-    // only for the *additional* units (and the warming extension).
-    std::map<uint64_t, LivePointLibrary::UnitResult> units;
+    // only for the *additional* units (and a fresh warming walk).
+    std::map<uint64_t, UnitResult> units;
     uint64_t warm_charged = 0;
     uint64_t detailed_done = 0;
     std::vector<uint64_t> indices;
@@ -77,7 +74,6 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
     try {
         for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
             indices = plan.indicesFor(n);
-            warm_charged += library.ensure(indices, ctx.cancel);
 
             std::vector<uint64_t> missing;
             for (uint64_t j : indices) {
@@ -85,10 +81,17 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
                     missing.push_back(j);
             }
             for (auto &unit :
-                 library.measureUnits(missing, parallel, ctx.cancel)) {
+                 walkUnits(trace, plan, config, missing, ctx.cancel)) {
                 detailed_done += unit.warmupDone + unit.unitDone;
                 units.emplace(unit.index, std::move(unit));
             }
+            // Modeled warming cost: one conceptual pass through the
+            // last selected unit's span, however often the walks
+            // re-warm the prefix.
+            warm_charged = std::max(
+                warm_charged,
+                std::min(plan.length,
+                         plan.warmStart(indices.back()) + plan.span()));
 
             std::vector<double> cpis;
             for (uint64_t j : indices) {
@@ -113,9 +116,9 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
             n = needed;
         }
     } catch (CancelledError &cancelled) {
-        // ensure()/measureUnits() report only their own partial pass;
-        // add the completed attempts, then convert to work units here,
-        // where the cost model lives.
+        // walkUnits() reports only its own partial walk; add the
+        // completed attempts, then convert to work units here, where
+        // the cost model lives.
         cancelled.warmedInsts += warm_charged;
         cancelled.detailedInsts += detailed_done;
         cancelled.partialWorkUnits =
@@ -126,9 +129,9 @@ Smarts::run(const TechniqueContext &ctx, const SimConfig &config) const
         throw;
     }
 
-    // Stitch in ascending grid order, always — the fan-out's
-    // completion order must never reach the arithmetic, so parallel
-    // and sequential runs produce byte-identical sums.
+    // Stitch in ascending grid order, always: escalated units were
+    // measured by later walks, and their measurement order must never
+    // reach the arithmetic.
     std::vector<double> unit_cpis;
     SimStats measured;
     std::vector<double> bbef;

@@ -14,14 +14,16 @@
  * small the sample is escalated to the recommended n (up to 6
  * attempts, matching the paper's 1–1.59 average runs per permutation).
  *
- * Units live on the fixed grid of a SamplingPlan (sim/livepoint.hh)
+ * Units live on the fixed grid of a SamplingPlan (sim/sampling.hh)
  * and escalation only *adds* grid units — a denser selection is a
  * strict superset of a sparser one, so the units the previous attempt
  * measured are reused verbatim instead of re-simulated (TurboSMARTSim's
- * observation). Each unit's entry state comes from the LivePointLibrary,
- * which also lets the measurement fan out across the thread pool as
- * independent jobs; the sequential fallback (--no-livepoints) walks the
- * identical grid serially and is bit-identical by construction.
+ * observation). Each attempt measures its new units along one warming
+ * walk (walkUnits): functional warming over the trace, with each unit
+ * run in detail on a core that starts from a copy of the warmed tables
+ * at the unit's warm start. A unit therefore costs its detailed length
+ * plus the warming the walk does anyway; nothing is serialized or
+ * persisted.
  *
  * The initial sample count is scaled from the paper's n = 10,000 by the
  * instruction-budget ratio (DESIGN.md section 5) and can be overridden.
@@ -58,7 +60,7 @@ class Smarts : public Technique
     TechniqueResult run(const TechniqueContext &ctx,
                         const SimConfig &config) const override;
 
-    /** Number of simulation attempts the last run() needed (1..6). */
+    /** Cap on the simulation attempts one run() makes. */
     static constexpr int maxAttempts = 6;
 
   private:

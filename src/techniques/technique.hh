@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "sim/config.hh"
-#include "sim/livepoint.hh"
 #include "sim/sharded.hh"
 #include "sim/stats.hh"
 #include "support/cancel.hh"
@@ -81,15 +80,6 @@ struct TechniqueContext
      * default (1 shard) is the exact sequential path.
      */
     ShardOptions shards;
-    /**
-     * Live-point library for the sampling techniques
-     * (sim/livepoint.hh): persisted per-unit entry states and a
-     * parallel measurement fan-out. Disabling it (--no-livepoints)
-     * selects the serial in-memory loop over the same sampling grid,
-     * which is bit-identical — so, like shards, the knob is absent
-     * from every cache key.
-     */
-    LivePointOptions livepoints;
     /**
      * Cooperative cancellation for this run (support/cancel.hh).
      * Polled at batch boundaries only; the default invalid token

@@ -425,5 +425,37 @@ TEST(ArtifactIo, EvictionSkipsInFlightTempFiles)
     EXPECT_TRUE(fs::exists(scratch.file("real.art")));
 }
 
+TEST(ArtifactIo, EvictionCountsSubdirectories)
+{
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_artifact_evict_tree");
+    // A cache dir whose bulk sits below the top level, as warm/ and
+    // the live-point directories of older builds do: two artifacts in
+    // subdirectories, one nested, and a newer one at the top.
+    fs::create_directories(scratch.file("livepoints"));
+    fs::create_directories(scratch.file("warm/deep"));
+    const std::string payload(900, 'p');
+    const std::vector<std::string> paths = {
+        scratch.file("livepoints/lp-1.lvpt"),
+        scratch.file("warm/deep/w-1.warm"), scratch.file("top.result")};
+    for (const std::string &path : paths)
+        ASSERT_TRUE(writeArtifact(path, "yasim-test", 1, payload).ok);
+    fs::file_time_type base = fs::last_write_time(paths[0]);
+    for (size_t i = 0; i < paths.size(); ++i)
+        fs::last_write_time(paths[i],
+                            base + std::chrono::seconds(i + 1));
+    // An in-flight temp file below the top level stays untouched too.
+    dump(scratch.file("warm/w-2.warm.tmp.1.2"), std::string(10000, 't'));
+    uint64_t each = fs::file_size(paths[0]);
+
+    // Budget fits one file: both subdirectory artifacts go, oldest
+    // first, and the newest survives.
+    EXPECT_EQ(evictToBudget(scratch.str(), each), 2u);
+    EXPECT_FALSE(fs::exists(paths[0]));
+    EXPECT_FALSE(fs::exists(paths[1]));
+    EXPECT_TRUE(fs::exists(paths[2]));
+    EXPECT_TRUE(fs::exists(scratch.file("warm/w-2.warm.tmp.1.2")));
+}
+
 } // namespace
 } // namespace yasim

@@ -19,6 +19,7 @@
 #include "engine/engine.hh"
 #include "isa/program_builder.hh"
 #include "sim/ooo_core.hh"
+#include "sim/sampling.hh"
 #include "sim/sharded.hh"
 #include "sim/trace.hh"
 #include "support/backoff.hh"
@@ -361,6 +362,71 @@ TEST(EngineCancel, CancelledRunIsChargedButNeverCached)
     ExperimentEngine clean;
     TechniqueResult fresh =
         clean.run(reference, clean.context("gzip", suite), config);
+    expectBitIdentical(retried, fresh);
+}
+
+TEST(EngineCancel, SmartsCancelledMidWalkChargesWhatItSimulated)
+{
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    ExperimentEngine engine;
+    // Building the context records the stream, so every poll below
+    // belongs to the run.
+    TechniqueContext ctx = engine.context("gzip", suite);
+    Smarts smarts(800, 300);
+    SimConfig config = architecturalConfig(1);
+    const SamplingPlan plan =
+        SamplingPlan::make(800, 300, ctx.referenceLength);
+    const std::vector<uint64_t> first = plan.indicesFor(50);
+
+    CancelledError caught;
+    {
+        // The engine polls once before the run, and the walk once per
+        // unit: every warming gap here fits one chunk, and no span
+        // reaches the core's poll quantum. So the 21st poll, the one
+        // that fires, lands before the walk's 20th unit.
+        failpoint::ScopedSchedule sched("engine.cancel.token=after20");
+        CancelSource source;
+        ctx.cancel = source.token();
+        bool threw = false;
+        try {
+            engine.run(smarts, ctx, config);
+        } catch (const CancelledError &err) {
+            threw = true;
+            caught = err;
+        }
+        ASSERT_TRUE(threw);
+    }
+    EXPECT_EQ(caught.cause, CancelCause::Cancelled);
+    // Exactly what the walk did: it warmed up to the last unit it
+    // measured and simulated that many whole units in detail.
+    constexpr uint64_t kUnits = 19;
+    ASSERT_LT(kUnits, first.size());
+    EXPECT_EQ(caught.detailedInsts, kUnits * plan.span());
+    EXPECT_EQ(caught.warmedInsts, plan.warmStart(first[kUnits - 1]));
+    EXPECT_TRUE(bitEq(caught.partialWorkUnits,
+                      ctx.cost.functionalWarmPerInst *
+                              static_cast<double>(caught.warmedInsts) +
+                          ctx.cost.detailedPerInst *
+                              static_cast<double>(caught.detailedInsts)));
+
+    // The engine charged that partial work and memoized nothing.
+    EngineCounters after = engine.counters();
+    EXPECT_EQ(after.runsCancelled, 1u);
+    EXPECT_EQ(after.runsExecuted, 0u);
+    EXPECT_EQ(after.memoHits, 0u);
+    EXPECT_TRUE(bitEq(after.workUnitsComputed, caught.partialWorkUnits));
+
+    // The retry recomputes and matches a never-cancelled engine.
+    failpoint::ScopedSchedule off("");
+    ctx.cancel = CancelToken();
+    TechniqueResult retried = engine.run(smarts, ctx, config);
+    EXPECT_EQ(engine.counters().runsExecuted, 1u);
+    EXPECT_EQ(engine.counters().memoHits, 0u);
+
+    ExperimentEngine clean;
+    TechniqueResult fresh =
+        clean.run(smarts, clean.context("gzip", suite), config);
     expectBitIdentical(retried, fresh);
 }
 

@@ -1,20 +1,23 @@
 /**
  * @file
- * Tests for live-points and the live-point library (sim/livepoint.hh):
- * the sampling grid's superset escalation, the compressed point
- * format's round trip and structural rejection, corruption healing
- * (quarantine + rebuild, byte by byte), stale-version handling as a
- * miss rather than rot, cancellation storms leaving no partial
- * entries, and the headline exactness contract: fanned-out SMARTS
- * bit-identical to the serial loop across the whole Table-2 suite and
- * to the result pinned from live interpretation.
+ * Tests for sampled simulation (sim/sampling.hh) and the live-point
+ * library (sim/livepoint.hh): the sampling grid's superset escalation,
+ * the compressed point format's round trip and structural rejection,
+ * corruption healing (quarantine + rebuild, byte by byte),
+ * stale-version handling as a miss rather than rot, cancellation
+ * storms leaving no partial entries, and the headline exactness
+ * contract: SMARTS's warming walk bit-identical to the live-point
+ * library's measurement across the whole Table-2 suite, and SMARTS
+ * bit-identical to the result pinned from live interpretation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,12 +26,14 @@
 #include "isa/program_builder.hh"
 #include "sim/functional.hh"
 #include "sim/livepoint.hh"
+#include "sim/sampling.hh"
 #include "sim/trace.hh"
 #include "support/artifact_io.hh"
 #include "support/cancel.hh"
 #include "support/failpoint.hh"
 #include "techniques/service.hh"
 #include "techniques/smarts.hh"
+#include "techniques/trace_store.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/memory_hierarchy.hh"
 #include "workloads/suite.hh"
@@ -96,37 +101,19 @@ bitEq(const std::vector<double> &a, const std::vector<double> &b)
 }
 
 void
-expectBitIdentical(const TechniqueResult &a, const TechniqueResult &b)
-{
-    EXPECT_TRUE(bitEq(a.cpi, b.cpi));
-    EXPECT_TRUE(bitEq(a.workUnits, b.workUnits));
-    EXPECT_TRUE(bitEq(a.metrics, b.metrics));
-    EXPECT_TRUE(bitEq(a.bbef, b.bbef));
-    EXPECT_TRUE(bitEq(a.bbv, b.bbv));
-    EXPECT_EQ(a.detailedInsts, b.detailedInsts);
-    EXPECT_EQ(a.detailed.instructions, b.detailed.instructions);
-    EXPECT_EQ(a.detailed.cycles, b.detailed.cycles);
-    EXPECT_EQ(a.detailed.l1iAccesses, b.detailed.l1iAccesses);
-    EXPECT_EQ(a.detailed.l1dMisses, b.detailed.l1dMisses);
-    EXPECT_EQ(a.detailed.condMispredicts, b.detailed.condMispredicts);
-    EXPECT_EQ(a.detailed.memStallCycles, b.detailed.memStallCycles);
-}
-
-void
-expectUnitsIdentical(const std::vector<LivePointLibrary::UnitResult> &a,
-                     const std::vector<LivePointLibrary::UnitResult> &b)
+expectUnitsIdentical(const std::vector<UnitResult> &a,
+                     const std::vector<UnitResult> &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("unit " + std::to_string(a[i].index));
         EXPECT_EQ(a[i].index, b[i].index);
         EXPECT_EQ(a[i].measured, b[i].measured);
         EXPECT_EQ(a[i].warmupDone, b[i].warmupDone);
         EXPECT_EQ(a[i].unitDone, b[i].unitDone);
-        EXPECT_EQ(a[i].stats.cycles, b[i].stats.cycles);
-        EXPECT_EQ(a[i].stats.instructions, b[i].stats.instructions);
-        EXPECT_EQ(a[i].stats.l1dMisses, b[i].stats.l1dMisses);
-        EXPECT_EQ(a[i].stats.condMispredicts,
-                  b[i].stats.condMispredicts);
+        // SimStats is all counters: compare every one, bit for bit.
+        EXPECT_EQ(std::memcmp(&a[i].stats, &b[i].stats, sizeof(SimStats)),
+                  0);
         EXPECT_TRUE(bitEq(a[i].bbef, b[i].bbef));
         EXPECT_TRUE(bitEq(a[i].bbv, b[i].bbv));
     }
@@ -286,7 +273,7 @@ TEST(LivePointLibrary, CorruptionByteSweepHealsByRewarming)
     const uint64_t length = trace->length();
     SimConfig cfg = architecturalConfig(1);
     SamplingPlan plan = SamplingPlan::make(400, 150, length);
-    LivePointOptions opts{true, scratch.str()};
+    LivePointOptions opts{scratch.str()};
     std::vector<uint64_t> indices = plan.indicesFor(4);
 
     // Build and persist the clean library; keep its bytes and its
@@ -342,7 +329,7 @@ TEST(LivePointLibrary, StaleFormatVersionIsMissNotCorruption)
     const uint64_t length = trace->length();
     SimConfig cfg = architecturalConfig(1);
     SamplingPlan plan = SamplingPlan::make(400, 150, length);
-    LivePointOptions opts{true, scratch.str()};
+    LivePointOptions opts{scratch.str()};
     std::vector<uint64_t> indices = plan.indicesFor(2);
 
     LivePointLibrary clean(trace, plan, cfg, opts);
@@ -375,7 +362,7 @@ TEST(LivePointLibrary, CancelStormLeavesNoPartialEntries)
     const uint64_t length = trace->length();
     SimConfig cfg = architecturalConfig(1);
     SamplingPlan plan = SamplingPlan::make(400, 150, length);
-    LivePointOptions opts{true, scratch.str()};
+    LivePointOptions opts{scratch.str()};
     std::vector<uint64_t> indices = plan.indicesFor(8);
 
     int cancelled = 0;
@@ -412,7 +399,7 @@ TEST(LivePointLibrary, CancelStormLeavesNoPartialEntries)
     after.ensure(indices);
     ScratchDir fresh("yasim_lvpt_storm_fresh");
     LivePointLibrary cold(trace, plan, cfg,
-                          LivePointOptions{true, fresh.str()});
+                          LivePointOptions{fresh.str()});
     cold.ensure(indices);
     expectUnitsIdentical(after.measureUnits(indices, false),
                          cold.measureUnits(indices, false));
@@ -420,26 +407,44 @@ TEST(LivePointLibrary, CancelStormLeavesNoPartialEntries)
 
 // ------------------------------------------------ exactness contract
 
-TEST(Smarts, LivePointParallelBitIdenticalAcrossSuite)
+TEST(Smarts, WalkMatchesLivePointOracleAcrossSuite)
 {
     failpoint::ScopedSchedule off("");
     SuiteConfig suite;
     suite.referenceInstructions = 150'000;
     DirectService service;
     SimConfig cfg = architecturalConfig(1);
-    Smarts smarts(800, 300);
 
+    size_t escalated = 0;
     for (const std::string &bench : benchmarkNames()) {
-        TechniqueContext seq_ctx =
-            TechniqueContext::make(bench, suite, service);
-        TechniqueContext par_ctx = seq_ctx;
-        seq_ctx.livepoints.enabled = false;
-        par_ctx.livepoints.enabled = true;
-        TechniqueResult seq = smarts.run(seq_ctx, cfg);
-        TechniqueResult par = smarts.run(par_ctx, cfg);
         SCOPED_TRACE(bench);
-        expectBitIdentical(seq, par);
+        TechniqueContext ctx =
+            TechniqueContext::make(bench, suite, service);
+        const auto trace = openStream(ctx, InputSet::Reference).trace();
+        const SamplingPlan plan =
+            SamplingPlan::make(800, 300, ctx.referenceLength);
+
+        // Smarts(800, 300)'s first selection at this scale (n = 50),
+        // then the units escalating to the full grid adds, which a
+        // fresh walk reaches past the first selection's units.
+        const std::vector<uint64_t> first = plan.indicesFor(50);
+        const std::vector<uint64_t> grid = plan.indicesFor(plan.maxUnits);
+        std::vector<uint64_t> added;
+        std::set_difference(grid.begin(), grid.end(), first.begin(),
+                            first.end(), std::back_inserter(added));
+
+        LivePointLibrary oracle(trace, plan, cfg, LivePointOptions{});
+        oracle.ensure(first);
+        expectUnitsIdentical(walkUnits(trace, plan, cfg, first),
+                             oracle.measureUnits(first, false));
+        if (added.empty())
+            continue; // the first selection is already the full grid
+        ++escalated;
+        oracle.ensure(grid);
+        expectUnitsIdentical(walkUnits(trace, plan, cfg, added),
+                             oracle.measureUnits(added, false));
     }
+    EXPECT_GE(escalated, benchmarkNames().size() / 2);
 }
 
 TEST(Smarts, ReplayModeParallelMatchesLiveSerial)
@@ -450,39 +455,16 @@ TEST(Smarts, ReplayModeParallelMatchesLiveSerial)
     SimConfig cfg = architecturalConfig(1);
     Smarts smarts(800, 300);
 
-    // Parallel fan-out over live-points on the engine's recorded trace.
+    // The warming walk on the engine's recorded trace.
     ExperimentEngine engine;
     TechniqueContext replay_ctx = engine.context("gzip", suite);
     ASSERT_NE(replay_ctx.traces, nullptr);
-    replay_ctx.livepoints.enabled = true;
-    TechniqueResult replay_par = smarts.run(replay_ctx, cfg);
+    TechniqueResult replayed = smarts.run(replay_ctx, cfg);
 
     // The ground truth: the serial loop over live functional
     // interpretation, digested once before that path was retired.
-    EXPECT_EQ(resultDigest(replay_par),
+    EXPECT_EQ(resultDigest(replayed),
               "a927f314a1a813a589d970d455c1dc9f");
-}
-
-TEST(Smarts, PersistedLibraryServesRerunsWithoutRebuilding)
-{
-    failpoint::ScopedSchedule off("");
-    ScratchDir scratch("yasim_lvpt_rerun");
-    SuiteConfig suite;
-    suite.referenceInstructions = 150'000;
-    DirectService service;
-    SimConfig cfg = architecturalConfig(1);
-    Smarts smarts(800, 300);
-
-    TechniqueContext ctx =
-        TechniqueContext::make("gzip", suite, service);
-    ctx.livepoints.enabled = true;
-    ctx.livepoints.dir = scratch.str();
-    TechniqueResult cold = smarts.run(ctx, cfg);
-    ASSERT_FALSE(fs::is_empty(scratch.path()));
-    TechniqueResult warm = smarts.run(ctx, cfg);
-    // Same estimate, same modeled cost: disk state never leaks into
-    // results or work units.
-    expectBitIdentical(cold, warm);
 }
 
 } // namespace
