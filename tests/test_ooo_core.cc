@@ -73,6 +73,27 @@ trivialDivLoop(uint64_t trips)
     return b.finish();
 }
 
+/** Loads, divides, stores and a loop branch over a walking pointer. */
+Program
+mixedLoop(uint64_t trips)
+{
+    ProgramBuilder b("mixed");
+    Label top = b.newLabel();
+    b.movi(1, 0);
+    b.movi(2, static_cast<int64_t>(trips));
+    b.movi(3, 1);
+    b.movi(5, static_cast<int64_t>(heapBase));
+    b.bind(top);
+    b.ld(6, 5, 0);
+    b.div(7, 6, 3);
+    b.st(5, 7, 0);
+    b.addi(5, 5, 8);
+    b.addi(1, 1, 1);
+    b.blt(1, 2, top);
+    b.halt();
+    return b.finish();
+}
+
 /** A replay cursor over one recorded run of @p program. */
 TraceReplayer
 replay(const Program &program)
@@ -264,6 +285,40 @@ TEST(OooCore, ResetPipelineKeepsCachesAndStats)
     SimStats end = core.snapshot();
     EXPECT_GT(end.instructions, mid.instructions);
     EXPECT_GE(end.cycles, mid.cycles);
+}
+
+TEST(OooCore, RestartSimulatesWhatAFreshCoreDoes)
+{
+    // The sampling walk restarts one core per unit instead of building
+    // a fresh one, so a core that has run (clocks, rings, slot pools,
+    // dividers, forwarding table, a toggled trivial-computation flag)
+    // must, once restarted over warmed tables, simulate exactly what a
+    // fresh core given the same tables does.
+    SimConfig cfg;
+    auto trace = ExecTrace::record(mixedLoop(20000));
+    MemoryHierarchy mem(cfg.mem);
+    CombinedPredictor bp(cfg.bp);
+    TraceReplayer warm(trace);
+    ASSERT_EQ(warm.fastForwardWarm(30000, &mem, &bp), 30000u);
+
+    OooCore used(cfg);
+    used.setTrivialComputation(!cfg.core.trivialComputation);
+    TraceReplayer before(trace);
+    used.run(before, 50000);
+    ASSERT_GT(used.snapshot().trivialOps, 0u); // the toggle took hold
+    used.restart(mem, bp);
+
+    OooCore fresh(cfg);
+    fresh.memHierarchy() = mem;
+    fresh.predictor() = bp;
+
+    TraceReplayer a(trace);
+    TraceReplayer b(trace);
+    a.seek(30000);
+    b.seek(30000);
+    used.run(a, ~0ULL);
+    fresh.run(b, ~0ULL);
+    expectSameStats(used.snapshot(), fresh.snapshot());
 }
 
 TEST(OooCore, ChunkedRunMatchesMonolithicExactly)
