@@ -55,6 +55,7 @@
 #include "techniques/smarts.hh"
 #include "stats/kmeans.hh"
 #include "stats/plackett_burman.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
 #include "uarch/branch_predictor.hh"
@@ -102,25 +103,54 @@ BM_FunctionalWarming(benchmark::State &state)
 }
 BENCHMARK(BM_FunctionalWarming);
 
+SimConfig
+tableConfig2()
+{
+    return architecturalConfig(2);
+}
+
+/**
+ * PB row 26: ROB 256, IQ 128 and 400-cycle memory behind a 2-wide
+ * issue and an 8 KB L1-D. On mcf its dependent miss chains push issue
+ * furthest past dispatch of all the rows, so its slot pools grow the
+ * most (docs/perf.md).
+ */
+SimConfig
+deepestPbRow()
+{
+    SimConfig c =
+        pbDesignConfigs(PbDesign::forFactors(numPbFactors(), false))
+            .at(26);
+    if (c.core.robEntries != 256 || c.core.iqEntries != 128 ||
+        c.mem.memLatencyFirst != 400) {
+        fatal("microbench: PB row 26 is no longer the deepest row");
+    }
+    return c;
+}
+
 void
-BM_OoODetailed(benchmark::State &state, const char *bench)
+BM_OoODetailed(benchmark::State &state, const char *bench,
+               SimConfig (*make_config)())
 {
     // Detailed-core throughput over trace replay — the loop every
     // timing run and the sharded reference go through. mcf is the
-    // memory-bound case: long miss chains stress the slot pools.
+    // memory-bound case: long miss chains stress the slot pools, most
+    // on the deepest PB row, which yasimd's PB requests reach.
     Workload w = buildWorkload(bench, InputSet::Reference, benchSuite());
-    SimConfig cfg = architecturalConfig(2);
+    SimConfig cfg = make_config();
     auto trace = ExecTrace::record(w.program);
     uint64_t insts = 0;
     for (auto _ : state) {
         TraceReplayer replayer(trace);
         OooCore core(cfg);
         insts += core.run(replayer, ~0ULL);
+        benchmark::DoNotOptimize(core.cycles());
     }
     state.SetItemsProcessed(static_cast<int64_t>(insts));
 }
-BENCHMARK_CAPTURE(BM_OoODetailed, gzip, "gzip");
-BENCHMARK_CAPTURE(BM_OoODetailed, mcf, "mcf");
+BENCHMARK_CAPTURE(BM_OoODetailed, gzip, "gzip", tableConfig2);
+BENCHMARK_CAPTURE(BM_OoODetailed, mcf, "mcf", tableConfig2);
+BENCHMARK_CAPTURE(BM_OoODetailed, mcf_pb_deepest, "mcf", deepestPbRow);
 
 void
 BM_ReplayWarming(benchmark::State &state, const char *bench)

@@ -294,8 +294,10 @@ resolveConfig(const ExperimentRequest &request, SimConfig &config,
         config = architecturalConfig(int(index));
         return true;
     }
+    // Each table is built once: rebuilding the 44 PB rows per request
+    // cost about half of what serving a cached result does.
     if (scheme == "envelope") {
-        std::vector<SimConfig> configs = envelopeConfigs();
+        static const std::vector<SimConfig> configs = envelopeConfigs();
         if (size_t(index) >= configs.size()) {
             error = "envelope config index out of range";
             return false;
@@ -304,7 +306,7 @@ resolveConfig(const ExperimentRequest &request, SimConfig &config,
         return true;
     }
     if (scheme == "pb") {
-        std::vector<SimConfig> configs =
+        static const std::vector<SimConfig> configs =
             pbDesignConfigs(PbDesign::forFactors(43, false));
         if (size_t(index) >= configs.size()) {
             error = "pb config index out of range";

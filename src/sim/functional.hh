@@ -9,7 +9,8 @@
  * rules L1 and G1 keep the techniques, the characterizations and the
  * bench drivers off this header). step, fastForward and
  * fastForwardWarm stay for the oracle tests, which hold the replayer's
- * records and warming call sequence to them.
+ * records to them, and its warmed tables to the same tables up to LRU
+ * stamp values.
  */
 
 #ifndef YASIM_SIM_FUNCTIONAL_HH
@@ -65,7 +66,9 @@ class FunctionalSim
 
     /**
      * Execute up to @p count instructions while functionally warming
-     * @p mem (I and D sides) and @p bp (may each be null).
+     * @p mem (I and D sides) and @p bp (may each be null), one warming
+     * call per instruction: the oracle for the replayer's
+     * block-granular I-side warming.
      * @return the number actually executed.
      */
     uint64_t fastForwardWarm(uint64_t count, MemoryHierarchy *mem,

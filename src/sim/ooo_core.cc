@@ -1,6 +1,7 @@
 #include "sim/ooo_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/check.hh"
 
@@ -35,29 +36,14 @@ void
 OooCore::HistoryRing::init(size_t entries)
 {
     times.assign(std::max<size_t>(entries, 1), 0);
-    count = 0;
-}
-
-uint64_t
-OooCore::HistoryRing::back() const
-{
-    if (count < times.size())
-        return 0;
-    return times[count % times.size()];
+    head = 0;
 }
 
 void
-OooCore::HistoryRing::push(uint64_t t)
+OooCore::HistoryRing::reset()
 {
-    times[count % times.size()] = t;
-    ++count;
-}
-
-void
-OooCore::HistoryRing::reset(uint64_t fill)
-{
-    std::fill(times.begin(), times.end(), fill);
-    count = 0;
+    std::fill(times.begin(), times.end(), 0);
+    head = 0;
 }
 
 // --- OooCore ---------------------------------------------------------------
@@ -67,12 +53,37 @@ OooCore::OooCore(const SimConfig &config)
 {
     issueSlots.init(cfg.core.issueWidth);
     memPorts.init(cfg.core.memPorts);
-    intAluPool.init(cfg.core.intAlus);
-    fpAluPool.init(cfg.core.fpAlus);
-    intMulPool.init(cfg.core.intMultDivUnits);
-    fpMulPool.init(cfg.core.fpMultDivUnits);
-    intDivFree.assign(cfg.core.intMultDivUnits, 0);
-    fpDivFree.assign(cfg.core.fpMultDivUnits, 0);
+    fuPools[kIntAluPool].init(cfg.core.intAlus);
+    fuPools[kFpAluPool].init(cfg.core.fpAlus);
+    fuPools[kIntMulPool].init(cfg.core.intMultDivUnits);
+    fuPools[kFpMulPool].init(cfg.core.fpMultDivUnits);
+    divFree[0].assign(cfg.core.intMultDivUnits, 0);
+    divFree[1].assign(cfg.core.fpMultDivUnits, 0);
+
+    // Pipelined dividers share the multiplier pools; unpipelined ones
+    // are tracked per unit. Memory ops have no FU pool: the memory
+    // port is their structural resource, and address generation
+    // takes one cycle before the cache latency.
+    const CoreConfig &c = cfg.core;
+    auto route = [&](FuClass fu, uint8_t pool, uint32_t latency) {
+        fuRoutes[size_t(fu)] = FuRoute{pool, kNoDivider, latency};
+    };
+    route(FuClass::IntAlu, kIntAluPool, c.intAluLatency);
+    route(FuClass::Branch, kIntAluPool, c.intAluLatency);
+    route(FuClass::None, kIntAluPool, 1);
+    route(FuClass::IntMult, kIntMulPool, c.intMulLatency);
+    route(FuClass::FpAlu, kFpAluPool, c.fpAluLatency);
+    route(FuClass::FpMult, kFpMulPool, c.fpMulLatency);
+    route(FuClass::IntDiv, kIntMulPool, c.intDivLatency);
+    route(FuClass::FpDiv, kFpMulPool, c.fpDivLatency);
+    route(FuClass::MemRead, kNoPool, 1);
+    route(FuClass::MemWrite, kNoPool, 1);
+    if (!c.divPipelined) {
+        fuRoutes[size_t(FuClass::IntDiv)].pool = kNoPool;
+        fuRoutes[size_t(FuClass::IntDiv)].divider = 0;
+        fuRoutes[size_t(FuClass::FpDiv)].pool = kNoPool;
+        fuRoutes[size_t(FuClass::FpDiv)].divider = 1;
+    }
 
     dispatchStage.width = cfg.core.decodeWidth;
     commitStage.width = cfg.core.commitWidth;
@@ -82,79 +93,66 @@ OooCore::OooCore(const SimConfig &config)
     iqIssue.init(cfg.core.iqEntries);
     fqDispatch.init(cfg.core.fetchQueueEntries);
 
-    intRegReady.assign(numIntRegs, 0);
-    fpRegReady.assign(numFpRegs, 0);
     storeFwd.assign(fwdEntries, FwdEntry());
 
     fetchSlotsLeft = cfg.core.fetchWidth;
     tcEnabled = cfg.core.trivialComputation;
 }
 
-uint64_t
-OooCore::fuLatency(FuClass fu) const
+TimingOp
+OooCore::decode(const Instruction &inst)
 {
-    switch (fu) {
-      case FuClass::IntAlu:
-      case FuClass::Branch:
-        return cfg.core.intAluLatency;
-      case FuClass::IntMult:
-        return cfg.core.intMulLatency;
-      case FuClass::IntDiv:
-        return cfg.core.intDivLatency;
-      case FuClass::FpAlu:
-        return cfg.core.fpAluLatency;
-      case FuClass::FpMult:
-        return cfg.core.fpMulLatency;
-      case FuClass::FpDiv:
-        return cfg.core.fpDivLatency;
-      case FuClass::MemRead:
-      case FuClass::MemWrite:
-        return 1; // address generation; cache latency added separately
-      case FuClass::None:
-        return 1;
+    auto slot = [](int reg, bool fp_file) -> uint8_t {
+        if (reg == noReg)
+            return TimingOp::kNoReg;
+        YASIM_CHECK(reg >= 0 && reg < (fp_file ? numFpRegs : numIntRegs),
+                    "register %d out of range", reg);
+        return static_cast<uint8_t>(fp_file ? TimingOp::kFpBase + reg
+                                            : reg);
+    };
+    TimingOp op;
+    op.fu = inst.fuClass();
+    op.load = inst.isLoad();
+    op.store = inst.isStore();
+    op.control = inst.isControl();
+    op.condBranch = inst.isCondBranch();
+    switch (inst.op) {
+      case Opcode::FCvt:
+      case Opcode::Ld:
+      case Opcode::FLd:
+        op.src1 = slot(inst.rs1, false); // address base or int source
+        break;
+      case Opcode::St:
+        op.src1 = slot(inst.rs1, false);
+        op.src2 = slot(inst.rs2, false);
+        break;
+      case Opcode::FSt:
+        op.src1 = slot(inst.rs1, false);
+        op.src2 = slot(inst.rs2, true);
+        break;
+      default:
+        op.src1 = slot(inst.rs1, inst.isFp());
+        op.src2 = slot(inst.rs2, inst.isFp());
+        break;
     }
-    return 1;
+    if (inst.writesFpReg())
+        op.dst = slot(inst.rd, true);
+    else if (inst.rd != noReg && inst.rd != 0)
+        op.dst = slot(inst.rd, false);
+    return op;
 }
 
 uint64_t
 OooCore::scheduleIssue(uint64_t earliest, uint64_t horizon, FuClass fu,
                        bool is_mem, bool bypass_fu)
 {
-    // Unpipelined dividers are tracked per unit.
-    const bool div = !bypass_fu && !cfg.core.divPipelined &&
-                     (fu == FuClass::IntDiv || fu == FuClass::FpDiv);
+    const FuRoute &route = fuRoutes[size_t(fu)];
+    SlotPool *pool = bypass_fu || route.pool == kNoPool
+                         ? nullptr
+                         : &fuPools[route.pool];
     std::vector<uint64_t> *div_units =
-        fu == FuClass::IntDiv ? &intDivFree : &fpDivFree;
-
-    SlotPool *pool = nullptr;
-    switch (fu) {
-      case FuClass::IntAlu:
-      case FuClass::Branch:
-      case FuClass::None:
-        pool = &intAluPool;
-        break;
-      case FuClass::IntMult:
-        pool = &intMulPool;
-        break;
-      case FuClass::FpAlu:
-        pool = &fpAluPool;
-        break;
-      case FuClass::FpMult:
-        pool = &fpMulPool;
-        break;
-      case FuClass::IntDiv:
-        pool = div ? nullptr : &intMulPool; // pipelined div shares mult pool
-        break;
-      case FuClass::FpDiv:
-        pool = div ? nullptr : &fpMulPool;
-        break;
-      case FuClass::MemRead:
-      case FuClass::MemWrite:
-        pool = nullptr; // memory port is the structural resource
-        break;
-    }
-    if (bypass_fu)
-        pool = nullptr;
+        bypass_fu || route.divider == kNoDivider ? nullptr
+                                                 : &divFree[route.divider];
 
     uint64_t c = earliest;
     for (;;) {
@@ -166,7 +164,7 @@ OooCore::scheduleIssue(uint64_t earliest, uint64_t horizon, FuClass fu,
                 continue;
             }
         }
-        if (div) {
+        if (div_units) {
             uint64_t best = ~0ULL;
             for (uint64_t f : *div_units)
                 best = std::min(best, f);
@@ -188,13 +186,13 @@ OooCore::scheduleIssue(uint64_t earliest, uint64_t horizon, FuClass fu,
     issueSlots.consume(c, horizon);
     if (pool)
         pool->consume(c, horizon);
-    if (div) {
+    if (div_units) {
         // Occupy the earliest-free divider for the full operation.
         size_t best_u = 0;
         for (size_t u = 1; u < div_units->size(); ++u)
             if ((*div_units)[u] < (*div_units)[best_u])
                 best_u = u;
-        (*div_units)[best_u] = c + fuLatency(fu);
+        (*div_units)[best_u] = c + route.latency;
     }
     if (is_mem)
         memPorts.consume(c, horizon);
@@ -205,8 +203,19 @@ uint64_t
 OooCore::run(TraceReplayer &src, uint64_t max_insts, BbProfiler *profiler,
              const CancelToken &cancel)
 {
-    const uint32_t l1i_block = cfg.mem.l1i.blockBytes;
+    // Cache rejects a non-power-of-two block, so the block is a shift.
+    const unsigned l1i_shift = std::countr_zero(cfg.mem.l1i.blockBytes);
     const uint64_t frontend = cfg.core.frontendDepth;
+    // Decode once per trace: the sampling walk and chunked runs call
+    // run() many times on one core and trace.
+    if (decodedTrace != src.trace()) {
+        const Program &prog = src.trace()->program();
+        decoded.resize(prog.size());
+        for (uint64_t pc = 0; pc < prog.size(); ++pc)
+            decoded[pc] = decode(prog.at(pc));
+        decodedTrace = src.trace();
+    }
+    const TimingOp *ops = decoded.data();
 
     // Pull spans through the replayer's stepBatch kernel into a buffer
     // small enough to live on the stack. The batch divides the cancel
@@ -233,9 +242,9 @@ OooCore::run(TraceReplayer &src, uint64_t max_insts, BbProfiler *profiler,
             const ExecRecord &rec = recs[i];
             if (profiler)
                 profiler->record(rec.pc);
-            simulateOne(*rec.inst, Program::pcAddress(rec.pc), rec.nextPc,
-                        rec.memAddr, rec.taken, rec.trivial, l1i_block,
-                        frontend);
+            simulateOne(ops[rec.pc], Program::pcAddress(rec.pc),
+                        rec.nextPc, rec.memAddr, rec.taken, rec.trivial,
+                        l1i_shift, frontend);
         }
         done += n;
     }
@@ -255,9 +264,9 @@ OooCore::runMeasured(TraceReplayer &src, uint64_t max_insts,
 }
 
 void
-OooCore::simulateOne(const Instruction &inst, uint64_t pc_addr,
+OooCore::simulateOne(const TimingOp &op, uint64_t pc_addr,
                      uint64_t next_pc, uint64_t mem_addr, bool taken,
-                     bool trivial_hint, uint32_t l1i_block,
+                     bool trivial_hint, unsigned l1i_shift,
                      uint64_t frontend)
 {
     // ---- Fetch ----
@@ -270,7 +279,7 @@ OooCore::simulateOne(const Instruction &inst, uint64_t pc_addr,
         ++fetchCycle;
         fetchSlotsLeft = cfg.core.fetchWidth;
     }
-    uint64_t block = pc_addr / l1i_block;
+    uint64_t block = pc_addr >> l1i_shift;
     if (block != lastFetchBlock) {
         uint32_t lat = mem.instAccess(pc_addr);
         if (lat > cfg.mem.l1iLatency)
@@ -288,10 +297,9 @@ OooCore::simulateOne(const Instruction &inst, uint64_t pc_addr,
     --fetchSlotsLeft;
 
     bool mispredicted = false;
-    if (inst.isControl()) {
-        mispredicted =
-            bp.update(pc_addr, inst.isCondBranch(), taken,
-                      Program::pcAddress(next_pc));
+    if (op.control) {
+        mispredicted = bp.update(pc_addr, op.condBranch, taken,
+                                 Program::pcAddress(next_pc));
         if (taken)
             fetchSlotsLeft = 0; // taken branch ends the fetch group
     }
@@ -304,7 +312,7 @@ OooCore::simulateOne(const Instruction &inst, uint64_t pc_addr,
     uint64_t iq_free = iqIssue.back();
     if (iq_free + 1 > disp_earliest)
         disp_earliest = iq_free + 1;
-    const bool is_mem = inst.isLoad() || inst.isStore();
+    const bool is_mem = op.load || op.store;
     if (is_mem) {
         uint64_t lsq_free = lsqCommit.back();
         if (lsq_free + 1 > disp_earliest)
@@ -314,37 +322,11 @@ OooCore::simulateOne(const Instruction &inst, uint64_t pc_addr,
     fqDispatch.push(dispatch_time);
 
     // ---- Ready (register and memory dependences) ----
-    uint64_t ready = dispatch_time + 1;
-    const bool fp = inst.isFp();
-    auto src_ready = [&](int reg, bool fp_file) {
-        if (reg == noReg)
-            return;
-        uint64_t t = fp_file ? fpRegReady[reg] : intRegReady[reg];
-        if (t > ready)
-            ready = t;
-    };
-    switch (inst.op) {
-      case Opcode::FCvt:
-        src_ready(inst.rs1, false);
-        break;
-      case Opcode::Ld:
-      case Opcode::FLd:
-        src_ready(inst.rs1, false); // address base
-        break;
-      case Opcode::St:
-        src_ready(inst.rs1, false);
-        src_ready(inst.rs2, false);
-        break;
-      case Opcode::FSt:
-        src_ready(inst.rs1, false);
-        src_ready(inst.rs2, true);
-        break;
-      default:
-        src_ready(inst.rs1, fp);
-        src_ready(inst.rs2, fp);
-        break;
-    }
-    if (inst.isLoad()) {
+    // A missing operand reads the never-written kNoReg slot, which
+    // holds at most the last reset cycle and so never delays issue.
+    uint64_t ready = std::max({dispatch_time + 1, regReady[op.src1],
+                               regReady[op.src2]});
+    if (op.load) {
         // Store-to-load forwarding: an earlier in-flight store to the
         // same word defines the earliest load completion.
         const FwdEntry &e = storeFwd[(mem_addr >> 3) % fwdEntries];
@@ -353,37 +335,32 @@ OooCore::simulateOne(const Instruction &inst, uint64_t pc_addr,
     }
 
     // ---- Issue and execute ----
-    FuClass fu = inst.fuClass();
     bool trivial = tcEnabled && trivial_hint;
     if (trivial)
         ++trivialOps; // eliminated: no functional unit needed
     uint64_t issue_time =
-        scheduleIssue(ready, dispatch_time, fu, is_mem, trivial);
+        scheduleIssue(ready, dispatch_time, op.fu, is_mem, trivial);
     iqIssue.push(issue_time);
 
     uint64_t exec_done;
     uint32_t load_extra_lat = 0;
-    if (inst.isLoad()) {
+    if (op.load) {
         uint32_t dlat = mem.dataAccess(mem_addr, false);
         if (dlat > cfg.mem.l1dLatency)
             load_extra_lat = dlat - cfg.mem.l1dLatency;
         exec_done = issue_time + 1 + dlat;
-    } else if (inst.isStore()) {
+    } else if (op.store) {
         mem.dataAccess(mem_addr, true);
         storeFwd[(mem_addr >> 3) % fwdEntries] =
             FwdEntry{mem_addr, issue_time + 1};
         exec_done = issue_time + 1; // retires via the store buffer
     } else {
         // Eliminated trivial ops complete in a single cycle.
-        exec_done = issue_time + (trivial ? 1 : fuLatency(fu));
+        exec_done =
+            issue_time + (trivial ? 1 : fuRoutes[size_t(op.fu)].latency);
     }
 
-    if (inst.rd != noReg) {
-        if (inst.writesFpReg())
-            fpRegReady[inst.rd] = exec_done;
-        else if (inst.rd != 0)
-            intRegReady[inst.rd] = exec_done;
-    }
+    regReady[op.dst] = exec_done;
 
     if (mispredicted) {
         uint64_t redirect =
@@ -426,18 +403,15 @@ OooCore::resetPipeline()
     commitStage.reset(now);
     issueSlots.reset();
     memPorts.reset();
-    intAluPool.reset();
-    fpAluPool.reset();
-    intMulPool.reset();
-    fpMulPool.reset();
-    std::fill(intDivFree.begin(), intDivFree.end(), now);
-    std::fill(fpDivFree.begin(), fpDivFree.end(), now);
-    robCommit.reset(now);
-    lsqCommit.reset(now);
-    iqIssue.reset(now);
-    fqDispatch.reset(now);
-    std::fill(intRegReady.begin(), intRegReady.end(), now);
-    std::fill(fpRegReady.begin(), fpRegReady.end(), now);
+    for (SlotPool &pool : fuPools)
+        pool.reset();
+    for (std::vector<uint64_t> &units : divFree)
+        std::fill(units.begin(), units.end(), now);
+    robCommit.reset();
+    lsqCommit.reset();
+    iqIssue.reset();
+    fqDispatch.reset();
+    regReady.fill(now);
     storeFwd.assign(fwdEntries, FwdEntry());
 }
 

@@ -27,7 +27,9 @@
 #ifndef YASIM_SIM_OOO_CORE_HH
 #define YASIM_SIM_OOO_CORE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/bb_profiler.hh"
@@ -41,11 +43,48 @@
 
 namespace yasim {
 
+/**
+ * One static instruction as the timing model reads it: the opcode's
+ * predicates and register operands resolved once per program
+ * (OooCore::decode) instead of once per dynamic instruction.
+ *
+ * Register operands are slots of the core's one register-ready array:
+ * the integer file, then the FP file, then two slots no architectural
+ * register maps to. kNoReg is never written by an instruction, so a
+ * source without a register reads a time that can never delay issue.
+ * kSink is write-only: a write to r0, or by an op without a
+ * destination, lands there and no source ever reads it.
+ */
+struct TimingOp
+{
+    static constexpr uint8_t kFpBase = numIntRegs;
+    static constexpr uint8_t kNoReg = numIntRegs + numFpRegs;
+    static constexpr uint8_t kSink = kNoReg + 1;
+    static constexpr size_t kSlots = kSink + 1;
+
+    uint8_t src1 = kNoReg;
+    uint8_t src2 = kNoReg;
+    uint8_t dst = kSink;
+    FuClass fu = FuClass::None;
+    bool load = false;
+    bool store = false;
+    bool control = false;
+    bool condBranch = false;
+};
+
 /** The detailed timing model. */
 class OooCore
 {
   public:
     explicit OooCore(const SimConfig &config);
+
+    /**
+     * The timing record of @p inst, with the operand-file rules of the
+     * ISA: FCvt, Ld and FLd read rs1 from the integer file, St reads
+     * both sources from it, FSt reads rs2 from the FP file, other FP
+     * ops read and write the FP file, and the rest the integer file.
+     */
+    static TimingOp decode(const Instruction &inst);
 
     /**
      * Instructions between cancellation polls in the run loop. A
@@ -133,17 +172,51 @@ class OooCore
         void reset(uint64_t at);
     };
 
-    /** Ring of historical event times for occupancy limits. */
+    /**
+     * Ring of historical event times for occupancy limits. Slots not
+     * yet written since init or reset hold 0, so back() needs no
+     * fill check.
+     */
     struct HistoryRing
     {
         std::vector<uint64_t> times;
-        uint64_t count = 0;
+        /** The oldest slot: the next push overwrites it. */
+        size_t head = 0;
 
         void init(size_t entries);
         /** Time recorded @p entries slots ago (0 when history is short). */
-        uint64_t back() const;
-        void push(uint64_t t);
-        void reset(uint64_t fill);
+        uint64_t back() const { return times[head]; }
+        void push(uint64_t t)
+        {
+            times[head] = t;
+            if (++head == times.size())
+                head = 0;
+        }
+        void reset();
+    };
+
+    /** The pipelined FU pools, indexed by FuRoute::pool. */
+    enum FuPool : uint8_t
+    {
+        kIntAluPool,
+        kIntMulPool,
+        kFpAluPool,
+        kFpMulPool,
+        kNumFuPools,
+        kNoPool = kNumFuPools,
+    };
+
+    static constexpr uint8_t kNoDivider = 2;
+    static constexpr size_t kFuClasses = size_t(FuClass::None) + 1;
+
+    /** Where an FU class issues and how long it executes. */
+    struct FuRoute
+    {
+        /** Pipelined pool, or kNoPool. */
+        uint8_t pool = kNoPool;
+        /** Unpipelined divider bank (0 int, 1 FP), or kNoDivider. */
+        uint8_t divider = kNoDivider;
+        uint32_t latency = 1;
     };
 
     /**
@@ -155,14 +228,13 @@ class OooCore
      */
     uint64_t scheduleIssue(uint64_t earliest, uint64_t horizon, FuClass fu,
                            bool is_mem, bool bypass_fu);
-    uint64_t fuLatency(FuClass fu) const;
 
     /**
      * The per-instruction timing model: fetch, dispatch, ready, issue,
      * commit for exactly one committed instruction. @p pc_addr is the
      * instruction's byte address, @p next_pc the *index* of the
      * successor (address computed only for control flow), and
-     * @p l1i_block / @p frontend are hoisted configuration loads.
+     * @p l1i_shift / @p frontend are hoisted configuration loads.
      *
      * Forcibly inlined into the run loop: the body is past the
      * compiler's size heuristics, and an out-of-line call here costs
@@ -171,9 +243,9 @@ class OooCore
 #if defined(__GNUC__) || defined(__clang__)
     [[gnu::always_inline]]
 #endif
-    inline void simulateOne(const Instruction &inst, uint64_t pc_addr,
+    inline void simulateOne(const TimingOp &op, uint64_t pc_addr,
                      uint64_t next_pc, uint64_t mem_addr, bool taken,
-                     bool trivial_hint, uint32_t l1i_block,
+                     bool trivial_hint, unsigned l1i_shift,
                      uint64_t frontend);
 
     SimConfig cfg;
@@ -193,13 +265,10 @@ class OooCore
     // --- Out-of-order resources ---
     SlotPool issueSlots;
     SlotPool memPorts;
-    SlotPool intAluPool;
-    SlotPool fpAluPool;
-    SlotPool intMulPool;
-    SlotPool fpMulPool;
-    /** Per-unit next-free cycle for unpipelined dividers. */
-    std::vector<uint64_t> intDivFree;
-    std::vector<uint64_t> fpDivFree;
+    std::array<SlotPool, kNumFuPools> fuPools;
+    /** Per-unit next-free cycle for unpipelined dividers (int, FP). */
+    std::array<std::vector<uint64_t>, 2> divFree;
+    std::array<FuRoute, kFuClasses> fuRoutes;
 
     // --- Occupancy rings ---
     HistoryRing robCommit;   // commit times, ROB-entry deep
@@ -208,8 +277,12 @@ class OooCore
     HistoryRing fqDispatch;  // dispatch times, fetch-queue deep
 
     // --- Dependences ---
-    std::vector<uint64_t> intRegReady;
-    std::vector<uint64_t> fpRegReady;
+    /** Ready cycle per TimingOp register slot. */
+    std::array<uint64_t, TimingOp::kSlots> regReady{};
+
+    /** decode() of every instruction of decodedTrace's program. */
+    std::vector<TimingOp> decoded;
+    std::shared_ptr<const ExecTrace> decodedTrace;
 
     /** Direct-mapped store-forwarding table. */
     struct FwdEntry

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/check.hh"
-
 namespace yasim {
 
 void
@@ -16,18 +14,9 @@ SlotPool::init(uint32_t w)
 }
 
 SlotPool::Slot &
-SlotPool::claim(uint64_t cycle, uint64_t horizon)
+SlotPool::grow(uint64_t cycle, uint64_t horizon)
 {
-    YASIM_CHECK(cycle > horizon,
-                "slot claim at cycle %llu, at or before dispatch %llu",
-                static_cast<unsigned long long>(cycle),
-                static_cast<unsigned long long>(horizon));
     for (;;) {
-        Slot &s = slots[cycle & mask];
-        if (s.gen != gen || s.cycle <= horizon) {
-            s = Slot{cycle, gen, 0};
-            return s;
-        }
         // A live cycle owns this record: double the ring. Records
         // sharing an index under the old mask differ in the new bit,
         // so re-homing never collides.
@@ -37,6 +26,11 @@ SlotPool::claim(uint64_t cycle, uint64_t horizon)
         for (const Slot &o : old)
             if (o.gen == gen && o.cycle > horizon)
                 slots[o.cycle & mask] = o;
+        Slot &s = slots[cycle & mask];
+        if (s.gen != gen || s.cycle <= horizon) {
+            s = Slot{cycle, gen, 0};
+            return s;
+        }
     }
 }
 

@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/check.hh"
+
 namespace yasim {
 
 /** Exact per-cycle slot counts over a growable ring. */
@@ -59,8 +61,8 @@ class SlotPool
     size_t window() const { return slots.size(); }
 
   private:
-    /** Records a fresh ring starts with (64 KiB). */
-    static constexpr size_t kInitialWindow = 4096;
+    /** Records a fresh ring starts with (4 KiB). */
+    static constexpr size_t kInitialWindow = 256;
     static_assert((kInitialWindow & (kInitialWindow - 1)) == 0,
                   "the ring is indexed by cycle & mask");
 
@@ -72,16 +74,31 @@ class SlotPool
         uint32_t used = 0;
     };
 
-    /** The record of @p cycle, claimed with zero usage if stale. */
+    /**
+     * The record of @p cycle, claimed with zero usage if stale (another
+     * generation) or dead (at or before the horizon).
+     */
     Slot &slotFor(uint64_t cycle, uint64_t horizon)
     {
         Slot &s = slots[cycle & mask];
         if (s.gen == gen && s.cycle == cycle) [[likely]]
             return s;
-        return claim(cycle, horizon);
+        YASIM_CHECK(cycle > horizon,
+                    "slot claim at cycle %llu, at or before dispatch %llu",
+                    static_cast<unsigned long long>(cycle),
+                    static_cast<unsigned long long>(horizon));
+        if (s.gen != gen || s.cycle <= horizon) {
+            s = Slot{cycle, gen, 0};
+            return s;
+        }
+        return grow(cycle, horizon);
     }
 
-    Slot &claim(uint64_t cycle, uint64_t horizon);
+    /**
+     * Double the ring until @p cycle's record is free, re-homing every
+     * live record, then claim it.
+     */
+    Slot &grow(uint64_t cycle, uint64_t horizon);
 
     uint32_t width = 1;
     uint32_t gen = 1;

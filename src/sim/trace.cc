@@ -1,6 +1,7 @@
 #include "sim/trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
@@ -431,11 +432,20 @@ uint64_t
 TraceReplayer::fastForwardWarm(uint64_t count, MemoryHierarchy *hierarchy,
                                CombinedPredictor *bp)
 {
-    // Must issue the exact warming call sequence of the live
-    // interpreter (FunctionalSim::execOne<_, true>) so warmed caches
-    // and predictors end up bit-identical. Processed as chunk-resident
-    // spans: the chunk lookup and column pointers are hoisted out of
-    // the per-record warming loop.
+    // Must leave the same tables, up to LRU stamp values, as the live
+    // interpreter's warming (FunctionalSim::execOne<_, true>). The
+    // I side is warmed once per run of instructions in one L1-I block:
+    // a skipped warmInst would hit the line, and the I-TLB tail entry
+    // (a 4 KiB page holds whole blocks), that the previous instruction
+    // just made most recent, and nothing between touches the L1-I or
+    // I-TLB. So every hit, miss and victim stays the same; only stamp
+    // values shrink. Processed as chunk-resident spans: the chunk
+    // lookup and column pointers are hoisted out of the per-record
+    // warming loop.
+    const unsigned l1i_shift =
+        hierarchy ? std::countr_zero(hierarchy->config().l1i.blockBytes)
+                  : 0;
+    uint64_t last_block = ~0ULL;
     uint64_t done = 0;
     while (done < count && cursor < end) {
         const ExecTrace::Chunk &chunk =
@@ -454,7 +464,11 @@ TraceReplayer::fastForwardWarm(uint64_t count, MemoryHierarchy *hierarchy,
             const uint64_t next_pc =
                 taken ? static_cast<uint64_t>(inst.imm) : pc + 1;
             if (hierarchy) {
-                hierarchy->warmInst(Program::pcAddress(pc));
+                const uint64_t pc_addr = Program::pcAddress(pc);
+                if (pc_addr >> l1i_shift != last_block) {
+                    hierarchy->warmInst(pc_addr);
+                    last_block = pc_addr >> l1i_shift;
+                }
                 if (inst.isLoad() || inst.isStore())
                     hierarchy->warmData(addrs[i]);
             }

@@ -19,14 +19,15 @@
  *  - stepBatch() serves whole chunk-resident SoA spans, one chunk
  *    lookup per span,
  *  - fastForward() is a cursor jump (O(1) instead of O(n)),
- *  - fastForwardWarm() replays the exact live warming call sequence.
+ *  - fastForwardWarm() leaves the live interpreter's warmed tables,
+ *    the same tables up to LRU stamp values.
  *
  * The interpreter (sim/functional.hh) runs only inside record() and
- * as the oracle the replayer is tested against: its step, stepBatch,
- * fastForward and fastForwardWarm produce bit-identical records and
- * warming call sequences. nextPc is not stored: FunctionalSim defines
- * it as `taken ? inst.imm : pc + 1`, so the replayer recomputes it
- * exactly.
+ * as the oracle the replayer is tested against: its step, stepBatch
+ * and fastForward produce bit-identical records, and its
+ * fastForwardWarm the same tables up to LRU stamp values. nextPc is
+ * not stored: FunctionalSim defines it as `taken ? inst.imm : pc + 1`,
+ * so the replayer recomputes it exactly.
  *
  * Traces are immutable once recorded (or deserialized), so one
  * shared_ptr<const ExecTrace> is safely shared by any number of worker
@@ -181,8 +182,10 @@ class TraceReplayer
 
     /**
      * Advance up to @p count instructions while functionally warming
-     * @p mem (I and D sides) and @p bp (may each be null), issuing the
-     * interpreter's exact warming call sequence.
+     * @p mem (I and D sides) and @p bp (may each be null), leaving the
+     * same tables as the interpreter's warming up to LRU stamp values:
+     * the I side is warmed once per run of instructions in one L1-I
+     * block, which changes no hit, miss or victim.
      * @return the number actually advanced.
      */
     uint64_t fastForwardWarm(uint64_t count, MemoryHierarchy *mem,

@@ -47,6 +47,8 @@ CombinedPredictor::CombinedPredictor(const BranchPredictorConfig &cfg)
     : config(cfg)
 {
     YASIM_ASSERT(isPow2(config.bhtEntries));
+    // A power-of-two entry count split into whole sets leaves a
+    // power-of-two set count, so the BTB set is a mask.
     YASIM_ASSERT(isPow2(config.btbEntries));
     YASIM_ASSERT(config.btbAssoc >= 1 &&
                  config.btbEntries % config.btbAssoc == 0);
@@ -76,7 +78,7 @@ CombinedPredictor::gshareIndex(uint64_t pc, uint64_t history) const
 const CombinedPredictor::BtbEntry *
 CombinedPredictor::btbLookup(uint64_t pc) const
 {
-    uint32_t set = static_cast<uint32_t>((pc >> 2) % btbSets);
+    uint32_t set = static_cast<uint32_t>((pc >> 2) & (btbSets - 1));
     uint64_t tag = pc >> 2;
     for (uint32_t w = 0; w < config.btbAssoc; ++w) {
         const BtbEntry &e = btb[set * config.btbAssoc + w];
@@ -89,7 +91,7 @@ CombinedPredictor::btbLookup(uint64_t pc) const
 void
 CombinedPredictor::btbInsert(uint64_t pc, uint64_t target)
 {
-    uint32_t set = static_cast<uint32_t>((pc >> 2) % btbSets);
+    uint32_t set = static_cast<uint32_t>((pc >> 2) & (btbSets - 1));
     uint64_t tag = pc >> 2;
     BtbEntry *victim = nullptr;
     for (uint32_t w = 0; w < config.btbAssoc; ++w) {

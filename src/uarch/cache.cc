@@ -69,8 +69,6 @@ Cache::lookupAndFill(uint64_t addr)
     uint64_t tag = block >> setShift;
 
     Line *base = &lines[static_cast<size_t>(set) * cfg.assoc];
-    Line *victim = base;
-    bool has_invalid = false;
     for (uint32_t w = 0; w < cfg.assoc; ++w) {
         Line &line = base[w];
         if (line.valid && line.tag == tag) {
@@ -78,20 +76,24 @@ Cache::lookupAndFill(uint64_t addr)
                 line.lru = ++lruClock; // FIFO keeps insertion order
             return true;
         }
-        if (!line.valid && !has_invalid) {
-            victim = &line;
-            has_invalid = true;
-        } else if (!has_invalid && victim->valid &&
-                   line.lru < victim->lru) {
-            victim = &line;
-        }
     }
-    if (!has_invalid && cfg.replacement == ReplacementPolicy::Random) {
+    // Miss: the first invalid way, else the least stamp (lowest way on
+    // ties), or a pseudo-random way under the random policy.
+    Line *victim = nullptr;
+    for (uint32_t w = 0; w < cfg.assoc && !victim; ++w)
+        if (!base[w].valid)
+            victim = &base[w];
+    if (!victim && cfg.replacement == ReplacementPolicy::Random) {
         // xorshift64: cheap, deterministic victim choice.
         rngState ^= rngState << 13;
         rngState ^= rngState >> 7;
         rngState ^= rngState << 17;
         victim = &base[rngState % cfg.assoc];
+    } else if (!victim) {
+        victim = base;
+        for (uint32_t w = 1; w < cfg.assoc; ++w)
+            if (base[w].lru < victim->lru)
+                victim = &base[w];
     }
     victim->valid = true;
     victim->tag = tag;

@@ -12,15 +12,11 @@ MemoryHierarchy::MemoryHierarchy(const MemoryConfig &config)
       itlb("itlb", cfg.itlbEntries),
       dtlb("dtlb", cfg.dtlbEntries)
 {
-}
-
-uint32_t
-MemoryHierarchy::memoryLatency(uint32_t block_bytes) const
-{
-    uint32_t chunks = (block_bytes + cfg.memBusBytes - 1) / cfg.memBusBytes;
+    uint32_t chunks =
+        (cfg.l2.blockBytes + cfg.memBusBytes - 1) / cfg.memBusBytes;
     if (chunks == 0)
         chunks = 1;
-    return cfg.memLatencyFirst + (chunks - 1) * cfg.memLatencyNext;
+    memoryLatency = cfg.memLatencyFirst + (chunks - 1) * cfg.memLatencyNext;
 }
 
 uint32_t
@@ -32,7 +28,7 @@ MemoryHierarchy::instAccess(uint64_t addr)
     if (!l1i.access(addr)) {
         latency += cfg.l2Latency;
         if (!l2.access(addr))
-            latency += memoryLatency(cfg.l2.blockBytes);
+            latency += memoryLatency;
     }
     return latency;
 }
@@ -47,7 +43,7 @@ MemoryHierarchy::dataAccess(uint64_t addr, bool is_write)
     if (!l1d.access(addr)) {
         latency += cfg.l2Latency;
         if (!l2.access(addr))
-            latency += memoryLatency(cfg.l2.blockBytes);
+            latency += memoryLatency;
         if (cfg.nextLinePrefetch)
             prefetchNextLine(addr);
     }

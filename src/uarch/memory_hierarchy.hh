@@ -115,12 +115,11 @@ class MemoryHierarchy
     bool deserializeWarmState(std::istream &is);
 
   private:
-    /** Cycles to fill a block of @p block_bytes from main memory. */
-    uint32_t memoryLatency(uint32_t block_bytes) const;
-
     void prefetchNextLine(uint64_t addr);
 
     MemoryConfig cfg;
+    /** Cycles to fill an L2 block from main memory. */
+    uint32_t memoryLatency;
     Cache l1i;
     Cache l1d;
     Cache l2;

@@ -25,8 +25,10 @@
 #include <sys/un.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
+#include "core/pb_characterization.hh"
 #include "engine/cache_key.hh"
 #include "engine/result_io.hh"
 #include "service/client.hh"
@@ -386,8 +388,28 @@ TEST(ServiceExecute, ResolvesSelectors)
     }
     request.config = "arch:0";
     EXPECT_FALSE(resolveConfig(request, config, error));
-    request.config = "pb:0";
-    EXPECT_TRUE(resolveConfig(request, config, error)) << error;
+    // Every table row resolves to the directly constructed config, and
+    // the first index past the table is an error.
+    const std::vector<std::pair<std::string, std::vector<SimConfig>>>
+        tables = {
+            {"pb", pbDesignConfigs(
+                       PbDesign::forFactors(numPbFactors(), false))},
+            {"envelope", envelopeConfigs()},
+        };
+    for (const auto &[scheme, direct] : tables) {
+        for (size_t n = 0; n <= direct.size(); ++n) {
+            request.config = scheme + ":" + std::to_string(n);
+            if (n == direct.size()) {
+                EXPECT_FALSE(resolveConfig(request, config, error))
+                    << request.config;
+                continue;
+            }
+            ASSERT_TRUE(resolveConfig(request, config, error)) << error;
+            EXPECT_EQ(config.name, direct[n].name) << request.config;
+            EXPECT_EQ(configKeyText(config), configKeyText(direct[n]))
+                << request.config;
+        }
+    }
     request.config = "pb:100000";
     EXPECT_FALSE(resolveConfig(request, config, error));
     request.config = "nonsense";

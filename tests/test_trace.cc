@@ -18,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.hh"
@@ -215,28 +216,55 @@ TEST(Trace, FastForwardThenStepMatchesLive)
 
 TEST(Trace, WarmingSequenceIsBitIdentical)
 {
-    Workload w = buildWorkload("gzip", InputSet::Reference, tinySuite());
-    auto trace = ExecTrace::record(w.program);
-    const SimConfig config = architecturalConfig(2);
-    const uint64_t warm = trace->length() / 2;
+    // The replayer warms the I side once per L1-I block run, the
+    // interpreter once per instruction; the tables may differ only in
+    // LRU stamp values, so a detailed tail sees the same hits, misses
+    // and victims. Cases: both benchmarks, a PB row with a 16-byte
+    // direct-mapped L1-I (the shortest block runs, every fill a
+    // victim), and FIFO and random L1-I replacement.
+    const std::vector<SimConfig> envelope = envelopeConfigs();
+    const auto tiny_l1i = std::find_if(
+        envelope.begin(), envelope.end(), [](const SimConfig &c) {
+            return c.mem.l1i.blockBytes == 16 && c.mem.l1i.assoc == 1;
+        });
+    ASSERT_NE(tiny_l1i, envelope.end());
+    SimConfig fifo = architecturalConfig(2);
+    fifo.mem.l1i.replacement = ReplacementPolicy::Fifo;
+    SimConfig random = architecturalConfig(2);
+    random.mem.l1i.replacement = ReplacementPolicy::Random;
+    const std::vector<std::pair<const char *, SimConfig>> cases = {
+        {"gzip", architecturalConfig(2)},
+        {"mcf", architecturalConfig(2)},
+        {"gzip", *tiny_l1i},
+        {"gzip", fifo},
+        {"gzip", random},
+    };
 
-    // The interpreter warms the reference core; both detailed tails
-    // then replay the recording from the warm point.
-    FunctionalSim live(w.program);
-    OooCore live_core(config);
-    live.fastForwardWarm(warm, &live_core.memHierarchy(),
-                         &live_core.predictor());
-    TraceReplayer live_tail(trace);
-    live_tail.seek(warm);
-    live_core.run(live_tail, 20'000);
+    for (const auto &[bench, config] : cases) {
+        SCOPED_TRACE(std::string(bench) + " " + config.name + " L1-I " +
+                     replacementPolicyName(config.mem.l1i.replacement));
+        Workload w = buildWorkload(bench, InputSet::Reference, tinySuite());
+        auto trace = ExecTrace::record(w.program);
+        const uint64_t warm = trace->length() / 2;
 
-    TraceReplayer replay(trace);
-    OooCore replay_core(config);
-    replay.fastForwardWarm(warm, &replay_core.memHierarchy(),
-                           &replay_core.predictor());
-    replay_core.run(replay, 20'000);
+        // The interpreter warms the reference core; both detailed
+        // tails then replay the recording from the warm point.
+        FunctionalSim live(w.program);
+        OooCore live_core(config);
+        live.fastForwardWarm(warm, &live_core.memHierarchy(),
+                             &live_core.predictor());
+        TraceReplayer live_tail(trace);
+        live_tail.seek(warm);
+        live_core.run(live_tail, 20'000);
 
-    expectSameStats(live_core.snapshot(), replay_core.snapshot());
+        TraceReplayer replay(trace);
+        OooCore replay_core(config);
+        replay.fastForwardWarm(warm, &replay_core.memHierarchy(),
+                               &replay_core.predictor());
+        replay_core.run(replay, 20'000);
+
+        expectSameStats(live_core.snapshot(), replay_core.snapshot());
+    }
 }
 
 TEST(Trace, DetailedSimIsBitIdenticalAcrossConfigs)
