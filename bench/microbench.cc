@@ -55,6 +55,7 @@
 #include "techniques/smarts.hh"
 #include "stats/kmeans.hh"
 #include "stats/plackett_burman.hh"
+#include "stats/projection.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
@@ -381,6 +382,46 @@ BM_KmeansSelectK(benchmark::State &state)
     }
 }
 BENCHMARK(BM_KmeansSelectK)->Arg(10)->Arg(100);
+
+void
+BM_KmeansSelectKServed(benchmark::State &state)
+{
+    // The clustering SimPoint multiple 10M serves in perfbench's
+    // service_warm: gzip at a 300k reference, one BBV per 2000-
+    // instruction interval (the interval floor), L1-normalized and
+    // projected to 15 dimensions as SimPoint profiles them, then the
+    // max_k = 100 ladder with 3 restarts and SimPoint's seeds.
+    SuiteConfig suite;
+    suite.referenceInstructions = 300'000;
+    Workload w = buildWorkload("gzip", InputSet::Reference, suite);
+    TraceReplayer replayer(ExecTrace::record(w.program));
+    Rng proj_rng(42);
+    RandomProjection projection(w.program.numBlocks(), 15, proj_rng);
+    constexpr uint64_t kInterval = 2000;
+    std::vector<std::vector<double>> points;
+    std::vector<double> bbv(w.program.numBlocks(), 0.0);
+    uint64_t in_interval = 0;
+    auto flush = [&] {
+        normalizeL1(bbv);
+        points.push_back(projection.project(bbv));
+        std::fill(bbv.begin(), bbv.end(), 0.0);
+        in_interval = 0;
+    };
+    ExecRecord rec;
+    while (replayer.step(rec)) {
+        bbv[w.program.blockOf(rec.pc)] += 1.0;
+        if (++in_interval == kInterval)
+            flush();
+    }
+    if (in_interval > kInterval / 2)
+        flush();
+    for (auto _ : state) {
+        Rng seed(42 ^ 0x5eedULL);
+        benchmark::DoNotOptimize(selectKLadder(points, 100, seed, 0.9, 3));
+    }
+    state.SetLabel(std::to_string(points.size()) + " points");
+}
+BENCHMARK(BM_KmeansSelectKServed)->Unit(benchmark::kMillisecond);
 
 void
 BM_PbEffects(benchmark::State &state)
