@@ -17,6 +17,12 @@
  * ladder really picks k > 1; a speed-only change to the k-means kernel
  * or the BBV profile must leave every literal untouched.
  *
+ * ShardedReferenceIsUnchanged pins the sharded full reference on the
+ * Table-3 configurations at the same 300k reference, at 4 and 8 shards
+ * with full-prefix and with bounded lead-ins. A change to how a shard
+ * warms or stitches that is meant to be speed-only must leave every
+ * literal untouched.
+ *
  * The PB rows include the deepest machines (ROB 256, IQ 128, 400-cycle
  * memory), whose dependent miss chains push issue thousands of cycles
  * past dispatch, so the issue-slot pools' window growth is exercised
@@ -30,6 +36,7 @@
 
 #include "core/pb_characterization.hh"
 #include "sim/config.hh"
+#include "sim/sharded.hh"
 #include "stats/plackett_burman.hh"
 #include "techniques/full_reference.hh"
 #include "techniques/service.hh"
@@ -196,6 +203,54 @@ TEST(ModelPin, SimPointPointsAreUnchanged)
         for (const SimPoint *variant : variants)
             h.str(groupDigest(*variant, ctx, config2));
         EXPECT_EQ(h.hex(), digest);
+    }
+}
+
+TEST(ModelPin, ShardedReferenceIsUnchanged)
+{
+    SuiteConfig suite;
+    suite.referenceInstructions = kPointsRefInsts;
+    const std::vector<SimConfig> table3 = architecturalConfigs();
+    const FullReference reference;
+
+    // --shard-warmup 65536 leaves slice 1 a full-prefix lead-in (its
+    // boundary sits one spacing in) and bounds every later slice, so
+    // the bounded settings pin both lead-in kinds.
+    struct Pin
+    {
+        const char *benchmark;
+        uint32_t shards;
+        uint64_t warmup;
+        size_t slices;
+        const char *digest;
+    };
+    const std::vector<Pin> pins = {
+        {"gzip", 4, 0, 4, "749a2aec5aa564d0a29172ea9c71b510"},
+        {"gzip", 4, 65'536, 4, "32a97ee96a5a2f9aa4add76dda8abc82"},
+        {"gzip", 8, 0, 5, "d437f6a0673112981ab492837dc220ae"},
+        {"gzip", 8, 65'536, 5, "4aa6eecb57e30550d8a0db8607f0c5dc"},
+        {"mcf", 4, 0, 4, "35d78cad4cfd954f86e3f91c47c50465"},
+        {"mcf", 4, 65'536, 4, "edcb2135689f459b016574c8db0f7722"},
+        {"mcf", 8, 0, 5, "b9895ab0d1fe2b035232228b01f74827"},
+        {"mcf", 8, 65'536, 5, "18f73c3da52898cc32d3cad4ebf14dff"},
+    };
+    DirectService service;
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(pin.benchmark) + " shards " +
+                     std::to_string(pin.shards) + " warmup " +
+                     std::to_string(pin.warmup));
+        TechniqueContext ctx =
+            TechniqueContext::make(pin.benchmark, suite, service);
+        ctx.shards.shards = pin.shards;
+        ctx.shards.warmupInsts = pin.warmup;
+        const std::vector<ShardSlice> plan =
+            planShards(ctx.referenceLength, pin.shards, pin.warmup);
+        ASSERT_EQ(plan.size(), pin.slices);
+        if (pin.warmup > 0) {
+            EXPECT_EQ(plan[1].warmStart, 0u);
+            EXPECT_GT(plan.back().warmStart, 0u);
+        }
+        EXPECT_EQ(groupDigest(reference, ctx, table3), pin.digest);
     }
 }
 
