@@ -705,17 +705,11 @@ runOooGate(const char *path)
     // The sharded reference: 8 shards with full-prefix functional
     // warming (warmupInsts = 0), the accuracy-preserving default.
     // Bounded warming trades accuracy for wall-clock and is exercised
-    // by BM_ShardedReference instead. A warm directory lets the
-    // best-of-3 passes measure the steady state — pass 1 saves the
-    // warmed-uarch summaries, later passes restore them, exactly the
-    // behaviour a cache-dir-configured engine sees on reruns.
-    namespace fs = std::filesystem;
-    fs::path warm_dir = fs::temp_directory_path() / "yasim_ooo_gate_warm";
-    fs::remove_all(warm_dir);
+    // by BM_ShardedReference instead. Every pass warms each shard's
+    // whole prefix in process, as every sharded run does.
     ShardOptions opts;
     opts.shards = 8;
     opts.warmupInsts = 0;
-    opts.warmDir = warm_dir.string();
     double sharded_seconds = 1e30;
     ShardedRunResult sharded;
     for (int pass = 0; pass < 3; ++pass) {
@@ -723,7 +717,6 @@ runOooGate(const char *path)
         sharded = runShardedReference(trace, cfg, opts);
         sharded_seconds = std::min(sharded_seconds, secondsSince(start));
     }
-    fs::remove_all(warm_dir);
     double speedup = seq_seconds / sharded_seconds;
     double cpi_drift =
         std::abs(sharded.stats.cpi() - seq.cpi()) / seq.cpi();

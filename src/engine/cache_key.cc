@@ -75,8 +75,7 @@ costKeyText(const CostModel &cost)
  * sequential results keep their historical keys (and caches); when on,
  * the shard plan changes the stitched statistics and the modeled cost,
  * so every knob that shapes the plan — and the stitch discipline —
- * participates. The warm directory deliberately does not: summaries
- * change wall-clock only, never results.
+ * participates.
  */
 // yasim-lint: key(result) covers ShardOptions(sim/sharded.hh)
 std::string

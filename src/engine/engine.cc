@@ -39,13 +39,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
             fatal("cannot create cache directory '%s': %s",
                   opts.cacheDir.c_str(), ec.message().c_str());
     }
-    if (opts.shards.enabled() && opts.shards.warmDir.empty() &&
-        !opts.cacheDir.empty()) {
-        // Warmed-uarch summaries are cache artifacts like any other:
-        // persist them beside the result cache unless the caller chose
-        // a dedicated directory.
-        opts.shards.warmDir = opts.cacheDir + "/warm";
-    }
 }
 
 ExperimentEngine::~ExperimentEngine() = default;

@@ -57,9 +57,7 @@ struct EngineOptions
     uint64_t cacheBudgetBytes = 0;
     /**
      * Sharded parallel reference simulation (sim/sharded.hh),
-     * stamped into every TechniqueContext the engine builds. When
-     * enabled and warmDir is empty, warmed-uarch summaries persist
-     * under "<cacheDir>/warm" (memory-only engines skip persistence).
+     * stamped into every TechniqueContext the engine builds.
      */
     ShardOptions shards = {};
 };

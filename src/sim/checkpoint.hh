@@ -5,10 +5,10 @@
  * yasim once persisted full architectural checkpoints ("yasim-ckpt"
  * frames, *.ckpt). None are written any more: the trace is the
  * replayable stream and sim/livepoint.hh is the one persisted
- * entry-state format, including sharded warm summaries. Checkpoint
- * generation survives only as a modeled cost
- * (CostModel::checkpointPerInst). The constant stays so tools that
- * audit old cache directories can still recognise the frame version.
+ * entry-state format. Checkpoint generation survives only as a
+ * modeled cost (CostModel::checkpointPerInst). The constant stays so
+ * tools that audit old cache directories can still recognise the
+ * frame version.
  */
 
 #ifndef YASIM_SIM_CHECKPOINT_HH

@@ -71,7 +71,7 @@ struct SimConfig
     // cached results.
     std::string name = "default";
     // Core sizing is timing-only: it cannot change which lines the
-    // architectural warm stream touches, so warm summaries are shared
+    // architectural warm stream touches, so live-points are shared
     // across core sweeps.
     CoreConfig core; // yasim-lint: key-exempt(warm: timing-only)
     BranchPredictorConfig bp;

@@ -25,9 +25,6 @@ namespace {
 /** Inner frame magic for standalone live-point files. */
 constexpr const char *kLivePointMagic = "yasim-lvpt";
 
-/** Instructions functionally warmed between cancellation polls. */
-constexpr uint64_t kWarmCancelChunk = 1 << 20;
-
 /** Mix @p program's full content — the stream identity. */
 void
 hashProgram(Hasher &h, const Program &program)
@@ -45,29 +42,12 @@ hashProgram(Hasher &h, const Program &program)
 }
 
 /**
- * Identity of one live-point library: the "livepoints{...}" cache-key
- * segment. Everything that shapes a point's bytes is in here — the
- * sampling grid plus warmIdentityDigest's format versions, program
- * content, and warm-relevant configuration.
+ * Digest of everything a point's warm state depends on besides its
+ * position: the live-point and warm-state format versions, the
+ * program's full content, and the warm-relevant (table-shaping)
+ * configuration. Timing-only parameters are excluded, so a latency
+ * sweep shares one set of warm states.
  */
-// yasim-lint: key(livepoint) covers SamplingPlan(sim/sampling.hh)
-std::string
-livePointLibraryKey(const Program &program, const SamplingPlan &plan,
-                    const SimConfig &config)
-{
-    return csprintf(
-        "livepoints{v=%u|u=%llu|w=%llu|len=%llu|p=%llu|n=%llu|id=%s}",
-        kLivePointFormatVersion,
-        static_cast<unsigned long long>(plan.unitInsts),
-        static_cast<unsigned long long>(plan.warmupInsts),
-        static_cast<unsigned long long>(plan.length),
-        static_cast<unsigned long long>(plan.period),
-        static_cast<unsigned long long>(plan.maxUnits),
-        warmIdentityDigest(program, config).c_str());
-}
-
-} // namespace
-
 // yasim-lint: key(warm) covers CacheConfig(uarch/cache.hh)
 // yasim-lint: key(warm) covers BranchPredictorConfig(uarch/branch_predictor.hh)
 // yasim-lint: key(warm) covers MemoryConfig(uarch/memory_hierarchy.hh)
@@ -97,6 +77,30 @@ warmIdentityDigest(const Program &program, const SimConfig &config)
 
     return h.hex();
 }
+
+/**
+ * Identity of one live-point library: the "livepoints{...}" cache-key
+ * segment. Everything that shapes a point's bytes is in here — the
+ * sampling grid plus warmIdentityDigest's format versions, program
+ * content, and warm-relevant configuration.
+ */
+// yasim-lint: key(livepoint) covers SamplingPlan(sim/sampling.hh)
+std::string
+livePointLibraryKey(const Program &program, const SamplingPlan &plan,
+                    const SimConfig &config)
+{
+    return csprintf(
+        "livepoints{v=%u|u=%llu|w=%llu|len=%llu|p=%llu|n=%llu|id=%s}",
+        kLivePointFormatVersion,
+        static_cast<unsigned long long>(plan.unitInsts),
+        static_cast<unsigned long long>(plan.warmupInsts),
+        static_cast<unsigned long long>(plan.length),
+        static_cast<unsigned long long>(plan.period),
+        static_cast<unsigned long long>(plan.maxUnits),
+        warmIdentityDigest(program, config).c_str());
+}
+
+} // namespace
 
 LivePointCounters &
 LivePointCounters::operator+=(const LivePointCounters &o)
@@ -367,21 +371,15 @@ LivePointLibrary::buildPoints(const std::vector<uint64_t> &missing,
     }
 
     for (uint64_t index : missing) {
-        // Bounded-chunk warming with a cancellation poll per chunk; a
-        // cancelled build throws with the honest partial warming count
-        // and leaves no partial artifacts (writes are atomic, and only
-        // completed points are written at all).
-        const uint64_t target = gridPlan.warmStart(index);
-        while (cursor.instsExecuted() < target && !cursor.halted()) {
-            if (cancel.cancelled()) {
-                CancelledError err;
-                err.cause = cancel.cause();
-                err.warmedInsts = warmed;
-                throw err;
-            }
-            uint64_t step = std::min(target - cursor.instsExecuted(),
-                                     kWarmCancelChunk);
-            warmed += cursor.fastForwardWarm(step, &warm_mem, &warm_bp);
+        // A cancelled build throws with the honest partial warming
+        // count and leaves no partial artifacts (writes are atomic,
+        // and only completed points are written at all).
+        if (!warmTo(cursor, gridPlan.warmStart(index), warm_mem, warm_bp,
+                    cancel, warmed)) {
+            CancelledError err;
+            err.cause = cancel.cause();
+            err.warmedInsts = warmed;
+            throw err;
         }
         LivePoint p = LivePoint::atPosition(cursor.instsExecuted());
         p.attachUarch(warm_mem, warm_bp, pointKey(index));

@@ -26,9 +26,9 @@
  * On-disk points affect wall-clock only — never results and never
  * modeled cost. SMARTS does not use the library: it measures its
  * units along the warming walk (sim/sampling.hh), for which the
- * library's measureUnits is the test oracle. Sharded warm summaries
- * (sim/sharded.hh) are live-points too: one container and one loader
- * serve every persisted entry state.
+ * library's measureUnits is the test oracle. Nothing else persists
+ * warm state: the sharded reference (sim/sharded.hh) warms every
+ * shard's lead-in in process.
  */
 
 #ifndef YASIM_SIM_LIVEPOINT_HH
@@ -72,17 +72,6 @@ struct LivePointOptions
     std::string dir;
 };
 
-/**
- * Digest of everything a warmed-uarch summary depends on besides its
- * warm span: the live-point and warm-state format versions, the
- * program's full content, and the warm-relevant (table-shaping)
- * configuration. Timing-only parameters are excluded, so a latency
- * sweep shares one set of warm states. Both persisted warm stores —
- * the live-point library key and sharded warm summaries — build on it.
- */
-std::string warmIdentityDigest(const Program &program,
-                               const SimConfig &config);
-
 /** Monotonic live-point library counters. */
 struct LivePointCounters
 {
@@ -117,7 +106,7 @@ class LivePoint
     /**
      * Attach the warmed-uarch summary of @p mem and @p bp under
      * identity @p key. The key must encode everything the warm state
-     * depends on (warmIdentityDigest plus the warm span);
+     * depends on (the library key plus the point's warm start);
      * restoreUarch refuses a key mismatch.
      */
     void attachUarch(const MemoryHierarchy &mem,

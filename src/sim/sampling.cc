@@ -12,13 +12,6 @@
 
 namespace yasim {
 
-namespace {
-
-/** Instructions functionally warmed between cancellation polls. */
-constexpr uint64_t kWarmCancelChunk = 1 << 20;
-
-} // namespace
-
 SamplingPlan
 SamplingPlan::make(uint64_t unit_insts, uint64_t warmup_insts,
                    uint64_t length)
@@ -89,6 +82,20 @@ measureUnit(OooCore &core, TraceReplayer &stream, const SamplingPlan &plan,
     return out;
 }
 
+bool
+warmTo(TraceReplayer &cursor, uint64_t target, MemoryHierarchy &mem,
+       CombinedPredictor &bp, const CancelToken &cancel, uint64_t &warmed)
+{
+    do {
+        if (cancel.cancelled())
+            return false;
+        const uint64_t step =
+            std::min(target - cursor.instsExecuted(), kWarmCancelChunk);
+        warmed += cursor.fastForwardWarm(step, &mem, &bp);
+    } while (cursor.instsExecuted() < target && !cursor.halted());
+    return true;
+}
+
 std::vector<UnitResult>
 walkUnits(const std::shared_ptr<const ExecTrace> &trace,
           const SamplingPlan &plan, const SimConfig &config,
@@ -118,16 +125,10 @@ walkUnits(const std::shared_ptr<const ExecTrace> &trace,
         if (slot > 0)
             YASIM_CHECK_GT(index, indices[slot - 1]);
 
-        // Warm up to the unit in bounded chunks, polling before each
-        // one, so every unit polls at least once.
-        const uint64_t target = plan.warmStart(index);
-        do {
-            if (cancel.cancelled())
-                throw cancelled();
-            const uint64_t step = std::min(
-                target - cursor.instsExecuted(), kWarmCancelChunk);
-            warmed += cursor.fastForwardWarm(step, &warm_mem, &warm_bp);
-        } while (cursor.instsExecuted() < target && !cursor.halted());
+        // warmTo polls at least once, so every unit polls.
+        if (!warmTo(cursor, plan.warmStart(index), warm_mem, warm_bp,
+                    cancel, warmed))
+            throw cancelled();
 
         // The excursion: a core at its just-constructed state over the
         // warmed tables, on its own replayer; the warming pair never

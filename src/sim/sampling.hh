@@ -27,7 +27,9 @@
 
 namespace yasim {
 
+class CombinedPredictor;
 class ExecTrace;
+class MemoryHierarchy;
 class OooCore;
 class TraceReplayer;
 
@@ -109,6 +111,25 @@ struct UnitResult
 UnitResult measureUnit(OooCore &core, TraceReplayer &stream,
                        const SamplingPlan &plan, uint64_t index,
                        const CancelToken &cancel = CancelToken());
+
+/** Instructions functionally warmed between cancellation polls. */
+constexpr uint64_t kWarmCancelChunk = 1 << 20;
+
+/**
+ * Functionally warm @p mem and @p bp along @p cursor, which must not
+ * be past @p target, up to dynamic position @p target or to program
+ * end, in chunks of at most kWarmCancelChunk instructions. @p cancel
+ * is polled before every chunk, and once even when @p cursor already
+ * sits at @p target. Each completed chunk adds the instructions it
+ * warmed to @p warmed, so a caller's CancelledError can carry them.
+ * The one warm-to-position loop: the warming walk, the sharded
+ * reference's lead-ins and the live-point library all use it.
+ *
+ * @return false when a poll found @p cancel cancelled.
+ */
+bool warmTo(TraceReplayer &cursor, uint64_t target, MemoryHierarchy &mem,
+            CombinedPredictor &bp, const CancelToken &cancel,
+            uint64_t &warmed);
 
 /**
  * Measure the units @p indices (ascending grid indices of @p plan)

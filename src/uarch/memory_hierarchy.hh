@@ -35,8 +35,8 @@ struct MemoryConfig
     CacheConfig l2{256, 4, 128};
 
     // Latencies and bus width shape cycle counts, never the warmed
-    // tag/TLB/predictor tables, so the warm-summary key excludes them
-    // (a latency sweep shares one set of warm summaries).
+    // tag/TLB/predictor tables, so the live-point warm key excludes
+    // them (a latency sweep shares one set of live-points).
     uint32_t l1iLatency = 1; // yasim-lint: key-exempt(warm: timing-only)
     uint32_t l1dLatency = 1; // yasim-lint: key-exempt(warm: timing-only)
     uint32_t l2Latency = 8;  // yasim-lint: key-exempt(warm: timing-only)

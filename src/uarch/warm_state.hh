@@ -2,14 +2,14 @@
  * @file
  * Format version and POD stream helpers for warmed-uarch state.
  *
- * Warmed-microarchitecture summaries (cache tag/LRU arrays, TLB
- * entries, branch-predictor tables) serialize as one composite blob
- * carried by a live-point (sim/livepoint.hh): the blob opens with
+ * Warmed-microarchitecture state (cache tag/LRU arrays, TLB entries,
+ * branch-predictor tables) serializes as one composite blob, and only
+ * a live-point (sim/livepoint.hh) carries it. The blob opens with
  * kWarmStateFormatVersion (written and checked by
  * MemoryHierarchy::serializeWarmState) and every component embeds its
- * geometry as a guard, so a stream produced
- * under a different configuration — or a different layout of any
- * component — can never be restored into a live structure.
+ * geometry as a guard, so a stream produced under a different
+ * configuration — or a different layout of any component — can never
+ * be restored into a live structure.
  */
 
 #ifndef YASIM_UARCH_WARM_STATE_HH

@@ -3,9 +3,10 @@
  * Cooperative cancellation and deadlines (support/cancel.hh and every
  * seam it threads through): token/source semantics, the deterministic
  * "engine.cancel.token" failpoint, the shared Backoff policy, the
- * core's batch-boundary latency bound, pool and sharded unwinding, the
- * engine's never-cache-a-cancelled-run contract, and a failpoint-storm
- * torture loop followed by a clean bit-identical verification pass.
+ * core's batch-boundary latency bound, the shared warming loop, pool
+ * and sharded unwinding, the engine's never-cache-a-cancelled-run
+ * contract, and a failpoint-storm torture loop followed by a clean
+ * bit-identical verification pass.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,8 @@
 #include "techniques/full_reference.hh"
 #include "techniques/service.hh"
 #include "techniques/smarts.hh"
+#include "uarch/branch_predictor.hh"
+#include "uarch/memory_hierarchy.hh"
 
 namespace yasim {
 namespace {
@@ -252,6 +255,31 @@ TEST(OooCoreCancel, UncancelledValidTokenIsBitIdentical)
     // above held while the run kept checking.
     EXPECT_EQ(failpoint::stats("engine.cancel.token").evaluations,
               done / OooCore::kCancelCheckInsts);
+}
+
+// ------------------------------------------------ the warming loop
+
+TEST(WarmToCancel, StopsAfterExactlyTheChunksBeforeTheFiringPoll)
+{
+    // "after2" fires on the third poll. warmTo polls before every
+    // chunk, so it warms exactly two whole chunks and reports them.
+    constexpr uint64_t kChunks = 2;
+    failpoint::ScopedSchedule sched("engine.cancel.token=after2");
+    auto trace = ExecTrace::record(ilpLoop(300'000)); // ~2.4M insts
+    ASSERT_GT(trace->length(), kChunks * kWarmCancelChunk);
+    SimConfig config;
+    MemoryHierarchy mem(config.mem);
+    CombinedPredictor bp(config.bp);
+    TraceReplayer cursor(trace);
+    CancelSource source;
+
+    uint64_t warmed = 0;
+    EXPECT_FALSE(warmTo(cursor, trace->length(), mem, bp, source.token(),
+                        warmed));
+    EXPECT_EQ(warmed, kChunks * kWarmCancelChunk);
+    EXPECT_EQ(cursor.instsExecuted(), warmed);
+    EXPECT_EQ(failpoint::stats("engine.cancel.token").evaluations,
+              kChunks + 1);
 }
 
 // ------------------------------------------------- pool unwinding

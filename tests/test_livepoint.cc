@@ -205,9 +205,9 @@ TEST(LivePoint, EncodeDecodeRoundTripsEverything)
 
 TEST(Checkpoint, UarchRestoreRefusesWrongKeyOrGeometry)
 {
-    // A sharded warm summary is a warm-only checkpoint: a position and
-    // a warm blob, no architectural state. Its restore must refuse a
-    // foreign key and a differently-shaped hierarchy.
+    // A live-point is a warm-only checkpoint: a position and a warm
+    // blob, no architectural state. Its restore must refuse a foreign
+    // key and a differently-shaped hierarchy.
     Program p = loopProgram();
     MemoryConfig mcfg;
     BranchPredictorConfig bcfg;

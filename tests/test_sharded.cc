@@ -1,27 +1,21 @@
 /**
  * @file
- * Tests for sharded parallel detailed simulation: the shard planner,
- * the drain-boundary exactness contract against the sequential
- * reference, and warmed-uarch summary persistence and corruption
- * healing.
+ * Tests for sharded parallel detailed simulation: the shard planner
+ * and the drain-boundary exactness contract against the sequential
+ * reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 
 #include "sim/ooo_core.hh"
 #include "sim/sharded.hh"
 #include "sim/trace.hh"
-#include "support/failpoint.hh"
 #include "workloads/suite.hh"
 
 namespace yasim {
 namespace {
-
-namespace fs = std::filesystem;
 
 /** gzip's reference workload scaled to @p ref_insts. */
 Workload
@@ -88,7 +82,7 @@ TEST(ShardPlan, BoundariesArePinned)
 {
     // Shard boundaries are pure plan arithmetic; these literals pin the
     // plans yasim has always produced, so no refactor may move a shard
-    // (and with it every sharded result and warm-summary key).
+    // (and with it every sharded result).
     struct Case
     {
         uint64_t length;
@@ -214,108 +208,6 @@ TEST(Sharded, SingleShardMatchesSequentialBitForBit)
     EXPECT_EQ(r.stats.l2Misses, seq.l2Misses);
     EXPECT_EQ(r.stats.memStallCycles, seq.memStallCycles);
     EXPECT_EQ(r.warmedInsts, 0u);
-}
-
-TEST(Sharded, WarmSummariesPersistAndNeverChangeResults)
-{
-    failpoint::ScopedSchedule off("");
-    fs::path dir = fs::path(::testing::TempDir()) / "yasim_shard_warm";
-    fs::remove_all(dir);
-
-    Workload w = workloadOf(400'000);
-    auto trace = ExecTrace::record(w.program);
-    SimConfig config;
-
-    ShardOptions opts;
-    opts.shards = 4;
-    opts.warmupInsts = 65'536;
-    opts.warmDir = dir.string();
-
-    ShardedRunResult first = runShardedReference(trace, config, opts);
-    EXPECT_EQ(first.warmRestores, 0u);
-    EXPECT_EQ(first.warmSaves, first.perShard.size() - 1);
-
-    // Second run warms from the persisted summaries.
-    ShardedRunResult second = runShardedReference(trace, config, opts);
-    EXPECT_EQ(second.warmRestores, second.perShard.size() - 1);
-    EXPECT_EQ(second.warmSaves, 0u);
-
-    // Summaries change wall-clock, never results or modeled cost.
-    EXPECT_EQ(second.stats.cycles, first.stats.cycles);
-    EXPECT_EQ(second.stats.l1dMisses, first.stats.l1dMisses);
-    EXPECT_EQ(second.stats.condMispredicts, first.stats.condMispredicts);
-    EXPECT_EQ(second.warmedInsts, first.warmedInsts);
-
-    // A latency-only variant reuses the same warm files: the warm key
-    // covers only table-shaping configuration.
-    SimConfig slower = config;
-    slower.mem.memLatencyFirst *= 2;
-    ShardedRunResult variant = runShardedReference(trace, slower, opts);
-    EXPECT_EQ(variant.warmRestores, variant.perShard.size() - 1);
-    EXPECT_NE(variant.stats.cycles, first.stats.cycles);
-
-    fs::remove_all(dir);
-}
-
-TEST(Sharded, CorruptWarmSummaryIsQuarantinedAndRewarmed)
-{
-    failpoint::ScopedSchedule off("");
-    fs::path dir = fs::path(::testing::TempDir()) / "yasim_shard_corrupt";
-    fs::remove_all(dir);
-
-    Workload w = workloadOf(400'000);
-    auto trace = ExecTrace::record(w.program);
-    SimConfig config;
-
-    ShardOptions opts;
-    opts.shards = 4;
-    opts.warmupInsts = 65'536;
-    opts.warmDir = dir.string();
-
-    ShardedRunResult first = runShardedReference(trace, config, opts);
-    ASSERT_GE(first.warmSaves, 2u);
-
-    // Flip one byte in the middle of one persisted summary.
-    std::vector<fs::path> summaries;
-    for (const fs::directory_entry &entry : fs::directory_iterator(dir))
-        if (entry.path().extension() == ".lvpt")
-            summaries.push_back(entry.path());
-    ASSERT_EQ(summaries.size(), first.warmSaves);
-    const fs::path victim = summaries.front();
-    {
-        std::fstream f(victim, std::ios::in | std::ios::out |
-                                   std::ios::binary);
-        ASSERT_TRUE(f.good());
-        const std::streamoff at =
-            static_cast<std::streamoff>(fs::file_size(victim) / 2);
-        f.seekg(at);
-        char byte = 0;
-        f.read(&byte, 1);
-        byte = static_cast<char>(byte ^ 0x5a);
-        f.seekp(at);
-        f.write(&byte, 1);
-    }
-
-    // The rerun quarantines the damaged file, re-warms that one shard
-    // (republishing its summary), restores the others, and stitches
-    // bit-identical statistics.
-    ShardedRunResult second = runShardedReference(trace, config, opts);
-    EXPECT_TRUE(fs::exists(victim.string() + ".corrupt"));
-    EXPECT_EQ(second.warmRestores, first.warmSaves - 1);
-    EXPECT_EQ(second.warmSaves, 1u);
-    EXPECT_EQ(second.stats.cycles, first.stats.cycles);
-    EXPECT_EQ(second.stats.l1dMisses, first.stats.l1dMisses);
-    EXPECT_EQ(second.stats.l2Misses, first.stats.l2Misses);
-    EXPECT_EQ(second.stats.condMispredicts, first.stats.condMispredicts);
-    EXPECT_EQ(second.stats.memStallCycles, first.stats.memStallCycles);
-    EXPECT_EQ(second.warmedInsts, first.warmedInsts);
-
-    // The republished summary serves the next run.
-    ShardedRunResult third = runShardedReference(trace, config, opts);
-    EXPECT_EQ(third.warmRestores, first.warmSaves);
-    EXPECT_EQ(third.stats.cycles, first.stats.cycles);
-
-    fs::remove_all(dir);
 }
 
 TEST(Sharded, StitchedWorkExceedsSequentialWork)
