@@ -424,8 +424,8 @@ evictToBudget(const std::string &dir, uint64_t max_bytes)
     std::vector<File> files;
     uint64_t total = 0;
 
-    // The whole tree: warm summaries and other artifact kinds live in
-    // subdirectories of the cache dir, and the budget bounds them too.
+    // The whole tree: subdirectories of the cache dir, such as those
+    // older builds left behind, count against the budget too.
     std::error_code ec;
     for (fs::recursive_directory_iterator
              it(dir, fs::directory_options::skip_permission_denied, ec),

@@ -429,8 +429,8 @@ TEST(ArtifactIo, EvictionCountsSubdirectories)
 {
     failpoint::ScopedSchedule off("");
     ScratchDir scratch("yasim_artifact_evict_tree");
-    // A cache dir whose bulk sits below the top level, as warm/ and
-    // the live-point directories of older builds do: two artifacts in
+    // A cache dir whose bulk sits below the top level, as the warm/
+    // and live-point directories of older builds do: two artifacts in
     // subdirectories, one nested, and a newer one at the top.
     fs::create_directories(scratch.file("livepoints"));
     fs::create_directories(scratch.file("warm/deep"));
