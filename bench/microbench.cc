@@ -113,7 +113,7 @@ tableConfig2()
 /**
  * PB row 26: ROB 256, IQ 128 and 400-cycle memory behind a 2-wide
  * issue and an 8 KB L1-D. On mcf its dependent miss chains push issue
- * furthest past dispatch of all the rows, so its slot pools grow the
+ * furthest past dispatch of all the rows, so its issue table grows the
  * most (docs/perf.md).
  */
 SimConfig
@@ -135,7 +135,7 @@ BM_OoODetailed(benchmark::State &state, const char *bench,
 {
     // Detailed-core throughput over trace replay — the loop every
     // timing run and the sharded reference go through. mcf is the
-    // memory-bound case: long miss chains stress the slot pools, most
+    // memory-bound case: long miss chains stress the issue table, most
     // on the deepest PB row, which yasimd's PB requests reach.
     Workload w = buildWorkload(bench, InputSet::Reference, benchSuite());
     SimConfig cfg = make_config();
@@ -152,6 +152,37 @@ BM_OoODetailed(benchmark::State &state, const char *bench,
 BENCHMARK_CAPTURE(BM_OoODetailed, gzip, "gzip", tableConfig2);
 BENCHMARK_CAPTURE(BM_OoODetailed, mcf, "mcf", tableConfig2);
 BENCHMARK_CAPTURE(BM_OoODetailed, mcf_pb_deepest, "mcf", deepestPbRow);
+
+void
+BM_OoODetailedPbRows(benchmark::State &state)
+{
+    // The full reference on all 44 PB design rows for gzip and mcf at
+    // a 300k reference: the runs behind yasimd's reference misses
+    // (perfbench service_warm) and the grid docs/perf.md profiles.
+    // Items are detailed instructions; the traces are recorded once,
+    // before timing.
+    SuiteConfig suite;
+    suite.referenceInstructions = 300'000;
+    const std::vector<SimConfig> rows =
+        pbDesignConfigs(PbDesign::forFactors(numPbFactors(), false));
+    DirectService service;
+    const FullReference reference;
+    std::vector<TechniqueContext> contexts;
+    for (const char *bench : {"gzip", "mcf"})
+        contexts.push_back(TechniqueContext::make(bench, suite, service));
+    uint64_t insts = 0;
+    for (auto _ : state) {
+        for (const TechniqueContext &ctx : contexts) {
+            for (const SimConfig &cfg : rows) {
+                TechniqueResult r = reference.run(ctx, cfg);
+                insts += r.detailedInsts;
+                benchmark::DoNotOptimize(r.cpi);
+            }
+        }
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(insts));
+}
+BENCHMARK(BM_OoODetailedPbRows)->Unit(benchmark::kMillisecond);
 
 void
 BM_ReplayWarming(benchmark::State &state, const char *bench)

@@ -22,20 +22,6 @@ predictorKindName(PredictorKind kind)
 namespace {
 
 inline bool
-counterTaken(uint8_t c)
-{
-    return c >= 2;
-}
-
-inline uint8_t
-counterTrain(uint8_t c, bool taken)
-{
-    if (taken)
-        return c < 3 ? c + 1 : 3;
-    return c > 0 ? c - 1 : 0;
-}
-
-inline bool
 isPow2(uint32_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
@@ -57,146 +43,6 @@ CombinedPredictor::CombinedPredictor(const BranchPredictorConfig &cfg)
     chooser.assign(config.bhtEntries, 2); // weakly prefer gshare
     btb.assign(config.btbEntries, BtbEntry());
     btbSets = config.btbEntries / config.btbAssoc;
-}
-
-uint32_t
-CombinedPredictor::bimodalIndex(uint64_t pc) const
-{
-    return static_cast<uint32_t>((pc >> 2) & (config.bhtEntries - 1));
-}
-
-uint32_t
-CombinedPredictor::gshareIndex(uint64_t pc, uint64_t history) const
-{
-    uint64_t mask = (config.globalHistoryBits >= 64)
-                        ? ~0ULL
-                        : ((1ULL << config.globalHistoryBits) - 1);
-    return static_cast<uint32_t>(((pc >> 2) ^ (history & mask)) &
-                                 (config.bhtEntries - 1));
-}
-
-const CombinedPredictor::BtbEntry *
-CombinedPredictor::btbLookup(uint64_t pc) const
-{
-    uint32_t set = static_cast<uint32_t>((pc >> 2) & (btbSets - 1));
-    uint64_t tag = pc >> 2;
-    for (uint32_t w = 0; w < config.btbAssoc; ++w) {
-        const BtbEntry &e = btb[set * config.btbAssoc + w];
-        if (e.valid && e.tag == tag)
-            return &e;
-    }
-    return nullptr;
-}
-
-void
-CombinedPredictor::btbInsert(uint64_t pc, uint64_t target)
-{
-    uint32_t set = static_cast<uint32_t>((pc >> 2) & (btbSets - 1));
-    uint64_t tag = pc >> 2;
-    BtbEntry *victim = nullptr;
-    for (uint32_t w = 0; w < config.btbAssoc; ++w) {
-        BtbEntry &e = btb[set * config.btbAssoc + w];
-        if (e.valid && e.tag == tag) {
-            victim = &e;
-            break;
-        }
-        if (!victim || !e.valid ||
-            (victim->valid && e.lru < victim->lru)) {
-            victim = &e;
-        }
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->target = target;
-    victim->lru = ++lruClock;
-}
-
-BranchPrediction
-CombinedPredictor::predict(uint64_t pc) const
-{
-    BranchPrediction pred;
-    uint32_t bi = bimodalIndex(pc);
-    uint32_t gi = gshareIndex(pc, globalHistory);
-    bool bimodal_taken = counterTaken(bimodal[bi]);
-    bool gshare_taken = counterTaken(gshare[gi]);
-    switch (config.kind) {
-      case PredictorKind::Bimodal:
-        pred.taken = bimodal_taken;
-        break;
-      case PredictorKind::Gshare:
-        pred.taken = gshare_taken;
-        break;
-      case PredictorKind::Combined:
-        pred.taken = counterTaken(chooser[bi]) ? gshare_taken
-                                               : bimodal_taken;
-        break;
-    }
-    if (const BtbEntry *e = btbLookup(pc)) {
-        pred.btbHit = true;
-        pred.target = e->target;
-    }
-    return pred;
-}
-
-template <bool CountStats>
-bool
-CombinedPredictor::updateImpl(uint64_t pc, bool conditional, bool taken,
-                              uint64_t target)
-{
-    if constexpr (CountStats)
-        ++bpStats.lookups;
-    BranchPrediction pred = predict(pc);
-
-    bool mispredicted;
-    if (conditional) {
-        if constexpr (CountStats)
-            ++bpStats.condBranches;
-        bool wrong_dir = pred.taken != taken;
-        bool wrong_target =
-            taken && (!pred.btbHit || pred.target != target);
-        if (wrong_dir) {
-            if constexpr (CountStats)
-                ++bpStats.condMispredicts;
-        }
-        mispredicted = wrong_dir || wrong_target;
-
-        uint32_t bi = bimodalIndex(pc);
-        uint32_t gi = gshareIndex(pc, globalHistory);
-        bool bimodal_correct = counterTaken(bimodal[bi]) == taken;
-        bool gshare_correct = counterTaken(gshare[gi]) == taken;
-        if (bimodal_correct != gshare_correct)
-            chooser[bi] = counterTrain(chooser[bi], gshare_correct);
-        bimodal[bi] = counterTrain(bimodal[bi], taken);
-        gshare[gi] = counterTrain(gshare[gi], taken);
-        // With speculative update the history already contains this
-        // branch at the *next* prediction; without it we still shift at
-        // resolve time, which is what this single-pass model expresses.
-        (void)config.speculativeUpdate;
-        globalHistory = (globalHistory << 1) | (taken ? 1 : 0);
-    } else {
-        mispredicted = !pred.btbHit || pred.target != target;
-    }
-    if (!pred.btbHit) {
-        if constexpr (CountStats)
-            ++bpStats.btbMisses;
-    }
-    if (taken)
-        btbInsert(pc, target);
-    return mispredicted;
-}
-
-bool
-CombinedPredictor::update(uint64_t pc, bool conditional, bool taken,
-                          uint64_t target)
-{
-    return updateImpl<true>(pc, conditional, taken, target);
-}
-
-void
-CombinedPredictor::warmUpdate(uint64_t pc, bool conditional, bool taken,
-                              uint64_t target)
-{
-    updateImpl<false>(pc, conditional, taken, target);
 }
 
 void

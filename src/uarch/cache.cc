@@ -62,62 +62,6 @@ Cache::blockAddress(uint64_t addr) const
 }
 
 bool
-Cache::lookupAndFill(uint64_t addr)
-{
-    uint64_t block = addr >> blockShift;
-    uint32_t set = static_cast<uint32_t>(block & (numSets - 1));
-    uint64_t tag = block >> setShift;
-
-    Line *base = &lines[static_cast<size_t>(set) * cfg.assoc];
-    for (uint32_t w = 0; w < cfg.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            if (cfg.replacement == ReplacementPolicy::Lru)
-                line.lru = ++lruClock; // FIFO keeps insertion order
-            return true;
-        }
-    }
-    // Miss: the first invalid way, else the least stamp (lowest way on
-    // ties), or a pseudo-random way under the random policy.
-    Line *victim = nullptr;
-    for (uint32_t w = 0; w < cfg.assoc && !victim; ++w)
-        if (!base[w].valid)
-            victim = &base[w];
-    if (!victim && cfg.replacement == ReplacementPolicy::Random) {
-        // xorshift64: cheap, deterministic victim choice.
-        rngState ^= rngState << 13;
-        rngState ^= rngState >> 7;
-        rngState ^= rngState << 17;
-        victim = &base[rngState % cfg.assoc];
-    } else if (!victim) {
-        victim = base;
-        for (uint32_t w = 1; w < cfg.assoc; ++w)
-            if (base[w].lru < victim->lru)
-                victim = &base[w];
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = ++lruClock;
-    return false;
-}
-
-bool
-Cache::access(uint64_t addr)
-{
-    ++cacheStats.accesses;
-    bool hit = lookupAndFill(addr);
-    if (!hit)
-        ++cacheStats.misses;
-    return hit;
-}
-
-bool
-Cache::touch(uint64_t addr)
-{
-    return lookupAndFill(addr);
-}
-
-bool
 Cache::probe(uint64_t addr) const
 {
     uint64_t block = addr >> blockShift;

@@ -19,37 +19,6 @@ MemoryHierarchy::MemoryHierarchy(const MemoryConfig &config)
     memoryLatency = cfg.memLatencyFirst + (chunks - 1) * cfg.memLatencyNext;
 }
 
-uint32_t
-MemoryHierarchy::instAccess(uint64_t addr)
-{
-    uint32_t latency = cfg.l1iLatency;
-    if (!itlb.access(addr))
-        latency += cfg.tlbMissLatency;
-    if (!l1i.access(addr)) {
-        latency += cfg.l2Latency;
-        if (!l2.access(addr))
-            latency += memoryLatency;
-    }
-    return latency;
-}
-
-uint32_t
-MemoryHierarchy::dataAccess(uint64_t addr, bool is_write)
-{
-    (void)is_write; // write-allocate: both directions fill identically
-    uint32_t latency = cfg.l1dLatency;
-    if (!dtlb.access(addr))
-        latency += cfg.tlbMissLatency;
-    if (!l1d.access(addr)) {
-        latency += cfg.l2Latency;
-        if (!l2.access(addr))
-            latency += memoryLatency;
-        if (cfg.nextLinePrefetch)
-            prefetchNextLine(addr);
-    }
-    return latency;
-}
-
 void
 MemoryHierarchy::prefetchNextLine(uint64_t addr)
 {

@@ -41,26 +41,6 @@ Tlb::Tlb(std::string name, uint32_t num_entries, uint32_t page_bytes)
     rebuildDerived();
 }
 
-uint32_t
-Tlb::indexHome(uint64_t page) const
-{
-    return static_cast<uint32_t>((page * 0x9e3779b97f4a7c15ULL) >>
-                                 indexShift);
-}
-
-uint32_t
-Tlb::indexFind(uint64_t page) const
-{
-    const uint32_t mask = static_cast<uint32_t>(index.size() - 1);
-    for (uint32_t i = indexHome(page);; i = (i + 1) & mask) {
-        const IndexCell &cell = index[i];
-        if (cell.slot == kNoSlot)
-            return kNoSlot;
-        if (cell.page == page)
-            return cell.slot;
-    }
-}
-
 void
 Tlb::indexInsert(uint64_t page, uint32_t slot)
 {
@@ -95,28 +75,25 @@ Tlb::indexErase(uint64_t page)
 }
 
 void
-Tlb::lruUnlink(uint32_t slot)
+Tlb::fill(uint64_t page)
 {
-    const Link &l = links[slot];
-    if (l.prev == kNoSlot)
-        lruHead = l.next;
-    else
-        links[l.prev].next = l.next;
-    if (l.next == kNoSlot)
-        lruTail = l.prev;
-    else
-        links[l.next].prev = l.prev;
-}
-
-void
-Tlb::lruAppend(uint32_t slot)
-{
-    links[slot] = Link{lruTail, kNoSlot};
-    if (lruTail == kNoSlot)
-        lruHead = slot;
-    else
-        links[lruTail].next = slot;
-    lruTail = slot;
+    uint32_t slot;
+    if (!freeSlots.empty()) {
+        // Slots only leave the free set, so its top stays the
+        // highest-index invalid slot.
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    } else {
+        slot = lruHead;
+        lruUnlink(slot);
+        indexErase(entries[slot].page);
+    }
+    Entry &e = entries[slot];
+    e.valid = true;
+    e.page = page;
+    indexInsert(page, slot);
+    e.lru = ++lruClock;
+    lruAppend(slot);
 }
 
 bool
@@ -148,58 +125,6 @@ Tlb::rebuildDerived()
     for (uint32_t s : order)
         lruAppend(s);
     return true;
-}
-
-bool
-Tlb::lookupAndFill(uint64_t addr)
-{
-    const uint64_t page = addr >> pageShift;
-    // Every valid stamp is at most lruClock, so a fresh stamp always
-    // moves its entry to the list tail. The tail is therefore the most
-    // recent page, and restamping it leaves the order unchanged.
-    if (lruTail != kNoSlot && entries[lruTail].page == page) {
-        entries[lruTail].lru = ++lruClock;
-        return true;
-    }
-    uint32_t slot = indexFind(page);
-    const bool hit = slot != kNoSlot;
-    if (hit) {
-        lruUnlink(slot);
-    } else if (!freeSlots.empty()) {
-        // Slots only leave the free set, so its top stays the
-        // highest-index invalid slot.
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-    } else {
-        slot = lruHead;
-        lruUnlink(slot);
-        indexErase(entries[slot].page);
-    }
-    Entry &e = entries[slot];
-    if (!hit) {
-        e.valid = true;
-        e.page = page;
-        indexInsert(page, slot);
-    }
-    e.lru = ++lruClock;
-    lruAppend(slot);
-    return hit;
-}
-
-bool
-Tlb::access(uint64_t addr)
-{
-    ++tlbStats.accesses;
-    bool hit = lookupAndFill(addr);
-    if (!hit)
-        ++tlbStats.misses;
-    return hit;
-}
-
-bool
-Tlb::touch(uint64_t addr)
-{
-    return lookupAndFill(addr);
 }
 
 void
