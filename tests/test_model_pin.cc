@@ -30,6 +30,14 @@
  * computation. A change to how an op reaches its FU pool, a divider
  * or the trivial bypass fails here.
  *
+ * SmartsWalkIsUnchanged pins SMARTS at a fine (U=100) and a coarse
+ * (U=10000) unit on gcc and mcf, over the configuration axes the
+ * warming walk's table training depends on: the 44 PB rows (among them
+ * speculative history update off and a direct-mapped, 16-byte-block
+ * L1-I), the next-line prefetcher, and FIFO and random replacement. A
+ * change to how the walk warms or measures a unit that is meant to be
+ * speed-only must leave every literal untouched.
+ *
  * The PB rows include the deepest machines (ROB 256, IQ 128, 400-cycle
  * memory), whose dependent miss chains push issue thousands of cycles
  * past dispatch, so the issue table's window growth is exercised too.
@@ -40,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "core/enhancement_study.hh"
 #include "core/pb_characterization.hh"
 #include "sim/config.hh"
 #include "sim/sharded.hh"
@@ -180,6 +189,56 @@ TEST(ModelPin, DividersAndTrivialBypassAreUnchanged)
         EXPECT_EQ(groupDigest(reference, ctx, div_pipelined),
                   pin.divPipelined);
         EXPECT_EQ(groupDigest(reference, ctx, trivial), pin.trivial);
+    }
+}
+
+TEST(ModelPin, SmartsWalkIsUnchanged)
+{
+    SuiteConfig suite;
+    suite.referenceInstructions = kPinRefInsts;
+    const std::vector<SimConfig> pb_rows =
+        pbDesignConfigs(PbDesign::forFactors(numPbFactors(), false));
+    ASSERT_EQ(pb_rows.size(), 44u);
+    std::vector<SimConfig> prefetching;
+    for (const SimConfig &config : architecturalConfigs())
+        prefetching.push_back(
+            withEnhancement(config, Enhancement::NextLinePrefetch));
+    ASSERT_EQ(prefetching.size(), 4u);
+    std::vector<SimConfig> replacement;
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::Fifo, ReplacementPolicy::Random}) {
+        SimConfig config = architecturalConfig(2);
+        config.mem.l1i.replacement = policy;
+        config.mem.l1d.replacement = policy;
+        replacement.push_back(config);
+    }
+    const std::vector<const std::vector<SimConfig> *> groups = {
+        &pb_rows, &prefetching, &replacement};
+
+    const Smarts fine(100, 200);
+    const Smarts coarse(10000, 20000);
+    struct Pin
+    {
+        const char *benchmark;
+        const Smarts *technique;
+        const char *digest;
+    };
+    const std::vector<Pin> pins = {
+        {"gcc", &fine, "271a103fbec113199c90962f42e7ccec"},
+        {"gcc", &coarse, "ba8e04e24e7206653b6d5dc39de67da6"},
+        {"mcf", &fine, "2d8601dd35e42faf7f5e0534dbfe6f09"},
+        {"mcf", &coarse, "0aa243eae891a67fd2df88598d765465"},
+    };
+    DirectService service;
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(pin.benchmark) + " " +
+                     pin.technique->permutation());
+        TechniqueContext ctx =
+            TechniqueContext::make(pin.benchmark, suite, service);
+        Hasher h;
+        for (const std::vector<SimConfig> *configs : groups)
+            h.str(groupDigest(*pin.technique, ctx, *configs));
+        EXPECT_EQ(h.hex(), pin.digest);
     }
 }
 
