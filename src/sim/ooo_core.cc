@@ -430,11 +430,8 @@ OooCore::resetPipeline()
 }
 
 void
-OooCore::restart(const MemoryHierarchy &warm_mem,
-                 const CombinedPredictor &warm_bp)
+OooCore::restart()
 {
-    mem = warm_mem;
-    bp = warm_bp;
     // A pipeline reset at cycle 0 leaves every clock, ring and table as
     // the constructor does; the issue table is exact at any window.
     lastCommitCycle = 0;

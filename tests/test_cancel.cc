@@ -282,6 +282,24 @@ TEST(WarmToCancel, StopsAfterExactlyTheChunksBeforeTheFiringPoll)
               kChunks + 1);
 }
 
+TEST(WarmToCancel, RejectsACursorPastItsTarget)
+{
+    // The walk warms and measures on one cursor, so a cursor past its
+    // target is a caller's bug: warmTo must stop rather than warm up to
+    // a whole chunk past the position it was asked for.
+    auto trace = ExecTrace::record(ilpLoop(1000));
+    SimConfig config;
+    MemoryHierarchy mem(config.mem);
+    CombinedPredictor bp(config.bp);
+    TraceReplayer cursor(trace);
+    cursor.seek(100);
+    uint64_t warmed = 0;
+    EXPECT_TRUE(warmTo(cursor, 100, mem, bp, CancelToken(), warmed));
+    EXPECT_EQ(warmed, 0u);
+    EXPECT_DEATH(warmTo(cursor, 99, mem, bp, CancelToken(), warmed),
+                 "<= target");
+}
+
 // ------------------------------------------------- pool unwinding
 
 TEST(ThreadPoolCancel, PreCancelledMapRunsNothing)
@@ -426,12 +444,15 @@ TEST(EngineCancel, SmartsCancelledMidWalkChargesWhatItSimulated)
         ASSERT_TRUE(threw);
     }
     EXPECT_EQ(caught.cause, CancelCause::Cancelled);
-    // Exactly what the walk did: it warmed up to the last unit it
-    // measured and simulated that many whole units in detail.
+    // Exactly what the walk did: it simulated that many whole units
+    // in detail and warmed the gaps up to the last one's warm start,
+    // but not the spans of the units before it, whose detailed runs
+    // trained the tables instead.
     constexpr uint64_t kUnits = 19;
     ASSERT_LT(kUnits, first.size());
     EXPECT_EQ(caught.detailedInsts, kUnits * plan.span());
-    EXPECT_EQ(caught.warmedInsts, plan.warmStart(first[kUnits - 1]));
+    EXPECT_EQ(caught.warmedInsts, plan.warmStart(first[kUnits - 1]) -
+                                      (kUnits - 1) * plan.span());
     EXPECT_TRUE(bitEq(caught.partialWorkUnits,
                       ctx.cost.functionalWarmPerInst *
                               static_cast<double>(caught.warmedInsts) +

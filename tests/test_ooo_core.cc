@@ -6,12 +6,16 @@
 #include <map>
 #include <string>
 
+#include "core/enhancement_study.hh"
+#include "core/pb_characterization.hh"
 #include "isa/program_builder.hh"
 #include "sim/bb_profiler.hh"
 #include "sim/memory.hh"
 #include "sim/ooo_core.hh"
 #include "sim/trace.hh"
+#include "stats/plackett_burman.hh"
 #include "support/rng.hh"
+#include "workloads/suite.hh"
 
 namespace yasim {
 namespace {
@@ -293,25 +297,21 @@ TEST(OooCore, RestartSimulatesWhatAFreshCoreDoes)
     // The sampling walk restarts one core per unit instead of building
     // a fresh one, so a core that has run (clocks, rings, issue table,
     // dividers, forwarding table, a toggled trivial-computation flag)
-    // must, once restarted over warmed tables, simulate exactly what a
-    // fresh core given the same tables does.
+    // must, once restarted over the tables it trained, simulate exactly
+    // what a fresh core given copies of those tables does.
     SimConfig cfg;
     auto trace = ExecTrace::record(mixedLoop(20000));
-    MemoryHierarchy mem(cfg.mem);
-    CombinedPredictor bp(cfg.bp);
-    TraceReplayer warm(trace);
-    ASSERT_EQ(warm.fastForwardWarm(30000, &mem, &bp), 30000u);
 
     OooCore used(cfg);
     used.setTrivialComputation(!cfg.core.trivialComputation);
     TraceReplayer before(trace);
     used.run(before, 50000);
     ASSERT_GT(used.snapshot().trivialOps, 0u); // the toggle took hold
-    used.restart(mem, bp);
+    used.restart();
 
     OooCore fresh(cfg);
-    fresh.memHierarchy() = mem;
-    fresh.predictor() = bp;
+    fresh.memHierarchy() = used.memHierarchy();
+    fresh.predictor() = used.predictor();
 
     TraceReplayer a(trace);
     TraceReplayer b(trace);
@@ -320,6 +320,76 @@ TEST(OooCore, RestartSimulatesWhatAFreshCoreDoes)
     used.run(a, ~0ULL);
     fresh.run(b, ~0ULL);
     expectSameStats(used.snapshot(), fresh.snapshot());
+}
+
+TEST(OooCore, DetailedSpanTrainsTablesAsWarmingDoes)
+{
+    // The sampling walk measures a unit on the tables it warmed, then
+    // resumes warming from the unit's end, so simulating a span in
+    // detail must leave the caches, TLBs and predictor as functionally
+    // warming it does, up to LRU stamp values that no later hit, miss
+    // or victim can see. A later unit measured on each pair must read
+    // the same, on every configuration axis the tables' training
+    // depends on: the PB rows, the next-line prefetcher, and FIFO and
+    // random replacement.
+    std::vector<SimConfig> configs =
+        pbDesignConfigs(PbDesign::forFactors(numPbFactors(), false));
+    for (const SimConfig &config : architecturalConfigs())
+        configs.push_back(
+            withEnhancement(config, Enhancement::NextLinePrefetch));
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::Fifo, ReplacementPolicy::Random}) {
+        SimConfig config = architecturalConfig(2);
+        config.mem.l1i.replacement = policy;
+        config.mem.l1d.replacement = policy;
+        configs.push_back(config);
+    }
+    ASSERT_EQ(configs.size(), 50u);
+
+    // The span is long enough to mispredict, miss and evict in every
+    // table; the measured unit follows a short warming gap.
+    constexpr uint64_t kSpanStart = 20'000;
+    constexpr uint64_t kSpanEnd = 30'000;
+    constexpr uint64_t kUnitStart = 31'000;
+    constexpr uint64_t kUnitInsts = 3'000;
+    SuiteConfig suite;
+    suite.referenceInstructions = 40'000;
+    for (const char *bench : {"gcc", "mcf"}) {
+        auto trace = ExecTrace::record(
+            buildWorkload(bench, InputSet::Reference, suite).program);
+        ASSERT_GE(trace->length(), kUnitStart + kUnitInsts);
+        for (size_t c = 0; c < configs.size(); ++c) {
+            SCOPED_TRACE(std::string(bench) + " config " +
+                         std::to_string(c));
+            OooCore detailed(configs[c]);
+            OooCore warmed(configs[c]);
+            TraceReplayer a(trace);
+            TraceReplayer b(trace);
+            auto warm = [](TraceReplayer &src, OooCore &core,
+                           uint64_t insts) {
+                return src.fastForwardWarm(insts, &core.memHierarchy(),
+                                           &core.predictor());
+            };
+            ASSERT_EQ(warm(a, detailed, kSpanStart), kSpanStart);
+            ASSERT_EQ(warm(b, warmed, kSpanStart), kSpanStart);
+
+            detailed.restart();
+            ASSERT_EQ(detailed.run(a, kSpanEnd - kSpanStart),
+                      kSpanEnd - kSpanStart);
+            ASSERT_GT(detailed.snapshot().condMispredicts, 0u);
+            ASSERT_EQ(warm(b, warmed, kSpanEnd - kSpanStart),
+                      kSpanEnd - kSpanStart);
+
+            for (auto [src, core] : {std::pair{&a, &detailed},
+                                     std::pair{&b, &warmed}}) {
+                ASSERT_EQ(warm(*src, *core, kUnitStart - kSpanEnd),
+                          kUnitStart - kSpanEnd);
+                core->restart();
+            }
+            expectSameStats(detailed.runMeasured(a, kUnitInsts),
+                            warmed.runMeasured(b, kUnitInsts));
+        }
+    }
 }
 
 TEST(OooCore, ChunkedRunMatchesMonolithicExactly)
