@@ -224,7 +224,9 @@ class LivePointLibrary
      * the unit as a snapshot delta. Results come back in @p indices
      * order regardless of scheduling, and every per-unit value is
      * bit-identical between @p parallel true and false (the fan-out is
-     * the only difference) and to walkUnits over the same indices.
+     * the only difference) and to walkUnits over the same indices,
+     * whose detailed units train the tables over their own spans where
+     * this library's pass warms every span functionally.
      *
      * All requested points must be resident (ensure() first). On
      * cancellation the call throws CancelledError instead of

@@ -19,11 +19,11 @@
  * strict superset of a sparser one, so the units the previous attempt
  * measured are reused verbatim instead of re-simulated (TurboSMARTSim's
  * observation). Each attempt measures its new units along one warming
- * walk (walkUnits): functional warming over the trace, with each unit
- * run in detail on a core that starts from a copy of the warmed tables
- * at the unit's warm start. A unit therefore costs its detailed length
- * plus the warming the walk does anyway; nothing is serialized or
- * persisted.
+ * walk (walkUnits): functional warming of the gaps between units on
+ * the walk's one core, whose tables each unit's detailed run then
+ * trains through the unit's span. A walk therefore costs warming of
+ * the gaps plus the units' detailed length; nothing is copied,
+ * serialized or persisted.
  *
  * The initial sample count is scaled from the paper's n = 10,000 by the
  * instruction-budget ratio (DESIGN.md section 5) and can be overridden.
