@@ -40,10 +40,7 @@ windowCpi(const TechniqueContext &ctx, const SimConfig &config,
         stream.fastForward(ff);
     if (warm > 0)
         core.run(stream, start - stream.instsExecuted());
-    SimStats before = core.snapshot();
-    core.run(stream, len);
-    SimStats delta = core.snapshot() - before;
-    return delta.cpi();
+    return core.runMeasured(stream, len).cpi();
 }
 
 } // namespace

@@ -82,11 +82,11 @@ RandomSampling::run(const TechniqueContext &ctx,
         core.resetPipeline();
         if (warmupInsts > 0)
             core.run(stream, warmupInsts);
-        SimStats before = core.snapshot();
-        uint64_t done = core.run(stream, unitInsts, &profiler);
+        uint64_t done = 0;
+        SimStats delta =
+            core.runMeasured(stream, unitInsts, &profiler, &done);
         if (done == 0)
             break;
-        SimStats delta = core.snapshot() - before;
         unit_cpis.push_back(delta.cpi());
         measured += delta;
         detailed += warmupInsts + done;

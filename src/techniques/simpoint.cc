@@ -251,10 +251,10 @@ SimPoint::run(const TechniqueContext &ctx, const SimConfig &config) const
         if (stream.instsExecuted() < point.startInst)
             core.run(stream, point.startInst - stream.instsExecuted());
 
-        SimStats before = core.snapshot();
         profiler.setWeight(point.weight);
-        uint64_t done = core.run(stream, interval_insts, &profiler);
-        SimStats delta = core.snapshot() - before;
+        uint64_t done = 0;
+        SimStats delta =
+            core.runMeasured(stream, interval_insts, &profiler, &done);
         detailed += done + warmup_insts;
         last_position = point.startInst + done;
 

@@ -64,9 +64,9 @@ TruncatedExecution::run(const TechniqueContext &ctx,
     if (warm_insts > 0)
         warm_done = core.run(src, warm_insts);
 
-    SimStats before = core.snapshot();
-    uint64_t run_done = core.run(src, run_insts, &profiler);
-    SimStats measured = core.snapshot() - before;
+    uint64_t run_done = 0;
+    SimStats measured =
+        core.runMeasured(src, run_insts, &profiler, &run_done);
 
     if (run_done == 0) {
         warn("%s/%s: window beyond program end (ff %llu of %llu)",
