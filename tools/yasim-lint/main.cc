@@ -1,6 +1,6 @@
 /**
  * @file
- * yasim-analyze command-line driver (also installed as yasim-lint).
+ * yasim-analyze command-line driver.
  *
  *     yasim-analyze [--root DIR] [--rules R1,R2] [--allow SUFFIX:RULE]
  *                   [--no-builtin-allowlist] [--list-rules]
