@@ -72,10 +72,11 @@ costKeyText(const CostModel &cost)
 
 /**
  * Sharding segment of the result key. Empty when sharding is off, so
- * sequential results keep their historical keys (and caches); when on,
+ * unsharded results keep their historical keys (and caches); when on,
  * the shard plan changes the stitched statistics and the modeled cost,
- * so every knob that shapes the plan — and the stitch discipline —
- * participates.
+ * so every knob that shapes the plan participates. "stitch=drain"
+ * names the one stitching discipline (every shard starts on a drained
+ * pipeline), kept literally so existing keys do not move.
  */
 // yasim-lint: key(result) covers ShardOptions(sim/sharded.hh)
 std::string
@@ -83,9 +84,8 @@ shardKeyText(const ShardOptions &shards)
 {
     if (!shards.enabled())
         return "";
-    return csprintf("shards{n=%u,warm=%llu,stitch=%s}", shards.shards,
-                    static_cast<unsigned long long>(shards.warmupInsts),
-                    stitchModeName(shards.stitch));
+    return csprintf("shards{n=%u,warm=%llu,stitch=drain}", shards.shards,
+                    static_cast<unsigned long long>(shards.warmupInsts));
 }
 
 } // namespace
@@ -157,13 +157,6 @@ resultKeyStamper()
                             {"cfg", "cfg="}});
 }
 
-CacheKeyStamper
-referenceLengthKeyStamper()
-{
-    return CacheKeyStamper(csprintf("v%d|reflen", kCacheFormatVersion),
-                           {{"bench", "bench="}, {"suite", ""}});
-}
-
 // yasim-lint: key(result) covers SuiteConfig(workloads/suite.hh)
 std::string
 suiteKeyText(const SuiteConfig &suite)
@@ -196,16 +189,6 @@ resultCacheKey(const Technique &technique, const TechniqueContext &ctx,
     stamper.stamp("tech", technique.cacheKey())
         .stamp("cfg", configKeyText(config));
     return stamper.finish();
-}
-
-std::string
-referenceLengthKey(const std::string &benchmark,
-                   const SuiteConfig &suite)
-{
-    return referenceLengthKeyStamper()
-        .stamp("bench", benchmark)
-        .stamp("suite", suiteKeyText(suite))
-        .finish();
 }
 
 std::string

@@ -86,9 +86,6 @@ class CacheKeyStamper
 /** Stamper with the result-key layout (bench/suite/cost/shards/tech/cfg). */
 CacheKeyStamper resultKeyStamper();
 
-/** Stamper with the reference-length layout (bench/suite). */
-CacheKeyStamper referenceLengthKeyStamper();
-
 /** Canonical text for suite scaling. */
 std::string suiteKeyText(const SuiteConfig &suite);
 
@@ -99,10 +96,6 @@ std::string configKeyText(const SimConfig &config);
 std::string resultCacheKey(const Technique &technique,
                            const TechniqueContext &ctx,
                            const SimConfig &config);
-
-/** Canonical key for a benchmark's reference-length measurement. */
-std::string referenceLengthKey(const std::string &benchmark,
-                               const SuiteConfig &suite);
 
 /** 32-hex-char content digest of a key text (disk file stem). */
 std::string cacheDigest(const std::string &key_text);

@@ -277,32 +277,6 @@ ExperimentEngine::simulate(const Technique &technique,
     }
 }
 
-uint64_t
-ExperimentEngine::referenceLength(const std::string &benchmark,
-                                  const SuiteConfig &suite)
-{
-    const std::string key = referenceLengthKey(benchmark, suite);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = refLengths.find(key);
-        if (it != refLengths.end()) {
-            ++ctr.refLengthHits;
-            return it->second;
-        }
-    }
-
-    // The reference recording *is* the measurement: its dynamic length
-    // equals what a plain architectural fast-forward would count, and
-    // the trace is needed by the sweep anyway (the store dedups against
-    // its own memory/disk caches).
-    uint64_t length =
-        traces.get(benchmark, InputSet::Reference, suite)->length();
-    std::lock_guard<std::mutex> lock(mutex);
-    ++ctr.refLengthFromTrace;
-    refLengths.emplace(key, length);
-    return length;
-}
-
 TechniqueContext
 ExperimentEngine::context(const std::string &benchmark,
                           const SuiteConfig &suite)
@@ -423,7 +397,6 @@ ExperimentEngine::printStats(std::ostream &os) const
                   total > 0.0
                       ? Table::pct(100.0 * c.workUnitsSaved / total, 1)
                       : "-"});
-    table.addRow({"ref-length hits", Table::count(c.refLengthHits)});
     table.addRow({"grid jobs scheduled", Table::count(c.gridJobs)});
     table.addRow({"cache corrupt (quarantined)",
                   Table::count(c.cacheCorrupt)});
@@ -453,8 +426,6 @@ ExperimentEngine::printStats(std::ostream &os) const
     table.addRow({"trace version misses",
                   Table::count(t.versionMisses)});
     table.addRow({"trace io retries", Table::count(t.ioRetries)});
-    table.addRow({"ref lengths from traces",
-                  Table::count(c.refLengthFromTrace)});
     table.addRule();
     table.addRow({"pool workers",
                   Table::count(globalPool().workerThreads() + 1)});
@@ -492,7 +463,6 @@ ExperimentEngine::appendCounters(JsonReport &report) const
     report.setNumber("work_saved_pct",
                      total > 0.0 ? 100.0 * c.workUnitsSaved / total
                                  : 0.0);
-    report.setCount("ref_length_hits", c.refLengthHits);
     report.setCount("grid_jobs", c.gridJobs);
     report.setCount("cache_corrupt", c.cacheCorrupt);
     report.setCount("cache_version_misses", c.cacheVersionMiss);
@@ -513,7 +483,6 @@ ExperimentEngine::appendCounters(JsonReport &report) const
     report.setCount("trace_quarantined", t.quarantined);
     report.setCount("trace_version_misses", t.versionMisses);
     report.setCount("trace_io_retries", t.ioRetries);
-    report.setCount("ref_lengths_from_traces", c.refLengthFromTrace);
     report.setCount("pool_workers", globalPool().workerThreads() + 1);
     report.setCount("pool_batches", pool.batches);
     report.setCount("pool_tasks", pool.tasks);

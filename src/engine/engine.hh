@@ -26,7 +26,6 @@
 #include <atomic>
 #include <iosfwd>
 #include <list>
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -83,9 +82,6 @@ struct EngineCounters
     uint64_t evictions = 0;
     /** Technique::run invocations that actually simulated. */
     uint64_t runsExecuted = 0;
-    uint64_t refLengthHits = 0;
-    /** Reference lengths resolved from a recorded trace's length. */
-    uint64_t refLengthFromTrace = 0;
     /** Jobs scheduled through runAll(). */
     uint64_t gridJobs = 0;
     /**
@@ -139,10 +135,6 @@ class ExperimentEngine : public SimulationService
     TechniqueResult run(const Technique &technique,
                         const TechniqueContext &ctx,
                         const SimConfig &config) override;
-
-    /** Memoized (and disk-cached) reference length. */
-    uint64_t referenceLength(const std::string &benchmark,
-                             const SuiteConfig &suite) override;
 
     /** TechniqueContext::make through this engine. */
     TechniqueContext context(const std::string &benchmark,
@@ -247,7 +239,6 @@ class ExperimentEngine : public SimulationService
      * computes in its place: the cancellation was not its own.
      */
     SingleFlight<TechniqueResult> inflight{mutex};
-    std::map<std::string, uint64_t> refLengths;
     EngineCounters ctr;
     /** One degraded-cache warning per run, however many entries rot. */
     std::atomic<bool> ioWarned{false};

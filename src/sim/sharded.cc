@@ -46,16 +46,6 @@ refuseStitchIfCancelled(const CancelToken &cancel,
 
 } // namespace
 
-const char *
-stitchModeName(StitchMode mode)
-{
-    switch (mode) {
-      case StitchMode::Drain:
-        return "drain";
-    }
-    return "unknown";
-}
-
 uint64_t
 shardSpacingFor(uint64_t length)
 {

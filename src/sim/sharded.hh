@@ -15,10 +15,12 @@
  *
  * Exactness contract (docs/perf.md): instruction, conditional-branch,
  * data-reference, and trivial-op counters are bit-identical to the
- * sequential run; cycle and miss counters carry a small boundary error
+ * one-slice run; cycle and miss counters carry a small boundary error
  * (warmed-not-simulated lead-ins), empirically well under the 0.5%
- * CPI tolerance the SMARTS literature predicts. `--shards 1` takes the
- * sequential path and is byte-identical to it.
+ * CPI tolerance the SMARTS literature predicts. One slice is how every
+ * unsharded reference and every reduced input runs
+ * (runWholeProgram, techniques/full_reference.hh): one cold core
+ * detail-simulates the whole trace and nothing is warmed.
  *
  * Every shard warms its lead-in in process (warmTo, sim/sampling.hh)
  * and persists nothing: at tens of millions of warmed instructions per
@@ -41,24 +43,10 @@ namespace yasim {
 
 class ExecTrace;
 
-/** How per-shard statistics combine into whole-run statistics. */
-enum class StitchMode
-{
-    /**
-     * Each shard starts on a drained (empty) pipeline and counters
-     * sum in shard-index order. The only mode; named so the cache key
-     * can record it and any future mode invalidates cleanly.
-     */
-    Drain,
-};
-
-/** Printable stitch-mode name (used by the result cache key). */
-const char *stitchModeName(StitchMode mode);
-
 /** Sharding knobs, carried from the driver down to the techniques. */
 struct ShardOptions
 {
-    /** Worker slices for the reference detailed run (1 = sequential). */
+    /** Worker slices for the reference detailed run (1 = one slice). */
     uint32_t shards = 1;
     /**
      * Functional-warming lead-in per shard in instructions; 0 warms
@@ -67,10 +55,8 @@ struct ShardOptions
      * from the aligned shard boundary minus the bound.
      */
     uint64_t warmupInsts = 0;
-    /** Stitching discipline (part of the result cache key). */
-    StitchMode stitch = StitchMode::Drain;
 
-    /** True when the sharded path is active. */
+    /** True when the run splits into more than one slice. */
     bool enabled() const { return shards > 1; }
 };
 
@@ -121,7 +107,8 @@ struct ShardedRunResult
  * Run the reference detailed simulation sharded over @p trace.
  * Workers replay independent cursors of the shared immutable trace;
  * parallelism comes from the global pool (nested invocations simply
- * run inline). @p opts.shards of 1 degrades to the sequential loop.
+ * run inline). @p opts.shards of 1 plans one slice, which is how every
+ * unsharded reference and every reduced input runs.
  *
  * A valid @p cancel token stops the fan-out cooperatively: unstarted
  * shards are skipped, running ones return at their next batch-boundary

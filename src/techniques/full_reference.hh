@@ -12,6 +12,21 @@
 
 namespace yasim {
 
+/**
+ * The one whole-program detailed run: detail-simulate @p input's
+ * recorded stream to completion, split into @p shards slices
+ * (sim/sharded.hh; one slice is the plain run from a cold core). The
+ * trace carries the full-run profile a detailed pass would accumulate,
+ * so no profiler is attached. Work units charge every instruction at
+ * the detailed rate plus the plan's functional-warming lead-ins, so
+ * sharding buys wall-clock, never fewer work units. Polls ctx.cancel
+ * and throws CancelledError charged with the partial work. The
+ * result's technique labels are left empty.
+ */
+TechniqueResult runWholeProgram(const TechniqueContext &ctx,
+                                const SimConfig &config, InputSet input,
+                                const ShardOptions &shards);
+
 /** Full detailed simulation of the reference input. */
 class FullReference : public Technique
 {

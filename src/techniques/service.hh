@@ -30,7 +30,7 @@ struct GridJob
     const SimConfig *config = nullptr;
 };
 
-/** Abstract provider of technique results and reference lengths. */
+/** Abstract provider of technique results and instruction streams. */
 class SimulationService
 {
   public:
@@ -55,13 +55,10 @@ class SimulationService
         return results;
     }
 
-    /** Dynamic length of @p benchmark's reference input. */
-    virtual uint64_t referenceLength(const std::string &benchmark,
-                                     const SuiteConfig &suite) = 0;
-
     /**
      * The shared execution-trace store (never null).
-     * TechniqueContext::make copies this into the context it builds.
+     * TechniqueContext::make copies this into the context it builds
+     * and reads the reference length off its reference recording.
      */
     virtual TraceStore *traceStore() = 0;
 };
@@ -79,13 +76,6 @@ class DirectService final : public SimulationService
                         const SimConfig &config) override
     {
         return technique.run(ctx, config);
-    }
-
-    uint64_t referenceLength(const std::string &benchmark,
-                             const SuiteConfig &suite) override
-    {
-        return traces.get(benchmark, InputSet::Reference, suite)
-            ->length();
     }
 
     TraceStore *traceStore() override { return &traces; }

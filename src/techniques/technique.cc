@@ -18,8 +18,9 @@ TechniqueContext::make(const std::string &benchmark,
     TechniqueContext ctx;
     ctx.benchmark = benchmark;
     ctx.suite = suite;
-    ctx.referenceLength = service.referenceLength(benchmark, suite);
     ctx.traces = service.traceStore();
+    ctx.referenceLength =
+        ctx.traces->get(benchmark, InputSet::Reference, suite)->length();
     return ctx;
 }
 

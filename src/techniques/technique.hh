@@ -75,9 +75,10 @@ struct TechniqueContext
     TraceStore *traces = nullptr;
     /**
      * Sharded parallel detailed simulation (sim/sharded.hh).
-     * Applies to the full-reference run only — sampling techniques are
-     * already cheap and their measured units are not shard-sized. The
-     * default (1 shard) is the exact sequential path.
+     * Applies to the full-reference run only — reduced inputs always
+     * run as one slice, and sampling techniques are already cheap and
+     * their measured units are not shard-sized. The default (1 shard)
+     * runs the whole reference as one slice on one cold core.
      */
     ShardOptions shards;
     /**
@@ -98,9 +99,10 @@ struct TechniqueContext
     }
 
     /**
-     * Build a context with the reference length and trace store of
-     * @p service — the length is the recorded reference trace's, so
-     * it is measured once per store. The preferred construction path.
+     * Build a context over @p service's trace store, whose recorded
+     * reference trace gives the reference length — the recording *is*
+     * the measurement, so it is taken once per store. The preferred
+     * construction path.
      */
     static TechniqueContext make(const std::string &benchmark,
                                  const SuiteConfig &suite,

@@ -58,7 +58,7 @@ struct TraceCounters
     /**
      * The hits that waited for that recording to finish. Which
      * request gets there first is scheduling, so concurrent callers
-     * see this vary between identical runs. ExperimentEngine::prefetch
+     * see this vary between identical runs. ExperimentEngine::runAll
      * records a grid's streams before fanning it out, so a grid's
      * cells never join.
      */

@@ -28,6 +28,7 @@
 #include "support/failpoint.hh"
 #include "support/parallel.hh"
 #include "techniques/full_reference.hh"
+#include "techniques/reduced_input.hh"
 #include "techniques/service.hh"
 #include "techniques/smarts.hh"
 #include "uarch/branch_predictor.hh"
@@ -476,6 +477,67 @@ TEST(EngineCancel, SmartsCancelledMidWalkChargesWhatItSimulated)
     ExperimentEngine clean;
     TechniqueResult fresh =
         clean.run(smarts, clean.context("gzip", suite), config);
+    expectBitIdentical(retried, fresh);
+}
+
+TEST(EngineCancel, ReducedInputStopsAtACancelPoll)
+{
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    ExperimentEngine engine;
+    // Building the context records the reference and the store lookup
+    // records the train input, so every poll below belongs to the run.
+    TechniqueContext ctx = engine.context("gzip", suite);
+    const uint64_t train_length =
+        engine.traceStore()->get("gzip", InputSet::Train, suite)->length();
+    ReducedInput reduced(InputSet::Train);
+    SimConfig config = architecturalConfig(1);
+
+    CancelledError caught;
+    {
+        // Five polls pass before the one that fires: the engine's before
+        // the run, the inline one-task parallelFor's at its claim, the
+        // shard worker's before its measured run, then the core's first
+        // two, one per 8,192 committed instructions. The core's third
+        // poll fires.
+        failpoint::ScopedSchedule sched("engine.cancel.token=after5");
+        CancelSource source;
+        ctx.cancel = source.token();
+        bool threw = false;
+        try {
+            engine.run(reduced, ctx, config);
+        } catch (const CancelledError &err) {
+            threw = true;
+            caught = err;
+        }
+        ASSERT_TRUE(threw) << "the reduced input never polled";
+    }
+    EXPECT_EQ(caught.cause, CancelCause::Cancelled);
+    EXPECT_GT(caught.detailedInsts, 0u);
+    EXPECT_LT(caught.detailedInsts, train_length);
+    EXPECT_GE(caught.detailedInsts, 2 * OooCore::kCancelCheckInsts);
+    EXPECT_LT(caught.detailedInsts, 3 * OooCore::kCancelCheckInsts + 512);
+    EXPECT_EQ(caught.warmedInsts, 0u);
+    EXPECT_TRUE(bitEq(caught.partialWorkUnits,
+                      ctx.cost.detailedPerInst *
+                          static_cast<double>(caught.detailedInsts)));
+
+    // The engine charged that partial work and memoized nothing.
+    EngineCounters after = engine.counters();
+    EXPECT_EQ(after.runsCancelled, 1u);
+    EXPECT_EQ(after.runsExecuted, 0u);
+    EXPECT_TRUE(bitEq(after.workUnitsComputed, caught.partialWorkUnits));
+
+    // The retry recomputes and matches a never-cancelled engine.
+    failpoint::ScopedSchedule off("");
+    ctx.cancel = CancelToken();
+    TechniqueResult retried = engine.run(reduced, ctx, config);
+    EXPECT_EQ(engine.counters().runsExecuted, 1u);
+    EXPECT_EQ(engine.counters().memoHits, 0u);
+
+    ExperimentEngine clean;
+    TechniqueResult fresh =
+        clean.run(reduced, clean.context("gzip", suite), config);
     expectBitIdentical(retried, fresh);
 }
 

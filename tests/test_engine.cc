@@ -613,13 +613,16 @@ TEST(Engine, DiskCacheRoundTripsAcrossEngines)
     // the trace store (whose trace also loads from disk, not a fresh
     // interpretation).
     ExperimentEngine cold({.cacheDir = scratch.str()});
-    TechniqueResult loaded =
-        cold.run(smarts, cold.context("gzip", suite), config);
+    const TechniqueContext ctx = cold.context("gzip", suite);
+    TechniqueResult loaded = cold.run(smarts, ctx, config);
     EngineCounters ctr = cold.counters();
     EXPECT_EQ(ctr.runsExecuted, 0u);
     EXPECT_GE(ctr.diskHits, 1u);
-    EXPECT_GE(ctr.refLengthFromTrace, 1u);
     ASSERT_NE(cold.traceStore(), nullptr);
+    EXPECT_EQ(ctx.referenceLength,
+              cold.traceStore()
+                  ->get("gzip", InputSet::Reference, suite)
+                  ->length());
     EXPECT_EQ(cold.traceStore()->counters().recordings, 0u);
     EXPECT_GE(cold.traceStore()->counters().diskLoads, 1u);
     expectBitIdentical(loaded, fresh);

@@ -35,6 +35,7 @@
 #include "service/daemon.hh"
 #include "support/artifact_io.hh"
 #include "support/failpoint.hh"
+#include "techniques/full_reference.hh"
 
 using namespace yasim;
 
@@ -479,11 +480,16 @@ TEST(CacheKeyStamper, HistoricalLayoutPreservedByteForByte)
               "shards{n=2,warm=500,stitch=sum}|"
               "tech=reference|full|cfg=X");
 
-    std::string reflen = referenceLengthKeyStamper()
-                             .stamp("bench", "gzip")
-                             .stamp("suite", "ref=1000,seed=2")
-                             .finish();
-    EXPECT_EQ(reflen, "v2|reflen|bench=gzip|ref=1000,seed=2");
+    // The segment a sharded context stamps: every sharded result
+    // already in a cache directory is filed under this text.
+    TechniqueContext ctx;
+    ctx.benchmark = "gzip";
+    ctx.shards.shards = 4;
+    ctx.shards.warmupInsts = 65536;
+    EXPECT_NE(resultCacheKey(FullReference(), ctx, SimConfig{})
+                  .find("|shards{n=4,warm=65536,stitch=drain}|"
+                        "tech=reference|full|"),
+              std::string::npos);
 }
 
 TEST(CacheKeyStamperDeath, MisuseIsDiagnosed)

@@ -899,7 +899,6 @@ TEST(TraceEngine, ConfigurationSweepInterpretsOnce)
     TraceCounters ctr = engine.traceStore()->counters();
     EXPECT_EQ(ctr.recordings, 1u);
     EXPECT_GE(ctr.hits + ctr.inflightJoins, 1u);
-    EXPECT_EQ(engine.counters().refLengthFromTrace, 1u);
 }
 
 } // namespace
