@@ -1,6 +1,7 @@
 #include "engine/engine.hh"
 
 #include <filesystem>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -23,6 +24,21 @@ namespace {
 
 /** Inner frame magic for the engine's result artifacts. */
 constexpr char kResultMagic[] = "yasim-result";
+
+/**
+ * @p result under @p technique's display labels. The cache key
+ * deliberately ignores them (a SimPoint labelled "max_k=30" and one
+ * labelled "dim=15" with identical parameters share a key), so every
+ * result is restamped with the requesting technique's labels before
+ * it is handed back.
+ */
+TechniqueResult
+relabel(TechniqueResult result, const Technique &technique)
+{
+    result.technique = technique.name();
+    result.permutation = technique.permutation();
+    return result;
+}
 
 } // namespace
 
@@ -118,25 +134,57 @@ ExperimentEngine::loadResultFromDisk(const std::string &key_text,
 
 void
 ExperimentEngine::storeResultToDisk(const std::string &key_text,
-                                    const TechniqueResult &result)
+                                    const TechniqueResult &result,
+                                    ArtifactBatch *batch)
 {
     std::ostringstream payload;
     writeResult(payload, key_text, result);
     const std::string path = diskPath(key_text, ".result");
-    ArtifactWriteResult wrote = writeArtifact(
-        path, kResultMagic, kCacheFormatVersion, payload.str());
+    // A staged write counts once its batch publishes it.
+    auto published = [this] {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++ctr.diskWrites;
+    };
+    const ArtifactWriteResult wrote =
+        batch ? batch->stage(path, kResultMagic, kCacheFormatVersion,
+                             payload.str(), published)
+              : writeArtifact(path, kResultMagic, kCacheFormatVersion,
+                              payload.str());
     {
         std::lock_guard<std::mutex> lock(mutex);
         ctr.ioRetries += wrote.retries;
-        if (wrote.ok)
-            ++ctr.diskWrites;
     }
     if (!wrote.ok) {
         warn("cannot write result cache file '%s': %s", path.c_str(),
              wrote.error.c_str());
         return;
     }
-    enforceCacheBudget();
+    if (!batch) {
+        published();
+        enforceCacheBudget();
+    }
+}
+
+void
+ExperimentEngine::publishBatch(ArtifactBatch &batch)
+{
+    const ArtifactPublishResult published = batch.publish();
+    if (published.staged == 0)
+        return;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++ctr.diskBarriers;
+    }
+    if (!published.barrierError.empty()) {
+        warn("cannot make %llu staged cache files durable: %s; none was "
+             "published (their results are still returned)",
+             static_cast<unsigned long long>(published.staged),
+             published.barrierError.c_str());
+    }
+    for (const std::string &error : published.errors)
+        warn("%s", error.c_str());
+    if (published.published)
+        enforceCacheBudget();
 }
 
 void
@@ -178,20 +226,13 @@ ExperimentEngine::run(const Technique &technique,
                       const TechniqueContext &ctx,
                       const SimConfig &config)
 {
-    TechniqueResult result = fetch(technique, ctx, config);
-    // The cache key deliberately ignores display labels (a SimPoint
-    // labelled "max_k=30" and one labelled "dim=15" with identical
-    // parameters share a key), so restamp the labels of the requesting
-    // technique before handing the result back.
-    result.technique = technique.name();
-    result.permutation = technique.permutation();
-    return result;
+    return relabel(fetch(technique, ctx, config, nullptr), technique);
 }
 
 TechniqueResult
 ExperimentEngine::fetch(const Technique &technique,
                         const TechniqueContext &ctx,
-                        const SimConfig &config)
+                        const SimConfig &config, ArtifactBatch *batch)
 {
     const std::string key = resultCacheKey(technique, ctx, config);
 
@@ -243,12 +284,12 @@ ExperimentEngine::fetch(const Technique &technique,
         if (ctx.cancel.cancelled() ||
             failpoint::fire("engine.cancel.write")) {
             // Cancelled between completion and publish: abort the
-            // write outright. Atomic temp+rename means no torn file
+            // write outright, before anything is staged, so no file
             // exists either way; the next process recomputes.
             lock.lock();
             ++ctr.cacheWritesAborted;
         } else {
-            storeResultToDisk(key, result);
+            storeResultToDisk(key, result, batch);
         }
     }
     return std::move(result);
@@ -325,21 +366,41 @@ ExperimentEngine::runAll(const std::vector<GridJob> &jobs)
                 .second)
             streams.push_back(&job);
     }
-    globalPool().parallelFor(streams.size(), [&](size_t i) {
-        const GridJob &job = *streams[i];
-        traces.get(job.ctx->benchmark, job.technique->input(),
-                   job.ctx->suite);
-    });
 
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ctr.gridJobs += jobs.size();
-    }
+    // The batch's cache writes are staged and published together: one
+    // barrier instead of an fsync per file.
+    std::optional<ArtifactBatch> batch;
+    if (!opts.cacheDir.empty())
+        batch.emplace(opts.cacheDir);
+    ArtifactBatch *staging = batch ? &*batch : nullptr;
+
     std::vector<TechniqueResult> results(jobs.size());
-    globalPool().parallelFor(computed.size(), [&](size_t d) {
-        const GridJob &job = jobs[computed[d]];
-        results[computed[d]] = run(*job.technique, *job.ctx, *job.config);
-    });
+    try {
+        globalPool().parallelFor(streams.size(), [&](size_t i) {
+            const GridJob &job = *streams[i];
+            traces.get(job.ctx->benchmark, job.technique->input(),
+                       job.ctx->suite, staging);
+        });
+
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            ctr.gridJobs += jobs.size();
+        }
+        globalPool().parallelFor(computed.size(), [&](size_t d) {
+            const GridJob &job = jobs[computed[d]];
+            results[computed[d]] = relabel(
+                fetch(*job.technique, *job.ctx, *job.config, staging),
+                *job.technique);
+        });
+    } catch (...) {
+        // What the finished jobs staged is published all the same, as
+        // their own writes would have been.
+        if (staging)
+            publishBatch(*staging);
+        throw;
+    }
+    if (staging)
+        publishBatch(*staging);
     // A later job of a computed key reads it back as a memo hit under
     // its own labels, as it would if the jobs ran one by one.
     for (size_t i : repeated)
@@ -385,6 +446,7 @@ ExperimentEngine::printStats(std::ostream &os) const
     table.addRow({"in-flight joins", Table::count(c.inflightJoins)});
     table.addRow({"disk hits", Table::count(c.diskHits)});
     table.addRow({"disk writes", Table::count(c.diskWrites)});
+    table.addRow({"disk barriers", Table::count(c.diskBarriers)});
     table.addRow({"evictions", Table::count(c.evictions)});
     table.addRow({"technique runs executed",
                   Table::count(c.runsExecuted)});
@@ -455,6 +517,7 @@ ExperimentEngine::appendCounters(JsonReport &report) const
     report.setCount("inflight_joins", c.inflightJoins);
     report.setCount("disk_hits", c.diskHits);
     report.setCount("disk_writes", c.diskWrites);
+    report.setCount("disk_barriers", c.diskBarriers);
     report.setCount("evictions", c.evictions);
     report.setCount("runs_executed", c.runsExecuted);
     report.setNumber("work_units_computed", c.workUnitsComputed);

@@ -49,9 +49,10 @@ struct EngineOptions
     size_t maxTraceBytes = size_t(1) << 30;
     /**
      * On-disk cache-directory budget in bytes (0 = unbounded;
-     * --cache-budget-mb on every bench). After each artifact write the
-     * oldest files are evicted, by modification time, until the
-     * directory fits — so long-lived shared cache dirs stay bounded.
+     * --cache-budget-mb on every bench). After each artifact write,
+     * and after each runAll() batch publishes, the oldest files are
+     * evicted, by modification time, until the directory fits — so
+     * long-lived shared cache dirs stay bounded.
      */
     uint64_t cacheBudgetBytes = 0;
     /**
@@ -78,7 +79,18 @@ struct EngineCounters
      */
     uint64_t inflightJoins = 0;
     uint64_t diskHits = 0;
+    /**
+     * Result files published under their final name; a runAll()
+     * batch's count once its barrier has returned and its renames
+     * are done.
+     */
     uint64_t diskWrites = 0;
+    /**
+     * Durability barriers issued: one syncfs per runAll() batch that
+     * staged a cache write. A single run() fsyncs its own file and
+     * issues none.
+     */
+    uint64_t diskBarriers = 0;
     uint64_t evictions = 0;
     /** Technique::run invocations that actually simulated. */
     uint64_t runsExecuted = 0;
@@ -113,8 +125,8 @@ struct EngineCounters
     /**
      * Disk-cache writes skipped because the request was cancelled by
      * the time the result would have been published (or the
-     * "engine.cancel.write" failpoint fired). The atomic temp+rename
-     * publish means an abort leaves no file at all — never a torn one.
+     * "engine.cancel.write" failpoint fired). The write is never
+     * staged, so an abort leaves no file at all — never a torn one.
      */
     uint64_t cacheWritesAborted = 0;
     double workUnitsComputed = 0.0;
@@ -147,6 +159,12 @@ class ExperimentEngine : public SimulationService
      * that share a result key are computed once: the first runs in the
      * fan-out, and the later ones are filled afterwards as memo hits,
      * each with its own technique's labels.
+     *
+     * With a cache directory, the batch's writes — each computed
+     * result and each stream the pre-pass records — are staged, and
+     * one syncfs barrier on the directory makes them durable before
+     * they are renamed into place. That happens before runAll returns
+     * (or throws); a batch that staged nothing issues no barrier.
      */
     std::vector<TechniqueResult>
     runAll(const std::vector<GridJob> &jobs) override;
@@ -193,10 +211,14 @@ class ExperimentEngine : public SimulationService
         std::list<std::string>::iterator lruPos;
     };
 
-    /** Memoized lookup-or-compute; labels not yet normalized. */
+    /**
+     * Memoized lookup-or-compute; labels not yet normalized. A
+     * computed result's cache write is staged into @p batch when one
+     * is given, else written at once.
+     */
     TechniqueResult fetch(const Technique &technique,
                           const TechniqueContext &ctx,
-                          const SimConfig &config);
+                          const SimConfig &config, ArtifactBatch *batch);
     /**
      * technique.run(), charging a cancelled run's partial work before
      * its CancelledError propagates.
@@ -211,7 +233,13 @@ class ExperimentEngine : public SimulationService
     bool loadResultFromDisk(const std::string &key_text,
                             TechniqueResult &result);
     void storeResultToDisk(const std::string &key_text,
-                           const TechniqueResult &result);
+                           const TechniqueResult &result,
+                           ArtifactBatch *batch);
+    /**
+     * Publish a runAll() batch: count its barrier, warn about what it
+     * could not publish, and enforce the budget once.
+     */
+    void publishBatch(ArtifactBatch &batch);
     /**
      * Account a framed-artifact read that did not produce a payload:
      * bump the corruption/retry counters and emit the one-per-run
@@ -220,7 +248,7 @@ class ExperimentEngine : public SimulationService
     void noteFailedRead(const std::string &path, const char *what,
                         const std::string &error, bool corrupt,
                         uint32_t retries);
-    /** Enforce cacheBudgetBytes after a write (no-op when 0). */
+    /** Enforce cacheBudgetBytes after a publish (no-op when 0). */
     void enforceCacheBudget();
     /** Insert into the memo table and evict past the bound. Locked. */
     void memoInsert(const std::string &key_text,

@@ -1,11 +1,11 @@
 #include "support/artifact_io.hh"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
+#include <cstring>
 #include <fcntl.h>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -232,14 +232,136 @@ namespace {
 
 /** Seed of the transient-open retry backoff (support/backoff.hh). */
 constexpr uint64_t kOpenBackoffSeed = 0x10a271fac7edULL;
+/** Exit status of a process killed by io.write.crash / io.publish.crash. */
+constexpr int kWriteCrashStatus = 86;
+constexpr int kPublishCrashStatus = 87;
 
+/** A temp name no other write, in this process or another, uses. */
 std::string
 tempName(const std::string &path)
 {
+    static std::atomic<uint64_t> next{0};
     std::ostringstream name;
     name << path << ".tmp." << ::getpid() << "."
-         << std::this_thread::get_id();
+         << next.fetch_add(1, std::memory_order_relaxed);
     return name.str();
+}
+
+/**
+ * The stage step: write @p frame to a fresh temp beside @p path and
+ * name it in @p temp. Every io.* write failpoint fires here. With
+ * @p durable the temp is fsynced before it closes: the barrier of a
+ * batch of one. On failure no temp is left.
+ */
+ArtifactWriteResult
+stageFrame(const std::string &path, std::string_view frame, bool durable,
+           std::string &temp)
+{
+    ArtifactWriteResult result;
+    temp = tempName(path);
+
+    int fd = -1;
+    Backoff retry_backoff(kOpenBackoffSeed);
+    for (uint32_t attempt = 1; attempt <= kMaxOpenAttempts; ++attempt) {
+        if (failpoint::fire("io.open.transient")) {
+            errno = EIO;
+            fd = -1;
+        } else {
+            fd = ::open(temp.c_str(), O_CREAT | O_TRUNC | O_WRONLY,
+                        0644);
+        }
+        if (fd >= 0)
+            break;
+        if (attempt == kMaxOpenAttempts) {
+            result.error =
+                csprintf("cannot open '%s' (%u attempts)", temp.c_str(),
+                         kMaxOpenAttempts);
+            return result;
+        }
+        ++result.retries;
+        retry_backoff.sleep();
+    }
+
+    // An injected short write publishes a deliberately torn frame: the
+    // reader's checksum must catch it (fsync is skipped too, like a
+    // power cut would).
+    bool torn = failpoint::fire("io.write.short");
+    size_t to_write = torn ? frame.size() / 2 : frame.size();
+
+    size_t written = 0;
+    bool write_failed = false;
+    while (written < to_write) {
+        if (failpoint::fire("io.write.crash"))
+            ::_exit(kWriteCrashStatus); // simulated hard kill mid-write
+        size_t n = std::min(kWriteChunk, to_write - written);
+        ssize_t got = ::write(fd, frame.data() + written, n);
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            write_failed = true;
+            break;
+        }
+        written += static_cast<size_t>(got);
+    }
+    if (!write_failed && !torn && durable && ::fsync(fd) != 0)
+        write_failed = true;
+    ::close(fd);
+
+    if (write_failed) {
+        std::error_code ec;
+        fs::remove(temp, ec);
+        result.error = "write failed mid-frame";
+        return result;
+    }
+    result.ok = true;
+    return result;
+}
+
+/**
+ * The publish step for one durable temp: rename @p temp over @p path.
+ * On failure the temp is removed and @p error says why.
+ */
+bool
+renameIntoPlace(const std::string &temp, const std::string &path,
+                std::string &error)
+{
+    if (failpoint::fire("io.publish.crash"))
+        ::_exit(kPublishCrashStatus); // simulated hard kill before a rename
+    std::error_code ec;
+    if (failpoint::fire("io.rename.fail")) {
+        fs::remove(temp, ec);
+        error = "injected rename failure";
+        return false;
+    }
+    fs::rename(temp, path, ec);
+    if (ec) {
+        error = "rename failed: " + ec.message();
+        fs::remove(temp, ec);
+        return false;
+    }
+    return true;
+}
+
+/** A batch's barrier: syncfs(2) on the filesystem holding @p dir. */
+bool
+syncFilesystem(const std::string &dir, std::string &error)
+{
+    if (failpoint::fire("io.sync.fail")) {
+        error = "injected barrier failure";
+        return false;
+    }
+    int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0) {
+        error = csprintf("cannot open '%s': %s", dir.c_str(),
+                         std::strerror(errno));
+        return false;
+    }
+    const bool synced = ::syncfs(fd) == 0;
+    if (!synced)
+        error = csprintf("syncfs on '%s' failed: %s", dir.c_str(),
+                         std::strerror(errno));
+    ::close(fd);
+    return synced;
 }
 
 } // namespace
@@ -325,77 +447,70 @@ ArtifactWriteResult
 writeArtifact(const std::string &path, std::string_view magic,
               uint32_t version, std::string_view payload)
 {
-    ArtifactWriteResult result;
-    std::string frame = encodeFrame(magic, version, payload);
-    const std::string tmp = tempName(path);
+    // A batch of one: its barrier is an fsync of its one file.
+    std::string temp;
+    ArtifactWriteResult result = stageFrame(
+        path, encodeFrame(magic, version, payload), true, temp);
+    if (result.ok && !renameIntoPlace(temp, path, result.error))
+        result.ok = false;
+    return result;
+}
 
-    int fd = -1;
-    Backoff retry_backoff(kOpenBackoffSeed);
-    for (uint32_t attempt = 1; attempt <= kMaxOpenAttempts; ++attempt) {
-        if (failpoint::fire("io.open.transient")) {
-            errno = EIO;
-            fd = -1;
-        } else {
-            fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY,
-                        0644);
-        }
-        if (fd >= 0)
-            break;
-        if (attempt == kMaxOpenAttempts) {
-            result.error =
-                csprintf("cannot open '%s' (%u attempts)", tmp.c_str(),
-                         kMaxOpenAttempts);
-            return result;
-        }
-        ++result.retries;
-        retry_backoff.sleep();
-    }
+ArtifactBatch::ArtifactBatch(std::string dir) : dir(std::move(dir)) {}
 
-    // An injected short write publishes a deliberately torn frame: the
-    // reader's checksum must catch it (fsync is skipped too, like a
-    // power cut would).
-    bool torn = failpoint::fire("io.write.short");
-    size_t to_write = torn ? frame.size() / 2 : frame.size();
-
-    size_t written = 0;
-    bool write_failed = false;
-    while (written < to_write) {
-        if (failpoint::fire("io.write.crash"))
-            ::_exit(86); // simulated hard kill mid-write
-        size_t n = std::min(kWriteChunk, to_write - written);
-        ssize_t got = ::write(fd, frame.data() + written, n);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            write_failed = true;
-            break;
-        }
-        written += static_cast<size_t>(got);
-    }
-    if (!write_failed && !torn && ::fsync(fd) != 0)
-        write_failed = true;
-    ::close(fd);
-
+ArtifactBatch::~ArtifactBatch()
+{
     std::error_code ec;
-    if (write_failed) {
-        fs::remove(tmp, ec);
-        result.error = "write failed mid-frame";
-        return result;
-    }
+    for (const Staged &file : staged)
+        fs::remove(file.temp, ec);
+}
 
-    if (failpoint::fire("io.rename.fail")) {
-        fs::remove(tmp, ec);
-        result.error = "injected rename failure";
+ArtifactWriteResult
+ArtifactBatch::stage(const std::string &path, std::string_view magic,
+                     uint32_t version, std::string_view payload,
+                     OnPublished on_published)
+{
+    std::string temp;
+    ArtifactWriteResult result = stageFrame(
+        path, encodeFrame(magic, version, payload), false, temp);
+    if (result.ok) {
+        std::lock_guard<std::mutex> lock(mutex);
+        staged.push_back({path, std::move(temp), std::move(on_published)});
+    }
+    return result;
+}
+
+ArtifactPublishResult
+ArtifactBatch::publish()
+{
+    std::vector<Staged> files;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        files.swap(staged);
+    }
+    ArtifactPublishResult result;
+    result.staged = files.size();
+    if (files.empty())
+        return result;
+
+    if (!syncFilesystem(dir, result.barrierError)) {
+        std::error_code ec;
+        for (const Staged &file : files)
+            fs::remove(file.temp, ec);
         return result;
     }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        result.error = csprintf("cannot publish '%s': %s", path.c_str(),
-                                ec.message().c_str());
-        fs::remove(tmp, ec);
-        return result;
+    for (const Staged &file : files) {
+        std::string error;
+        if (!renameIntoPlace(file.temp, file.path, error)) {
+            result.errors.push_back(csprintf(
+                "cannot publish '%s': %s", file.path.c_str(),
+                error.c_str()));
+            continue;
+        }
+        ++result.published;
+        if (file.onPublished)
+            file.onPublished();
     }
-    result.ok = true;
     return result;
 }
 

@@ -18,9 +18,12 @@
  *     end mark                                      (u64)
  *
  * and the file must end there: trailing garbage is corruption. Writes
- * build the frame in memory, stream it to a private temp file, fsync,
- * and atomically rename into place, so concurrent processes sharing a
- * cache directory can never observe a torn artifact. Reads verify
+ * build the frame in memory and stage it to a private temp file; a
+ * durability barrier then makes it durable and an atomic rename
+ * publishes it, so concurrent processes sharing a cache directory can
+ * never observe a torn artifact. writeArtifact() is a batch of one,
+ * whose barrier is an fsync of its file; an ArtifactBatch publishes
+ * many staged files behind one syncfs(2). Reads verify
  * every field; any mismatch — bad magic, short file, checksum
  * failure, trailing bytes — quarantines the file to "<path>.corrupt"
  * and reports Corrupt, which callers treat as a miss and recompute.
@@ -38,8 +41,11 @@
 #define YASIM_SUPPORT_ARTIFACT_IO_HH
 
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace yasim {
 
@@ -139,13 +145,83 @@ ArtifactReadResult readArtifact(const std::string &path,
 
 /**
  * Frame @p payload under (@p magic, @p version) and publish it at
- * @p path via write-temp/fsync/atomic-rename. Best-effort: failures
- * are reported, never thrown.
+ * @p path as a batch of one: stage it to a temp file, fsync that file
+ * and rename it into place. Best-effort: failures are reported, never
+ * thrown.
  */
 ArtifactWriteResult writeArtifact(const std::string &path,
                                   std::string_view magic,
                                   uint32_t version,
                                   std::string_view payload);
+
+/** What ArtifactBatch::publish() did. */
+struct ArtifactPublishResult
+{
+    /** Files the batch held; a barrier was issued when non-zero. */
+    uint64_t staged = 0;
+    /** Why the barrier failed, when it did; nothing was published. */
+    std::string barrierError;
+    /** Files renamed into place. */
+    uint64_t published = 0;
+    /** One message per durable file whose rename failed. */
+    std::vector<std::string> errors;
+};
+
+/**
+ * Framed artifacts published together behind one durability barrier.
+ *
+ * stage() frames a payload and writes it to a unique "<path>.tmp.*"
+ * with no fsync; every io.* write failpoint fires there, as in
+ * writeArtifact(). publish() makes every staged file durable with one
+ * syncfs(2) on the filesystem that holds the batch's directory, and
+ * only then renames each into place, so no file appears under its
+ * final name before its bytes are durable. A failed barrier publishes
+ * nothing and removes the temps. A process killed before publish()
+ * returns leaves temps and the files already renamed, never a torn
+ * artifact; a batch destroyed unpublished removes its temps. Every
+ * staged path must live on the directory's filesystem.
+ */
+class ArtifactBatch
+{
+  public:
+    /** Runs once the staged file is under its final name. */
+    using OnPublished = std::function<void()>;
+
+    explicit ArtifactBatch(std::string dir);
+    ~ArtifactBatch();
+
+    ArtifactBatch(const ArtifactBatch &) = delete;
+    ArtifactBatch &operator=(const ArtifactBatch &) = delete;
+
+    /**
+     * Frame @p payload under (@p magic, @p version) and write it to a
+     * temp beside @p path, to be published by publish(). Thread-safe.
+     * On failure nothing is staged and no temp is left.
+     */
+    ArtifactWriteResult stage(const std::string &path,
+                              std::string_view magic, uint32_t version,
+                              std::string_view payload,
+                              OnPublished on_published = {});
+
+    /**
+     * One barrier over everything staged, then the renames, calling
+     * each published file's OnPublished. An empty batch issues no
+     * barrier. The batch is empty afterwards.
+     */
+    ArtifactPublishResult publish();
+
+  private:
+    struct Staged
+    {
+        std::string path;
+        std::string temp;
+        OnPublished onPublished;
+    };
+
+    const std::string dir;
+    std::mutex mutex;
+    std::vector<Staged> staged; // guarded by mutex
+};
 
 /**
  * Move @p path aside to "<path>.corrupt" (replacing any previous

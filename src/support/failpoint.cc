@@ -1,8 +1,11 @@
 #include "support/failpoint.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <string_view>
 
 #include "support/hash.hh"
 #include "support/logging.hh"
@@ -13,6 +16,14 @@ namespace yasim::failpoint {
 namespace {
 
 constexpr uint64_t kDefaultSeed = 0x5ec5fa1171e5ULL;
+
+/** Every site a fire() call evaluates (see failpoint.hh). */
+constexpr std::string_view kCanonicalSites[] = {
+    "engine.cancel.token", "engine.cancel.write", "io.open.transient",
+    "io.publish.crash",    "io.read.corrupt",     "io.rename.fail",
+    "io.sync.fail",        "io.write.crash",      "io.write.short",
+    "svc.accept.transient", "svc.cancel.dispatch", "svc.read.corrupt",
+};
 
 enum class TriggerKind {
     OneIn,  ///< fire with probability 1/n on every evaluation
@@ -74,6 +85,9 @@ parseEntry(Registry &reg, const std::string &entry)
         reg.seed = std::strtoull(trigger.c_str(), nullptr, 10);
         return;
     }
+    if (std::find(std::begin(kCanonicalSites), std::end(kCanonicalSites),
+                  name) == std::end(kCanonicalSites))
+        fatal("failpoint schedule names unknown site '%s'", name.c_str());
     if (trigger == "off") {
         reg.sites.erase(name);
         return;

@@ -18,13 +18,21 @@
  *     site=off      disarm the site
  *     seed=N        reseed the trigger Rng (default seed otherwise)
  *
- * The canonical sites live in support/artifact_io.cc:
+ * The I/O sites live in support/artifact_io.cc:
  *
  *     io.open.transient   open() fails (reader/writer retries)
  *     io.read.corrupt     one bit of the read buffer flips
  *     io.write.short      the payload is silently truncated mid-write
  *     io.rename.fail      the atomic publish rename fails
  *     io.write.crash      the process _exit()s mid-write (torture tests)
+ *     io.sync.fail        a batch's syncfs barrier fails
+ *     io.publish.crash    the process _exit()s after the barrier,
+ *                         before a rename (torture tests)
+ *
+ * The cancellation sites engine.cancel.token and engine.cancel.write
+ * and the service sites svc.accept.transient, svc.read.corrupt and
+ * svc.cancel.dispatch complete the canonical list; a schedule that
+ * names any other site is fatal.
  *
  * Configuration comes from configure() or, lazily on the first fire(),
  * from the YASIM_FAILPOINTS environment variable — which is how the CI
@@ -53,9 +61,9 @@ struct SiteStats
 
 /**
  * Replace the active schedule with @p spec (see grammar above).
- * An empty spec disarms everything. Malformed specs are fatal() — a
- * schedule is user configuration, and a typo must not silently run
- * the suite without faults.
+ * An empty spec disarms everything. Malformed specs and unknown site
+ * names are fatal() — a schedule is user configuration, and a typo
+ * must not silently run the suite without faults.
  */
 void configure(const std::string &spec);
 

@@ -70,21 +70,41 @@ RandomSampling::run(const TechniqueContext &ctx,
     SimStats measured;
     uint64_t detailed = 0, skipped = 0;
 
+    auto cancelled = [&] {
+        CancelledError err;
+        err.cause = ctx.cancel.cause();
+        err.detailedInsts = detailed;
+        err.partialWorkUnits =
+            ctx.cost.fastForwardPerInst * static_cast<double>(skipped) +
+            ctx.cost.detailedPerInst * static_cast<double>(detailed);
+        return err;
+    };
+
     for (uint64_t start : positions) {
         uint64_t warm_start =
             start >= warmupInsts ? start - warmupInsts : 0;
         if (stream.instsExecuted() >= warm_start + warmupInsts)
             continue; // overlapping samples collapse into one
+        // One poll per sample: a unit is far shorter than the core's
+        // poll quantum.
+        if (ctx.cancel.cancelled())
+            throw cancelled();
         if (stream.instsExecuted() < warm_start) {
             uint64_t gap = warm_start - stream.instsExecuted();
             skipped += stream.fastForward(gap); // NO warming: stale state
         }
         core.resetPipeline();
+        uint64_t warm_done = 0;
         if (warmupInsts > 0)
-            core.run(stream, warmupInsts);
+            warm_done = core.run(stream, warmupInsts, nullptr, ctx.cancel);
         uint64_t done = 0;
-        SimStats delta =
-            core.runMeasured(stream, unitInsts, &profiler, &done);
+        SimStats delta = core.runMeasured(stream, unitInsts, &profiler,
+                                          &done, ctx.cancel);
+        // The core polls too; reading the sticky cause polls nothing.
+        if (ctx.cancel.cause() != CancelCause::None) {
+            detailed += warm_done + done;
+            throw cancelled();
+        }
         if (done == 0)
             break;
         unit_cpis.push_back(delta.cpi());

@@ -7,6 +7,7 @@
 
 #include "sim/bb_profiler.hh"
 #include "sim/ooo_core.hh"
+#include "sim/sampling.hh"
 #include "stats/kmeans.hh"
 #include "stats/projection.hh"
 #include "support/logging.hh"
@@ -45,10 +46,16 @@ SimPoint::cacheKey() const
 
 namespace {
 
-/** Phase 1: one projected, L1-normalized BBV per interval. */
+/**
+ * Phase 1: one projected, L1-normalized BBV per interval. @p cancel is
+ * polled every OooCore::kCancelCheckInsts profiled instructions, as a
+ * detailed run polls; a cancelled pass throws CancelledError with
+ * @p profiled set to the instructions it profiled.
+ */
 std::vector<std::vector<double>>
 profileIntervals(TraceReplayer &stream, uint64_t interval_insts,
-                 size_t proj_dim, uint64_t seed, uint64_t *profiled)
+                 size_t proj_dim, uint64_t seed, const CancelToken &cancel,
+                 uint64_t *profiled)
 {
     const Program &program = stream.trace()->program();
     Rng rng(seed);
@@ -66,12 +73,23 @@ profileIntervals(TraceReplayer &stream, uint64_t interval_insts,
         in_interval = 0;
     };
     // Pull interval-bounded batches so every interval boundary lands
-    // exactly where the per-step loop would have put it.
+    // exactly where the per-step loop would have put it, and every poll
+    // on a quantum boundary.
     constexpr uint64_t kProfileBatch = 4096;
     std::vector<ExecRecord> batch(kProfileBatch);
+    uint64_t next_poll = OooCore::kCancelCheckInsts;
     for (;;) {
-        const uint64_t want =
-            std::min(kProfileBatch, interval_insts - in_interval);
+        if (total == next_poll) {
+            if (cancel.cancelled()) {
+                *profiled = total;
+                CancelledError err;
+                err.cause = cancel.cause();
+                throw err;
+            }
+            next_poll += OooCore::kCancelCheckInsts;
+        }
+        const uint64_t want = std::min(
+            {kProfileBatch, interval_insts - in_interval, next_poll - total});
         const uint64_t n = stream.stepBatch(batch.data(), want);
         if (n == 0)
             break;
@@ -130,8 +148,15 @@ SimPoint::computePoints(const TechniqueContext &ctx) const
     const uint64_t interval_insts = intervalInsts(ctx);
 
     uint64_t profiled = 0;
-    auto intervals = profileIntervals(src, interval_insts, projDim, seed,
-                                      &profiled);
+    std::vector<std::vector<double>> intervals;
+    try {
+        intervals = profileIntervals(src, interval_insts, projDim, seed,
+                                     ctx.cancel, &profiled);
+    } catch (CancelledError &cancelled) {
+        cancelled.partialWorkUnits =
+            ctx.cost.profilePerInst * static_cast<double>(profiled);
+        throw;
+    }
 
     Rng rng(seed ^ 0x5eedULL);
     KSelection selection =
@@ -233,6 +258,23 @@ SimPoint::run(const TechniqueContext &ctx, const SimConfig &config) const
     double weight_total = 0.0;
     uint64_t detailed = 0;
     uint64_t last_position = 0;
+    uint64_t warmed = 0;
+
+    // A cancelled run is charged the whole profiling pass, as a
+    // finished one is, and the checkpoints and detailed runs so far.
+    auto cancelled = [&] {
+        CancelledError err;
+        err.cause = ctx.cancel.cause();
+        err.warmedInsts = warmed;
+        err.detailedInsts = detailed;
+        err.partialWorkUnits =
+            ctx.cost.profilePerInst *
+                static_cast<double>(ctx.referenceLength) +
+            ctx.cost.checkpointPerInst *
+                static_cast<double>(stream.instsExecuted()) +
+            ctx.cost.detailedPerInst * static_cast<double>(detailed);
+        return err;
+    };
 
     for (const SimulationPoint &point : points) {
         uint64_t warm_start = point.startInst >= warmup_insts
@@ -241,20 +283,28 @@ SimPoint::run(const TechniqueContext &ctx, const SimConfig &config) const
         // Skipped regions execute with functional warming so each
         // checkpoint carries warm cache/predictor state (the modern
         // SimPoint "warm checkpoint" practice; the paper's assume-hit
-        // warm-up approximates the same thing).
-        if (stream.instsExecuted() < warm_start) {
-            stream.fastForwardWarm(warm_start - stream.instsExecuted(),
-                                   &core.memHierarchy(),
-                                   &core.predictor());
-        }
+        // warm-up approximates the same thing). warmTo polls once per
+        // point, and once per further warming chunk.
+        if (!warmTo(stream, std::max(warm_start, stream.instsExecuted()),
+                    core.memHierarchy(), core.predictor(), ctx.cancel,
+                    warmed))
+            throw cancelled();
         core.resetPipeline();
+        uint64_t warm_done = 0;
         if (stream.instsExecuted() < point.startInst)
-            core.run(stream, point.startInst - stream.instsExecuted());
+            warm_done = core.run(stream,
+                                 point.startInst - stream.instsExecuted(),
+                                 nullptr, ctx.cancel);
 
         profiler.setWeight(point.weight);
         uint64_t done = 0;
-        SimStats delta =
-            core.runMeasured(stream, interval_insts, &profiler, &done);
+        SimStats delta = core.runMeasured(stream, interval_insts, &profiler,
+                                          &done, ctx.cancel);
+        // The core polls too; reading the sticky cause polls nothing.
+        if (ctx.cancel.cause() != CancelCause::None) {
+            detailed += warm_done + done;
+            throw cancelled();
+        }
         detailed += done + warmup_insts;
         last_position = point.startInst + done;
 

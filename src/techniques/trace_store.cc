@@ -102,27 +102,38 @@ TraceStore::loadFromDisk(const std::string &key_text,
 }
 
 void
-TraceStore::spillToDisk(const std::string &key_text,
-                        const ExecTrace &trace)
+TraceStore::spillToDisk(const std::string &key_text, const ExecTrace &trace,
+                        ArtifactBatch *batch)
 {
     const std::string path = diskPath(key_text);
     std::ostringstream payload;
     trace.write(payload, key_text);
-    ArtifactWriteResult wrote =
-        writeArtifact(path, kTraceMagic, kTraceFormatVersion,
-                      payload.str());
+    // A staged spill counts once its batch publishes it; the batch's
+    // owner enforces the budget then.
+    auto published = [this] {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++ctr.diskWrites;
+    };
+    const ArtifactWriteResult wrote =
+        batch ? batch->stage(path, kTraceMagic, kTraceFormatVersion,
+                             payload.str(), published)
+              : writeArtifact(path, kTraceMagic, kTraceFormatVersion,
+                              payload.str());
     uint64_t evicted = 0;
-    if (wrote.ok && opts.cacheBudgetBytes)
+    if (wrote.ok && !batch && opts.cacheBudgetBytes)
         evicted = evictToBudget(opts.cacheDir, opts.cacheBudgetBytes);
-    std::lock_guard<std::mutex> lock(mutex);
-    ctr.ioRetries += wrote.retries;
-    ctr.budgetEvictions += evicted;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ctr.ioRetries += wrote.retries;
+        ctr.budgetEvictions += evicted;
+    }
     if (!wrote.ok) {
         warn("cannot publish trace cache file '%s': %s", path.c_str(),
              wrote.error.c_str());
         return;
     }
-    ++ctr.diskWrites;
+    if (!batch)
+        published();
 }
 
 void
@@ -160,7 +171,7 @@ TraceStore::insertLocked(const std::string &key_text,
 
 std::shared_ptr<const ExecTrace>
 TraceStore::get(const std::string &benchmark, InputSet input,
-                const SuiteConfig &suite)
+                const SuiteConfig &suite, ArtifactBatch *batch)
 {
     const std::string key = keyText(benchmark, input, suite);
 
@@ -197,7 +208,7 @@ TraceStore::get(const std::string &benchmark, InputSet input,
     lock.unlock();
 
     if (!from_disk && !opts.cacheDir.empty())
-        spillToDisk(key, *trace);
+        spillToDisk(key, *trace, batch);
     return trace;
 }
 

@@ -33,6 +33,8 @@
 
 namespace yasim {
 
+class ArtifactBatch;
+
 /** TraceStore construction knobs. */
 struct TraceStoreOptions
 {
@@ -41,7 +43,8 @@ struct TraceStoreOptions
     /** In-memory trace budget in bytes; LRU eviction beyond it. */
     size_t maxBytes = size_t(1) << 30;
     /** Spill-directory budget in bytes (0 = unbounded); the oldest
-     *  artifacts are evicted after each spill to stay under it. */
+     *  artifacts are evicted after each spill written at once to stay
+     *  under it. */
     uint64_t cacheBudgetBytes = 0;
 };
 
@@ -64,6 +67,7 @@ struct TraceCounters
      */
     uint64_t inflightJoins = 0;
     uint64_t diskLoads = 0;
+    /** Spills published under their final name. */
     uint64_t diskWrites = 0;
     uint64_t evictions = 0;
     /** Dynamic instructions captured by recordings. */
@@ -94,11 +98,15 @@ class TraceStore
 
     /**
      * The trace for (@p benchmark, @p input, @p suite): from memory,
-     * from disk, or recorded now (once, however many threads ask).
+     * from disk, or recorded now (once, however many threads ask). A
+     * new recording's spill is staged into @p batch when one is given
+     * (its owner publishes it and enforces the budget), else written
+     * at once.
      */
     std::shared_ptr<const ExecTrace> get(const std::string &benchmark,
                                          InputSet input,
-                                         const SuiteConfig &suite);
+                                         const SuiteConfig &suite,
+                                         ArtifactBatch *batch = nullptr);
 
     /** The stream's identity: requests with equal texts share one
      *  recording. */
@@ -121,7 +129,8 @@ class TraceStore
     std::string diskPath(const std::string &key_text) const;
     std::shared_ptr<const ExecTrace>
     loadFromDisk(const std::string &key_text, const Program &program);
-    void spillToDisk(const std::string &key_text, const ExecTrace &trace);
+    void spillToDisk(const std::string &key_text, const ExecTrace &trace,
+                     ArtifactBatch *batch);
     /** Insert and LRU-evict past the byte budget. Caller holds mutex. */
     void insertLocked(const std::string &key_text,
                       std::shared_ptr<const ExecTrace> trace);

@@ -59,14 +59,34 @@ TruncatedExecution::run(const TechniqueContext &ctx,
     // technique pays, independent of how the simulator gets there.
     const uint64_t ff_done = src.fastForward(ff_insts);
 
-    // Warm-up: detailed simulation whose statistics are discarded.
+    // The cost model, over whatever part of the window has run.
     uint64_t warm_done = 0;
-    if (warm_insts > 0)
-        warm_done = core.run(src, warm_insts);
-
     uint64_t run_done = 0;
-    SimStats measured =
-        core.runMeasured(src, run_insts, &profiler, &run_done);
+    auto work_units = [&] {
+        return ctx.cost.fastForwardPerInst * static_cast<double>(ff_done) +
+               ctx.cost.detailedPerInst * static_cast<double>(warm_done) +
+               ctx.cost.detailedPerInst * static_cast<double>(run_done) +
+               ctx.cost.checkpointPerInst * static_cast<double>(ff_done);
+    };
+    // The core polls ctx.cancel; reading the sticky cause polls nothing.
+    auto throw_if_cancelled = [&] {
+        if (ctx.cancel.cause() == CancelCause::None)
+            return;
+        CancelledError err;
+        err.cause = ctx.cancel.cause();
+        err.detailedInsts = warm_done + run_done;
+        err.partialWorkUnits = work_units();
+        throw err;
+    };
+
+    // Warm-up: detailed simulation whose statistics are discarded.
+    if (warm_insts > 0)
+        warm_done = core.run(src, warm_insts, nullptr, ctx.cancel);
+    throw_if_cancelled();
+
+    SimStats measured = core.runMeasured(src, run_insts, &profiler,
+                                         &run_done, ctx.cancel);
+    throw_if_cancelled();
 
     if (run_done == 0) {
         warn("%s/%s: window beyond program end (ff %llu of %llu)",
@@ -84,11 +104,7 @@ TruncatedExecution::run(const TechniqueContext &ctx,
     result.bbef = profiler.bbef();
     result.bbv = profiler.bbv();
     result.detailedInsts = run_done;
-    result.workUnits =
-        ctx.cost.fastForwardPerInst * static_cast<double>(ff_done) +
-        ctx.cost.detailedPerInst * static_cast<double>(warm_done) +
-        ctx.cost.detailedPerInst * static_cast<double>(run_done) +
-        ctx.cost.checkpointPerInst * static_cast<double>(ff_done);
+    result.workUnits = work_units();
     return result;
 }
 

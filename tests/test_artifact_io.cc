@@ -3,7 +3,8 @@
  * Tests for the deterministic failpoint layer and the framed artifact
  * reader/writer behind every on-disk cache: trigger semantics,
  * byte-level frame verification, quarantine, transient-open retries,
- * torn-write detection, and cache-budget eviction.
+ * torn-write detection, batched publication, and cache-budget
+ * eviction.
  *
  * Every test pins its own failpoint schedule with ScopedSchedule so
  * the assertions hold even when the whole suite runs under a CI
@@ -142,6 +143,15 @@ TEST(FailpointDeathTest, MalformedSpecsAreFatal)
                  "bad 1inN");
     EXPECT_DEATH(failpoint::configure("io.read.corrupt=sometimes"),
                  "unknown trigger");
+}
+
+TEST(FailpointDeathTest, UnknownSitesAreFatal)
+{
+    // A misspelt site would otherwise arm nothing and run clean.
+    EXPECT_DEATH(failpoint::configure("io.sync.fial=after0"),
+                 "unknown site");
+    EXPECT_DEATH(failpoint::configure("io.read.corrupt=1in8,io.torn=always"),
+                 "unknown site");
 }
 
 // ------------------------------------------------------------- framing
@@ -377,6 +387,132 @@ TEST(ArtifactIo, FailedRenameLeavesNoFileBehind)
     for (const auto &entry : fs::directory_iterator(scratch.str()))
         files += entry.is_regular_file() ? 1 : 0;
     EXPECT_EQ(files, 0);
+}
+
+// ------------------------------------------------------------- batches
+
+/** Regular files in @p dir. */
+int
+fileCount(const std::string &dir)
+{
+    int files = 0;
+    for (const auto &entry : fs::directory_iterator(dir))
+        files += entry.is_regular_file() ? 1 : 0;
+    return files;
+}
+
+TEST(ArtifactIo, BatchPublishesOnlyAfterItsBarrier)
+{
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_artifact_batch");
+    int published = 0;
+    {
+        ArtifactBatch batch(scratch.str());
+        for (int i = 0; i < 3; ++i) {
+            ASSERT_TRUE(batch
+                            .stage(scratch.file("f" + std::to_string(i)),
+                                   "yasim-test", 1,
+                                   "payload " + std::to_string(i),
+                                   [&] { ++published; })
+                            .ok);
+        }
+        // Staged is not published: three temps, no final name.
+        EXPECT_EQ(fileCount(scratch.str()), 3);
+        for (int i = 0; i < 3; ++i)
+            EXPECT_FALSE(fs::exists(scratch.file("f" + std::to_string(i))));
+        EXPECT_EQ(published, 0);
+
+        const ArtifactPublishResult result = batch.publish();
+        EXPECT_EQ(result.staged, 3u);
+        EXPECT_TRUE(result.barrierError.empty());
+        EXPECT_EQ(result.published, 3u);
+        EXPECT_TRUE(result.errors.empty());
+        EXPECT_EQ(published, 3);
+        // Nothing is left staged, so a second publish issues no barrier.
+        EXPECT_EQ(batch.publish().staged, 0u);
+    }
+    EXPECT_EQ(fileCount(scratch.str()), 3);
+    for (int i = 0; i < 3; ++i) {
+        ArtifactReadResult read = readArtifact(
+            scratch.file("f" + std::to_string(i)), "yasim-test", 1);
+        ASSERT_EQ(read.status, ArtifactStatus::Ok);
+        EXPECT_EQ(read.payload, "payload " + std::to_string(i));
+    }
+
+    // A batch destroyed unpublished takes its temps with it.
+    {
+        ArtifactBatch batch(scratch.str());
+        ASSERT_TRUE(
+            batch.stage(scratch.file("dropped"), "yasim-test", 1, "x").ok);
+        EXPECT_EQ(fileCount(scratch.str()), 4);
+    }
+    EXPECT_EQ(fileCount(scratch.str()), 3);
+}
+
+TEST(ArtifactIo, FailedBarrierPublishesNothing)
+{
+    ScratchDir scratch("yasim_artifact_barrier");
+    failpoint::ScopedSchedule sched("io.sync.fail=always");
+    ArtifactBatch batch(scratch.str());
+    int published = 0;
+    for (const char *name : {"a", "b"})
+        ASSERT_TRUE(batch
+                        .stage(scratch.file(name), "yasim-test", 1, name,
+                               [&] { ++published; })
+                        .ok);
+    const ArtifactPublishResult result = batch.publish();
+    EXPECT_EQ(result.staged, 2u);
+    EXPECT_FALSE(result.barrierError.empty());
+    EXPECT_EQ(result.published, 0u);
+    EXPECT_EQ(published, 0);
+    // Neither a final name nor a temp survives.
+    EXPECT_EQ(fileCount(scratch.str()), 0);
+}
+
+TEST(ArtifactIo, StagedWritesFireTheWriteFailpoints)
+{
+    ScratchDir scratch("yasim_artifact_staged_faults");
+    {
+        // A short staged write publishes a torn frame, as writeArtifact
+        // does, and the next read catches it.
+        failpoint::ScopedSchedule sched("io.write.short=always");
+        ArtifactBatch batch(scratch.str());
+        ASSERT_TRUE(batch
+                        .stage(scratch.file("torn"), "yasim-test", 1,
+                               std::string(4096, 'x'))
+                        .ok);
+        EXPECT_EQ(batch.publish().published, 1u);
+    }
+    {
+        failpoint::ScopedSchedule off("");
+        EXPECT_EQ(readArtifact(scratch.file("torn"), "yasim-test", 1).status,
+                  ArtifactStatus::Corrupt);
+    }
+    {
+        // A failed rename drops its own file and removes its temp; the
+        // rest of the batch is published.
+        failpoint::ScopedSchedule sched("io.rename.fail=after1");
+        ArtifactBatch batch(scratch.str());
+        for (const char *name : {"a", "b", "c"})
+            ASSERT_TRUE(
+                batch.stage(scratch.file(name), "yasim-test", 1, name).ok);
+        const ArtifactPublishResult result = batch.publish();
+        EXPECT_EQ(result.published, 2u);
+        ASSERT_EQ(result.errors.size(), 1u);
+        EXPECT_NE(result.errors[0].find("injected rename failure"),
+                  std::string::npos);
+    }
+    {
+        // An open that keeps failing stages nothing.
+        failpoint::ScopedSchedule sched("io.open.transient=always");
+        ArtifactBatch batch(scratch.str());
+        EXPECT_FALSE(
+            batch.stage(scratch.file("never"), "yasim-test", 1, "x").ok);
+        EXPECT_EQ(batch.publish().staged, 0u);
+    }
+    // The quarantined torn file and two of a, b and c.
+    EXPECT_EQ(fileCount(scratch.str()), 3);
+    EXPECT_FALSE(fs::exists(scratch.file("never")));
 }
 
 // ------------------------------------------------------------ eviction

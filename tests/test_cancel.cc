@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -28,9 +29,12 @@
 #include "support/failpoint.hh"
 #include "support/parallel.hh"
 #include "techniques/full_reference.hh"
+#include "techniques/random_sampling.hh"
 #include "techniques/reduced_input.hh"
 #include "techniques/service.hh"
+#include "techniques/simpoint.hh"
 #include "techniques/smarts.hh"
+#include "techniques/truncated.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/memory_hierarchy.hh"
 
@@ -104,6 +108,61 @@ expectBitIdentical(const TechniqueResult &a, const TechniqueResult &b)
     EXPECT_EQ(a.detailedInsts, b.detailedInsts);
     EXPECT_EQ(a.detailed.instructions, b.detailed.instructions);
     EXPECT_EQ(a.detailed.cycles, b.detailed.cycles);
+}
+
+/**
+ * Run @p technique through @p engine under the cancel-token schedule
+ * @p spec, on a token of its own, and return the CancelledError the
+ * run must throw.
+ */
+CancelledError
+runUntilCancelled(ExperimentEngine &engine, const Technique &technique,
+                  TechniqueContext ctx, const SimConfig &config,
+                  const std::string &spec)
+{
+    failpoint::ScopedSchedule sched(spec);
+    CancelSource source;
+    ctx.cancel = source.token();
+    try {
+        engine.run(technique, ctx, config);
+    } catch (const CancelledError &err) {
+        EXPECT_EQ(err.cause, CancelCause::Cancelled);
+        return err;
+    }
+    ADD_FAILURE() << technique.name() << " " << technique.permutation()
+                  << " finished under " << spec;
+    return CancelledError();
+}
+
+/**
+ * @p engine charged the partial work of every run in @p caught (in
+ * that order) and memoized none; a retry then computes the result
+ * bit-identically to a never-cancelled engine.
+ */
+void
+expectChargedThenRecomputed(ExperimentEngine &engine,
+                            const Technique &technique,
+                            const TechniqueContext &ctx,
+                            const SimConfig &config,
+                            const std::vector<CancelledError> &caught)
+{
+    double charged = 0.0;
+    for (const CancelledError &err : caught)
+        charged += err.partialWorkUnits;
+    EngineCounters after = engine.counters();
+    EXPECT_EQ(after.runsCancelled, caught.size());
+    EXPECT_EQ(after.runsExecuted, 0u);
+    EXPECT_TRUE(bitEq(after.workUnitsComputed, charged));
+
+    failpoint::ScopedSchedule off("");
+    TechniqueResult retried = engine.run(technique, ctx, config);
+    EXPECT_EQ(engine.counters().runsExecuted, 1u);
+    EXPECT_EQ(engine.counters().memoHits, 0u);
+
+    ExperimentEngine clean;
+    TechniqueResult fresh =
+        clean.run(technique, clean.context(ctx.benchmark, ctx.suite), config);
+    expectBitIdentical(retried, fresh);
 }
 
 // ------------------------------------------------- token semantics
@@ -539,6 +598,161 @@ TEST(EngineCancel, ReducedInputStopsAtACancelPoll)
     TechniqueResult fresh =
         clean.run(reduced, clean.context("gzip", suite), config);
     expectBitIdentical(retried, fresh);
+}
+
+TEST(EngineCancel, TruncatedStopsAtACancelPoll)
+{
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    ExperimentEngine engine;
+    // Building the context records the reference, so every poll below
+    // belongs to the run.
+    TechniqueContext ctx = engine.context("gzip", suite);
+    FfWuRunZ truncated(1000.0, 800.0, 2000.0);
+    SimConfig config = architecturalConfig(1);
+    const uint64_t ff = ctx.scaledM(1000.0);
+    const uint64_t warm = ctx.scaledM(800.0);
+    ASSERT_GT(warm, OooCore::kCancelCheckInsts);
+    ASSERT_LT(warm, 2 * OooCore::kCancelCheckInsts);
+    ASSERT_GT(ctx.scaledM(2000.0), 2 * OooCore::kCancelCheckInsts);
+    ASSERT_LT(ff + warm + ctx.scaledM(2000.0), ctx.referenceLength);
+
+    // The engine polls before the run, then the core once per 8,192
+    // committed instructions of each call: the warm-up's first poll is
+    // the second, and the measured window's first is the third. The
+    // fast-forward polls nothing; it is charged all the same.
+    struct Stop
+    {
+        const char *spec;
+        uint64_t warmDone;
+        uint64_t runDone;
+    };
+    std::vector<CancelledError> caught;
+    for (const Stop &stop :
+         {Stop{"engine.cancel.token=after1", OooCore::kCancelCheckInsts, 0},
+          Stop{"engine.cancel.token=after2", warm,
+               OooCore::kCancelCheckInsts}}) {
+        SCOPED_TRACE(stop.spec);
+        const CancelledError err =
+            runUntilCancelled(engine, truncated, ctx, config, stop.spec);
+        EXPECT_EQ(err.detailedInsts, stop.warmDone + stop.runDone);
+        EXPECT_EQ(err.warmedInsts, 0u);
+        EXPECT_TRUE(bitEq(
+            err.partialWorkUnits,
+            ctx.cost.fastForwardPerInst * static_cast<double>(ff) +
+                ctx.cost.detailedPerInst *
+                    static_cast<double>(stop.warmDone) +
+                ctx.cost.detailedPerInst *
+                    static_cast<double>(stop.runDone) +
+                ctx.cost.checkpointPerInst * static_cast<double>(ff)));
+        caught.push_back(err);
+    }
+    expectChargedThenRecomputed(engine, truncated, ctx, config, caught);
+}
+
+TEST(EngineCancel, RandomSamplingStopsAtACancelPoll)
+{
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    ExperimentEngine engine;
+    TechniqueContext ctx = engine.context("gzip", suite);
+    constexpr uint64_t kUnit = 10'000, kWarmup = 2'000;
+    RandomSampling sampling(2, kUnit, kWarmup);
+    SimConfig config = architecturalConfig(1);
+    const std::vector<uint64_t> starts = sampling.samplePositions(ctx);
+    ASSERT_EQ(starts.size(), 2u);
+    // The second sample neither overlaps the first nor runs off the end.
+    ASSERT_GT(starts[1], starts[0] + kUnit);
+    ASSERT_LT(starts[1] + kUnit, ctx.referenceLength);
+    const uint64_t skipped = starts[0] - kWarmup;
+
+    // Polls: the engine's, then one per sample before it runs, and the
+    // core's once per 8,192 instructions of a call. So the third poll
+    // is the core's inside the first unit, and the fourth the second
+    // sample's own.
+    struct Stop
+    {
+        const char *spec;
+        uint64_t detailed;
+    };
+    std::vector<CancelledError> caught;
+    for (const Stop &stop :
+         {Stop{"engine.cancel.token=after2",
+               kWarmup + OooCore::kCancelCheckInsts},
+          Stop{"engine.cancel.token=after3", kWarmup + kUnit}}) {
+        SCOPED_TRACE(stop.spec);
+        const CancelledError err =
+            runUntilCancelled(engine, sampling, ctx, config, stop.spec);
+        EXPECT_EQ(err.detailedInsts, stop.detailed);
+        EXPECT_TRUE(bitEq(
+            err.partialWorkUnits,
+            ctx.cost.fastForwardPerInst * static_cast<double>(skipped) +
+                ctx.cost.detailedPerInst *
+                    static_cast<double>(stop.detailed)));
+        caught.push_back(err);
+    }
+    expectChargedThenRecomputed(engine, sampling, ctx, config, caught);
+}
+
+TEST(EngineCancel, SimPointStopsAtACancelPoll)
+{
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    ExperimentEngine engine;
+    TechniqueContext ctx = engine.context("gzip", suite);
+    // Parameters no other test here uses: the points this SimPoint
+    // picks must not be in the process-wide point cache yet.
+    SimPoint simpoint(10.0, 12, 1.0, "cancel probe", 15, 3);
+    SimConfig config = architecturalConfig(1);
+    std::vector<CancelledError> caught;
+
+    // The profiling pass polls once per 8,192 profiled instructions,
+    // so the engine's poll and its first pass and the next fires.
+    {
+        const CancelledError err = runUntilCancelled(
+            engine, simpoint, ctx, config, "engine.cancel.token=after2");
+        EXPECT_EQ(err.detailedInsts, 0u);
+        EXPECT_EQ(err.warmedInsts, 0u);
+        EXPECT_TRUE(bitEq(err.partialWorkUnits,
+                          ctx.cost.profilePerInst *
+                              static_cast<double>(
+                                  2 * OooCore::kCancelCheckInsts)));
+        caught.push_back(err);
+    }
+
+    // With the points chosen, each point polls once as it warms to its
+    // warm start (no gap here spans a second warming chunk, and no
+    // detailed run reaches the core's quantum): the engine's poll and
+    // two points' pass, and the third point's fires.
+    const std::vector<SimulationPoint> points = simpoint.choosePoints(ctx);
+    ASSERT_GT(points.size(), 2u);
+    const uint64_t interval = std::max<uint64_t>(ctx.scaledM(10.0), 2000);
+    const uint64_t warmup = std::max<uint64_t>(ctx.scaledM(1.0), 256);
+    ASSERT_LT(interval, OooCore::kCancelCheckInsts);
+    ASSERT_LE(points[1].startInst + interval, points[2].startInst);
+    uint64_t at = 0, warmed = 0;
+    for (size_t p = 0; p < 2; ++p) {
+        const uint64_t warm_start = points[p].startInst >= warmup
+                                        ? points[p].startInst - warmup
+                                        : 0;
+        warmed += warm_start > at ? warm_start - at : 0;
+        at = points[p].startInst + interval;
+    }
+    {
+        const CancelledError err = runUntilCancelled(
+            engine, simpoint, ctx, config, "engine.cancel.token=after3");
+        EXPECT_EQ(err.detailedInsts, 2 * (interval + warmup));
+        EXPECT_EQ(err.warmedInsts, warmed);
+        EXPECT_TRUE(bitEq(
+            err.partialWorkUnits,
+            ctx.cost.profilePerInst *
+                    static_cast<double>(ctx.referenceLength) +
+                ctx.cost.checkpointPerInst * static_cast<double>(at) +
+                ctx.cost.detailedPerInst *
+                    static_cast<double>(2 * (interval + warmup))));
+        caught.push_back(err);
+    }
+    expectChargedThenRecomputed(engine, simpoint, ctx, config, caught);
 }
 
 TEST(EngineCancel, CancelledBatchThrowsAndMemoizesNothing)

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/pb_characterization.hh"
+#include "core/svat_analysis.hh"
 #include "engine/cache_key.hh"
 #include "engine/engine.hh"
 #include "engine/result_io.hh"
@@ -148,6 +149,53 @@ expectDirEmptyOrValid(const std::string &dir)
         }
         EXPECT_EQ(read.status, ArtifactStatus::Ok)
             << name << ": " << read.error;
+    }
+}
+
+/** Files in @p dir published under @p extension (temps excluded). */
+int
+countPublished(const std::string &dir, const std::string &extension)
+{
+    int files = 0;
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir))
+        files += entry.is_regular_file() &&
+                         entry.path().extension() == extension
+                     ? 1
+                     : 0;
+    return files;
+}
+
+/**
+ * The grid the batched-publication tests run. Cold, its runAll stages
+ * five files: the small input's trace spill, which the pre-pass
+ * records, and four results.
+ */
+struct SmallGrid
+{
+    std::vector<TechniquePtr> techniques = {
+        std::make_shared<Smarts>(500, 1000),
+        std::make_shared<ReducedInput>(InputSet::Small)};
+    std::vector<SimConfig> configs = {architecturalConfig(1),
+                                      architecturalConfig(2)};
+
+    size_t cells() const { return techniques.size() * configs.size(); }
+
+    std::vector<std::vector<TechniqueResult>>
+    run(SimulationService &service, const TechniqueContext &ctx) const
+    {
+        return runGrid(service, techniques, ctx, configs);
+    }
+};
+
+void
+expectSameRows(const std::vector<std::vector<TechniqueResult>> &a,
+               const std::vector<std::vector<TechniqueResult>> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t t = 0; t < a.size(); ++t) {
+        ASSERT_EQ(a[t].size(), b[t].size());
+        for (size_t c = 0; c < a[t].size(); ++c)
+            expectBitIdentical(a[t][c], b[t][c]);
     }
 }
 
@@ -897,6 +945,167 @@ TEST(EngineRobustness, KilledWritersNeverPublishTornArtifacts)
     EXPECT_GE(crashes, 1);
 }
 
+/**
+ * Fork a child that builds gzip's context on an engine over @p dir with
+ * no failpoint armed, then arms @p schedule and runs @p grid as one
+ * runAll batch. A child that finishes writes its count of io.write.crash
+ * evaluations to @p report_fd (when >= 0) and exits 0; a crash
+ * failpoint kills it first. Returns the exit status, or -1.
+ */
+int
+runGridInChild(const std::string &dir, const SmallGrid &grid,
+               const SuiteConfig &suite, const std::string &schedule,
+               int report_fd = -1)
+{
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        failpoint::configure("");
+        ExperimentEngine engine({.cacheDir = dir});
+        const TechniqueContext ctx = engine.context("gzip", suite);
+        failpoint::configure(schedule);
+        grid.run(engine, ctx);
+        if (report_fd >= 0) {
+            const uint64_t evaluations =
+                failpoint::stats("io.write.crash").evaluations;
+            if (::write(report_fd, &evaluations, sizeof(evaluations)) !=
+                static_cast<ssize_t>(sizeof(evaluations)))
+                ::_exit(1);
+        }
+        ::_exit(0);
+    }
+    int status = 0;
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+TEST(EngineRobustness, KilledGridWritersNeverPublishTornArtifacts)
+{
+    // The grid analogue of the torture test above. A runAll stages its
+    // writes and publishes them after one barrier, so a child killed
+    // anywhere in the batch — mid-write (io.write.crash, exit 86) or
+    // after the barrier and before a rename (io.publish.crash, exit
+    // 87) — must leave the directory empty-or-valid, and a fresh engine
+    // over it must reproduce every cell bit-identically.
+    ScratchDir scratch("yasim_engine_grid_torture");
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    const SmallGrid grid;
+
+    // The sweep spans the batch's write-loop evaluations.
+    uint64_t writes = 0;
+    {
+        int fds[2];
+        ASSERT_EQ(::pipe(fds), 0);
+        const std::string dir = scratch.str() + "/count";
+        fs::create_directories(dir);
+        EXPECT_EQ(runGridInChild(dir, grid, suite,
+                                 "io.write.crash=after1000000000", fds[1]),
+                  0);
+        ::close(fds[1]);
+        ASSERT_EQ(::read(fds[0], &writes, sizeof(writes)),
+                  static_cast<ssize_t>(sizeof(writes)));
+        ::close(fds[0]);
+    }
+    // At least one 1 KiB chunk per staged file, and a multi-chunk spill.
+    ASSERT_GT(writes, 5u);
+
+    struct Kill
+    {
+        std::string schedule;
+        int status;
+        /** Files of the batch renamed before the kill. */
+        int published;
+    };
+    std::vector<Kill> kills;
+    for (uint64_t k : {uint64_t(0), writes / 4, writes / 2,
+                       3 * writes / 4, writes - 1})
+        kills.push_back({"io.write.crash=after" + std::to_string(k), 86, 0});
+    kills.push_back({"io.publish.crash=after0", 87, 0});
+    kills.push_back({"io.publish.crash=after2", 87, 2});
+
+    // Every child runs before this process starts a thread, so each
+    // fork copies a single-threaded process.
+    std::vector<std::string> dirs;
+    for (const Kill &kill : kills) {
+        dirs.push_back(scratch.str() + "/kill" + std::to_string(dirs.size()));
+        fs::create_directories(dirs.back());
+        EXPECT_EQ(runGridInChild(dirs.back(), grid, suite, kill.schedule),
+                  kill.status)
+            << kill.schedule;
+    }
+
+    failpoint::ScopedSchedule off("");
+    ExperimentEngine memory;
+    const auto expected = grid.run(memory, memory.context("gzip", suite));
+    for (size_t i = 0; i < kills.size(); ++i) {
+        SCOPED_TRACE(kills[i].schedule);
+        expectDirEmptyOrValid(dirs[i]);
+        // Nothing of the batch is under its final name unless its
+        // rename ran: the one other file is the reference spill that
+        // building the context wrote at once.
+        EXPECT_EQ(countPublished(dirs[i], ".result") +
+                      countPublished(dirs[i], ".trace"),
+                  1 + kills[i].published);
+
+        ExperimentEngine after({.cacheDir = dirs[i]});
+        expectSameRows(grid.run(after, after.context("gzip", suite)),
+                       expected);
+    }
+}
+
+TEST(EngineRobustness, FailedGridBarrierPublishesNothing)
+{
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_engine_grid_barrier");
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    const SmallGrid grid;
+    ExperimentEngine engine({.cacheDir = scratch.str()});
+    const TechniqueContext ctx = engine.context("gzip", suite);
+
+    std::vector<std::vector<TechniqueResult>> rows;
+    std::string warnings;
+    {
+        failpoint::ScopedSchedule sched("io.sync.fail=always");
+        ::testing::internal::CaptureStderr();
+        rows = grid.run(engine, ctx);
+        warnings = ::testing::internal::GetCapturedStderr();
+    }
+    // One warning for the whole batch, and no file of it published or
+    // left behind: only the context's reference spill is there.
+    size_t warned = 0;
+    for (size_t at = warnings.find("warn: "); at != std::string::npos;
+         at = warnings.find("warn: ", at + 1))
+        ++warned;
+    EXPECT_EQ(warned, 1u) << warnings;
+    EXPECT_NE(warnings.find("none was published"), std::string::npos)
+        << warnings;
+    EngineCounters ctr = engine.counters();
+    EXPECT_EQ(ctr.diskBarriers, 1u);
+    EXPECT_EQ(ctr.diskWrites, 0u);
+    EXPECT_EQ(ctr.runsExecuted, grid.cells());
+    int files = 0;
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(scratch.str()))
+        files += entry.is_regular_file() ? 1 : 0;
+    EXPECT_EQ(files, 1);
+    EXPECT_EQ(countPublished(scratch.str(), ".trace"), 1);
+
+    // The results were returned and memoized all the same.
+    expectSameRows(grid.run(engine, ctx), rows);
+    ctr = engine.counters();
+    EXPECT_EQ(ctr.runsExecuted, grid.cells());
+    EXPECT_EQ(ctr.memoHits, grid.cells());
+    EXPECT_EQ(ctr.diskBarriers, 1u);
+
+    // A fresh engine finds nothing on disk and recomputes every cell.
+    ExperimentEngine fresh({.cacheDir = scratch.str()});
+    expectSameRows(grid.run(fresh, fresh.context("gzip", suite)), rows);
+    EXPECT_EQ(fresh.counters().runsExecuted, grid.cells());
+    EXPECT_EQ(fresh.counters().diskWrites, grid.cells());
+}
+
 // -------------------------------------------------------------- runAll
 
 TEST(Engine, RunAllGridIsBitIdenticalToSerial)
@@ -1016,6 +1225,94 @@ TEST(Engine, RunAllComputesADuplicateKeyOnce)
     EXPECT_EQ(results[1].permutation, "dim=15");
     EXPECT_TRUE(bitEq(results[0].cpi, results[1].cpi));
     EXPECT_TRUE(bitEq(ctr.workUnitsSaved, results[1].workUnits));
+}
+
+TEST(Engine, RunAllPublishesBeforeReturning)
+{
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_engine_runall_publish");
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    const SmallGrid grid;
+
+    ExperimentEngine first({.cacheDir = scratch.str()});
+    const auto rows = grid.run(first, first.context("gzip", suite));
+    EngineCounters ctr = first.counters();
+    EXPECT_EQ(ctr.runsExecuted, grid.cells());
+    EXPECT_EQ(ctr.diskWrites, grid.cells());
+    EXPECT_EQ(ctr.diskBarriers, 1u);
+    EXPECT_EQ(first.traceStore()->counters().diskWrites, 2u);
+
+    // While the first engine is still alive, a second one over the same
+    // directory is served the whole grid from disk.
+    ExperimentEngine second({.cacheDir = scratch.str()});
+    expectSameRows(grid.run(second, second.context("gzip", suite)), rows);
+    ctr = second.counters();
+    EXPECT_EQ(ctr.runsExecuted, 0u);
+    EXPECT_EQ(ctr.diskHits, grid.cells());
+    EXPECT_EQ(ctr.diskBarriers, 0u);
+}
+
+TEST(Engine, ThrowingRunAllPublishesWhatItFinished)
+{
+    // A job that throws fails the batch, but what the other jobs
+    // finished is published before the exception leaves runAll.
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_engine_runall_throw");
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    Smarts smarts(500, 1000);
+    ProbeTechnique failing(false, true);
+    const SimConfig config = architecturalConfig(1);
+    {
+        ExperimentEngine engine({.cacheDir = scratch.str()});
+        const TechniqueContext ctx = engine.context("gzip", suite);
+        EXPECT_THROW(engine.runAll({{&smarts, &ctx, &config},
+                                    {&failing, &ctx, &config}}),
+                     std::runtime_error);
+        EXPECT_EQ(engine.counters().diskWrites, 1u);
+        EXPECT_EQ(engine.counters().diskBarriers, 1u);
+    }
+    ExperimentEngine fresh({.cacheDir = scratch.str()});
+    fresh.run(smarts, fresh.context("gzip", suite), config);
+    EXPECT_EQ(fresh.counters().diskHits, 1u);
+    EXPECT_EQ(fresh.counters().runsExecuted, 0u);
+}
+
+TEST(Engine, CachedRunAllIssuesNoBarrier)
+{
+    // A batch whose every key is memoized or on disk stages nothing, so
+    // it issues no barrier: the analyses re-read their grids this way.
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_engine_runall_cached");
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    SmallGrid grid;
+    grid.techniques.insert(grid.techniques.begin(),
+                           std::make_shared<FullReference>());
+
+    {
+        ExperimentEngine engine({.cacheDir = scratch.str()});
+        const TechniqueContext ctx = engine.context("gzip", suite);
+        grid.run(engine, ctx);
+        EXPECT_EQ(engine.counters().diskBarriers, 1u);
+        grid.run(engine, ctx);
+        // svatAnalysis runs the reference and the techniques as one grid.
+        svatAnalysis(engine, ctx,
+                     {grid.techniques.begin() + 1, grid.techniques.end()},
+                     grid.configs);
+        const EngineCounters ctr = engine.counters();
+        EXPECT_EQ(ctr.runsExecuted, grid.cells());
+        EXPECT_EQ(ctr.diskWrites, grid.cells());
+        EXPECT_EQ(ctr.diskBarriers, 1u);
+    }
+
+    ExperimentEngine cold({.cacheDir = scratch.str()});
+    grid.run(cold, cold.context("gzip", suite));
+    const EngineCounters ctr = cold.counters();
+    EXPECT_EQ(ctr.diskHits, grid.cells());
+    EXPECT_EQ(ctr.diskWrites, 0u);
+    EXPECT_EQ(ctr.diskBarriers, 0u);
 }
 
 TEST(Service, RunAllMatchesRunInJobOrder)
