@@ -1,8 +1,7 @@
 #include "engine/cache_key.hh"
 
-#include "support/check.hh"
-#include "support/hash.hh"
 #include "support/logging.hh"
+#include "techniques/full_reference.hh"
 
 namespace yasim {
 
@@ -71,8 +70,7 @@ costKeyText(const CostModel &cost)
 }
 
 /**
- * Sharding segment of the result key. Empty when sharding is off, so
- * unsharded results keep their historical keys (and caches); when on,
+ * Sharding segment of the full reference's key, when sharding is on:
  * the shard plan changes the stitched statistics and the modeled cost,
  * so every knob that shapes the plan participates. "stitch=drain"
  * names the one stitching discipline (every shard starts on a drained
@@ -82,80 +80,11 @@ costKeyText(const CostModel &cost)
 std::string
 shardKeyText(const ShardOptions &shards)
 {
-    if (!shards.enabled())
-        return "";
     return csprintf("shards{n=%u,warm=%llu,stitch=drain}", shards.shards,
                     static_cast<unsigned long long>(shards.warmupInsts));
 }
 
 } // namespace
-
-CacheKeyStamper::CacheKeyStamper(std::string head,
-                                 std::vector<Segment> layout)
-    : text(std::move(head)), layout(std::move(layout)),
-      slotStamped(this->layout.size(), false)
-{
-}
-
-CacheKeyStamper &
-CacheKeyStamper::stamp(std::string_view name, std::string_view value)
-{
-    std::string name_text(name);
-    size_t slot = layout.size();
-    for (size_t i = 0; i < layout.size(); ++i) {
-        if (name == layout[i].name) {
-            slot = i;
-            break;
-        }
-    }
-    YASIM_CHECK(slot < layout.size(),
-                "unknown cache-key segment '%s'", name_text.c_str());
-    YASIM_CHECK(!slotStamped[slot],
-                "duplicate cache-key segment '%s'", name_text.c_str());
-    YASIM_CHECK(slot >= nextSlot,
-                "cache-key segment '%s' stamped out of canonical order",
-                name_text.c_str());
-    for (size_t i = nextSlot; i < slot; ++i) {
-        YASIM_CHECK(layout[i].optional,
-                    "required cache-key segment '%s' skipped before '%s'",
-                    layout[i].name, name_text.c_str());
-    }
-    YASIM_CHECK(!value.empty(), "empty cache-key segment '%s'",
-                name_text.c_str());
-    YASIM_CHECK(value.find('\n') == std::string_view::npos,
-                "cache-key segment '%s' contains a newline",
-                name_text.c_str());
-    text += '|';
-    text += layout[slot].prefix;
-    text += value;
-    slotStamped[slot] = true;
-    nextSlot = slot + 1;
-    return *this;
-}
-
-std::string
-CacheKeyStamper::finish()
-{
-    for (size_t i = nextSlot; i < layout.size(); ++i) {
-        YASIM_CHECK(layout[i].optional,
-                    "cache key finished without required segment '%s'",
-                    layout[i].name);
-    }
-    nextSlot = layout.size();
-    return text;
-}
-
-CacheKeyStamper
-resultKeyStamper()
-{
-    return CacheKeyStamper(csprintf("v%d", kCacheFormatVersion),
-                           {{"bench", "bench="},
-                            {"suite", ""},
-                            {"cost", "cost="},
-                            {"shards", "", true},
-                            {"tech", "tech="},
-                            {"cfg", "cfg="}});
-}
 
 // yasim-lint: key(result) covers SuiteConfig(workloads/suite.hh)
 std::string
@@ -180,23 +109,16 @@ std::string
 resultCacheKey(const Technique &technique, const TechniqueContext &ctx,
                const SimConfig &config)
 {
-    CacheKeyStamper stamper = resultKeyStamper();
-    stamper.stamp("bench", ctx.benchmark)
-        .stamp("suite", suiteKeyText(ctx.suite))
-        .stamp("cost", costKeyText(ctx.cost));
-    if (ctx.shards.enabled())
-        stamper.stamp("shards", shardKeyText(ctx.shards));
-    stamper.stamp("tech", technique.cacheKey())
-        .stamp("cfg", configKeyText(config));
-    return stamper.finish();
-}
-
-std::string
-cacheDigest(const std::string &key_text)
-{
-    Hasher h;
-    h.str(key_text);
-    return h.hex();
+    static const std::string reference_key = FullReference().cacheKey();
+    const std::string tech = technique.cacheKey();
+    std::string key = csprintf("v%d", kCacheFormatVersion) + "|bench=" +
+                      ctx.benchmark + "|" + suiteKeyText(ctx.suite) +
+                      "|cost=" + costKeyText(ctx.cost);
+    // Compared by key, not by type: a wrapper that forwards cacheKey()
+    // runs the same reference.
+    if (ctx.shards.enabled() && tech == reference_key)
+        key += "|" + shardKeyText(ctx.shards);
+    return key + "|tech=" + tech + "|cfg=" + configKeyText(config);
 }
 
 } // namespace yasim

@@ -1,6 +1,5 @@
 #include "engine/engine.hh"
 
-#include <filesystem>
 #include <optional>
 #include <ostream>
 #include <set>
@@ -8,22 +7,20 @@
 
 #include "engine/cache_key.hh"
 #include "engine/result_io.hh"
-#include "support/artifact_io.hh"
 #include "support/check.hh"
 #include "support/failpoint.hh"
-#include "support/logging.hh"
 #include "support/table.hh"
 #include "support/thread_pool.hh"
 #include "techniques/full_reference.hh"
 
 namespace yasim {
 
-namespace fs = std::filesystem;
-
 namespace {
 
 /** Inner frame magic for the engine's result artifacts. */
 constexpr char kResultMagic[] = "yasim-result";
+/** Memo-table bound; least-recently-used entries evict beyond it. */
+constexpr size_t kMaxMemoEntries = size_t(1) << 16;
 
 /**
  * @p result under @p technique's display labels. The cache key
@@ -44,161 +41,15 @@ relabel(TechniqueResult result, const Technique &technique)
 
 ExperimentEngine::ExperimentEngine(EngineOptions options)
     : opts(std::move(options)),
-      traces(TraceStoreOptions{opts.cacheDir, opts.maxTraceBytes,
-                               opts.cacheBudgetBytes})
+      traces(TraceStoreOptions{.cacheDir = opts.cacheDir,
+                               .cacheBudgetBytes = opts.cacheBudgetBytes}),
+      resultFiles(opts.cacheDir, kResultMagic, kCacheFormatVersion,
+                  ".result", opts.cacheBudgetBytes)
 {
-    YASIM_CHECK_GE(opts.maxMemoEntries, size_t(1));
-    if (!opts.cacheDir.empty()) {
-        std::error_code ec;
-        fs::create_directories(opts.cacheDir, ec);
-        if (ec)
-            fatal("cannot create cache directory '%s': %s",
-                  opts.cacheDir.c_str(), ec.message().c_str());
-    }
+    ctr.staleTempsReclaimed = resultFiles.reclaimStaleTemps();
 }
 
 ExperimentEngine::~ExperimentEngine() = default;
-
-std::string
-ExperimentEngine::diskPath(const std::string &key_text,
-                           const char *suffix) const
-{
-    return (fs::path(opts.cacheDir) / (cacheDigest(key_text) + suffix))
-        .string();
-}
-
-void
-ExperimentEngine::noteFailedRead(const std::string &path,
-                                 const char *what,
-                                 const std::string &error, bool corrupt,
-                                 uint32_t retries)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ctr.ioRetries += retries;
-        if (corrupt)
-            ++ctr.cacheCorrupt;
-        else
-            ++ctr.cacheUnreadable;
-    }
-    if (!ioWarned.exchange(true)) {
-        warn("cache artifact '%s' (%s) is %s: %s; %s and recomputing "
-             "(one warning per run; --engine-stats counts the rest)",
-             path.c_str(), what,
-             corrupt ? "corrupt" : "unreadable", error.c_str(),
-             corrupt ? "quarantined to .corrupt" : "left in place");
-    }
-}
-
-bool
-ExperimentEngine::loadResultFromDisk(const std::string &key_text,
-                                     TechniqueResult &result)
-{
-    const std::string path = diskPath(key_text, ".result");
-    ArtifactReadResult read =
-        readArtifact(path, kResultMagic, kCacheFormatVersion);
-    if (read.status == ArtifactStatus::VersionMismatch) {
-        // A stale-format entry is a clean miss, not rot: readArtifact
-        // already deleted the file; count it under its own column.
-        std::lock_guard<std::mutex> lock(mutex);
-        ctr.ioRetries += read.retries;
-        ++ctr.cacheVersionMiss;
-        return false;
-    }
-    if (read.retries || read.status == ArtifactStatus::Corrupt ||
-        read.status == ArtifactStatus::Transient) {
-        if (read.status == ArtifactStatus::Ok ||
-            read.status == ArtifactStatus::Missing) {
-            std::lock_guard<std::mutex> lock(mutex);
-            ctr.ioRetries += read.retries;
-        } else {
-            noteFailedRead(path, "result", read.error,
-                           read.status == ArtifactStatus::Corrupt,
-                           read.retries);
-        }
-    }
-    if (read.status != ArtifactStatus::Ok)
-        return false;
-
-    std::istringstream payload(read.payload);
-    if (!readResult(payload, key_text, result)) {
-        // The frame verified but the payload did not parse — a digest
-        // collision or a format bug. Same self-healing path: move the
-        // file aside and recompute.
-        quarantineArtifact(path);
-        noteFailedRead(path, "result", "unparseable payload", true, 0);
-        return false;
-    }
-    return true;
-}
-
-void
-ExperimentEngine::storeResultToDisk(const std::string &key_text,
-                                    const TechniqueResult &result,
-                                    ArtifactBatch *batch)
-{
-    std::ostringstream payload;
-    writeResult(payload, key_text, result);
-    const std::string path = diskPath(key_text, ".result");
-    // A staged write counts once its batch publishes it.
-    auto published = [this] {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++ctr.diskWrites;
-    };
-    const ArtifactWriteResult wrote =
-        batch ? batch->stage(path, kResultMagic, kCacheFormatVersion,
-                             payload.str(), published)
-              : writeArtifact(path, kResultMagic, kCacheFormatVersion,
-                              payload.str());
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ctr.ioRetries += wrote.retries;
-    }
-    if (!wrote.ok) {
-        warn("cannot write result cache file '%s': %s", path.c_str(),
-             wrote.error.c_str());
-        return;
-    }
-    if (!batch) {
-        published();
-        enforceCacheBudget();
-    }
-}
-
-void
-ExperimentEngine::publishBatch(ArtifactBatch &batch)
-{
-    const ArtifactPublishResult published = batch.publish();
-    if (published.staged == 0)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++ctr.diskBarriers;
-    }
-    if (!published.barrierError.empty()) {
-        warn("cannot make %llu staged cache files durable: %s; none was "
-             "published (their results are still returned)",
-             static_cast<unsigned long long>(published.staged),
-             published.barrierError.c_str());
-    }
-    for (const std::string &error : published.errors)
-        warn("%s", error.c_str());
-    if (published.published)
-        enforceCacheBudget();
-}
-
-void
-ExperimentEngine::enforceCacheBudget()
-{
-    if (opts.cacheBudgetBytes == 0 || opts.cacheDir.empty())
-        return;
-    uint64_t evicted =
-        evictToBudget(opts.cacheDir, opts.cacheBudgetBytes);
-    if (evicted) {
-        std::lock_guard<std::mutex> lock(mutex);
-        ctr.budgetEvictions += evicted;
-    }
-}
 
 void
 ExperimentEngine::memoInsert(const std::string &key_text,
@@ -209,11 +60,11 @@ ExperimentEngine::memoInsert(const std::string &key_text,
         return;
     lru.push_front(key_text);
     memo.emplace(key_text, MemoEntry{result, lru.begin()});
-    while (memo.size() > opts.maxMemoEntries) {
+    while (memo.size() > kMaxMemoEntries) {
         YASIM_CHECK(!lru.empty(),
                     "memo table and LRU list out of sync "
                     "(%zu entries over a bound of %zu)",
-                    memo.size(), opts.maxMemoEntries);
+                    memo.size(), kMaxMemoEntries);
         memo.erase(lru.back());
         lru.pop_back();
         ++ctr.evictions;
@@ -260,8 +111,10 @@ ExperimentEngine::fetch(const Technique &technique,
             ++ctr.memoMisses;
         }
         TechniqueResult computed;
-        from_disk =
-            !opts.cacheDir.empty() && loadResultFromDisk(key, computed);
+        from_disk = resultFiles.load(key, [&](const std::string &payload) {
+            std::istringstream in(payload);
+            return readResult(in, key, computed);
+        });
         if (!from_disk)
             computed = simulate(technique, ctx, config);
         return computed;
@@ -271,7 +124,6 @@ ExperimentEngine::fetch(const Technique &technique,
         return std::move(result);
     }
     if (from_disk) {
-        ++ctr.diskHits;
         ctr.workUnitsSaved += result.workUnits;
     } else {
         ++ctr.runsExecuted;
@@ -280,7 +132,7 @@ ExperimentEngine::fetch(const Technique &technique,
     memoInsert(key, result);
     lock.unlock();
 
-    if (!from_disk && !opts.cacheDir.empty()) {
+    if (!from_disk && resultFiles.enabled()) {
         if (ctx.cancel.cancelled() ||
             failpoint::fire("engine.cancel.write")) {
             // Cancelled between completion and publish: abort the
@@ -289,7 +141,9 @@ ExperimentEngine::fetch(const Technique &technique,
             lock.lock();
             ++ctr.cacheWritesAborted;
         } else {
-            storeResultToDisk(key, result, batch);
+            std::ostringstream payload;
+            writeResult(payload, key, result);
+            resultFiles.store(key, payload.str(), batch);
         }
     }
     return std::move(result);
@@ -356,9 +210,7 @@ ExperimentEngine::runAll(const std::vector<GridJob> &jobs)
             if (memo.count(key))
                 continue;
         }
-        std::error_code ec;
-        if (!opts.cacheDir.empty() &&
-            fs::exists(diskPath(key, ".result"), ec))
+        if (resultFiles.contains(key))
             continue;
         if (seen.insert(traces.keyText(job.ctx->benchmark,
                                        job.technique->input(),
@@ -370,7 +222,7 @@ ExperimentEngine::runAll(const std::vector<GridJob> &jobs)
     // The batch's cache writes are staged and published together: one
     // barrier instead of an fsync per file.
     std::optional<ArtifactBatch> batch;
-    if (!opts.cacheDir.empty())
+    if (resultFiles.enabled())
         batch.emplace(opts.cacheDir);
     ArtifactBatch *staging = batch ? &*batch : nullptr;
 
@@ -396,11 +248,11 @@ ExperimentEngine::runAll(const std::vector<GridJob> &jobs)
         // What the finished jobs staged is published all the same, as
         // their own writes would have been.
         if (staging)
-            publishBatch(*staging);
+            resultFiles.publish(*staging);
         throw;
     }
     if (staging)
-        publishBatch(*staging);
+        resultFiles.publish(*staging);
     // A later job of a computed key reads it back as a memo hit under
     // its own labels, as it would if the jobs ran one by one.
     for (size_t i : repeated)
@@ -429,8 +281,21 @@ ExperimentEngine::prefetch(const TechniqueContext &ctx,
 EngineCounters
 ExperimentEngine::counters() const
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    return ctr;
+    EngineCounters c;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        c = ctr;
+    }
+    const ArtifactDirCounters disk = resultFiles.counters();
+    c.diskHits = disk.loads;
+    c.diskWrites = disk.writes;
+    c.diskBarriers = disk.barriers;
+    c.cacheCorrupt = disk.corrupt;
+    c.cacheVersionMiss = disk.versionMisses;
+    c.cacheUnreadable = disk.unreadable;
+    c.ioRetries = disk.ioRetries;
+    c.budgetEvictions = disk.budgetEvictions;
+    return c;
 }
 
 void
@@ -471,6 +336,8 @@ ExperimentEngine::printStats(std::ostream &os) const
     table.addRow({"runs cancelled", Table::count(c.runsCancelled)});
     table.addRow({"cache writes aborted",
                   Table::count(c.cacheWritesAborted)});
+    table.addRow({"stale temps reclaimed",
+                  Table::count(c.staleTempsReclaimed)});
     table.addRule();
     TraceCounters t = traces.counters();
     table.addRow({"trace recordings", Table::count(t.recordings)});
@@ -487,7 +354,10 @@ ExperimentEngine::printStats(std::ostream &os) const
     table.addRow({"trace quarantined", Table::count(t.quarantined)});
     table.addRow({"trace version misses",
                   Table::count(t.versionMisses)});
+    table.addRow({"trace unreadable", Table::count(t.unreadable)});
     table.addRow({"trace io retries", Table::count(t.ioRetries)});
+    table.addRow({"trace budget evictions",
+                  Table::count(t.budgetEvictions)});
     table.addRule();
     table.addRow({"pool workers",
                   Table::count(globalPool().workerThreads() + 1)});
@@ -534,6 +404,7 @@ ExperimentEngine::appendCounters(JsonReport &report) const
     report.setCount("budget_evictions", c.budgetEvictions);
     report.setCount("runs_cancelled", c.runsCancelled);
     report.setCount("cache_writes_aborted", c.cacheWritesAborted);
+    report.setCount("stale_temps_reclaimed", c.staleTempsReclaimed);
     TraceCounters t = traces.counters();
     report.setCount("trace_recordings", t.recordings);
     report.setCount("trace_hits", t.hits);
@@ -545,7 +416,9 @@ ExperimentEngine::appendCounters(JsonReport &report) const
     report.setCount("trace_bytes_in_memory", t.bytesInMemory);
     report.setCount("trace_quarantined", t.quarantined);
     report.setCount("trace_version_misses", t.versionMisses);
+    report.setCount("trace_unreadable", t.unreadable);
     report.setCount("trace_io_retries", t.ioRetries);
+    report.setCount("trace_budget_evictions", t.budgetEvictions);
     report.setCount("pool_workers", globalPool().workerThreads() + 1);
     report.setCount("pool_batches", pool.batches);
     report.setCount("pool_tasks", pool.tasks);

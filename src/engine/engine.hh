@@ -23,7 +23,6 @@
 #ifndef YASIM_ENGINE_ENGINE_HH
 #define YASIM_ENGINE_ENGINE_HH
 
-#include <atomic>
 #include <iosfwd>
 #include <list>
 #include <mutex>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "engine/result_io.hh"
+#include "support/artifact_io.hh"
 #include "support/single_flight.hh"
 #include "techniques/service.hh"
 #include "techniques/trace_store.hh"
@@ -43,10 +43,6 @@ struct EngineOptions
 {
     /** Result-cache directory; empty = in-memory memoization only. */
     std::string cacheDir;
-    /** Memo-table bound; least-recently-used entries evict beyond it. */
-    size_t maxMemoEntries = 1 << 16;
-    /** In-memory trace budget in bytes (LRU eviction beyond it). */
-    size_t maxTraceBytes = size_t(1) << 30;
     /**
      * On-disk cache-directory budget in bytes (0 = unbounded;
      * --cache-budget-mb on every bench). After each artifact write,
@@ -129,6 +125,11 @@ struct EngineCounters
      * staged, so an abort leaves no file at all — never a torn one.
      */
     uint64_t cacheWritesAborted = 0;
+    /**
+     * Temps of writers that were no longer running, removed when this
+     * engine opened its cache directory.
+     */
+    uint64_t staleTempsReclaimed = 0;
     double workUnitsComputed = 0.0;
     double workUnitsSaved = 0.0;
 };
@@ -227,29 +228,6 @@ class ExperimentEngine : public SimulationService
                              const TechniqueContext &ctx,
                              const SimConfig &config);
 
-    /** Disk path for a key's payload file. */
-    std::string diskPath(const std::string &key_text,
-                         const char *suffix) const;
-    bool loadResultFromDisk(const std::string &key_text,
-                            TechniqueResult &result);
-    void storeResultToDisk(const std::string &key_text,
-                           const TechniqueResult &result,
-                           ArtifactBatch *batch);
-    /**
-     * Publish a runAll() batch: count its barrier, warn about what it
-     * could not publish, and enforce the budget once.
-     */
-    void publishBatch(ArtifactBatch &batch);
-    /**
-     * Account a framed-artifact read that did not produce a payload:
-     * bump the corruption/retry counters and emit the one-per-run
-     * degraded-cache warning. @p what names the artifact kind.
-     */
-    void noteFailedRead(const std::string &path, const char *what,
-                        const std::string &error, bool corrupt,
-                        uint32_t retries);
-    /** Enforce cacheBudgetBytes after a publish (no-op when 0). */
-    void enforceCacheBudget();
     /** Insert into the memo table and evict past the bound. Locked. */
     void memoInsert(const std::string &key_text,
                     const TechniqueResult &result);
@@ -257,6 +235,8 @@ class ExperimentEngine : public SimulationService
     EngineOptions opts;
     /** Shared execution-trace store. */
     TraceStore traces;
+    /** The ".result" files in opts.cacheDir. */
+    ArtifactDir resultFiles;
 
     mutable std::mutex mutex;
     std::unordered_map<std::string, MemoEntry> memo;
@@ -267,9 +247,8 @@ class ExperimentEngine : public SimulationService
      * computes in its place: the cancellation was not its own.
      */
     SingleFlight<TechniqueResult> inflight{mutex};
+    /** Every field but those resultFiles counts. */
     EngineCounters ctr;
-    /** One degraded-cache warning per run, however many entries rot. */
-    std::atomic<bool> ioWarned{false};
 };
 
 } // namespace yasim

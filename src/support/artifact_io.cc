@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
+#include <signal.h>
 #include <sstream>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "support/backoff.hh"
+#include "support/check.hh"
 #include "support/failpoint.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
@@ -245,6 +250,32 @@ tempName(const std::string &path)
     name << path << ".tmp." << ::getpid() << "."
          << next.fetch_add(1, std::memory_order_relaxed);
     return name.str();
+}
+
+/**
+ * The writer's pid in a tempName() file name "<path>.tmp.<pid>.<n>",
+ * or 0 when @p name is not one.
+ */
+pid_t
+tempWriter(std::string_view name)
+{
+    const size_t at = name.rfind(".tmp.");
+    if (at == std::string_view::npos)
+        return 0;
+    const std::string_view rest = name.substr(at + 5);
+    const size_t dot = rest.find('.');
+    if (dot == std::string_view::npos)
+        return 0;
+    pid_t pid = 0;
+    uint64_t counter = 0;
+    const char *pid_end = rest.data() + dot;
+    const char *end = rest.data() + rest.size();
+    const auto [pid_at, pid_err] = std::from_chars(rest.data(), pid_end, pid);
+    const auto [n_at, n_err] = std::from_chars(pid_end + 1, end, counter);
+    if (pid_err != std::errc() || pid_at != pid_end ||
+        n_err != std::errc() || n_at != end)
+        return 0;
+    return pid > 0 ? pid : 0;
 }
 
 /**
@@ -588,6 +619,171 @@ evictToBudget(const std::string &dir, uint64_t max_bytes)
         }
     }
     return evicted;
+}
+
+ArtifactDir::ArtifactDir(std::string dir, std::string magic,
+                         uint32_t version, std::string suffix,
+                         uint64_t budget_bytes)
+    : dir(std::move(dir)), magic(std::move(magic)), version(version),
+      suffix(std::move(suffix)), budgetBytes(budget_bytes)
+{
+    if (!enabled())
+        return;
+    std::error_code ec;
+    fs::create_directories(this->dir, ec);
+    if (ec)
+        fatal("cannot create cache directory '%s': %s", this->dir.c_str(),
+              ec.message().c_str());
+}
+
+std::string
+ArtifactDir::path(const std::string &key) const
+{
+    Hasher h;
+    h.str(key);
+    return (fs::path(dir) / (h.hex() + suffix)).string();
+}
+
+bool
+ArtifactDir::contains(const std::string &key) const
+{
+    std::error_code ec;
+    return enabled() && fs::exists(path(key), ec);
+}
+
+bool
+ArtifactDir::load(const std::string &key, const Decode &decode)
+{
+    if (!enabled())
+        return false;
+    const std::string file = path(key);
+    ArtifactReadResult read = readArtifact(file, magic, version);
+    if (read.status == ArtifactStatus::Ok && !decode(read.payload)) {
+        // The frame verified but the payload did not decode: a digest
+        // collision or a format bug. It heals as rot does.
+        quarantineArtifact(file);
+        read.status = ArtifactStatus::Corrupt;
+        read.error = "payload rejected by its decoder";
+    }
+
+    bool first_failure = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ctr.ioRetries += read.retries;
+        switch (read.status) {
+          case ArtifactStatus::Ok:
+            ++ctr.loads;
+            break;
+          case ArtifactStatus::Missing:
+            break;
+          case ArtifactStatus::VersionMismatch:
+            ++ctr.versionMisses;
+            break;
+          case ArtifactStatus::Corrupt:
+            ++ctr.corrupt;
+            first_failure = !std::exchange(warned, true);
+            break;
+          case ArtifactStatus::Transient:
+            ++ctr.unreadable;
+            first_failure = !std::exchange(warned, true);
+            break;
+        }
+    }
+    if (first_failure) {
+        const bool corrupt = read.status == ArtifactStatus::Corrupt;
+        warn("cache artifact '%s' is %s: %s; %s and recomputing (one "
+             "warning per run; --engine-stats counts the rest)",
+             file.c_str(), corrupt ? "corrupt" : "unreadable",
+             read.error.c_str(),
+             corrupt ? "quarantined to .corrupt" : "left in place");
+    }
+    return read.status == ArtifactStatus::Ok;
+}
+
+void
+ArtifactDir::store(const std::string &key, std::string_view payload,
+                   ArtifactBatch *batch)
+{
+    YASIM_CHECK(enabled(), "store into a disabled artifact directory");
+    const std::string file = path(key);
+    auto published = [this] {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++ctr.writes;
+    };
+    const ArtifactWriteResult wrote =
+        batch ? batch->stage(file, magic, version, payload, published)
+              : writeArtifact(file, magic, version, payload);
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ctr.ioRetries += wrote.retries;
+    }
+    if (!wrote.ok) {
+        warn("cannot write cache file '%s': %s", file.c_str(),
+             wrote.error.c_str());
+        return;
+    }
+    if (!batch) {
+        published();
+        budgetPass();
+    }
+}
+
+void
+ArtifactDir::publish(ArtifactBatch &batch)
+{
+    const ArtifactPublishResult published = batch.publish();
+    if (published.staged == 0)
+        return;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++ctr.barriers;
+    }
+    if (!published.barrierError.empty()) {
+        warn("cannot make %llu staged cache files durable: %s; none was "
+             "published (their results are still returned)",
+             static_cast<unsigned long long>(published.staged),
+             published.barrierError.c_str());
+    }
+    for (const std::string &error : published.errors)
+        warn("%s", error.c_str());
+    if (published.published)
+        budgetPass();
+}
+
+uint64_t
+ArtifactDir::reclaimStaleTemps()
+{
+    if (!enabled())
+        return 0;
+    std::vector<fs::path> stale;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const pid_t pid = tempWriter(it->path().filename().string());
+        if (pid > 0 && ::kill(pid, 0) != 0 && errno == ESRCH)
+            stale.push_back(it->path());
+    }
+    uint64_t removed = 0;
+    for (const fs::path &temp : stale)
+        removed += fs::remove(temp, ec) ? 1 : 0;
+    return removed;
+}
+
+ArtifactDirCounters
+ArtifactDir::counters() const
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    return ctr;
+}
+
+void
+ArtifactDir::budgetPass()
+{
+    if (budgetBytes == 0)
+        return;
+    const uint64_t evicted = evictToBudget(dir, budgetBytes);
+    std::lock_guard<std::mutex> lock(mutex);
+    ctr.budgetEvictions += evicted;
 }
 
 } // namespace yasim

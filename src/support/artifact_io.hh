@@ -33,6 +33,10 @@
  * transiently are retried a bounded number of times with linear
  * backoff.
  *
+ * ArtifactDir applies one cache-directory policy on top of these calls:
+ * file names, counters, warnings and the byte budget. The result cache
+ * and the trace spills each hold one.
+ *
  * All the failure paths are testable deterministically through the
  * failpoint sites documented in support/failpoint.hh.
  */
@@ -240,6 +244,119 @@ bool quarantineArtifact(const std::string &path);
  * of files removed.
  */
 uint64_t evictToBudget(const std::string &dir, uint64_t max_bytes);
+
+/** What one ArtifactDir did; every field only grows. */
+struct ArtifactDirCounters
+{
+    /** Payloads read back and accepted by their decoder. */
+    uint64_t loads = 0;
+    /** Files published under their final name. */
+    uint64_t writes = 0;
+    /** Barriers issued: one per publish() of a batch that staged. */
+    uint64_t barriers = 0;
+    /**
+     * Reads whose frame failed verification, or whose payload the
+     * decoder rejected; each file was quarantined to "<file>.corrupt".
+     */
+    uint64_t corrupt = 0;
+    /** Clean frames of another format generation; each was deleted. */
+    uint64_t versionMisses = 0;
+    /** Reads whose open kept failing after bounded retries. */
+    uint64_t unreadable = 0;
+    /** Transient-open retries of reads and writes. */
+    uint64_t ioRetries = 0;
+    /** Files removed by budget passes. */
+    uint64_t budgetEvictions = 0;
+};
+
+/**
+ * The cache-directory policy for one artifact kind in one directory:
+ * files named by a key's digest plus a suffix, framed under one inner
+ * magic and format version, in a tree bounded by a byte budget.
+ *
+ * load() reads a key's file and sorts every outcome one way: a missing
+ * file is a plain miss; a stale format generation is counted and
+ * deleted without a warning; a corrupt frame, a payload the decoder
+ * rejects, or an open that kept failing is counted, and only the first
+ * of those per instance warns. store() stages a file into a batch, or
+ * writes it at once (fsync, then rename) and runs one budget pass;
+ * publish() publishes a batch and runs one budget pass. An instance
+ * with an empty directory is disabled: every load misses. Thread-safe.
+ */
+class ArtifactDir
+{
+  public:
+    /** Accepts a verified payload, keeping what it decoded, or not. */
+    using Decode = std::function<bool(const std::string &payload)>;
+
+    /**
+     * Files "<digest of key><@p suffix>" under (@p magic, @p version)
+     * in @p dir, which is created if missing (fatal if it cannot be).
+     * @p budget_bytes bounds the whole tree under @p dir (0 = no
+     * bound).
+     */
+    ArtifactDir(std::string dir, std::string magic, uint32_t version,
+                std::string suffix, uint64_t budget_bytes);
+
+    ArtifactDir(const ArtifactDir &) = delete;
+    ArtifactDir &operator=(const ArtifactDir &) = delete;
+
+    bool enabled() const { return !dir.empty(); }
+
+    /** @p key's file: its 32-hex-char content digest plus the suffix. */
+    std::string path(const std::string &key) const;
+
+    /** True when @p key's file exists (it may still fail to load). */
+    bool contains(const std::string &key) const;
+
+    /**
+     * Read @p key's file and hand its payload to @p decode. True only
+     * when @p decode accepted it; a rejected payload is quarantined.
+     */
+    bool load(const std::string &key, const Decode &decode);
+
+    /**
+     * Publish @p payload as @p key's file: staged into @p batch, where
+     * it counts as written once published, or, with no batch, written
+     * at once and followed by a budget pass. A failure warns and is
+     * dropped. Requires enabled().
+     */
+    void store(const std::string &key, std::string_view payload,
+               ArtifactBatch *batch);
+
+    /**
+     * @p batch's publish(): count its barrier, warn about each file it
+     * could not publish, then run one budget pass if any file was
+     * published.
+     */
+    void publish(ArtifactBatch &batch);
+
+    /**
+     * Remove every temp in the directory whose writing process is no
+     * longer running (kill(pid, 0) fails with ESRCH), such as those a
+     * killed batch leaves; returns how many. Temps of live processes,
+     * this one included, stay. Pids are only comparable within one pid
+     * namespace, so processes that share a directory must share one.
+     */
+    uint64_t reclaimStaleTemps();
+
+    /** Snapshot of the counters. */
+    ArtifactDirCounters counters() const;
+
+  private:
+    /** evictToBudget() over the tree, when there is a budget. */
+    void budgetPass();
+
+    const std::string dir;
+    const std::string magic;
+    const uint32_t version;
+    const std::string suffix;
+    const uint64_t budgetBytes;
+
+    mutable std::mutex mutex;
+    ArtifactDirCounters ctr;  // guarded by mutex
+    bool warned = false;      // guarded by mutex
+};
 
 } // namespace yasim
 

@@ -1,16 +1,11 @@
 #include "techniques/trace_store.hh"
 
-#include <filesystem>
 #include <sstream>
 
-#include "support/artifact_io.hh"
 #include "support/check.hh"
-#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace yasim {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -20,16 +15,11 @@ constexpr const char *kTraceMagic = "yasim-trace";
 } // namespace
 
 TraceStore::TraceStore(TraceStoreOptions options)
-    : opts(std::move(options))
+    : opts(std::move(options)),
+      spills(opts.cacheDir, kTraceMagic, kTraceFormatVersion, ".trace",
+             opts.cacheBudgetBytes)
 {
     YASIM_CHECK_GE(opts.maxBytes, size_t(1));
-    if (!opts.cacheDir.empty()) {
-        std::error_code ec;
-        fs::create_directories(opts.cacheDir, ec);
-        if (ec)
-            fatal("cannot create cache directory '%s': %s",
-                  opts.cacheDir.c_str(), ec.message().c_str());
-    }
 }
 
 std::string
@@ -42,98 +32,6 @@ TraceStore::keyText(const std::string &benchmark, InputSet input,
                     inputSetName(input),
                     (unsigned long long)suite.referenceInstructions,
                     (unsigned long long)suite.seed);
-}
-
-std::string
-TraceStore::diskPath(const std::string &key_text) const
-{
-    Hasher h;
-    h.str(key_text);
-    return (fs::path(opts.cacheDir) / (h.hex() + ".trace")).string();
-}
-
-std::shared_ptr<const ExecTrace>
-TraceStore::loadFromDisk(const std::string &key_text,
-                         const Program &program)
-{
-    const std::string path = diskPath(key_text);
-    ArtifactReadResult read =
-        readArtifact(path, kTraceMagic, kTraceFormatVersion);
-    if (read.retries) {
-        std::lock_guard<std::mutex> lock(mutex);
-        ctr.ioRetries += read.retries;
-    }
-    if (read.status == ArtifactStatus::Missing)
-        return nullptr;
-    if (read.status == ArtifactStatus::VersionMismatch) {
-        // Stale spill from another trace-format generation: the frame
-        // verified (no rot), readArtifact already deleted the file.
-        std::lock_guard<std::mutex> lock(mutex);
-        ++ctr.versionMisses;
-        warn("trace cache entry '%s' is from another format generation "
-             "(%s); removed and re-recording",
-             path.c_str(), read.error.c_str());
-        return nullptr;
-    }
-    if (read.status != ArtifactStatus::Ok) {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (read.status == ArtifactStatus::Corrupt)
-            ++ctr.quarantined;
-        warn("trace cache entry '%s' unusable (%s); re-recording",
-             path.c_str(), read.error.c_str());
-        return nullptr;
-    }
-
-    std::istringstream payload(read.payload);
-    std::shared_ptr<const ExecTrace> trace =
-        ExecTrace::read(payload, key_text, program);
-    if (!trace) {
-        // The frame verified, so the payload we wrote is intact — this
-        // is a key/version mismatch or payload-level rot. Either way it
-        // can never satisfy a future lookup: quarantine and re-record.
-        quarantineArtifact(path);
-        std::lock_guard<std::mutex> lock(mutex);
-        ++ctr.quarantined;
-        warn("trace cache entry '%s' failed payload verification; "
-             "quarantined and re-recording",
-             path.c_str());
-    }
-    return trace;
-}
-
-void
-TraceStore::spillToDisk(const std::string &key_text, const ExecTrace &trace,
-                        ArtifactBatch *batch)
-{
-    const std::string path = diskPath(key_text);
-    std::ostringstream payload;
-    trace.write(payload, key_text);
-    // A staged spill counts once its batch publishes it; the batch's
-    // owner enforces the budget then.
-    auto published = [this] {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++ctr.diskWrites;
-    };
-    const ArtifactWriteResult wrote =
-        batch ? batch->stage(path, kTraceMagic, kTraceFormatVersion,
-                             payload.str(), published)
-              : writeArtifact(path, kTraceMagic, kTraceFormatVersion,
-                              payload.str());
-    uint64_t evicted = 0;
-    if (wrote.ok && !batch && opts.cacheBudgetBytes)
-        evicted = evictToBudget(opts.cacheDir, opts.cacheBudgetBytes);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ctr.ioRetries += wrote.retries;
-        ctr.budgetEvictions += evicted;
-    }
-    if (!wrote.ok) {
-        warn("cannot publish trace cache file '%s': %s", path.c_str(),
-             wrote.error.c_str());
-        return;
-    }
-    if (!batch)
-        published();
 }
 
 void
@@ -187,9 +85,11 @@ TraceStore::get(const std::string &benchmark, InputSet input,
     auto [trace, joined] = inflight.run(lock, key, CancelToken(), [&] {
         Workload workload = buildWorkload(benchmark, input, suite);
         std::shared_ptr<const ExecTrace> loaded;
-        if (!opts.cacheDir.empty())
-            loaded = loadFromDisk(key, workload.program);
-        from_disk = loaded != nullptr;
+        from_disk = spills.load(key, [&](const std::string &payload) {
+            std::istringstream in(payload);
+            loaded = ExecTrace::read(in, key, workload.program);
+            return loaded != nullptr;
+        });
         return from_disk ? loaded : ExecTrace::record(workload.program);
     });
     if (joined) {
@@ -198,25 +98,38 @@ TraceStore::get(const std::string &benchmark, InputSet input,
         ++ctr.inflightJoins;
         return trace;
     }
-    if (from_disk) {
-        ++ctr.diskLoads;
-    } else {
+    if (!from_disk) {
         ++ctr.recordings;
         ctr.instsRecorded += trace->length();
     }
     insertLocked(key, trace);
     lock.unlock();
 
-    if (!from_disk && !opts.cacheDir.empty())
-        spillToDisk(key, *trace, batch);
+    if (!from_disk && spills.enabled()) {
+        std::ostringstream payload;
+        trace->write(payload, key);
+        spills.store(key, payload.str(), batch);
+    }
     return trace;
 }
 
 TraceCounters
 TraceStore::counters() const
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    return ctr;
+    TraceCounters c;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        c = ctr;
+    }
+    const ArtifactDirCounters disk = spills.counters();
+    c.diskLoads = disk.loads;
+    c.diskWrites = disk.writes;
+    c.quarantined = disk.corrupt;
+    c.versionMisses = disk.versionMisses;
+    c.unreadable = disk.unreadable;
+    c.ioRetries = disk.ioRetries;
+    c.budgetEvictions = disk.budgetEvictions;
+    return c;
 }
 
 TraceReplayer

@@ -27,13 +27,12 @@
 #include <unordered_map>
 
 #include "sim/trace.hh"
+#include "support/artifact_io.hh"
 #include "support/single_flight.hh"
 #include "techniques/technique.hh"
 #include "workloads/suite.hh"
 
 namespace yasim {
-
-class ArtifactBatch;
 
 /** TraceStore construction knobs. */
 struct TraceStoreOptions
@@ -81,6 +80,8 @@ struct TraceCounters
      *  stale (no quarantine) and re-recorded. Counted separately from
      *  quarantined so version churn never reads as corruption. */
     uint64_t versionMisses = 0;
+    /** Spill reads that stayed unreadable after bounded retries. */
+    uint64_t unreadable = 0;
     /** Transient-I/O retries performed by spill reads and writes. */
     uint64_t ioRetries = 0;
     /** Spill files evicted enforcing cacheBudgetBytes. */
@@ -126,16 +127,13 @@ class TraceStore
         std::list<std::string>::iterator lruPos;
     };
 
-    std::string diskPath(const std::string &key_text) const;
-    std::shared_ptr<const ExecTrace>
-    loadFromDisk(const std::string &key_text, const Program &program);
-    void spillToDisk(const std::string &key_text, const ExecTrace &trace,
-                     ArtifactBatch *batch);
     /** Insert and LRU-evict past the byte budget. Caller holds mutex. */
     void insertLocked(const std::string &key_text,
                       std::shared_ptr<const ExecTrace> trace);
 
     TraceStoreOptions opts;
+    /** The ".trace" spills in opts.cacheDir. */
+    ArtifactDir spills;
 
     mutable std::mutex mutex;
     std::unordered_map<std::string, Entry> entries;
@@ -143,6 +141,7 @@ class TraceStore
     std::list<std::string> lru;
     /** Streams being recorded or loaded from disk. */
     SingleFlight<std::shared_ptr<const ExecTrace>> inflight{mutex};
+    /** Every field but those spills counts. */
     TraceCounters ctr;
 };
 

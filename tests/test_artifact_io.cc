@@ -3,8 +3,8 @@
  * Tests for the deterministic failpoint layer and the framed artifact
  * reader/writer behind every on-disk cache: trigger semantics,
  * byte-level frame verification, quarantine, transient-open retries,
- * torn-write detection, batched publication, and cache-budget
- * eviction.
+ * torn-write detection, batched publication, cache-budget eviction,
+ * and the cache-directory policy ArtifactDir applies on top.
  *
  * Every test pins its own failpoint schedule with ScopedSchedule so
  * the assertions hold even when the whole suite runs under a CI
@@ -16,6 +16,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <sys/wait.h>
+#include <unistd.h>
 #include <vector>
 
 #include "support/artifact_io.hh"
@@ -591,6 +593,87 @@ TEST(ArtifactIo, EvictionCountsSubdirectories)
     EXPECT_FALSE(fs::exists(paths[1]));
     EXPECT_TRUE(fs::exists(paths[2]));
     EXPECT_TRUE(fs::exists(scratch.file("warm/w-2.warm.tmp.1.2")));
+}
+
+// -------------------------------------------------------- ArtifactDir
+
+TEST(ArtifactDir, SortsEveryReadOutcomeOneWayAndWarnsOnce)
+{
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_artifact_dir_reads");
+    ArtifactDir files(scratch.str(), "yasim-test", 2, ".art", 0);
+    for (const char *key : {"ok", "rotten", "rejected"})
+        files.store(key, "payload", nullptr);
+    std::string rotten = slurp(files.path("rotten"));
+    rotten[rotten.size() / 2] ^= 0x01;
+    dump(files.path("rotten"), rotten);
+    ASSERT_TRUE(
+        writeArtifact(files.path("stale"), "yasim-test", 1, "payload").ok);
+
+    const auto accept = [](const std::string &payload) {
+        return payload == "payload";
+    };
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(files.load("ok", accept));
+    EXPECT_FALSE(files.load("missing", accept));
+    EXPECT_FALSE(files.load("stale", accept));
+    EXPECT_FALSE(files.load("rotten", accept));
+    EXPECT_FALSE(
+        files.load("rejected", [](const std::string &) { return false; }));
+    {
+        failpoint::ScopedSchedule sched("io.open.transient=always");
+        EXPECT_FALSE(files.load("ok", accept));
+    }
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+
+    // Two corrupt reads and an unreadable one: one warning, no more.
+    size_t warned = 0;
+    for (size_t at = warnings.find("warn: "); at != std::string::npos;
+         at = warnings.find("warn: ", at + 1))
+        ++warned;
+    EXPECT_EQ(warned, 1u) << warnings;
+    const ArtifactDirCounters c = files.counters();
+    EXPECT_EQ(c.loads, 1u);
+    EXPECT_EQ(c.writes, 3u);
+    EXPECT_EQ(c.barriers, 0u);
+    EXPECT_EQ(c.corrupt, 2u);
+    EXPECT_EQ(c.versionMisses, 1u);
+    EXPECT_EQ(c.unreadable, 1u);
+    EXPECT_GE(c.ioRetries, 1u);
+    // Rot is quarantined; a stale generation is deleted.
+    EXPECT_TRUE(fs::exists(files.path("rotten") + ".corrupt"));
+    EXPECT_TRUE(fs::exists(files.path("rejected") + ".corrupt"));
+    EXPECT_FALSE(fs::exists(files.path("stale")));
+    EXPECT_TRUE(fs::exists(files.path("ok")));
+}
+
+TEST(ArtifactDir, ReclaimsOnlyTheTempsOfDeadWriters)
+{
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_artifact_dir_temps");
+    // A writer that has exited: its pid names no running process.
+    const pid_t dead = ::fork();
+    ASSERT_NE(dead, -1);
+    if (dead == 0)
+        ::_exit(0);
+    ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
+
+    const std::string mine = std::to_string(::getpid());
+    const std::string gone = std::to_string(dead);
+    const std::vector<std::string> kept = {
+        "a.result.tmp." + mine + ".0", "b.result",
+        "c.result.tmp.x.1", "d.result.tmp." + gone,
+        "e.result.tmp." + gone + ".1.corrupt"};
+    for (const std::string &name : kept)
+        dump(scratch.file(name), "x");
+    dump(scratch.file("f.result.tmp." + gone + ".7"), "x");
+    dump(scratch.file("g.trace.tmp." + gone + ".8"), "x");
+
+    ArtifactDir files(scratch.str(), "yasim-test", 1, ".result", 0);
+    EXPECT_EQ(files.reclaimStaleTemps(), 2u);
+    EXPECT_EQ(fileCount(scratch.str()), static_cast<int>(kept.size()));
+    for (const std::string &name : kept)
+        EXPECT_TRUE(fs::exists(scratch.file(name))) << name;
 }
 
 } // namespace

@@ -269,13 +269,50 @@ TEST(CacheKey, KeyMentionsFormatVersionAndBenchmark)
 
 TEST(CacheKey, DigestIs32HexAndContentSensitive)
 {
-    std::string a = cacheDigest("some key text");
-    std::string b = cacheDigest("some key texu");
-    EXPECT_EQ(a.size(), 32u);
-    EXPECT_TRUE(a.find_first_not_of("0123456789abcdef") ==
-                std::string::npos);
+    // A key's file name is its content digest plus the kind's suffix.
+    const ArtifactDir files("", "yasim-result", kCacheFormatVersion,
+                            ".result", 0);
+    std::string a = files.path("some key text");
+    std::string b = files.path("some key texu");
+    ASSERT_EQ(a.size(), 32u + 7u);
+    EXPECT_TRUE(a.ends_with(".result"));
+    EXPECT_TRUE(a.find_first_not_of("0123456789abcdef") == 32u);
     EXPECT_NE(a, b);
-    EXPECT_EQ(a, cacheDigest("some key text"));
+    EXPECT_EQ(a, files.path("some key text"));
+}
+
+TEST(CacheKey, ShardsChangeOnlyTheReferenceKey)
+{
+    // Only the full reference reads ctx.shards, so a sharded context
+    // moves its key alone: every other cell stays a cache hit. A
+    // technique that forwards the reference's cacheKey() is keyed as
+    // the reference.
+    struct ForwardsReference : FullReference
+    {
+        std::string name() const override { return "timed"; }
+        std::string cacheKey() const override
+        {
+            return FullReference().cacheKey();
+        }
+    };
+    const TechniqueContext plain = directCtx("gzip");
+    TechniqueContext sharded = plain;
+    sharded.shards.shards = 4;
+    sharded.shards.warmupInsts = 65536;
+    const SimConfig config = architecturalConfig(2);
+
+    EXPECT_NE(resultCacheKey(FullReference(), plain, config),
+              resultCacheKey(FullReference(), sharded, config));
+    EXPECT_EQ(resultCacheKey(ForwardsReference(), sharded, config),
+              resultCacheKey(FullReference(), sharded, config));
+    const std::vector<TechniquePtr> others = {
+        std::make_shared<Smarts>(1000, 2000),
+        std::make_shared<SimPoint>(10.0, 30, 1.0, "multiple 10M"),
+        std::make_shared<ReducedInput>(InputSet::Small)};
+    for (const TechniquePtr &technique : others)
+        EXPECT_EQ(resultCacheKey(*technique, plain, config),
+                  resultCacheKey(*technique, sharded, config))
+            << technique->name();
 }
 
 // ---------------------------------------------------------- result I/O
@@ -835,6 +872,40 @@ TEST(EngineRobustness, UnreadableEntriesAreCountedNotFatal)
     EXPECT_EQ(ctr.runsExecuted, 1u);
     EXPECT_GE(ctr.cacheUnreadable, 1u);
     EXPECT_EQ(ctr.diskHits, 0u);
+    // The spill read that stayed unreadable is counted the same way.
+    EXPECT_GE(cold.traceStore()->counters().unreadable, 1u);
+}
+
+TEST(EngineRobustness, StatsReportCarriesTheTraceStoresDiskCounters)
+{
+    ScratchDir scratch("yasim_engine_trace_stats");
+    SuiteConfig suite;
+    suite.referenceInstructions = kRefInsts;
+    // A one-byte budget: each spill written evicts the one before it.
+    ExperimentEngine engine(
+        {.cacheDir = scratch.str(), .cacheBudgetBytes = 1});
+    {
+        failpoint::ScopedSchedule sched("io.open.transient=always");
+        engine.context("gzip", suite);
+    }
+    failpoint::ScopedSchedule off("");
+    engine.context("mcf", suite);
+    engine.context("art", suite);
+
+    const TraceCounters t = engine.traceStore()->counters();
+    ASSERT_GE(t.unreadable, 1u);
+    ASSERT_GE(t.budgetEvictions, 1u);
+    const JsonReport report = engine.statsReport();
+    ASSERT_TRUE(report.has("trace_unreadable"));
+    ASSERT_TRUE(report.has("trace_budget_evictions"));
+    EXPECT_EQ(report.count("trace_unreadable"), t.unreadable);
+    EXPECT_EQ(report.count("trace_budget_evictions"), t.budgetEvictions);
+
+    std::ostringstream table;
+    engine.printStats(table);
+    EXPECT_NE(table.str().find("trace unreadable"), std::string::npos);
+    EXPECT_NE(table.str().find("trace budget evictions"),
+              std::string::npos);
 }
 
 TEST(EngineRobustness, CacheBudgetEvictsOldestEntries)
@@ -950,14 +1021,17 @@ TEST(EngineRobustness, KilledWritersNeverPublishTornArtifacts)
  * no failpoint armed, then arms @p schedule and runs @p grid as one
  * runAll batch. A child that finishes writes its count of io.write.crash
  * evaluations to @p report_fd (when >= 0) and exits 0; a crash
- * failpoint kills it first. Returns the exit status, or -1.
+ * failpoint kills it first. Returns the exit status, or -1, and names
+ * the child in @p child when given.
  */
 int
 runGridInChild(const std::string &dir, const SmallGrid &grid,
                const SuiteConfig &suite, const std::string &schedule,
-               int report_fd = -1)
+               int report_fd = -1, pid_t *child = nullptr)
 {
     const pid_t pid = ::fork();
+    if (child)
+        *child = pid;
     if (pid == 0) {
         failpoint::configure("");
         ExperimentEngine engine({.cacheDir = dir});
@@ -1027,10 +1101,13 @@ TEST(EngineRobustness, KilledGridWritersNeverPublishTornArtifacts)
     // Every child runs before this process starts a thread, so each
     // fork copies a single-threaded process.
     std::vector<std::string> dirs;
+    std::vector<pid_t> children(kills.size(), 0);
     for (const Kill &kill : kills) {
-        dirs.push_back(scratch.str() + "/kill" + std::to_string(dirs.size()));
+        const size_t i = dirs.size();
+        dirs.push_back(scratch.str() + "/kill" + std::to_string(i));
         fs::create_directories(dirs.back());
-        EXPECT_EQ(runGridInChild(dirs.back(), grid, suite, kill.schedule),
+        EXPECT_EQ(runGridInChild(dirs.back(), grid, suite, kill.schedule,
+                                 -1, &children[i]),
                   kill.status)
             << kill.schedule;
     }
@@ -1048,7 +1125,16 @@ TEST(EngineRobustness, KilledGridWritersNeverPublishTornArtifacts)
                       countPublished(dirs[i], ".trace"),
                   1 + kills[i].published);
 
+        // Opening the directory reclaims the dead child's temps.
         ExperimentEngine after({.cacheDir = dirs[i]});
+        EXPECT_GE(after.counters().staleTempsReclaimed, 1u);
+        const std::string child_temp =
+            ".tmp." + std::to_string(children[i]) + ".";
+        for (const fs::directory_entry &entry :
+             fs::directory_iterator(dirs[i]))
+            EXPECT_EQ(entry.path().filename().string().find(child_temp),
+                      std::string::npos)
+                << entry.path();
         expectSameRows(grid.run(after, after.context("gzip", suite)),
                        expected);
     }

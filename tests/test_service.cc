@@ -451,70 +451,28 @@ TEST(ServiceExecute, ValidationFailuresAreErrors)
               ResponseStatus::Error);
 }
 
-// --- cache-key stamping (satellite: guarded key layout) ---------------
+// --- cache-key layout -------------------------------------------------
 
-TEST(CacheKeyStamper, HistoricalLayoutPreservedByteForByte)
+TEST(CacheKey, HistoricalLayoutPreservedByteForByte)
 {
-    std::string key = resultKeyStamper()
-                          .stamp("bench", "gzip")
-                          .stamp("suite", "ref=1000,seed=2")
-                          .stamp("cost", "C")
-                          .stamp("tech", "reference|full")
-                          .stamp("cfg", "X")
-                          .finish();
-    EXPECT_EQ(key,
-              "v2|bench=gzip|ref=1000,seed=2|cost=C|"
-              "tech=reference|full|cfg=X");
-
-    std::string sharded = resultKeyStamper()
-                              .stamp("bench", "gzip")
-                              .stamp("suite", "ref=1000,seed=2")
-                              .stamp("cost", "C")
-                              .stamp("shards",
-                                     "shards{n=2,warm=500,stitch=sum}")
-                              .stamp("tech", "reference|full")
-                              .stamp("cfg", "X")
-                              .finish();
-    EXPECT_EQ(sharded,
-              "v2|bench=gzip|ref=1000,seed=2|cost=C|"
-              "shards{n=2,warm=500,stitch=sum}|"
-              "tech=reference|full|cfg=X");
-
-    // The segment a sharded context stamps: every sharded result
-    // already in a cache directory is filed under this text.
+    // Every result already in a cache directory is filed under these
+    // texts: a sharded context puts its segment before "tech=".
     TechniqueContext ctx;
     ctx.benchmark = "gzip";
+    ctx.suite.referenceInstructions = 1000;
+    ctx.suite.seed = 2;
+    const SimConfig config;
+    const std::string head =
+        "v2|bench=gzip|ref=1000,seed=2|"
+        "cost=1/0.040000000000000001/0.01/0.014999999999999999/0.01";
+    const std::string tail =
+        "|tech=reference|full|cfg=" + configKeyText(config);
+    EXPECT_EQ(resultCacheKey(FullReference(), ctx, config), head + tail);
+
     ctx.shards.shards = 4;
     ctx.shards.warmupInsts = 65536;
-    EXPECT_NE(resultCacheKey(FullReference(), ctx, SimConfig{})
-                  .find("|shards{n=4,warm=65536,stitch=drain}|"
-                        "tech=reference|full|"),
-              std::string::npos);
-}
-
-TEST(CacheKeyStamperDeath, MisuseIsDiagnosed)
-{
-    EXPECT_DEATH(resultKeyStamper().stamp("flavor", "x"),
-                 "unknown cache-key segment");
-    EXPECT_DEATH(resultKeyStamper()
-                     .stamp("bench", "a")
-                     .stamp("bench", "b"),
-                 "duplicate cache-key segment");
-    // "shards" is optional, so everything up to "tech" can be stamped
-    // without it — going back to it afterwards is out of order.
-    EXPECT_DEATH(resultKeyStamper()
-                     .stamp("bench", "a")
-                     .stamp("suite", "s")
-                     .stamp("cost", "c")
-                     .stamp("tech", "t")
-                     .stamp("shards", "shards{}"),
-                 "out of canonical order");
-    EXPECT_DEATH(resultKeyStamper().stamp("cost", "c"),
-                 "skipped");
-    EXPECT_DEATH(resultKeyStamper().stamp("bench", ""),
-                 "empty cache-key segment");
-    EXPECT_DEATH(resultKeyStamper().stamp("bench", "a").finish(),
-                 "without required segment");
+    EXPECT_EQ(resultCacheKey(FullReference(), ctx, config),
+              head + "|shards{n=4,warm=65536,stitch=drain}" + tail);
 }
 
 // --- JsonReport (satellite: one versioned JSON schema) ----------------
