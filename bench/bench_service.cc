@@ -96,9 +96,8 @@ nextValue(int argc, char **argv, int &i)
 uint64_t
 parseCount(const char *flag, const char *text)
 {
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
+    uint64_t value = 0;
+    if (!parseDecimal(text, value)) {
         std::fprintf(stderr,
                      "bench_service: %s wants a number, got '%s'\n",
                      flag, text);

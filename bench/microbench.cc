@@ -897,11 +897,11 @@ runSamplingGate(const char *path)
     const std::vector<UnitResult> oracle =
         library.measureUnits(indices, true);
 
-    // On-disk footprint: every persisted point (lp-*.lvpt), compressed
+    // On-disk footprint: every persisted point (*.lvpt), compressed
     // frame included.
     uint64_t point_bytes = 0, point_count = 0;
     for (const auto &entry : fs::directory_iterator(lp_dir)) {
-        if (entry.path().filename().string().rfind("lp-", 0) != 0)
+        if (entry.path().extension() != ".lvpt")
             continue;
         point_bytes += entry.file_size();
         ++point_count;

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <variant>
 
 #include "engine/cache_key.hh"
 #include "engine/result_io.hh"
@@ -298,73 +299,102 @@ ExperimentEngine::counters() const
     return c;
 }
 
+namespace {
+
+/**
+ * One engine statistic: its table label, its JSON name and its value.
+ * A row with no label is a section rule, which only the table draws.
+ */
+struct StatRow
+{
+    const char *label = nullptr;
+    const char *json = nullptr;
+    /** A count, a real number, or a percentage that may be undefined. */
+    std::variant<uint64_t, double, std::optional<double>> value;
+};
+
+/** Every engine statistic, in the order both renderings list them. */
+std::vector<StatRow>
+statRows(const EngineCounters &c, const TraceCounters &t)
+{
+    const ThreadPool::Stats pool = globalPool().stats();
+    const double total = c.workUnitsComputed + c.workUnitsSaved;
+    std::optional<double> saved_pct;
+    if (total > 0.0)
+        saved_pct = 100.0 * c.workUnitsSaved / total;
+    return {
+        {"memo hits", "memo_hits", c.memoHits},
+        {"memo misses", "memo_misses", c.memoMisses},
+        {"in-flight joins", "inflight_joins", c.inflightJoins},
+        {"disk hits", "disk_hits", c.diskHits},
+        {"disk writes", "disk_writes", c.diskWrites},
+        {"disk barriers", "disk_barriers", c.diskBarriers},
+        {"evictions", "evictions", c.evictions},
+        {"technique runs executed", "runs_executed", c.runsExecuted},
+        {"work units computed", "work_units_computed",
+         c.workUnitsComputed},
+        {"work units saved by caches", "work_units_saved",
+         c.workUnitsSaved},
+        {"work saved", "work_saved_pct", saved_pct},
+        {"grid jobs scheduled", "grid_jobs", c.gridJobs},
+        {"cache corrupt (quarantined)", "cache_corrupt", c.cacheCorrupt},
+        {"cache version misses", "cache_version_misses",
+         c.cacheVersionMiss},
+        {"cache unreadable", "cache_unreadable", c.cacheUnreadable},
+        {"artifact io retries", "io_retries", c.ioRetries},
+        {"cache budget evictions", "budget_evictions", c.budgetEvictions},
+        {"runs cancelled", "runs_cancelled", c.runsCancelled},
+        {"cache writes aborted", "cache_writes_aborted",
+         c.cacheWritesAborted},
+        {"stale temps reclaimed", "stale_temps_reclaimed",
+         c.staleTempsReclaimed},
+        {},
+        {"trace recordings", "trace_recordings", t.recordings},
+        {"trace hits", "trace_hits", t.hits},
+        {"trace in-flight joins", "trace_inflight_joins", t.inflightJoins},
+        {"trace disk loads", "trace_disk_loads", t.diskLoads},
+        {"trace disk writes", "trace_disk_writes", t.diskWrites},
+        {"trace evictions", "trace_evictions", t.evictions},
+        {"trace insts recorded", "trace_insts_recorded", t.instsRecorded},
+        {"trace bytes in memory", "trace_bytes_in_memory",
+         t.bytesInMemory},
+        {"trace quarantined", "trace_quarantined", t.quarantined},
+        {"trace version misses", "trace_version_misses", t.versionMisses},
+        {"trace unreadable", "trace_unreadable", t.unreadable},
+        {"trace io retries", "trace_io_retries", t.ioRetries},
+        {"trace budget evictions", "trace_budget_evictions",
+         t.budgetEvictions},
+        {},
+        {"pool workers", "pool_workers",
+         uint64_t(globalPool().workerThreads()) + 1},
+        {"pool batches", "pool_batches", pool.batches},
+        {"pool tasks", "pool_tasks", pool.tasks},
+        {"pool caller tasks", "pool_caller_tasks", pool.callerTasks},
+        {"pool steals", "pool_steals", pool.steals},
+    };
+}
+
+} // namespace
+
 void
 ExperimentEngine::printStats(std::ostream &os) const
 {
-    EngineCounters c = counters();
-    ThreadPool::Stats pool = globalPool().stats();
-
     Table table("ExperimentEngine statistics");
     table.setHeader({"counter", "value"});
-    table.addRow({"memo hits", Table::count(c.memoHits)});
-    table.addRow({"memo misses", Table::count(c.memoMisses)});
-    table.addRow({"in-flight joins", Table::count(c.inflightJoins)});
-    table.addRow({"disk hits", Table::count(c.diskHits)});
-    table.addRow({"disk writes", Table::count(c.diskWrites)});
-    table.addRow({"disk barriers", Table::count(c.diskBarriers)});
-    table.addRow({"evictions", Table::count(c.evictions)});
-    table.addRow({"technique runs executed",
-                  Table::count(c.runsExecuted)});
-    table.addRow({"work units computed",
-                  Table::num(c.workUnitsComputed, 0)});
-    table.addRow({"work units saved by caches",
-                  Table::num(c.workUnitsSaved, 0)});
-    double total = c.workUnitsComputed + c.workUnitsSaved;
-    table.addRow({"work saved",
-                  total > 0.0
-                      ? Table::pct(100.0 * c.workUnitsSaved / total, 1)
-                      : "-"});
-    table.addRow({"grid jobs scheduled", Table::count(c.gridJobs)});
-    table.addRow({"cache corrupt (quarantined)",
-                  Table::count(c.cacheCorrupt)});
-    table.addRow({"cache version misses",
-                  Table::count(c.cacheVersionMiss)});
-    table.addRow({"cache unreadable", Table::count(c.cacheUnreadable)});
-    table.addRow({"artifact io retries", Table::count(c.ioRetries)});
-    table.addRow({"cache budget evictions",
-                  Table::count(c.budgetEvictions)});
-    table.addRow({"runs cancelled", Table::count(c.runsCancelled)});
-    table.addRow({"cache writes aborted",
-                  Table::count(c.cacheWritesAborted)});
-    table.addRow({"stale temps reclaimed",
-                  Table::count(c.staleTempsReclaimed)});
-    table.addRule();
-    TraceCounters t = traces.counters();
-    table.addRow({"trace recordings", Table::count(t.recordings)});
-    table.addRow({"trace hits", Table::count(t.hits)});
-    table.addRow(
-        {"trace in-flight joins", Table::count(t.inflightJoins)});
-    table.addRow({"trace disk loads", Table::count(t.diskLoads)});
-    table.addRow({"trace disk writes", Table::count(t.diskWrites)});
-    table.addRow({"trace evictions", Table::count(t.evictions)});
-    table.addRow(
-        {"trace insts recorded", Table::count(t.instsRecorded)});
-    table.addRow(
-        {"trace bytes in memory", Table::count(t.bytesInMemory)});
-    table.addRow({"trace quarantined", Table::count(t.quarantined)});
-    table.addRow({"trace version misses",
-                  Table::count(t.versionMisses)});
-    table.addRow({"trace unreadable", Table::count(t.unreadable)});
-    table.addRow({"trace io retries", Table::count(t.ioRetries)});
-    table.addRow({"trace budget evictions",
-                  Table::count(t.budgetEvictions)});
-    table.addRule();
-    table.addRow({"pool workers",
-                  Table::count(globalPool().workerThreads() + 1)});
-    table.addRow({"pool batches", Table::count(pool.batches)});
-    table.addRow({"pool tasks", Table::count(pool.tasks)});
-    table.addRow({"pool caller tasks", Table::count(pool.callerTasks)});
-    table.addRow({"pool steals", Table::count(pool.steals)});
+    for (const StatRow &row : statRows(counters(), traces.counters())) {
+        if (!row.label) {
+            table.addRule();
+            continue;
+        }
+        std::string cell = "-";
+        if (const uint64_t *n = std::get_if<uint64_t>(&row.value))
+            cell = Table::count(*n);
+        else if (const double *x = std::get_if<double>(&row.value))
+            cell = Table::num(*x, 0);
+        else if (const auto &pct = std::get<std::optional<double>>(row.value))
+            cell = Table::pct(*pct, 1);
+        table.addRow({row.label, cell});
+    }
     table.print(os);
 }
 
@@ -379,51 +409,18 @@ ExperimentEngine::statsReport() const
 void
 ExperimentEngine::appendCounters(JsonReport &report) const
 {
-    EngineCounters c = counters();
-    ThreadPool::Stats pool = globalPool().stats();
-
-    report.setCount("memo_hits", c.memoHits);
-    report.setCount("memo_misses", c.memoMisses);
-    report.setCount("inflight_joins", c.inflightJoins);
-    report.setCount("disk_hits", c.diskHits);
-    report.setCount("disk_writes", c.diskWrites);
-    report.setCount("disk_barriers", c.diskBarriers);
-    report.setCount("evictions", c.evictions);
-    report.setCount("runs_executed", c.runsExecuted);
-    report.setNumber("work_units_computed", c.workUnitsComputed);
-    report.setNumber("work_units_saved", c.workUnitsSaved);
-    double total = c.workUnitsComputed + c.workUnitsSaved;
-    report.setNumber("work_saved_pct",
-                     total > 0.0 ? 100.0 * c.workUnitsSaved / total
-                                 : 0.0);
-    report.setCount("grid_jobs", c.gridJobs);
-    report.setCount("cache_corrupt", c.cacheCorrupt);
-    report.setCount("cache_version_misses", c.cacheVersionMiss);
-    report.setCount("cache_unreadable", c.cacheUnreadable);
-    report.setCount("io_retries", c.ioRetries);
-    report.setCount("budget_evictions", c.budgetEvictions);
-    report.setCount("runs_cancelled", c.runsCancelled);
-    report.setCount("cache_writes_aborted", c.cacheWritesAborted);
-    report.setCount("stale_temps_reclaimed", c.staleTempsReclaimed);
-    TraceCounters t = traces.counters();
-    report.setCount("trace_recordings", t.recordings);
-    report.setCount("trace_hits", t.hits);
-    report.setCount("trace_inflight_joins", t.inflightJoins);
-    report.setCount("trace_disk_loads", t.diskLoads);
-    report.setCount("trace_disk_writes", t.diskWrites);
-    report.setCount("trace_evictions", t.evictions);
-    report.setCount("trace_insts_recorded", t.instsRecorded);
-    report.setCount("trace_bytes_in_memory", t.bytesInMemory);
-    report.setCount("trace_quarantined", t.quarantined);
-    report.setCount("trace_version_misses", t.versionMisses);
-    report.setCount("trace_unreadable", t.unreadable);
-    report.setCount("trace_io_retries", t.ioRetries);
-    report.setCount("trace_budget_evictions", t.budgetEvictions);
-    report.setCount("pool_workers", globalPool().workerThreads() + 1);
-    report.setCount("pool_batches", pool.batches);
-    report.setCount("pool_tasks", pool.tasks);
-    report.setCount("pool_caller_tasks", pool.callerTasks);
-    report.setCount("pool_steals", pool.steals);
+    for (const StatRow &row : statRows(counters(), traces.counters())) {
+        if (!row.label)
+            continue;
+        if (const uint64_t *n = std::get_if<uint64_t>(&row.value))
+            report.setCount(row.json, *n);
+        else if (const double *x = std::get_if<double>(&row.value))
+            report.setNumber(row.json, *x);
+        else
+            report.setNumber(
+                row.json,
+                std::get<std::optional<double>>(row.value).value_or(0.0));
+    }
 }
 
 } // namespace yasim

@@ -1,5 +1,7 @@
 #include "engine/options.hh"
 
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -28,6 +30,19 @@ nextValue(int argc, char **argv, int &i)
     if (i + 1 >= argc)
         fatal("option '%s' needs a value", argv[i]);
     return argv[++i];
+}
+
+/**
+ * @p text, the value of @p flag, as a whole decimal number no larger
+ * than @p max; fatal otherwise.
+ */
+uint64_t
+numberValue(const char *flag, const char *text, uint64_t max = UINT64_MAX)
+{
+    uint64_t value = 0;
+    if (!parseDecimal(text, value) || value > max)
+        fatal("%s wants a number, got '%s'", flag, text);
+    return value;
 }
 
 std::vector<std::string>
@@ -68,7 +83,7 @@ parseEngineCliOption(EngineCliOptions &options, int argc, char **argv,
     if (std::strcmp(arg, "--cache-dir") == 0) {
         options.cacheDir = next();
     } else if (std::strcmp(arg, "--cache-budget-mb") == 0) {
-        options.cacheBudgetMb = std::strtoull(next(), nullptr, 10);
+        options.cacheBudgetMb = numberValue(arg, next());
     } else if (std::strcmp(arg, "--failpoints") == 0) {
         options.failpoints = next();
     } else if (std::strcmp(arg, "--engine-stats") == 0) {
@@ -76,13 +91,13 @@ parseEngineCliOption(EngineCliOptions &options, int argc, char **argv,
     } else if (std::strcmp(arg, "--engine-stats-json") == 0) {
         options.engineStatsJson = next();
     } else if (std::strcmp(arg, "--shards") == 0) {
-        options.shards = uint32_t(std::strtoul(next(), nullptr, 10));
+        options.shards = uint32_t(numberValue(arg, next(), UINT32_MAX));
         if (options.shards == 0)
             fatal("--shards must be at least 1");
     } else if (std::strcmp(arg, "--shard-warmup") == 0) {
-        options.shardWarmup = std::strtoull(next(), nullptr, 10);
+        options.shardWarmup = numberValue(arg, next());
     } else if (std::strcmp(arg, "--workers") == 0) {
-        options.workers = unsigned(std::strtoul(next(), nullptr, 10));
+        options.workers = unsigned(numberValue(arg, next(), UINT_MAX));
         if (options.workers == 0)
             fatal("--workers must be at least 1");
     } else {
@@ -125,9 +140,9 @@ parseBenchOptions(int argc, char **argv, uint64_t default_ref_insts)
         auto next = [&]() { return nextValue(argc, argv, i); };
         if (std::strcmp(arg, "--ref-insts") == 0) {
             options.suite.referenceInstructions =
-                std::strtoull(next(), nullptr, 10);
+                numberValue(arg, next());
         } else if (std::strcmp(arg, "--seed") == 0) {
-            options.suite.seed = std::strtoull(next(), nullptr, 10);
+            options.suite.seed = numberValue(arg, next());
         } else if (std::strcmp(arg, "--benchmarks") == 0) {
             options.benchmarks = splitCommas(next());
             for (const std::string &bench : options.benchmarks)

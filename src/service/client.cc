@@ -18,6 +18,12 @@ namespace {
 
 /** Backoff seed for reconnects and admission retries (see rng.hh). */
 constexpr uint64_t kClientBackoffSeed = 0xc11e47b0ffULL;
+/**
+ * Total-attempt budget per logical request: connects plus
+ * admission-rejection resubmits. Exhausting it fails the call or batch
+ * instead of retrying forever against an overloaded daemon.
+ */
+constexpr uint32_t kMaxAttempts = 64;
 
 } // namespace
 
@@ -165,7 +171,7 @@ ServiceClient::call(const ExperimentRequest &request,
     std::string frame = frameRequest(request);
     Backoff retry_backoff(kClientBackoffSeed);
     for (uint32_t attempt = 0;; ++attempt) {
-        if (attempt >= opts.maxAttempts) {
+        if (attempt >= kMaxAttempts) {
             error = "attempt budget exhausted";
             return false;
         }
@@ -287,7 +293,7 @@ ServiceClient::runBatch(const std::vector<ExperimentRequest> &requests,
                 error = "daemon is draining; batch cannot complete";
                 return false;
             }
-            if (++attempts[index] >= opts.maxAttempts) {
+            if (++attempts[index] >= kMaxAttempts) {
                 error = csprintf(
                     "attempt budget exhausted for request id %llu "
                     "(last rejection: %s)",

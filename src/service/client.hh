@@ -44,12 +44,6 @@ struct ClientOptions
     uint32_t maxReconnects = 32;
     /** Outstanding-request window for runBatch(). */
     uint32_t window = 16;
-    /**
-     * Total-attempt budget per logical request: connects plus
-     * admission-rejection resubmits. Exhausting it fails the call or
-     * batch instead of retrying forever against an overloaded daemon.
-     */
-    uint32_t maxAttempts = 64;
 };
 
 /** What a runBatch() observed (bench_service's report material). */
@@ -105,7 +99,7 @@ class ServiceClient
      * @p responses so responses[i] answers requests[i] (matched by id;
      * every request must carry a distinct id) and returns true. A
      * Rejected admission is retried — with capped-exponential jittered
-     * backoff, up to maxAttempts per request — *except* "shed", which
+     * backoff, up to 64 attempts per request — *except* "shed", which
      * is terminal (see BatchStats::shed); Cancelled and
      * DeadlineExceeded responses are likewise terminal. A true return
      * means every request got exactly one terminal response.

@@ -44,8 +44,6 @@ ServiceDaemon::ServiceDaemon(DaemonOptions options,
 {
     if (opts.workers == 0)
         opts.workers = 1;
-    if (opts.maxFrameBytes > kMaxServicePayload)
-        opts.maxFrameBytes = kMaxServicePayload;
 }
 
 ServiceDaemon::~ServiceDaemon()
@@ -419,7 +417,7 @@ ServiceDaemon::serviceInput(uint64_t conn_id, Connection &conn,
     for (;;) {
         uint64_t frame_bytes = 0;
         FrameSizeStatus status =
-            frameSize(conn.inBuf, opts.maxFrameBytes, frame_bytes);
+            frameSize(conn.inBuf, kMaxServicePayload, frame_bytes);
         if (status == FrameSizeStatus::NeedMore)
             break;
         if (status == FrameSizeStatus::Malformed) {

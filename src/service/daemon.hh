@@ -96,8 +96,6 @@ struct DaemonOptions
     size_t maxQueue = 256;
     /** Bound on one connection's outstanding jobs (per-client quota). */
     uint32_t clientQuota = 64;
-    /** Largest request payload accepted before dropping the peer. */
-    uint64_t maxFrameBytes = kMaxServicePayload;
 };
 
 /** Monotonic daemon counters (Stats responses embed them). */

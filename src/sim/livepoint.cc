@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <sstream>
-#include <system_error>
 
 #include "sim/ooo_core.hh"
 #include "sim/trace.hh"
-#include "support/artifact_io.hh"
 #include "support/check.hh"
 #include "support/codec.hh"
 #include "support/hash.hh"
@@ -101,19 +98,6 @@ livePointLibraryKey(const Program &program, const SamplingPlan &plan,
 }
 
 } // namespace
-
-LivePointCounters &
-LivePointCounters::operator+=(const LivePointCounters &o)
-{
-    built += o.built;
-    hits += o.hits;
-    diskLoads += o.diskLoads;
-    diskWrites += o.diskWrites;
-    quarantined += o.quarantined;
-    versionMisses += o.versionMisses;
-    ioRetries += o.ioRetries;
-    return *this;
-}
 
 LivePoint
 LivePoint::atPosition(uint64_t position)
@@ -215,75 +199,16 @@ LivePoint::decode(std::string_view payload, LivePoint &out)
     return at == payload.size();
 }
 
-// yasim-lint: serialized(livepoint)
-bool
-LivePoint::saveFile(const std::string &path, LivePointCounters *ctr) const
-{
-    ArtifactWriteResult wrote = writeArtifact(
-        path, kLivePointMagic, kLivePointFormatVersion, encode());
-    if (ctr)
-        ctr->ioRetries += wrote.retries;
-    if (!wrote.ok) {
-        warn("cannot write live-point file '%s': %s", path.c_str(),
-             wrote.error.c_str());
-        return false;
-    }
-    if (ctr)
-        ++ctr->diskWrites;
-    return true;
-}
-
-// yasim-lint: serialized(livepoint)
-bool
-LivePoint::loadFile(const std::string &path, LivePoint &out,
-                    LivePointCounters *ctr)
-{
-    ArtifactReadResult read =
-        readArtifact(path, kLivePointMagic, kLivePointFormatVersion);
-    if (ctr) {
-        ctr->ioRetries += read.retries;
-        if (read.quarantined)
-            ++ctr->quarantined;
-        if (read.status == ArtifactStatus::VersionMismatch)
-            ++ctr->versionMisses;
-    }
-    if (read.status == ArtifactStatus::Missing)
-        return false;
-    if (read.status != ArtifactStatus::Ok) {
-        if (read.status != ArtifactStatus::VersionMismatch)
-            warn("live-point file '%s' unusable (%s)", path.c_str(),
-                 read.error.c_str());
-        return false;
-    }
-    if (!decode(read.payload, out)) {
-        // Frame verified but the payload did not parse cleanly:
-        // quarantine so the next lookup rebuilds instead of re-tripping.
-        quarantineArtifact(path);
-        if (ctr)
-            ++ctr->quarantined;
-        warn("live-point file '%s' failed payload verification; "
-             "quarantined",
-             path.c_str());
-        return false;
-    }
-    if (ctr)
-        ++ctr->diskLoads;
-    return true;
-}
-
 LivePointLibrary::LivePointLibrary(std::shared_ptr<const ExecTrace> trace_,
                                    const SamplingPlan &plan,
                                    const SimConfig &config,
                                    const LivePointOptions &options)
-    : trace(std::move(trace_)), gridPlan(plan), cfg(config), opts(options)
+    : trace(std::move(trace_)), gridPlan(plan), cfg(config),
+      files(options.dir, kLivePointMagic, kLivePointFormatVersion, ".lvpt",
+            0)
 {
     YASIM_CHECK(trace != nullptr, "live-point library needs a trace");
     key = livePointLibraryKey(trace->program(), gridPlan, cfg);
-    fileDigest = Hasher().str(key).hex();
-    if (!opts.dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts.dir, ec);
-    }
 }
 
 std::string
@@ -295,10 +220,21 @@ LivePointLibrary::pointKey(uint64_t index) const
 std::string
 LivePointLibrary::pointPath(uint64_t index) const
 {
-    if (opts.dir.empty())
-        return "";
-    return opts.dir + "/lp-" + fileDigest + "-" +
-           std::to_string(index) + ".lvpt";
+    return files.enabled() ? files.path(pointKey(index)) : "";
+}
+
+LivePointCounters
+LivePointLibrary::counters() const
+{
+    LivePointCounters c = ctr;
+    const ArtifactDirCounters disk = files.counters();
+    c.diskLoads = disk.loads;
+    c.diskWrites = disk.writes;
+    c.quarantined = disk.corrupt;
+    c.versionMisses = disk.versionMisses;
+    c.unreadable = disk.unreadable;
+    c.ioRetries = disk.ioRetries;
+    return c;
 }
 
 const LivePoint *
@@ -309,22 +245,16 @@ LivePointLibrary::at(uint64_t index) const
 }
 
 bool
-LivePointLibrary::loadPoint(uint64_t index, LivePoint &out,
-                            LivePointCounters &c) const
+LivePointLibrary::decodePoint(uint64_t index, std::string_view payload,
+                              LivePoint &out) const
 {
-    const std::string path = pointPath(index);
-    if (!LivePoint::loadFile(path, out, &c))
+    if (!LivePoint::decode(payload, out))
         return false;
-    // Identity and shape: the path digest pins program/plan/config, so
-    // a point that disagrees with its own position or warm identity is
-    // damaged in a way the frame checksum could not see.
+    // Identity and shape: the file name's digest pins program/plan/
+    // config, so a point that disagrees with its own position or warm
+    // identity is damaged in a way the frame checksum could not see.
     if (out.position() > gridPlan.warmStart(index) || !out.hasUarch() ||
         out.uarchKey() != pointKey(index)) {
-        quarantineArtifact(path);
-        ++c.quarantined;
-        warn("live-point file '%s' failed identity verification; "
-             "quarantined",
-             path.c_str());
         return false;
     }
     // Trial-restore the warm blob into scratch tables: a structurally
@@ -332,15 +262,7 @@ LivePointLibrary::loadPoint(uint64_t index, LivePoint &out,
     // CHECK inside a measurement worker.
     MemoryHierarchy scratch_mem(cfg.mem);
     CombinedPredictor scratch_bp(cfg.bp);
-    if (!out.restoreUarch(scratch_mem, scratch_bp, pointKey(index))) {
-        quarantineArtifact(path);
-        ++c.quarantined;
-        warn("live-point file '%s' failed warm-state verification; "
-             "quarantined",
-             path.c_str());
-        return false;
-    }
-    return true;
+    return out.restoreUarch(scratch_mem, scratch_bp, pointKey(index));
 }
 
 void
@@ -384,8 +306,8 @@ LivePointLibrary::buildPoints(const std::vector<uint64_t> &missing,
         LivePoint p = LivePoint::atPosition(cursor.instsExecuted());
         p.attachUarch(warm_mem, warm_bp, pointKey(index));
         ++ctr.built;
-        if (!opts.dir.empty())
-            p.saveFile(pointPath(index), &ctr);
+        if (files.enabled())
+            files.store(pointKey(index), p.encode(), nullptr);
         points.emplace(index, std::move(p));
     }
 }
@@ -408,19 +330,21 @@ LivePointLibrary::ensure(const std::vector<uint64_t> &indices,
     }
 
     std::vector<uint64_t> missing;
-    if (opts.dir.empty()) {
+    if (!files.enabled()) {
         missing = std::move(absent);
     } else {
         // Each point is its own file: read, verify and trial-restore
         // them across the pool, then admit them in index order.
         std::vector<LivePoint> loaded(absent.size());
-        std::vector<LivePointCounters> loadCtr(absent.size());
         std::vector<char> ok(absent.size(), 0);
         globalPool().parallelFor(absent.size(), [&](size_t i) {
-            ok[i] = loadPoint(absent[i], loaded[i], loadCtr[i]);
+            ok[i] = files.load(pointKey(absent[i]),
+                               [&](const std::string &payload) {
+                                   return decodePoint(absent[i], payload,
+                                                      loaded[i]);
+                               });
         });
         for (size_t i = 0; i < absent.size(); ++i) {
-            ctr += loadCtr[i];
             if (ok[i])
                 points.emplace(absent[i], std::move(loaded[i]));
             else

@@ -20,9 +20,10 @@
  *
  * A LivePointLibrary owns every point of one (program, sampling plan,
  * warm-geometry configuration): it builds missing points in a single
- * resumable functional-warming pass, persists each one as a framed,
- * varint/RLE-compressed artifact (support/artifact_io, support/codec)
- * in a caller-chosen directory, and serves random-access loads.
+ * resumable functional-warming pass, persists each one as a
+ * varint/RLE-compressed payload (support/codec) through the one
+ * cache-directory policy (support/artifact_io's ArtifactDir) in a
+ * caller-chosen directory, and serves random-access loads.
  * On-disk points affect wall-clock only — never results and never
  * modeled cost. SMARTS does not use the library: it measures its
  * units along the warming walk (sim/sampling.hh), for which the
@@ -43,6 +44,7 @@
 
 #include "sim/config.hh"
 #include "sim/sampling.hh"
+#include "support/artifact_io.hh"
 #include "support/cancel.hh"
 
 namespace yasim {
@@ -72,7 +74,10 @@ struct LivePointOptions
     std::string dir;
 };
 
-/** Monotonic live-point library counters. */
+/**
+ * Monotonic live-point library counters. The disk fields are the
+ * library's ArtifactDir counters (support/artifact_io.hh).
+ */
 struct LivePointCounters
 {
     /** Points captured by a warming/execution pass. */
@@ -88,10 +93,11 @@ struct LivePointCounters
      *  as stale (no quarantine) and rebuilt. Counted separately from
      *  quarantined so version churn never reads as corruption. */
     uint64_t versionMisses = 0;
+    /** Files whose open kept failing after bounded retries: left in
+     *  place, and the point rebuilt. */
+    uint64_t unreadable = 0;
     /** Transient-I/O retries performed by reads and writes. */
     uint64_t ioRetries = 0;
-
-    LivePointCounters &operator+=(const LivePointCounters &o);
 };
 
 /** One unit's entry state. See the file comment for what's inside. */
@@ -134,32 +140,14 @@ class LivePoint
     size_t footprintBytes() const;
 
     /**
-     * Serialize to the compressed binary payload saveFile() frames:
-     * the varint position plus the RLE-compressed warm blob
+     * Serialize to the compressed binary payload a point's file
+     * frames: the varint position plus the RLE-compressed warm blob
      * (support/codec).
      */
     std::string encode() const;
 
     /** Inverse of encode(). @return false on any structural defect. */
     static bool decode(std::string_view payload, LivePoint &out);
-
-    /**
-     * Persist as a standalone file: the encode() payload framed,
-     * checksummed, and atomically published through
-     * support/artifact_io. Never throws.
-     */
-    bool saveFile(const std::string &path,
-                  LivePointCounters *ctr = nullptr) const;
-
-    /**
-     * Load a live-point persisted by saveFile. Corruption at any
-     * layer quarantines the file to "<path>.corrupt" and returns
-     * false; a cleanly-framed stale format version deletes the file
-     * (a miss, not rot). @p ctr, when non-null, receives the
-     * disk/quarantine/version accounting.
-     */
-    static bool loadFile(const std::string &path, LivePoint &out,
-                         LivePointCounters *ctr = nullptr);
 
   private:
     uint64_t icount = 0;
@@ -194,8 +182,8 @@ class LivePointLibrary
 
     /**
      * Make every point in @p indices (ascending grid indices) resident
-     * in memory: from the in-memory set, from disk (any verification
-     * failure quarantines and falls through to a rebuild), or by
+     * in memory: from the in-memory set, from disk (any failed read
+     * is counted and falls through to a rebuild), or by
      * extending one resumable functional-warming pass from the nearest
      * preceding resident point. Newly built points persist to
      * options.dir when set.
@@ -241,22 +229,29 @@ class LivePointLibrary
     /**
      * Human-readable identity of this library — the "livepoints{...}"
      * cache-key segment naming the format version, plan geometry, and
-     * warm-relevant configuration digest. Point files and warm-blob
-     * keys both derive from it.
+     * warm-relevant configuration digest. Point file names and
+     * warm-blob keys both derive from it.
      */
     const std::string &keyText() const { return key; }
 
-    /** On-disk path of point @p index ("" when dir is unset). */
+    /**
+     * On-disk path of point @p index: the digest of its key plus
+     * ".lvpt" in options.dir ("" when dir is unset).
+     */
     std::string pointPath(uint64_t index) const;
 
     /** Snapshot of the counters. */
-    const LivePointCounters &counters() const { return ctr; }
+    LivePointCounters counters() const;
 
   private:
     std::string pointKey(uint64_t index) const;
-    /** Load-and-verify point @p index from disk into @p out. */
-    bool loadPoint(uint64_t index, LivePoint &out,
-                   LivePointCounters &c) const;
+    /**
+     * Decode @p payload as point @p index into @p out and verify what
+     * the frame checksum cannot see: its identity, its shape, and a
+     * trial restore of its warm blob.
+     */
+    bool decodePoint(uint64_t index, std::string_view payload,
+                     LivePoint &out) const;
     /** Extend the warming pass to build @p missing (ascending). */
     void buildPoints(const std::vector<uint64_t> &missing,
                      const CancelToken &cancel);
@@ -264,12 +259,13 @@ class LivePointLibrary
     std::shared_ptr<const ExecTrace> trace;
     SamplingPlan gridPlan;
     SimConfig cfg;
-    LivePointOptions opts;
     std::string key;
-    std::string fileDigest;
+    /** The point files; disabled when options.dir is "". */
+    ArtifactDir files;
     std::map<uint64_t, LivePoint> points;
     /** Grid position the modeled warming charge has reached. */
     uint64_t chargedTo = 0;
+    /** built and hits; counters() adds the disk fields. */
     LivePointCounters ctr;
 };
 

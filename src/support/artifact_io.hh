@@ -34,8 +34,9 @@
  * backoff.
  *
  * ArtifactDir applies one cache-directory policy on top of these calls:
- * file names, counters, warnings and the byte budget. The result cache
- * and the trace spills each hold one.
+ * file names, counters, warnings and the byte budget. The result cache,
+ * the trace spills and the live-point library each hold one, and no
+ * other library code makes these calls itself (yasim-analyze rule S2).
  *
  * All the failure paths are testable deterministically through the
  * failpoint sites documented in support/failpoint.hh.

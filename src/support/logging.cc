@@ -1,6 +1,7 @@
 #include "support/logging.hh"
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -87,6 +88,20 @@ csprintf(const char *fmt, ...)
     std::string msg = vformat(fmt, ap);
     va_end(ap);
     return msg;
+}
+
+bool
+parseDecimal(std::string_view text, uint64_t &value)
+{
+    // from_chars reads digits only for an unsigned type: it refuses a
+    // sign or leading space, and reports overflow.
+    const char *end = text.data() + text.size();
+    uint64_t parsed = 0;
+    const auto [at, err] = std::from_chars(text.data(), end, parsed);
+    if (text.empty() || err != std::errc() || at != end)
+        return false;
+    value = parsed;
+    return true;
 }
 
 } // namespace yasim

@@ -12,7 +12,9 @@
 #define YASIM_SUPPORT_LOGGING_HH
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace yasim {
 
@@ -33,6 +35,14 @@ void setInformEnabled(bool enabled);
 
 /** printf-style formatting into a std::string. */
 std::string csprintf(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/**
+ * Read @p text as a whole unsigned decimal number: one or more digits
+ * and nothing else (no sign, space, base prefix or suffix), no larger
+ * than UINT64_MAX. @return false, leaving @p value untouched, when
+ * @p text is anything else.
+ */
+bool parseDecimal(std::string_view text, uint64_t &value);
 
 /**
  * Assert that holds in release builds too. Panics with the stringified

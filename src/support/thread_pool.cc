@@ -1,7 +1,10 @@
 #include "support/thread_pool.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
+
+#include "support/logging.hh"
 
 namespace yasim {
 
@@ -18,9 +21,10 @@ parallelWorkers()
     if (n > 0)
         return n;
     if (const char *env = std::getenv("YASIM_WORKERS")) {
-        unsigned v = unsigned(std::strtoul(env, nullptr, 10));
-        if (v > 0)
-            return v;
+        // A malformed or zero value is ignored, as if unset.
+        uint64_t v = 0;
+        if (parseDecimal(env, v) && v > 0 && v <= UINT_MAX)
+            return unsigned(v);
     }
     n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;

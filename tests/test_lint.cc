@@ -146,6 +146,26 @@ TEST(LintS2, IgnoresCodeOutsideSrc)
               1);
 }
 
+TEST(LintS2, FlagsFramedArtifactCallsOutsideArtifactIo)
+{
+    const std::string call = "void f() {\n"
+                             "    writeArtifact(path, \"m\", 1, bytes);\n"
+                             "}\n";
+    EXPECT_EQ(countRule(lintSource("src/sim/fake.cc", call), "S2"), 1);
+
+    // Naming the call in a comment is not calling it.
+    const std::string comment = "// Points go through ArtifactDir, not\n"
+                                "// writeArtifact(path, ...).\n"
+                                "void f() {}\n";
+    EXPECT_TRUE(lintSource("src/sim/fake.cc", comment).empty());
+
+    // The header that declares the calls is part of the seam.
+    const std::string decl = "bool writeArtifact(const char *path);\n";
+    EXPECT_TRUE(lintSource("src/support/artifact_io.hh", decl).empty());
+    EXPECT_EQ(countRule(lintSource("src/support/other.hh", decl), "S2"),
+              1);
+}
+
 TEST(LintS2, ArtifactIoIsTheSanctionedSeam)
 {
     const std::string path = fixture("src/support/artifact_io.cc");

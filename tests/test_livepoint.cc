@@ -4,8 +4,9 @@
  * library (sim/livepoint.hh): the sampling grid's superset escalation,
  * the compressed point format's round trip and structural rejection,
  * corruption healing (quarantine + rebuild, byte by byte),
- * stale-version handling as a miss rather than rot, cancellation
- * storms leaving no partial entries, and the headline exactness
+ * stale-version handling as a miss rather than rot, failed reads
+ * counted and warned about once per library, cancellation storms
+ * leaving no partial entries, and the headline exactness
  * contract: SMARTS's warming walk bit-identical to the live-point
  * library's measurement across the whole Table-2 suite, and SMARTS
  * bit-identical to the result pinned from live interpretation.
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -98,6 +100,31 @@ bitEq(const std::vector<double> &a, const std::vector<double> &b)
         if (!bitEq(a[i], b[i]))
             return false;
     return true;
+}
+
+/**
+ * True when @p path holds a point file that verifies under the current
+ * format and decodes cleanly.
+ */
+bool
+readsBack(const std::string &path)
+{
+    const ArtifactReadResult read =
+        readArtifact(path, "yasim-lvpt", kLivePointFormatVersion);
+    LivePoint point;
+    return read.status == ArtifactStatus::Ok &&
+           LivePoint::decode(read.payload, point);
+}
+
+/** How many lines of @p text contain @p needle. */
+size_t
+linesContaining(const std::string &text, const std::string &needle)
+{
+    std::istringstream lines(text);
+    size_t count = 0;
+    for (std::string line; std::getline(lines, line);)
+        count += line.find(needle) != std::string::npos ? 1 : 0;
+    return count;
 }
 
 void
@@ -314,9 +341,7 @@ TEST(LivePointLibrary, CorruptionByteSweepHealsByRewarming)
         expectUnitsIdentical(healed.measureUnits(indices, false),
                              baseline);
         // The rebuilt point was re-persisted and reads back cleanly.
-        LivePoint reread;
-        EXPECT_TRUE(LivePoint::loadFile(victim, reread))
-            << "byte " << pos;
+        EXPECT_TRUE(readsBack(victim)) << "byte " << pos;
         fs::remove(victim + ".corrupt");
     }
 }
@@ -350,9 +375,72 @@ TEST(LivePointLibrary, StaleFormatVersionIsMissNotCorruption)
     EXPECT_EQ(healed.counters().quarantined, 0u);
     EXPECT_FALSE(fs::exists(path + ".corrupt"));
     // Rebuilt, re-persisted under the current version, bit-identical.
-    LivePoint reread;
-    EXPECT_TRUE(LivePoint::loadFile(path, reread));
+    EXPECT_TRUE(readsBack(path));
     expectUnitsIdentical(healed.measureUnits(indices, false), baseline);
+}
+
+TEST(LivePointLibrary, FailedReadsAreCountedAndWarnOnce)
+{
+    failpoint::ScopedSchedule off("");
+    ScratchDir scratch("yasim_lvpt_failed_reads");
+    auto trace = ExecTrace::record(loopProgram());
+    const uint64_t length = trace->length();
+    SimConfig cfg = architecturalConfig(1);
+    SamplingPlan plan = SamplingPlan::make(400, 150, length);
+    LivePointOptions opts{scratch.str()};
+    std::vector<uint64_t> indices = plan.indicesFor(4);
+    ASSERT_GE(indices.size(), 2u);
+
+    LivePointLibrary clean(trace, plan, cfg, opts);
+    clean.ensure(indices);
+    ASSERT_EQ(clean.counters().diskWrites, indices.size());
+    auto baseline = clean.measureUnits(indices, false);
+
+    // Every read flips a bit: each point is quarantined, counted and
+    // rebuilt, and only the first failure warns.
+    {
+        failpoint::ScopedSchedule corrupt("io.read.corrupt=always");
+        LivePointLibrary healed(trace, plan, cfg, opts);
+        ::testing::internal::CaptureStderr();
+        healed.ensure(indices);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(healed.counters().quarantined, indices.size());
+        EXPECT_EQ(healed.counters().diskLoads, 0u);
+        EXPECT_EQ(healed.counters().built, indices.size());
+        EXPECT_EQ(linesContaining(err, "warn:"), 1u) << err;
+        EXPECT_EQ(linesContaining(err, "is corrupt"), 1u) << err;
+        expectUnitsIdentical(healed.measureUnits(indices, false),
+                             baseline);
+    }
+    for (uint64_t idx : indices) {
+        EXPECT_TRUE(readsBack(clean.pointPath(idx))) << "point " << idx;
+        EXPECT_TRUE(fs::remove(clean.pointPath(idx) + ".corrupt"))
+            << "point " << idx;
+    }
+
+    // Every open fails: each point is counted unreadable, left in place
+    // and rebuilt; one warning covers the reads, while each failed
+    // write of a rebuilt point warns.
+    {
+        failpoint::ScopedSchedule unreadable("io.open.transient=always");
+        LivePointLibrary healed(trace, plan, cfg, opts);
+        ::testing::internal::CaptureStderr();
+        healed.ensure(indices);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(healed.counters().unreadable, indices.size());
+        EXPECT_EQ(healed.counters().diskLoads, 0u);
+        EXPECT_EQ(healed.counters().quarantined, 0u);
+        EXPECT_EQ(healed.counters().diskWrites, 0u);
+        EXPECT_EQ(linesContaining(err, "is unreadable"), 1u) << err;
+        EXPECT_EQ(linesContaining(err, "cannot write"), indices.size())
+            << err;
+        expectUnitsIdentical(healed.measureUnits(indices, false),
+                             baseline);
+    }
+    for (uint64_t idx : indices) {
+        EXPECT_TRUE(readsBack(clean.pointPath(idx))) << "point " << idx;
+        EXPECT_FALSE(fs::exists(clean.pointPath(idx) + ".corrupt"));
+    }
 }
 
 TEST(LivePointLibrary, CancelStormLeavesNoPartialEntries)
@@ -382,11 +470,9 @@ TEST(LivePointLibrary, CancelStormLeavesNoPartialEntries)
         // cancelled build leaves no partial entry behind.
         for (const auto &entry : fs::directory_iterator(scratch.path())) {
             std::string name = entry.path().filename().string();
-            ASSERT_TRUE(name.rfind("lp-", 0) == 0)
+            ASSERT_EQ(entry.path().extension(), ".lvpt")
                 << "stray file " << name << " in round " << round;
-            LivePoint loaded;
-            EXPECT_TRUE(
-                LivePoint::loadFile(entry.path().string(), loaded))
+            EXPECT_TRUE(readsBack(entry.path().string()))
                 << name << " unreadable in round " << round;
         }
     }

@@ -63,6 +63,33 @@ TEST(OptionsDeath, TooSmallRefInsts)
     EXPECT_DEATH(parse({"--ref-insts", "10"}), "at least");
 }
 
+// Numeric flags take whole decimal digits only: each of these was once
+// read as its digit prefix ("64k" as 64, "0x7" as 0, "10MB" as 10) or
+// wrapped around ("-1" as 4294967295 workers).
+TEST(OptionsDeath, ShardWarmupRefusesASuffix)
+{
+    EXPECT_DEATH(parse({"--shard-warmup", "64k"}),
+                 "--shard-warmup wants a number, got '64k'");
+}
+
+TEST(OptionsDeath, SeedRefusesHex)
+{
+    EXPECT_DEATH(parse({"--seed", "0x7"}),
+                 "--seed wants a number, got '0x7'");
+}
+
+TEST(OptionsDeath, CacheBudgetRefusesAUnit)
+{
+    EXPECT_DEATH(parse({"--cache-budget-mb", "10MB"}),
+                 "--cache-budget-mb wants a number, got '10MB'");
+}
+
+TEST(OptionsDeath, WorkersRefuseASign)
+{
+    EXPECT_DEATH(parse({"--workers", "-1"}),
+                 "--workers wants a number, got '-1'");
+}
+
 TEST(OptionsDeath, MissingValue)
 {
     EXPECT_DEATH(parse({"--ref-insts"}), "");

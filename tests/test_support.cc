@@ -42,6 +42,25 @@ TEST(Csprintf, HandlesLongStrings)
     EXPECT_EQ(out.back(), '>');
 }
 
+TEST(ParseDecimal, TakesWholeDecimalDigitsOnly)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(parseDecimal("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseDecimal("007", v));
+    EXPECT_EQ(v, 7u);
+    EXPECT_TRUE(parseDecimal("18446744073709551615", v));
+    EXPECT_EQ(v, UINT64_MAX);
+
+    // Refusals leave the value alone.
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "64k", "0x7",
+                            "1e6", "two", "18446744073709551616"}) {
+        v = 42;
+        EXPECT_FALSE(parseDecimal(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 42u) << "'" << bad << "'";
+    }
+}
+
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(123), b(123);

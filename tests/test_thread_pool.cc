@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -124,6 +126,26 @@ TEST(ParallelMap, EmptyAndSingleton)
 TEST(ParallelWorkers, AlwaysAtLeastOne)
 {
     EXPECT_GE(parallelWorkers(), 1u);
+}
+
+TEST(ParallelWorkers, MalformedEnvironmentIsIgnored)
+{
+    // Only a whole positive decimal count sizes the pool; anything else
+    // is ignored as if unset ("-1" once read as 4294967295 workers).
+    const char *outer = std::getenv("YASIM_WORKERS");
+    const std::string saved = outer ? outer : "";
+    ::unsetenv("YASIM_WORKERS");
+    const unsigned detected = parallelWorkers();
+    for (const char *bad : {"-1", "0", "two", "4x", " 3", "4294967296"}) {
+        ::setenv("YASIM_WORKERS", bad, 1);
+        EXPECT_EQ(parallelWorkers(), detected) << "'" << bad << "'";
+    }
+    ::setenv("YASIM_WORKERS", "3", 1);
+    EXPECT_EQ(parallelWorkers(), 3u);
+    if (outer)
+        ::setenv("YASIM_WORKERS", saved.c_str(), 1);
+    else
+        ::unsetenv("YASIM_WORKERS");
 }
 
 } // namespace

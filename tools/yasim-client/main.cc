@@ -29,6 +29,7 @@
 #include <string>
 
 #include "service/client.hh"
+#include "support/logging.hh"
 
 namespace {
 
@@ -80,9 +81,8 @@ nextValue(int argc, char **argv, int &i)
 uint64_t
 parseCount(const char *flag, const char *text)
 {
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
+    uint64_t value = 0;
+    if (!yasim::parseDecimal(text, value)) {
         std::fprintf(stderr,
                      "yasim-client: %s wants a number, got '%s'\n",
                      flag, text);

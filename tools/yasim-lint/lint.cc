@@ -40,9 +40,11 @@ constexpr AllowEntry kBuiltinAllow[] = {
     // purpose) and builds the in-process daemon's engine directly.
     {"bench/bench_service.cc", kRuleD1},
     {"bench/bench_service.cc", kRuleL2},
-    // The one sanctioned temp+rename implementation: every other
-    // library persistence path must go through it.
+    // The one sanctioned temp+rename implementation and the header
+    // that declares its calls: every other library persistence path
+    // must go through it.
     {"src/support/artifact_io.cc", kRuleS2},
+    {"src/support/artifact_io.hh", kRuleS2},
 };
 
 /** D1: banned only when invoked (identifier followed by '('). */
@@ -78,6 +80,11 @@ const std::set<std::string> kEngineInternals = {
 /** S1: raw-serialization primitives that demand a version marker. */
 const std::set<std::string> kSerializationTriggers = {
     "putRaw", "getRaw", "writeBinary", "readBinary", "fwrite", "fread",
+};
+
+/** S2: framed-artifact calls only support/artifact_io makes itself. */
+const std::set<std::string> kArtifactCalls = {
+    "readArtifact", "writeArtifact", "quarantineArtifact", "evictToBudget",
 };
 
 /** Layer classification from the path. */
@@ -337,6 +344,17 @@ ruleS2(const std::string &path, const std::string &code,
     // Library code only: tools and tests may roll their own files.
     if (path.find("src/") == std::string::npos)
         return;
+    for (const Token &tok : tokens) {
+        if (!kArtifactCalls.count(tok.text) ||
+            nextSignificant(code, tok.offset + tok.text.size()) != '(')
+            continue;
+        addFinding(findings, sup, path, kRuleS2, tok.line,
+                   "'" + tok.text + "' called outside "
+                   "support/artifact_io — library artifacts load, store, "
+                   "count and warn through one ArtifactDir "
+                   "(support/artifact_io.hh), not a copy of the "
+                   "cache-directory policy");
+    }
     bool hasOfstream = false;
     for (const Token &tok : tokens) {
         if (tok.text == "ofstream") {
@@ -376,8 +394,8 @@ ruleCatalog()
         {kRuleL2, "bench goes through BenchDriver/SimulationService, "
                   "never engine internals"},
         {kRuleS1, "raw serialization carries a format-version marker"},
-        {kRuleS2, "library persistence goes through "
-                  "support/artifact_io, never raw ofstream+rename"},
+        {kRuleS2, "library persistence goes through an ArtifactDir, "
+                  "never raw ofstream+rename or framed-artifact calls"},
     };
 }
 

@@ -20,7 +20,8 @@
  *       never engine internals
  *   S1  raw serialization code must carry a format-version marker
  *   S2  library persistence goes through support/artifact_io, never
- *       raw ofstream+rename
+ *       raw ofstream+rename, and only artifact_io calls the framed
+ *       reader, writer, quarantine and budget pass
  *
  * Suppression syntax (in comments):
  *   // yasim-lint: allow(D1)        this line (or next, if the
@@ -53,7 +54,7 @@ struct Options
     /**
      * Honour the built-in allowlist (the designated seam files:
      * bench/microbench.cc and bench/bench_service.cc for D1/L2,
-     * src/support/artifact_io.cc for S2). Tests disable it to exercise
+     * src/support/artifact_io.{hh,cc} for S2). Tests disable it to exercise
      * the raw rules.
      */
     bool builtinAllowlist = true;

@@ -20,6 +20,7 @@
 #include "engine/options.hh"
 #include "service/daemon.hh"
 #include "support/failpoint.hh"
+#include "support/logging.hh"
 
 namespace {
 
@@ -68,9 +69,8 @@ nextValue(int argc, char **argv, int &i)
 uint64_t
 parseCount(const char *flag, const char *text)
 {
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
+    uint64_t value = 0;
+    if (!yasim::parseDecimal(text, value)) {
         std::fprintf(stderr, "yasimd: %s wants a number, got '%s'\n",
                      flag, text);
         std::exit(2);
