@@ -113,8 +113,7 @@ ExperimentEngine::fetch(const Technique &technique,
         }
         TechniqueResult computed;
         from_disk = resultFiles.load(key, [&](const std::string &payload) {
-            std::istringstream in(payload);
-            return readResult(in, key, computed);
+            return readResult(payload, key, computed);
         });
         if (!from_disk)
             computed = simulate(technique, ctx, config);

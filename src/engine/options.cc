@@ -40,8 +40,11 @@ uint64_t
 numberValue(const char *flag, const char *text, uint64_t max = UINT64_MAX)
 {
     uint64_t value = 0;
-    if (!parseDecimal(text, value) || value > max)
+    if (!parseDecimal(text, value))
         fatal("%s wants a number, got '%s'", flag, text);
+    if (value > max)
+        fatal("%s wants a number up to %llu, got '%s'", flag,
+              static_cast<unsigned long long>(max), text);
     return value;
 }
 
@@ -83,7 +86,9 @@ parseEngineCliOption(EngineCliOptions &options, int argc, char **argv,
     if (std::strcmp(arg, "--cache-dir") == 0) {
         options.cacheDir = next();
     } else if (std::strcmp(arg, "--cache-budget-mb") == 0) {
-        options.cacheBudgetMb = numberValue(arg, next());
+        // Held in bytes: a larger budget would wrap, 2^44 to 0
+        // (unbounded).
+        options.cacheBudgetMb = numberValue(arg, next(), UINT64_MAX >> 20);
     } else if (std::strcmp(arg, "--failpoints") == 0) {
         options.failpoints = next();
     } else if (std::strcmp(arg, "--engine-stats") == 0) {

@@ -2,13 +2,12 @@
 
 #include <bit>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "engine/cache_key.hh"
 #include "support/check.hh"
@@ -30,7 +29,7 @@ encodeDouble(double v)
 }
 
 bool
-decodeDouble(const std::string &hex, double &v)
+decodeDouble(std::string_view hex, double &v)
 {
     if (hex.size() != 16)
         return false;
@@ -79,69 +78,96 @@ writeDoubles(std::ostream &os, const char *tag,
     os << '\n';
 }
 
-bool
-readDoubles(std::istream &is, const std::string &expected_tag,
-            std::vector<double> &values)
-{
-    std::string tag;
-    size_t n;
-    if (!(is >> tag >> n) || tag != expected_tag)
-        return false;
-    values.resize(n);
-    std::string hex;
-    for (size_t i = 0; i < n; ++i)
-        if (!(is >> hex) || !decodeDouble(hex, values[i]))
-            return false;
-    return true;
-}
-
-/** Read one whole line and return its remainder after "tag ". */
-bool
-readTaggedLine(std::istream &is, const std::string &expected_tag,
-               std::string &value)
-{
-    std::string line;
-    // Skip the newline left by a preceding >> extraction.
-    while (std::getline(is, line) && line.empty()) {
-    }
-    if (line.size() < expected_tag.size() + 1 ||
-        line.compare(0, expected_tag.size(), expected_tag) != 0 ||
-        line[expected_tag.size()] != ' ')
-        return false;
-    value = line.substr(expected_tag.size() + 1);
-    return true;
-}
-
 /**
- * Consume the trailing "end" marker and require EOF behind it. A
- * well-formed payload followed by extra bytes is not a cache entry we
- * wrote — it is corruption (an interrupted overwrite, a concatenated
- * file) and must read as a miss, never as "close enough".
+ * A cursor over a result payload. Each step consumes exactly the bytes
+ * writeResult writes for one token and fails on anything else: no
+ * whitespace is skipped, and a number has no sign and no leading zero.
  */
-bool
-readEndMarker(std::istream &is)
+class PayloadCursor
 {
-    std::string tag;
-    if (!(is >> tag) || tag != "end")
-        return false;
-    std::string trailing;
-    return !(is >> trailing);
-}
+  public:
+    explicit PayloadCursor(std::string_view payload) : rest(payload) {}
 
-bool
-readHeader(std::istream &is, const char *magic,
-           const std::string &key_text)
-{
-    std::string tag;
-    int version;
-    if (!(is >> tag >> version) || tag != magic ||
-        version != kCacheFormatVersion)
-        return false;
-    std::string key;
-    if (!readTaggedLine(is, "key", key) || key != key_text)
-        return false;
-    return true;
-}
+    /** Consume @p text. */
+    bool
+    literal(std::string_view text)
+    {
+        if (!rest.starts_with(text))
+            return false;
+        rest.remove_prefix(text.size());
+        return true;
+    }
+
+    /** Consume the rest of the line and its newline. */
+    bool
+    line(std::string_view &value)
+    {
+        const size_t newline = rest.find('\n');
+        if (newline == std::string_view::npos)
+            return false;
+        value = rest.substr(0, newline);
+        rest.remove_prefix(newline + 1);
+        return true;
+    }
+
+    bool
+    line(std::string &value)
+    {
+        std::string_view text;
+        if (!line(text))
+            return false;
+        value.assign(text);
+        return true;
+    }
+
+    /** Consume a decimal number. */
+    template <typename T>
+    bool
+    number(T &value)
+    {
+        if (rest.size() > 1 && rest[0] == '0' && rest[1] >= '0' &&
+            rest[1] <= '9')
+            return false;
+        const auto [end, ec] =
+            std::from_chars(rest.data(), rest.data() + rest.size(), value);
+        if (ec != std::errc())
+            return false;
+        rest.remove_prefix(size_t(end - rest.data()));
+        return true;
+    }
+
+    /** Consume a double's 16 hex digits. */
+    bool
+    hexDouble(double &value)
+    {
+        if (rest.size() < 16 || !decodeDouble(rest.substr(0, 16), value))
+            return false;
+        rest.remove_prefix(16);
+        return true;
+    }
+
+    /** Consume "<tag> <n>" and n " <hex>" doubles, then the newline. */
+    bool
+    doubles(std::string_view tag, std::vector<double> &values)
+    {
+        size_t n = 0;
+        // Each value takes 17 bytes: a bad count must not allocate.
+        if (!literal(tag) || !literal(" ") || !number(n) ||
+            n > rest.size() / 17)
+            return false;
+        values.resize(n);
+        for (double &v : values)
+            if (!literal(" ") || !hexDouble(v))
+                return false;
+        return literal("\n");
+    }
+
+    /** True once every byte is consumed. */
+    bool done() const { return rest.empty(); }
+
+  private:
+    std::string_view rest;
+};
 
 } // namespace
 
@@ -175,41 +201,39 @@ writeResult(std::ostream &os, const std::string &key_text,
 
 // yasim-lint: serialized(result)
 bool
-readResult(std::istream &is, const std::string &key_text,
+readResult(std::string_view payload, const std::string &key_text,
            TechniqueResult &result)
 {
-    if (!readHeader(is, "yasim-result", key_text))
+    PayloadCursor in(payload);
+    int version = 0;
+    std::string_view key;
+    if (!in.literal("yasim-result ") || !in.number(version) ||
+        version != kCacheFormatVersion || !in.literal("\nkey ") ||
+        !in.line(key) || key != key_text)
         return false;
-    if (!readTaggedLine(is, "technique", result.technique))
+    if (!in.literal("technique ") || !in.line(result.technique) ||
+        !in.literal("permutation ") || !in.line(result.permutation))
         return false;
-    if (!readTaggedLine(is, "permutation", result.permutation))
+    if (!in.literal("cpi ") || !in.hexDouble(result.cpi) ||
+        !in.literal("\n") || !in.doubles("metrics", result.metrics))
         return false;
-
-    std::string tag, hex;
-    if (!(is >> tag >> hex) || tag != "cpi" ||
-        !decodeDouble(hex, result.cpi))
-        return false;
-    if (!readDoubles(is, "metrics", result.metrics))
-        return false;
-    if (!(is >> tag) || tag != "stats")
+    if (!in.literal("stats"))
         return false;
     bool stats_ok = true;
     forEachStatField(result.detailed, [&](uint64_t &v) {
-        if (!(is >> v))
-            stats_ok = false;
+        stats_ok = stats_ok && in.literal(" ") && in.number(v);
     });
-    if (!stats_ok)
+    if (!stats_ok || !in.literal("\n") ||
+        !in.doubles("bbef", result.bbef) || !in.doubles("bbv", result.bbv))
         return false;
-    if (!readDoubles(is, "bbef", result.bbef))
+    if (!in.literal("workUnits ") || !in.hexDouble(result.workUnits) ||
+        !in.literal("\ndetailedInsts ") ||
+        !in.number(result.detailedInsts) || !in.literal("\n"))
         return false;
-    if (!readDoubles(is, "bbv", result.bbv))
-        return false;
-    if (!(is >> tag >> hex) || tag != "workUnits" ||
-        !decodeDouble(hex, result.workUnits))
-        return false;
-    if (!(is >> tag >> result.detailedInsts) || tag != "detailedInsts")
-        return false;
-    return readEndMarker(is);
+    // A well-formed payload followed by extra bytes is not a cache
+    // entry we wrote: it is corruption (an interrupted overwrite, a
+    // concatenated file) and must read as a miss.
+    return in.literal("end\n") && in.done();
 }
 
 namespace {

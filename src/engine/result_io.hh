@@ -112,11 +112,12 @@ void writeResult(std::ostream &os, const std::string &key_text,
                  const TechniqueResult &result);
 
 /**
- * Parse a result previously written with writeResult. Returns false —
- * leaving @p result unspecified — on a version, key, or format
- * mismatch.
+ * Parse @p payload, a result previously written with writeResult under
+ * @p key_text. Accepts exactly the bytes writeResult writes; returns
+ * false — leaving @p result unspecified — on a version, key, or format
+ * mismatch, including any byte more or less.
  */
-bool readResult(std::istream &is, const std::string &key_text,
+bool readResult(std::string_view payload, const std::string &key_text,
                 TechniqueResult &result);
 
 } // namespace yasim

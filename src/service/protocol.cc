@@ -212,8 +212,7 @@ decodeResponse(const std::string &payload, ExperimentResponse &response,
         return false;
     }
     if (!response.key.empty()) {
-        std::istringstream ris(result_text);
-        if (!readResult(ris, response.key, response.result)) {
+        if (!readResult(result_text, response.key, response.result)) {
             error = "bad embedded result";
             return false;
         }

@@ -9,16 +9,21 @@ namespace yasim {
 SparseMemory::SparseMemory() = default;
 
 int64_t *
-SparseMemory::wordPtr(uint64_t addr)
+SparseMemory::wordPtr(uint64_t addr, bool allocate)
 {
     YASIM_ASSERT((addr & 7) == 0);
     uint64_t page_id = addr / pageBytes;
     if (page_id != lastPageId) {
-        auto &slot = pages[page_id];
-        if (!slot)
-            slot = std::make_unique<Page>(wordsPerPage, 0);
+        auto it = pages.find(page_id);
+        if (it == pages.end()) {
+            if (!allocate)
+                return nullptr;
+            it = pages.emplace(page_id,
+                               std::make_unique<Page>(wordsPerPage, 0))
+                     .first;
+        }
         lastPageId = page_id;
-        lastPage = slot.get();
+        lastPage = it->second.get();
     }
     return &(*lastPage)[(addr % pageBytes) / 8];
 }
@@ -26,25 +31,26 @@ SparseMemory::wordPtr(uint64_t addr)
 int64_t
 SparseMemory::read(uint64_t addr)
 {
-    return *wordPtr(addr);
+    const int64_t *word = wordPtr(addr, false);
+    return word ? *word : 0;
 }
 
 void
 SparseMemory::write(uint64_t addr, int64_t value)
 {
-    *wordPtr(addr) = value;
+    *wordPtr(addr, true) = value;
 }
 
 double
 SparseMemory::readDouble(uint64_t addr)
 {
-    return std::bit_cast<double>(*wordPtr(addr));
+    return std::bit_cast<double>(read(addr));
 }
 
 void
 SparseMemory::writeDouble(uint64_t addr, double value)
 {
-    *wordPtr(addr) = std::bit_cast<int64_t>(value);
+    write(addr, std::bit_cast<int64_t>(value));
 }
 
 void

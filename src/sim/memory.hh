@@ -3,10 +3,10 @@
  * Sparse paged data memory for the functional simulator.
  *
  * Workloads address tens of megabytes out of a large virtual space, so
- * backing storage is allocated in 64 KB pages on first touch. All values
- * are 64-bit words at 8-byte-aligned addresses; doubles are stored
- * bit-cast. Reads of untouched memory return zero, matching a
- * zero-initialized heap.
+ * backing storage is allocated in 64 KB pages on first write. All
+ * values are 64-bit words at 8-byte-aligned addresses; doubles are
+ * stored bit-cast. Reads of unwritten memory return zero, matching a
+ * zero-initialized heap, and allocate nothing.
  */
 
 #ifndef YASIM_SIM_MEMORY_HH
@@ -41,7 +41,7 @@ class SparseMemory
     /** Write a double (stored bit-cast). */
     void writeDouble(uint64_t addr, double value);
 
-    /** Number of distinct pages touched so far. */
+    /** Number of distinct pages written so far. */
     size_t pagesTouched() const { return pages.size(); }
 
     /** Drop all contents (fresh zeroed memory). */
@@ -53,7 +53,11 @@ class SparseMemory
 
     using Page = std::vector<int64_t>;
 
-    int64_t *wordPtr(uint64_t addr);
+    /**
+     * The word at @p addr. A page not yet written is allocated when
+     * @p allocate is set; otherwise the result is null.
+     */
+    int64_t *wordPtr(uint64_t addr, bool allocate);
 
     std::unordered_map<uint64_t, std::unique_ptr<Page>> pages;
     /** One-entry translation cache: most accesses stay on one page. */

@@ -692,7 +692,7 @@ ArtifactDir::load(const std::string &key, const Decode &decode)
     if (first_failure) {
         const bool corrupt = read.status == ArtifactStatus::Corrupt;
         warn("cache artifact '%s' is %s: %s; %s and recomputing (one "
-             "warning per run; --engine-stats counts the rest)",
+             "warning per directory; its counters count the rest)",
              file.c_str(), corrupt ? "corrupt" : "unreadable",
              read.error.c_str(),
              corrupt ? "quarantined to .corrupt" : "left in place");

@@ -15,6 +15,22 @@ TEST(SparseMemory, ReadsZeroWhenUntouched)
     SparseMemory mem;
     EXPECT_EQ(mem.read(heapBase), 0);
     EXPECT_EQ(mem.read(heapBase + 0x123450), 0);
+    EXPECT_EQ(mem.readDouble(heapBase + 0x230000), 0.0);
+    // Reads of unwritten memory allocate nothing.
+    EXPECT_EQ(mem.pagesTouched(), 0u);
+}
+
+TEST(SparseMemory, UnwrittenPageReadBetweenWritesKeepsBothValues)
+{
+    // A read of an unwritten page must not disturb the page the writes
+    // go to.
+    SparseMemory mem;
+    mem.write(heapBase, 11);
+    EXPECT_EQ(mem.read(heapBase + 0x500000), 0);
+    mem.write(heapBase + 8, 22);
+    EXPECT_EQ(mem.read(heapBase), 11);
+    EXPECT_EQ(mem.read(heapBase + 8), 22);
+    EXPECT_EQ(mem.pagesTouched(), 1u);
 }
 
 TEST(SparseMemory, ReadBack)

@@ -409,6 +409,9 @@ TEST(LivePointLibrary, FailedReadsAreCountedAndWarnOnce)
         EXPECT_EQ(healed.counters().built, indices.size());
         EXPECT_EQ(linesContaining(err, "warn:"), 1u) << err;
         EXPECT_EQ(linesContaining(err, "is corrupt"), 1u) << err;
+        // A library's failures are counted in its own counters, never
+        // in --engine-stats.
+        EXPECT_EQ(linesContaining(err, "--engine-stats"), 0u) << err;
         expectUnitsIdentical(healed.measureUnits(indices, false),
                              baseline);
     }
@@ -432,6 +435,7 @@ TEST(LivePointLibrary, FailedReadsAreCountedAndWarnOnce)
         EXPECT_EQ(healed.counters().quarantined, 0u);
         EXPECT_EQ(healed.counters().diskWrites, 0u);
         EXPECT_EQ(linesContaining(err, "is unreadable"), 1u) << err;
+        EXPECT_EQ(linesContaining(err, "--engine-stats"), 0u) << err;
         EXPECT_EQ(linesContaining(err, "cannot write"), indices.size())
             << err;
         expectUnitsIdentical(healed.measureUnits(indices, false),

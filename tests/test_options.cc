@@ -84,6 +84,15 @@ TEST(OptionsDeath, CacheBudgetRefusesAUnit)
                  "--cache-budget-mb wants a number, got '10MB'");
 }
 
+TEST(OptionsDeath, CacheBudgetRefusesAnOverflow)
+{
+    // The budget is held in bytes: 2^44 MB once wrapped to 0, which
+    // means unbounded.
+    EXPECT_DEATH(parse({"--cache-budget-mb", "17592186044416"}),
+                 "--cache-budget-mb wants a number up to 17592186044415, "
+                 "got '17592186044416'");
+}
+
 TEST(OptionsDeath, WorkersRefuseASign)
 {
     EXPECT_DEATH(parse({"--workers", "-1"}),

@@ -10,7 +10,9 @@
  * never loses an accepted job (the CI service job asserts this).
  */
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,13 +68,24 @@ nextValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
+/**
+ * @p text, the value of @p flag, as a whole decimal number no larger
+ * than @p max, the largest value the flag's field holds; exit 2
+ * otherwise.
+ */
 uint64_t
-parseCount(const char *flag, const char *text)
+parseCount(const char *flag, const char *text, uint64_t max = UINT64_MAX)
 {
     uint64_t value = 0;
     if (!yasim::parseDecimal(text, value)) {
         std::fprintf(stderr, "yasimd: %s wants a number, got '%s'\n",
                      flag, text);
+        std::exit(2);
+    }
+    if (value > max) {
+        std::fprintf(stderr,
+                     "yasimd: %s wants a number up to %llu, got '%s'\n",
+                     flag, static_cast<unsigned long long>(max), text);
         std::exit(2);
     }
     return value;
@@ -96,16 +109,16 @@ main(int argc, char **argv)
             daemon_opts.socketPath = nextValue(argc, argv, i);
         } else if (arg == "--port") {
             daemon_opts.tcpPort =
-                int(parseCount("--port", nextValue(argc, argv, i)));
+                int(parseCount("--port", nextValue(argc, argv, i), 65535));
         } else if (arg == "--service-workers") {
             daemon_opts.workers = unsigned(parseCount(
-                "--service-workers", nextValue(argc, argv, i)));
+                "--service-workers", nextValue(argc, argv, i), UINT_MAX));
         } else if (arg == "--max-queue") {
             daemon_opts.maxQueue = size_t(
                 parseCount("--max-queue", nextValue(argc, argv, i)));
         } else if (arg == "--client-quota") {
             daemon_opts.clientQuota = uint32_t(parseCount(
-                "--client-quota", nextValue(argc, argv, i)));
+                "--client-quota", nextValue(argc, argv, i), UINT32_MAX));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
         } else {
