@@ -57,6 +57,8 @@ using namespace yasim;
 
 namespace {
 
+constexpr const char *kTool = "bench_service";
+
 [[noreturn]] void
 usage(const char *argv0)
 {
@@ -81,41 +83,6 @@ usage(const char *argv0)
         "engine options (in-process daemon only):\n%s",
         argv0, engineCliUsage());
     std::exit(2);
-}
-
-const char *
-nextValue(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_service: option '%s' needs a value\n",
-                     argv[i]);
-        std::exit(2);
-    }
-    return argv[++i];
-}
-
-/**
- * @p text, the value of @p flag, as a whole decimal number no larger
- * than @p max, the largest value the flag's field holds; exit 2
- * otherwise.
- */
-uint64_t
-parseCount(const char *flag, const char *text, uint64_t max = UINT64_MAX)
-{
-    uint64_t value = 0;
-    if (!parseDecimal(text, value)) {
-        std::fprintf(stderr,
-                     "bench_service: %s wants a number, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    if (value > max) {
-        std::fprintf(stderr,
-                     "bench_service: %s wants a number up to %llu, got '%s'\n",
-                     flag, static_cast<unsigned long long>(max), text);
-        std::exit(2);
-    }
-    return value;
 }
 
 /** The grid: deterministic, and identical for every client. */
@@ -197,29 +164,26 @@ main(int argc, char **argv)
             continue;
         const std::string arg = argv[i];
         if (arg == "--clients") {
-            clients = size_t(
-                parseCount("--clients", nextValue(argc, argv, i)));
+            clients = size_t(toolFlagCount(kTool, argc, argv, i));
         } else if (arg == "--requests") {
-            requests = size_t(
-                parseCount("--requests", nextValue(argc, argv, i)));
+            requests = size_t(toolFlagCount(kTool, argc, argv, i));
         } else if (arg == "--window") {
-            window = uint32_t(parseCount(
-                "--window", nextValue(argc, argv, i), UINT32_MAX));
+            window =
+                uint32_t(toolFlagCount(kTool, argc, argv, i, UINT32_MAX));
         } else if (arg == "--json") {
-            json_path = nextValue(argc, argv, i);
+            json_path = toolFlagValue(kTool, argc, argv, i);
         } else if (arg == "--ref-insts") {
             suite.referenceInstructions =
-                parseCount("--ref-insts", nextValue(argc, argv, i));
+                toolFlagCount(kTool, argc, argv, i);
         } else if (arg == "--seed") {
-            suite.seed = parseCount("--seed", nextValue(argc, argv, i));
+            suite.seed = toolFlagCount(kTool, argc, argv, i);
         } else if (arg == "--deadline-ms") {
-            deadline_ms =
-                parseCount("--deadline-ms", nextValue(argc, argv, i));
+            deadline_ms = toolFlagCount(kTool, argc, argv, i);
         } else if (arg == "--socket") {
-            endpoint.socketPath = nextValue(argc, argv, i);
+            endpoint.socketPath = toolFlagValue(kTool, argc, argv, i);
         } else if (arg == "--port") {
             endpoint.tcpPort =
-                int(parseCount("--port", nextValue(argc, argv, i), 65535));
+                int(toolFlagCount(kTool, argc, argv, i, 65535));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
         } else {
@@ -441,8 +405,6 @@ main(int argc, char **argv)
                     daemon_stats.count("svc_jobs_deadline_expired"));
     report.setCount("daemon_jobs_shed",
                     daemon_stats.count("svc_jobs_shed"));
-    report.setCount("daemon_watchdog_wakeups",
-                    daemon_stats.count("svc_watchdog_wakeups"));
     report.setBool("bit_identical", mismatches == 0);
     if (!json_path.empty())
         writeReportFile(report, json_path);

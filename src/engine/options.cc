@@ -2,6 +2,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -75,6 +76,37 @@ engineCliUsage()
            "          [--workers N]\n"
            "          [--shards N] [--shard-warmup M]\n"
            "          [--failpoints SPEC]\n";
+}
+
+const char *
+toolFlagValue(const char *tool, int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: option '%s' needs a value\n", tool,
+                     argv[i]);
+        std::exit(2);
+    }
+    return argv[++i];
+}
+
+uint64_t
+toolFlagCount(const char *tool, int argc, char **argv, int &i,
+              uint64_t max)
+{
+    const char *flag = argv[i];
+    const char *text = toolFlagValue(tool, argc, argv, i);
+    uint64_t value = 0;
+    if (!parseDecimal(text, value)) {
+        std::fprintf(stderr, "%s: %s wants a number, got '%s'\n", tool,
+                     flag, text);
+        std::exit(2);
+    }
+    if (value > max) {
+        std::fprintf(stderr, "%s: %s wants a number up to %llu, got '%s'\n",
+                     tool, flag, static_cast<unsigned long long>(max), text);
+        std::exit(2);
+    }
+    return value;
 }
 
 bool

@@ -97,6 +97,23 @@ bool parseEngineCliOption(EngineCliOptions &options, int argc,
 const char *engineCliUsage();
 
 /**
+ * The flag reader of the tools whose bad flags exit 2 (yasimd,
+ * yasim-client, bench_service): the value after flag argv[@p i], which
+ * @p i then indexes. "<tool>: option '<flag>' needs a value" and exit
+ * 2 when there is none.
+ */
+const char *toolFlagValue(const char *tool, int argc, char **argv,
+                          int &i);
+
+/**
+ * toolFlagValue() as a whole decimal number no larger than @p max, the
+ * largest value the flag's field holds. "<tool>: <flag> wants a number
+ * [up to <max>], got '<text>'" and exit 2 otherwise.
+ */
+uint64_t toolFlagCount(const char *tool, int argc, char **argv, int &i,
+                       uint64_t max = UINT64_MAX);
+
+/**
  * Translate parsed flags into engine construction knobs. Pure — does
  * not touch process-wide state (see applyEngineRuntime()).
  */

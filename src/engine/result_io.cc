@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -78,98 +77,31 @@ writeDoubles(std::ostream &os, const char *tag,
     os << '\n';
 }
 
-/**
- * A cursor over a result payload. Each step consumes exactly the bytes
- * writeResult writes for one token and fails on anything else: no
- * whitespace is skipped, and a number has no sign and no leading zero.
- */
-class PayloadCursor
-{
-  public:
-    explicit PayloadCursor(std::string_view payload) : rest(payload) {}
-
-    /** Consume @p text. */
-    bool
-    literal(std::string_view text)
-    {
-        if (!rest.starts_with(text))
-            return false;
-        rest.remove_prefix(text.size());
-        return true;
-    }
-
-    /** Consume the rest of the line and its newline. */
-    bool
-    line(std::string_view &value)
-    {
-        const size_t newline = rest.find('\n');
-        if (newline == std::string_view::npos)
-            return false;
-        value = rest.substr(0, newline);
-        rest.remove_prefix(newline + 1);
-        return true;
-    }
-
-    bool
-    line(std::string &value)
-    {
-        std::string_view text;
-        if (!line(text))
-            return false;
-        value.assign(text);
-        return true;
-    }
-
-    /** Consume a decimal number. */
-    template <typename T>
-    bool
-    number(T &value)
-    {
-        if (rest.size() > 1 && rest[0] == '0' && rest[1] >= '0' &&
-            rest[1] <= '9')
-            return false;
-        const auto [end, ec] =
-            std::from_chars(rest.data(), rest.data() + rest.size(), value);
-        if (ec != std::errc())
-            return false;
-        rest.remove_prefix(size_t(end - rest.data()));
-        return true;
-    }
-
-    /** Consume a double's 16 hex digits. */
-    bool
-    hexDouble(double &value)
-    {
-        if (rest.size() < 16 || !decodeDouble(rest.substr(0, 16), value))
-            return false;
-        rest.remove_prefix(16);
-        return true;
-    }
-
-    /** Consume "<tag> <n>" and n " <hex>" doubles, then the newline. */
-    bool
-    doubles(std::string_view tag, std::vector<double> &values)
-    {
-        size_t n = 0;
-        // Each value takes 17 bytes: a bad count must not allocate.
-        if (!literal(tag) || !literal(" ") || !number(n) ||
-            n > rest.size() / 17)
-            return false;
-        values.resize(n);
-        for (double &v : values)
-            if (!literal(" ") || !hexDouble(v))
-                return false;
-        return literal("\n");
-    }
-
-    /** True once every byte is consumed. */
-    bool done() const { return rest.empty(); }
-
-  private:
-    std::string_view rest;
-};
-
 } // namespace
+
+bool
+PayloadCursor::hexDouble(double &value)
+{
+    if (rest.size() < 16 || !decodeDouble(rest.substr(0, 16), value))
+        return false;
+    rest.remove_prefix(16);
+    return true;
+}
+
+bool
+PayloadCursor::doubles(std::string_view tag, std::vector<double> &values)
+{
+    size_t n = 0;
+    // Each value takes 17 bytes: a bad count must not allocate.
+    if (!literal(tag) || !literal(" ") || !number(n) ||
+        n > rest.size() / 17)
+        return false;
+    values.resize(n);
+    for (double &v : values)
+        if (!literal(" ") || !hexDouble(v))
+            return false;
+    return literal("\n");
+}
 
 // yasim-lint: serialized(result)
 void
@@ -542,9 +474,13 @@ parseReport(const std::string &text, JsonReport &report)
             report.setBool(name, token == "true");
         } else if (token.find_first_not_of("0123456789") ==
                    std::string::npos) {
-            uint64_t value = std::strtoull(token.c_str(), nullptr, 10);
+            // A count: a token too large for it is not a report we
+            // wrote, and must not saturate or narrow into one.
+            uint64_t value = 0;
+            if (!parseDecimal(token, value))
+                return false;
             if (name == "schema_version") {
-                if (int(value) != kReportSchemaVersion)
+                if (value != uint64_t(kReportSchemaVersion))
                     return false;
                 saw_version = true;
             } else {

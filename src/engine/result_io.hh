@@ -22,6 +22,7 @@
 #ifndef YASIM_ENGINE_RESULT_IO_HH
 #define YASIM_ENGINE_RESULT_IO_HH
 
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -31,6 +32,90 @@
 #include "techniques/technique.hh"
 
 namespace yasim {
+
+/**
+ * A cursor over a line-oriented payload: a result file, or a service
+ * request or response (service/protocol.hh). Each step consumes exactly
+ * the bytes the writer writes for one token and fails on anything
+ * else: no whitespace is skipped, and a number has no sign and no
+ * leading zero.
+ */
+class PayloadCursor
+{
+  public:
+    explicit PayloadCursor(std::string_view payload) : rest(payload) {}
+
+    /** Consume @p text. */
+    bool
+    literal(std::string_view text)
+    {
+        if (!rest.starts_with(text))
+            return false;
+        rest.remove_prefix(text.size());
+        return true;
+    }
+
+    /** Consume the rest of the line and its newline. */
+    bool
+    line(std::string_view &value)
+    {
+        const size_t newline = rest.find('\n');
+        if (newline == std::string_view::npos)
+            return false;
+        value = rest.substr(0, newline);
+        rest.remove_prefix(newline + 1);
+        return true;
+    }
+
+    bool
+    line(std::string &value)
+    {
+        std::string_view text;
+        if (!line(text))
+            return false;
+        value.assign(text);
+        return true;
+    }
+
+    /** Consume a decimal number. */
+    template <typename T>
+    bool
+    number(T &value)
+    {
+        if (rest.size() > 1 && rest[0] == '0' && rest[1] >= '0' &&
+            rest[1] <= '9')
+            return false;
+        const auto [end, ec] =
+            std::from_chars(rest.data(), rest.data() + rest.size(), value);
+        if (ec != std::errc())
+            return false;
+        rest.remove_prefix(size_t(end - rest.data()));
+        return true;
+    }
+
+    /** Consume the next @p n bytes, whatever they are. */
+    bool
+    bytes(uint64_t n, std::string_view &value)
+    {
+        if (n > rest.size())
+            return false;
+        value = rest.substr(0, size_t(n));
+        rest.remove_prefix(size_t(n));
+        return true;
+    }
+
+    /** Consume a double's 16 hex digits. */
+    bool hexDouble(double &value);
+
+    /** Consume "<tag> <n>" and n " <hex>" doubles, then the newline. */
+    bool doubles(std::string_view tag, std::vector<double> &values);
+
+    /** True once every byte is consumed. */
+    bool done() const { return rest.empty(); }
+
+  private:
+    std::string_view rest;
+};
 
 /** JsonReport schema version ("schema_version" in every report). */
 constexpr int kReportSchemaVersion = 1;

@@ -8,7 +8,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "support/artifact_io.hh"
 #include "support/backoff.hh"
 #include "support/logging.hh"
 
@@ -123,29 +122,15 @@ ServiceClient::receiveResponse(ExperimentResponse &response,
                                std::string &error)
 {
     for (;;) {
-        uint64_t frame_bytes = 0;
-        FrameSizeStatus status =
-            frameSize(inBuf, kMaxServicePayload, frame_bytes);
-        if (status == FrameSizeStatus::Malformed) {
-            error = "malformed response frame";
+        std::string payload;
+        switch (takeFrame(inBuf, kResponseMagic, payload, error)) {
+          case FrameTake::Taken:
+            return decodeResponse(payload, response, error);
+          case FrameTake::Broken:
+            error = "response frame failed verification: " + error;
             return false;
-        }
-        if (status == FrameSizeStatus::Known &&
-            inBuf.size() >= frame_bytes) {
-            std::string payload, frame_error;
-            bool ok = decodeFrame(
-                std::string_view(inBuf).substr(0, size_t(frame_bytes)),
-                kResponseMagic, kServiceFormatVersion, payload,
-                frame_error);
-            inBuf.erase(0, size_t(frame_bytes));
-            if (!ok) {
-                error = "response frame failed verification: " +
-                        frame_error;
-                return false;
-            }
-            if (!decodeResponse(payload, response, error))
-                return false;
-            return true;
+          case FrameTake::NeedMore:
+            break;
         }
 
         char buffer[1 << 16];

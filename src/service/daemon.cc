@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
-#include <chrono>
+#include <climits>
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -12,7 +12,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "support/artifact_io.hh"
 #include "support/check.hh"
 #include "support/failpoint.hh"
 #include "support/logging.hh"
@@ -49,6 +48,11 @@ ServiceDaemon::ServiceDaemon(DaemonOptions options,
 ServiceDaemon::~ServiceDaemon()
 {
     stop();
+    // Not in wait(): yasimd's SIGTERM handler may call requestDrain(),
+    // which writes the wake pipe, until main() forgets the daemon.
+    for (int fd : {wakePipe[0], wakePipe[1], unixFd, tcpFd})
+        if (fd >= 0)
+            ::close(fd);
 }
 
 bool
@@ -121,7 +125,6 @@ ServiceDaemon::start(std::string &error)
     started = true;
     for (unsigned i = 0; i < opts.workers; ++i)
         workerThreads.emplace_back([this] { workerLoop(); });
-    watchdogThread = std::thread([this] { watchdogLoop(); });
     ioThread = std::thread([this] { ioLoop(); });
     return true;
 }
@@ -151,20 +154,12 @@ ServiceDaemon::wait()
 {
     if (!started || joined)
         return;
+    // The I/O loop stops the workers once it has drained.
     if (ioThread.joinable())
         ioThread.join();
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        stopWorkers = true;
-        stopWatchdog = true;
-    }
-    queueCv.notify_all();
-    watchdogCv.notify_all();
     for (std::thread &t : workerThreads)
         if (t.joinable())
             t.join();
-    if (watchdogThread.joinable())
-        watchdogThread.join();
     joined = true;
 }
 
@@ -207,7 +202,6 @@ ServiceDaemon::statsReport() const
     report.setCount("svc_jobs_cancelled", c.jobsCancelled);
     report.setCount("svc_jobs_deadline_expired", c.jobsDeadlineExpired);
     report.setCount("svc_jobs_shed", c.jobsShed);
-    report.setCount("svc_watchdog_wakeups", c.watchdogWakeups);
     report.setBool("svc_draining", drainRequested.load());
     return report;
 }
@@ -246,7 +240,7 @@ void
 ServiceDaemon::pushJobResponse(uint64_t conn_id,
                                const ExperimentResponse &response)
 {
-    // Caller holds `mutex` and wakes the I/O loop afterwards.
+    // Caller holds `mutex`; a caller off the I/O thread wakes it.
     Outbound out;
     out.connId = conn_id;
     out.frame = frameResponse(response);
@@ -318,7 +312,6 @@ ServiceDaemon::admit(uint64_t conn_id, Connection &conn,
         break;
     }
 
-    bool deadline_armed = false;
     {
         std::lock_guard<std::mutex> lock(mutex);
         if (drainRequested.load()) {
@@ -366,12 +359,9 @@ ServiceDaemon::admit(uint64_t conn_id, Connection &conn,
                 job.connId = conn_id;
                 job.request = request;
                 job.cancel = std::make_shared<CancelSource>();
-                if (request.deadlineMs > 0) {
+                if (request.deadlineMs > 0)
                     job.cancel->setDeadlineAfterMs(
                         int64_t(request.deadlineMs));
-                    job.deadlineAtMs = job.cancel->deadlineAtMs();
-                    deadline_armed = true;
-                }
                 queue.emplace(std::make_pair(request.priority,
                                              admissionSeq++),
                               std::move(job));
@@ -387,8 +377,6 @@ ServiceDaemon::admit(uint64_t conn_id, Connection &conn,
         return;
     }
     queueCv.notify_one();
-    if (deadline_armed)
-        watchdogCv.notify_one();
 }
 
 bool
@@ -415,32 +403,14 @@ ServiceDaemon::serviceInput(uint64_t conn_id, Connection &conn,
 
     // Split the buffered bytes into complete frames.
     for (;;) {
-        uint64_t frame_bytes = 0;
-        FrameSizeStatus status =
-            frameSize(conn.inBuf, kMaxServicePayload, frame_bytes);
-        if (status == FrameSizeStatus::NeedMore)
-            break;
-        if (status == FrameSizeStatus::Malformed) {
-            protocol_error = true;
-            std::lock_guard<std::mutex> lock(mutex);
-            ++ctr.protocolErrors;
-            return false;
-        }
-        if (conn.inBuf.size() < frame_bytes)
-            break;
-
-        std::string payload, frame_error;
-        bool frame_ok =
-            decodeFrame(std::string_view(conn.inBuf).substr(
-                            0, size_t(frame_bytes)),
-                        kRequestMagic, kServiceFormatVersion, payload,
-                        frame_error);
-        conn.inBuf.erase(0, size_t(frame_bytes));
-
+        std::string payload, error;
+        const FrameTake take =
+            takeFrame(conn.inBuf, kRequestMagic, payload, error);
+        if (take == FrameTake::NeedMore)
+            return true;
         ExperimentRequest request;
-        std::string payload_error;
-        if (!frame_ok ||
-            !decodeRequest(payload, request, payload_error)) {
+        if (take == FrameTake::Broken ||
+            !decodeRequest(payload, request, error)) {
             // Checksum, version, or payload verification failed: the
             // stream can no longer be trusted. Drop the peer; it
             // reconnects and resubmits over a clean stream.
@@ -451,7 +421,6 @@ ServiceDaemon::serviceInput(uint64_t conn_id, Connection &conn,
         }
         admit(conn_id, conn, request);
     }
-    return true;
 }
 
 void
@@ -500,9 +469,13 @@ ServiceDaemon::ioLoop()
 
         bool drain = drainRequested.load();
         bool idle;
+        int64_t earliest = INT64_MAX;
         {
             std::lock_guard<std::mutex> lock(mutex);
             idle = queue.empty() && activeJobs == 0 && outbox.empty();
+            for (const auto &entry : queue)
+                earliest = std::min(earliest,
+                                    entry.second.cancel->deadlineAtMs());
         }
         if (drain && idle) {
             bool flushed = true;
@@ -537,11 +510,43 @@ ServiceDaemon::ioLoop()
             ids.push_back(entry.first);
         }
 
-        int ready = poll(fds.data(), nfds_t(fds.size()), -1);
+        // Sleep no later than the earliest queued deadline. Only this
+        // thread queues jobs, so that deadline can only move later
+        // while poll() waits.
+        int timeout_ms = -1;
+        if (earliest != INT64_MAX) {
+            const int64_t now = monotonicNowMs();
+            timeout_ms = earliest <= now ? 0
+                                         : int(std::min<int64_t>(
+                                               earliest - now, INT_MAX));
+        }
+        int ready = poll(fds.data(), nfds_t(fds.size()), timeout_ms);
         if (ready < 0) {
             if (errno == EINTR)
                 continue;
             break;
+        }
+
+        // Queued jobs past their deadline never dispatch (nobody polls
+        // a queued job's token): answer them now.
+        if (earliest != INT64_MAX && monotonicNowMs() >= earliest) {
+            std::lock_guard<std::mutex> lock(mutex);
+            const int64_t now = monotonicNowMs();
+            for (auto it = queue.begin(); it != queue.end();) {
+                Job &job = it->second;
+                if (job.cancel->deadlineAtMs() > now) {
+                    ++it;
+                    continue;
+                }
+                job.cancel->cancel(CancelCause::DeadlineExceeded);
+                ExperimentResponse response;
+                response.id = job.request.id;
+                response.status = ResponseStatus::DeadlineExceeded;
+                response.error = "deadline expired while queued";
+                pushJobResponse(job.connId, response);
+                ++ctr.jobsDeadlineExpired;
+                it = queue.erase(it);
+            }
         }
 
         // Drain the wake pipe.
@@ -622,22 +627,21 @@ ServiceDaemon::workerLoop()
             job = std::move(it->second);
             queue.erase(it);
             ++activeJobs;
-            if (job.cancel)
-                running.emplace(std::make_pair(job.connId,
-                                               job.request.id),
-                                job.cancel);
+            running.emplace(std::make_pair(job.connId, job.request.id),
+                            job.cancel);
         }
 
-        // Dispatch-time expiry backstop: a job whose deadline passed
-        // in the queue (or that "svc.cancel.dispatch" forces past it)
-        // is answered without touching the engine.
-        if (job.cancel && failpoint::fire("svc.cancel.dispatch"))
+        // Dispatch-time expiry check: a job popped between its deadline
+        // and the I/O loop's sweep (or that "svc.cancel.dispatch"
+        // forces past it) is answered without touching the engine,
+        // whose context() records a trace without polling.
+        if (failpoint::fire("svc.cancel.dispatch"))
             job.cancel->cancel(CancelCause::DeadlineExceeded);
 
         ExperimentResponse response;
         bool ran = false;
         int64_t elapsed_ms = 0;
-        if (job.cancel && job.cancel->expired()) {
+        if (job.cancel->expired()) {
             response.id = job.request.id;
             response.status =
                 job.cancel->cause() == CancelCause::Cancelled
@@ -647,8 +651,7 @@ ServiceDaemon::workerLoop()
         } else {
             int64_t t0 = monotonicNowMs();
             response = executeRequest(engine, job.request,
-                                      job.cancel ? job.cancel->token()
-                                                 : CancelToken());
+                                      job.cancel->token());
             elapsed_ms = monotonicNowMs() - t0;
             ran = true;
         }
@@ -678,73 +681,6 @@ ServiceDaemon::workerLoop()
             }
         }
         wakeIo();
-    }
-}
-
-void
-ServiceDaemon::watchdogLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-        if (stopWatchdog)
-            return;
-
-        // Earliest pending expiry over queued and running jobs. A
-        // running source already carrying a cause is its executor's
-        // problem (it retires at the next poll) — considering it here
-        // would spin the watchdog, lock held, until that retirement.
-        int64_t next = INT64_MAX;
-        for (const auto &entry : queue)
-            next = std::min(next, entry.second.deadlineAtMs);
-        for (const auto &entry : running)
-            if (entry.second->cause() == CancelCause::None)
-                next = std::min(next, entry.second->deadlineAtMs());
-
-        if (next == INT64_MAX) {
-            // Nothing has a deadline; sleep until admission arms one
-            // (or shutdown). Spurious wakes just recompute.
-            watchdogCv.wait(lock);
-            continue;
-        }
-        int64_t now = monotonicNowMs();
-        if (now < next) {
-            watchdogCv.wait_for(
-                lock, std::chrono::milliseconds(next - now));
-            continue; // recompute: deadlines may have changed
-        }
-
-        ++ctr.watchdogWakeups;
-
-        // Queued jobs past deadline never dispatch: answer them now.
-        bool pushed = false;
-        for (auto it = queue.begin(); it != queue.end();) {
-            Job &job = it->second;
-            if (job.deadlineAtMs > now) {
-                ++it;
-                continue;
-            }
-            if (job.cancel)
-                job.cancel->cancel(CancelCause::DeadlineExceeded);
-            ExperimentResponse response;
-            response.id = job.request.id;
-            response.status = ResponseStatus::DeadlineExceeded;
-            response.error = "deadline expired while queued";
-            pushJobResponse(job.connId, response);
-            ++ctr.jobsDeadlineExpired;
-            it = queue.erase(it);
-            pushed = true;
-        }
-
-        // Running jobs past deadline: backstop cancel. The executor's
-        // own deadline polls normally fire first; this covers sources
-        // whose deadline landed between polls of a long batch.
-        for (auto &entry : running)
-            if (entry.second->cause() == CancelCause::None &&
-                entry.second->deadlineAtMs() <= now)
-                entry.second->cancel(CancelCause::DeadlineExceeded);
-
-        if (pushed)
-            wakeIo();
     }
 }
 

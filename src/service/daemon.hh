@@ -4,9 +4,9 @@
  *
  * ServiceDaemon listens on a Unix and/or loopback-TCP socket and
  * serves the framed protocol of service/protocol.hh. One I/O thread
- * owns every connection: it polls, splits the byte stream into
- * artifact frames (support/artifact_io frameSize()), decodes requests,
- * and runs admission control; a pool of executor threads drains a
+ * owns every connection: it polls, splits the byte stream into frames
+ * (takeFrame()), decodes requests, runs admission control, and answers
+ * queued jobs whose deadlines pass; a pool of executor threads drains a
  * priority job queue through the shared ExperimentEngine — so every
  * tenant hits one memo table, one disk cache, and one trace store, and
  * a config grid queued by eight clients simulates each cell once.
@@ -28,16 +28,17 @@
  *
  * A Run request may carry deadline_ms; admission stamps an absolute
  * monotonic expiry on the job's CancelSource, so executor polls trip
- * DeadlineExceeded cooperatively mid-run. A watchdog thread wakes at
- * the earliest pending expiry: queued jobs past deadline are answered
- * DeadlineExceeded without ever dispatching (nobody polls a queued
- * job), and running jobs past deadline get a backstop cancel() on
- * their source. A Cancel request names an earlier request id on the
- * same connection: a queued target is answered Cancelled and removed;
- * a running target's source is cancelled (its executor unwinds at the
- * next poll and answers Cancelled); the Cancel itself is acked Ok, or
- * Error when no such job exists. Every admitted job gets exactly one
- * response, whatever path retires it.
+ * DeadlineExceeded cooperatively mid-run. The I/O loop's poll() times
+ * out at the earliest queued expiry, and queued jobs past deadline are
+ * answered DeadlineExceeded without ever dispatching (nobody polls a
+ * queued job's token); an executor re-checks expiry at dispatch, for a
+ * job popped between its deadline and that sweep. A Cancel request
+ * names an earlier request id on the same connection: a queued target
+ * is answered Cancelled and removed; a running target's source is
+ * cancelled (its executor unwinds at the next poll and answers
+ * Cancelled); the Cancel itself is acked Ok, or Error when no such job
+ * exists. Every admitted job gets exactly one response, whatever path
+ * retires it.
  *
  * Overload shedding: admission keeps an EWMA of job execution time;
  * when a deadline-carrying Run arrives and the estimated queue delay
@@ -128,8 +129,6 @@ struct DaemonCounters
     uint64_t jobsDeadlineExpired = 0;
     /** Jobs shed by overload control (Rejected "shed"). */
     uint64_t jobsShed = 0;
-    /** Watchdog scans (one per wakeup, timed or prodded). */
-    uint64_t watchdogWakeups = 0;
 };
 
 /** The experiment service daemon. See file comment. */
@@ -138,6 +137,7 @@ class ServiceDaemon
   public:
     /** @p engine must outlive the daemon; it is shared by all tenants. */
     ServiceDaemon(DaemonOptions options, ExperimentEngine &engine);
+    /** stop(), then close every descriptor start() left open. */
     ~ServiceDaemon();
 
     ServiceDaemon(const ServiceDaemon &) = delete;
@@ -196,8 +196,6 @@ class ServiceDaemon
          * polls expire it without any daemon bookkeeping.
          */
         std::shared_ptr<CancelSource> cancel;
-        /** Mirror of cancel->deadlineAtMs(); INT64_MAX = none. */
-        int64_t deadlineAtMs = INT64_MAX;
     };
 
     /** A finished job's framed response, heading back to its client. */
@@ -210,16 +208,11 @@ class ServiceDaemon
     void ioLoop();
     void workerLoop();
     /**
-     * Expire queued jobs and backstop-cancel running ones whose
-     * deadlines passed; sleeps until the earliest pending expiry.
-     */
-    void watchdogLoop();
-    /**
      * Frame @p response into the outbox for @p conn_id. Caller holds
-     * `mutex` and wakes the I/O loop afterwards. The uniform
-     * retirement path for every admitted-job response — flushOutbox()
-     * decrements the connection's outstanding count exactly once per
-     * call, whatever path retired the job.
+     * `mutex`; a caller off the I/O thread wakes it afterwards. The
+     * uniform retirement path for every admitted-job response —
+     * flushOutbox() decrements the connection's outstanding count
+     * exactly once per call, whatever path retired the job.
      */
     void pushJobResponse(uint64_t conn_id,
                          const ExperimentResponse &response);
@@ -256,7 +249,6 @@ class ServiceDaemon
 
     std::thread ioThread;
     std::vector<std::thread> workerThreads;
-    std::thread watchdogThread;
 
     std::atomic<bool> drainRequested{false};
 
@@ -275,12 +267,9 @@ class ServiceDaemon
     bool stopWorkers = false;
     DaemonCounters ctr;
 
-    /** Dispatched jobs by (connection, request id), for Cancel and
-     *  the watchdog's running-job deadline backstop. */
+    /** Dispatched jobs by (connection, request id), for Cancel. */
     std::map<std::pair<uint64_t, uint64_t>,
              std::shared_ptr<CancelSource>> running;
-    std::condition_variable watchdogCv;
-    bool stopWatchdog = false;
     /**
      * EWMA of job execution time in ms (admission's queue-delay
      * estimate). 0 until the first job completes — shedding never

@@ -8,28 +8,13 @@
 #include "sim/config.hh"
 #include "stats/plackett_burman.hh"
 #include "support/artifact_io.hh"
+#include "support/logging.hh"
 #include "techniques/full_reference.hh"
 #include "techniques/permutations.hh"
 
 namespace yasim {
 
 namespace {
-
-/** Read one whole line and return its remainder after "tag ". */
-bool
-readTagged(std::istream &is, const char *tag, std::string &value)
-{
-    std::string line;
-    // Skip the newline left by a preceding >> extraction.
-    while (std::getline(is, line) && line.empty()) {
-    }
-    size_t tag_len = std::char_traits<char>::length(tag);
-    if (line.size() < tag_len + 1 ||
-        line.compare(0, tag_len, tag) != 0 || line[tag_len] != ' ')
-        return false;
-    value = line.substr(tag_len + 1);
-    return true;
-}
 
 /** Write an exact-length block: "tag N\n" + N raw bytes + "\n". */
 void
@@ -38,48 +23,13 @@ writeBlock(std::ostream &os, const char *tag, const std::string &bytes)
     os << tag << ' ' << bytes.size() << '\n' << bytes << '\n';
 }
 
-/** Read a block written by writeBlock (length is wire data: bounded). */
+/** Consume a block written by writeBlock. */
 bool
-readBlock(std::istream &is, const char *expected_tag, std::string &out)
+readBlock(PayloadCursor &in, std::string_view tag, std::string_view &bytes)
 {
-    std::string tag;
     uint64_t n = 0;
-    if (!(is >> tag >> n) || tag != expected_tag ||
-        n > kMaxServicePayload)
-        return false;
-    if (is.get() != '\n')
-        return false;
-    out.resize(n);
-    if (n && !is.read(out.data(), std::streamsize(n)))
-        return false;
-    return is.get() == '\n';
-}
-
-/** Consume the trailing "end" marker and require EOF behind it. */
-bool
-readEnd(std::istream &is)
-{
-    std::string tag;
-    if (!(is >> tag) || tag != "end")
-        return false;
-    std::string trailing;
-    return !(is >> trailing);
-}
-
-bool
-readHeader(std::istream &is, const char *magic, std::string &error)
-{
-    std::string tag;
-    uint32_t version = 0;
-    if (!(is >> tag >> version) || tag != magic) {
-        error = "bad payload header";
-        return false;
-    }
-    if (version != kServiceFormatVersion) {
-        error = "unsupported payload version";
-        return false;
-    }
-    return true;
+    return in.literal(tag) && in.literal(" ") && in.number(n) &&
+           in.literal("\n") && in.bytes(n, bytes) && in.literal("\n");
 }
 
 } // namespace
@@ -106,55 +56,34 @@ encodeRequest(const ExperimentRequest &request)
 
 // yasim-lint: serialized(service)
 bool
-decodeRequest(const std::string &payload, ExperimentRequest &request,
+decodeRequest(std::string_view payload, ExperimentRequest &request,
               std::string &error)
 {
-    std::istringstream is(payload);
-    if (!readHeader(is, "yasim-request", error))
-        return false;
-    std::string tag;
+    PayloadCursor in(payload);
+    uint32_t version = 0;
     uint32_t kind = 0;
-    if (!(is >> tag >> request.id) || tag != "id") {
-        error = "bad id field";
+    if (!in.literal("yasim-request ") || !in.number(version) ||
+        version != kServiceFormatVersion) {
+        error = "bad payload header";
         return false;
     }
-    if (!(is >> tag >> kind) || tag != "kind" ||
-        kind > uint32_t(RequestKind::Cancel)) {
-        error = "bad kind field";
+    if (!in.literal("\nid ") || !in.number(request.id) ||
+        !in.literal("\nkind ") || !in.number(kind) ||
+        kind > uint32_t(RequestKind::Cancel) ||
+        !in.literal("\npriority ") || !in.number(request.priority) ||
+        !in.literal("\ndeadline ") || !in.number(request.deadlineMs) ||
+        !in.literal("\ntarget ") || !in.number(request.target) ||
+        !in.literal("\nbench ") || !in.line(request.benchmark) ||
+        !in.literal("technique ") || !in.line(request.technique) ||
+        !in.literal("config ") || !in.line(request.config) ||
+        !in.literal("ref ") ||
+        !in.number(request.suite.referenceInstructions) ||
+        !in.literal("\nseed ") || !in.number(request.suite.seed) ||
+        !in.literal("\nend\n") || !in.done()) {
+        error = "malformed request payload";
         return false;
     }
     request.kind = RequestKind(kind);
-    if (!(is >> tag >> request.priority) || tag != "priority") {
-        error = "bad priority field";
-        return false;
-    }
-    if (!(is >> tag >> request.deadlineMs) || tag != "deadline") {
-        error = "bad deadline field";
-        return false;
-    }
-    if (!(is >> tag >> request.target) || tag != "target") {
-        error = "bad target field";
-        return false;
-    }
-    if (!readTagged(is, "bench", request.benchmark) ||
-        !readTagged(is, "technique", request.technique) ||
-        !readTagged(is, "config", request.config)) {
-        error = "bad selector field";
-        return false;
-    }
-    if (!(is >> tag >> request.suite.referenceInstructions) ||
-        tag != "ref") {
-        error = "bad ref field";
-        return false;
-    }
-    if (!(is >> tag >> request.suite.seed) || tag != "seed") {
-        error = "bad seed field";
-        return false;
-    }
-    if (!readEnd(is)) {
-        error = "bad end marker";
-        return false;
-    }
     return true;
 }
 
@@ -182,49 +111,39 @@ encodeResponse(const ExperimentResponse &response)
 
 // yasim-lint: serialized(service)
 bool
-decodeResponse(const std::string &payload, ExperimentResponse &response,
+decodeResponse(std::string_view payload, ExperimentResponse &response,
                std::string &error)
 {
-    std::istringstream is(payload);
-    if (!readHeader(is, "yasim-response", error))
-        return false;
-    std::string tag;
+    PayloadCursor in(payload);
+    uint32_t version = 0;
     uint32_t status = 0;
-    if (!(is >> tag >> response.id) || tag != "id") {
-        error = "bad id field";
+    std::string_view report, result_text;
+    if (!in.literal("yasim-response ") || !in.number(version) ||
+        version != kServiceFormatVersion) {
+        error = "bad payload header";
         return false;
     }
-    if (!(is >> tag >> status) || tag != "status" ||
-        status > uint32_t(ResponseStatus::DeadlineExceeded)) {
-        error = "bad status field";
+    if (!in.literal("\nid ") || !in.number(response.id) ||
+        !in.literal("\nstatus ") || !in.number(status) ||
+        status > uint32_t(ResponseStatus::DeadlineExceeded) ||
+        !in.literal("\nerror ") || !in.line(response.error) ||
+        !in.literal("key ") || !in.line(response.key) ||
+        !readBlock(in, "report", report) ||
+        !readBlock(in, "result", result_text) || !in.literal("end\n") ||
+        !in.done()) {
+        error = "malformed response payload";
         return false;
     }
     response.status = ResponseStatus(status);
-    if (!readTagged(is, "error", response.error) ||
-        !readTagged(is, "key", response.key)) {
-        error = "bad error/key field";
-        return false;
-    }
-    std::string result_text;
-    if (!readBlock(is, "report", response.report) ||
-        !readBlock(is, "result", result_text)) {
-        error = "bad report/result block";
-        return false;
-    }
-    if (!response.key.empty()) {
-        if (!readResult(result_text, response.key, response.result)) {
-            error = "bad embedded result";
-            return false;
-        }
-    } else if (!result_text.empty()) {
-        error = "result block without a key";
-        return false;
-    }
-    if (!readEnd(is)) {
-        error = "bad end marker";
-        return false;
-    }
-    return true;
+    response.report.assign(report);
+    // A result travels exactly when a key names it.
+    const bool result_ok =
+        response.key.empty()
+            ? result_text.empty()
+            : readResult(result_text, response.key, response.result);
+    if (!result_ok)
+        error = "bad embedded result";
+    return result_ok;
 }
 
 std::string
@@ -239,6 +158,29 @@ frameResponse(const ExperimentResponse &response)
 {
     return encodeFrame(kResponseMagic, kServiceFormatVersion,
                        encodeResponse(response));
+}
+
+FrameTake
+takeFrame(std::string &stream, std::string_view magic,
+          std::string &payload, std::string &error)
+{
+    uint64_t size = 0;
+    switch (frameSize(stream, kMaxServicePayload, size)) {
+      case FrameSizeStatus::NeedMore:
+        return FrameTake::NeedMore;
+      case FrameSizeStatus::Malformed:
+        error = "malformed frame header";
+        return FrameTake::Broken;
+      case FrameSizeStatus::Known:
+        break;
+    }
+    if (stream.size() < size)
+        return FrameTake::NeedMore;
+    const bool ok =
+        decodeFrame(std::string_view(stream).substr(0, size_t(size)),
+                    magic, kServiceFormatVersion, payload, error);
+    stream.erase(0, size_t(size));
+    return ok ? FrameTake::Taken : FrameTake::Broken;
 }
 
 TechniquePtr
@@ -278,10 +220,9 @@ resolveConfig(const ExperimentRequest &request, SimConfig &config,
         return false;
     }
     std::string scheme = request.config.substr(0, colon);
-    char *end = nullptr;
-    const char *index_text = request.config.c_str() + colon + 1;
-    long index = std::strtol(index_text, &end, 10);
-    if (end == index_text || *end != '\0' || index < 0) {
+    uint64_t index = 0;
+    if (!parseDecimal(std::string_view(request.config).substr(colon + 1),
+                      index)) {
         error = "bad config index in '" + request.config + "'";
         return false;
     }

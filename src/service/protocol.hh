@@ -16,8 +16,10 @@
  * version is kServiceFormatVersion. The framed payload is the same
  * line-oriented text the result cache uses (engine/result_io): a
  * tagged line per field, doubles as IEEE-754 bit patterns, a strict
- * "end" marker. Frame verification failures are protocol errors — the
- * daemon drops the connection; the client resubmits over a fresh one.
+ * "end" marker, read by the same PayloadCursor, so a decoder accepts
+ * exactly what its encoder writes. Frame and payload verification
+ * failures are protocol errors — the daemon drops the connection; the
+ * client resubmits over a fresh one.
  *
  * Version discipline: kServiceFormatVersion bumps on any layout or
  * semantics change; a peer speaking another version is rejected at the
@@ -29,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "engine/engine.hh"
 #include "support/cancel.hh"
@@ -99,9 +102,10 @@ struct ExperimentRequest
     /**
      * Client deadline in milliseconds from admission; 0 = none (Run
      * only). A job still queued at expiry is answered DeadlineExceeded
-     * without executing; a running one is cooperatively cancelled by
-     * the daemon's watchdog and answers DeadlineExceeded within one
-     * batch quantum of the executor's next poll.
+     * without executing, by the daemon's I/O loop, which wakes for the
+     * earliest queued deadline. A running one trips its executor's
+     * next deadline poll and answers DeadlineExceeded within one batch
+     * quantum.
      */
     uint64_t deadlineMs = 0;
     /** Correlation id of the job to cancel (Cancel only). */
@@ -141,25 +145,48 @@ struct ExperimentResponse
 std::string encodeRequest(const ExperimentRequest &request);
 
 /**
- * Parse a request payload. Returns false — with a cause in @p error —
- * on any malformed, truncated, or trailing-garbage input. Never
- * aborts: the input is untrusted wire data.
+ * Parse a request payload. Accepts exactly the bytes encodeRequest
+ * writes; returns false — with a cause in @p error — on anything else,
+ * a byte more or less included. Never aborts: the input is untrusted
+ * wire data.
  */
-bool decodeRequest(const std::string &payload,
-                   ExperimentRequest &request, std::string &error);
+bool decodeRequest(std::string_view payload, ExperimentRequest &request,
+                   std::string &error);
 
 /** Serialize @p response to its canonical payload text. */
 std::string encodeResponse(const ExperimentResponse &response);
 
 /** Parse a response payload (same contract as decodeRequest). */
-bool decodeResponse(const std::string &payload,
-                    ExperimentResponse &response, std::string &error);
+bool decodeResponse(std::string_view payload, ExperimentResponse &response,
+                    std::string &error);
 
 /** @p request as one complete wire frame. */
 std::string frameRequest(const ExperimentRequest &request);
 
 /** @p response as one complete wire frame. */
 std::string frameResponse(const ExperimentResponse &response);
+
+/** What takeFrame() found at the head of a byte stream. */
+enum class FrameTake {
+    /** No complete frame yet: read more bytes. */
+    NeedMore,
+    /** One frame was removed and verified; its payload is filled in. */
+    Taken,
+    /**
+     * The head of the stream is not a valid frame: the stream has no
+     * boundary left to resynchronize to, so drop the peer.
+     */
+    Broken,
+};
+
+/**
+ * Remove the first complete frame from @p stream and verify it against
+ * (@p magic, kServiceFormatVersion). A frame header announcing more
+ * than kMaxServicePayload is Broken before its payload arrives. Broken
+ * sets a cause in @p error.
+ */
+FrameTake takeFrame(std::string &stream, std::string_view magic,
+                    std::string &payload, std::string &error);
 
 /**
  * Resolve @p request's technique selector against the benchmark's

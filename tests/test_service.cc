@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
@@ -125,25 +126,19 @@ class RawConn
     readResponses(size_t count, std::vector<ExperimentResponse> &out)
     {
         while (out.size() < count) {
-            uint64_t frame_bytes = 0;
-            FrameSizeStatus status =
-                frameSize(buf, kMaxServicePayload, frame_bytes);
-            if (status == FrameSizeStatus::Malformed)
+            std::string payload, error;
+            switch (takeFrame(buf, kResponseMagic, payload, error)) {
+              case FrameTake::Broken:
                 return false;
-            if (status == FrameSizeStatus::Known &&
-                buf.size() >= frame_bytes) {
-                std::string payload, error;
-                if (!decodeFrame(std::string_view(buf).substr(
-                                     0, size_t(frame_bytes)),
-                                 kResponseMagic, kServiceFormatVersion,
-                                 payload, error))
-                    return false;
-                buf.erase(0, size_t(frame_bytes));
+              case FrameTake::Taken: {
                 ExperimentResponse response;
                 if (!decodeResponse(payload, response, error))
                     return false;
                 out.push_back(std::move(response));
                 continue;
+              }
+              case FrameTake::NeedMore:
+                break;
             }
             char chunk[4096];
             ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
@@ -275,20 +270,66 @@ TEST(ServiceProtocol, ResponseRoundTripErrorAndReport)
 TEST(ServiceProtocol, DecodeRejectsMalformedPayloads)
 {
     ExperimentRequest request;
+    ExperimentResponse response;
     std::string error;
     EXPECT_FALSE(decodeRequest("", request, error));
     EXPECT_FALSE(decodeRequest("junk\n", request, error));
 
-    std::string good = encodeRequest(sampleRequest());
-    // Every truncation that clips into the end marker must fail (the
-    // final byte is the trailing newline after "end", which the
-    // whitespace-tolerant reader accepts; transport integrity is the
-    // frame checksum's job).
-    for (size_t len = 0; len + 1 < good.size(); ++len)
-        EXPECT_FALSE(decodeRequest(good.substr(0, len), request, error))
-            << "truncation at " << len << " decoded";
-    // Trailing bytes after a well-formed payload must fail too.
-    EXPECT_FALSE(decodeRequest(good + "x", request, error));
+    ExperimentResponse sent;
+    sent.id = 7;
+    sent.status = ResponseStatus::Rejected;
+    sent.error = "queue full";
+    sent.key = "k";
+    sent.result.technique = "t";
+    sent.result.cpi = 1.5;
+    sent.result.metrics = {0.25, 2.0};
+    sent.report = "{\"k\": 1}\n";
+    const std::string good_request = encodeRequest(sampleRequest());
+    const std::string good_response = encodeResponse(sent);
+    ASSERT_TRUE(decodeRequest(good_request, request, error)) << error;
+    ASSERT_TRUE(decodeResponse(good_response, response, error)) << error;
+
+    // The decoders accept exactly what the encoders write: every
+    // truncation fails, the final newline's included, and so does a
+    // trailing byte.
+    for (size_t len = 0; len < good_request.size(); ++len)
+        EXPECT_FALSE(
+            decodeRequest(good_request.substr(0, len), request, error))
+            << "request truncation at " << len << " decoded";
+    for (size_t len = 0; len < good_response.size(); ++len)
+        EXPECT_FALSE(
+            decodeResponse(good_response.substr(0, len), response, error))
+            << "response truncation at " << len << " decoded";
+    EXPECT_FALSE(decodeRequest(good_request + "x", request, error));
+    EXPECT_FALSE(decodeResponse(good_response + "x", response, error));
+
+    // A doubled space, a leading zero or a sign in a numeric field.
+    auto edit = [](std::string text, const std::string &from,
+                   const std::string &to) {
+        const size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"id 42", "id  42"},
+             {"id 42", "id 042"},
+             {"priority 3", "priority +3"},
+             {"priority 3", "priority -3"},
+             {"ref 150000", "ref 0150000"}})
+        EXPECT_FALSE(decodeRequest(edit(good_request, from, to), request,
+                                   error))
+            << to;
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"id 7", "id  7"},
+             {"id 7", "id 07"},
+             {"status 2", "status +2"},
+             {"report 9", "report 09"},
+             {"report 9", "report  9"}})
+        EXPECT_FALSE(decodeResponse(edit(good_response, from, to),
+                                    response, error))
+            << to;
 }
 
 // --- frame layer ------------------------------------------------------
@@ -364,6 +405,44 @@ TEST(ServiceFrames, OversizedPayloadIsMalformed)
     EXPECT_EQ(frameSize("not a frame at all, definitely",
                         kMaxServicePayload, size),
               FrameSizeStatus::Malformed);
+}
+
+TEST(ServiceFrames, TakeFrameSplitsAByteStream)
+{
+    const std::string first = frameRequest(sampleRequest());
+    ExperimentRequest second_request = sampleRequest();
+    second_request.id = 43;
+    const std::string second = frameRequest(second_request);
+
+    // Two whole frames and a partial third, as one read may deliver.
+    std::string stream = first + second + first.substr(0, 10);
+    std::string payload, error;
+    ExperimentRequest decoded;
+    ASSERT_EQ(takeFrame(stream, kRequestMagic, payload, error),
+              FrameTake::Taken)
+        << error;
+    ASSERT_TRUE(decodeRequest(payload, decoded, error)) << error;
+    EXPECT_EQ(decoded.id, 42u);
+    ASSERT_EQ(takeFrame(stream, kRequestMagic, payload, error),
+              FrameTake::Taken)
+        << error;
+    ASSERT_TRUE(decodeRequest(payload, decoded, error)) << error;
+    EXPECT_EQ(decoded.id, 43u);
+    EXPECT_EQ(takeFrame(stream, kRequestMagic, payload, error),
+              FrameTake::NeedMore);
+    EXPECT_EQ(stream, first.substr(0, 10));
+
+    // Another magic, a flipped bit and garbage are Broken.
+    stream = first;
+    EXPECT_EQ(takeFrame(stream, kResponseMagic, payload, error),
+              FrameTake::Broken);
+    stream = first;
+    stream[stream.size() / 2] ^= 0x10;
+    EXPECT_EQ(takeFrame(stream, kRequestMagic, payload, error),
+              FrameTake::Broken);
+    stream = "not a frame at all, definitely";
+    EXPECT_EQ(takeFrame(stream, kRequestMagic, payload, error),
+              FrameTake::Broken);
 }
 
 // --- selectors and execution -----------------------------------------
@@ -449,6 +528,15 @@ TEST(ServiceExecute, ValidationFailuresAreErrors)
     request.config = "arch:9";
     EXPECT_EQ(executeRequest(engine, request).status,
               ResponseStatus::Error);
+
+    // A config index is whole decimal digits: no sign, no space.
+    for (const char *config : {"pb:-0", "pb:+1", "pb: 1"}) {
+        request = sampleRequest();
+        request.config = config;
+        EXPECT_EQ(executeRequest(engine, request).status,
+                  ResponseStatus::Error)
+            << config;
+    }
 }
 
 // --- cache-key layout -------------------------------------------------
@@ -522,6 +610,24 @@ TEST(JsonReportTest, OverwritingKeepsPositionAndEnvelopeIsStrict)
                             "\"kind\": \"x\"}",
                             parsed));
     EXPECT_FALSE(parseReport(report.render() + "trailing", parsed));
+}
+
+TEST(JsonReportTest, RejectsOutOfRangeIntegers)
+{
+    const std::string head =
+        "{\"schema\": \"yasim-report\", \"kind\": \"x\", ";
+    JsonReport parsed("");
+    // 2^32 + 1 would narrow to version 1 in an int.
+    EXPECT_FALSE(
+        parseReport(head + "\"schema_version\": 4294967297}", parsed));
+    // 2^64 would saturate to UINT64_MAX.
+    EXPECT_FALSE(parseReport(head + "\"schema_version\": 1, "
+                                    "\"n\": 18446744073709551616}",
+                             parsed));
+    ASSERT_TRUE(parseReport(head + "\"schema_version\": 1, "
+                                   "\"n\": 18446744073709551615}",
+                            parsed));
+    EXPECT_EQ(parsed.count("n"), UINT64_MAX);
 }
 
 // --- the daemon -------------------------------------------------------
@@ -914,8 +1020,8 @@ TEST(ServiceDaemonTest, QueuedJobExpiresViaWatchdog)
     ASSERT_TRUE(fixture.started);
 
     // A (no deadline) occupies the single worker; B's 1ms deadline
-    // expires while it is still queued. Whether the watchdog or the
-    // dispatch-time backstop catches it, B must answer
+    // expires while it is still queued. Whether the I/O loop's sweep or
+    // the dispatch-time check catches it, B must answer
     // DeadlineExceeded without ever executing.
     ExperimentRequest a = sampleRequest();
     a.id = 1;
@@ -943,6 +1049,38 @@ TEST(ServiceDaemonTest, QueuedJobExpiresViaWatchdog)
     EXPECT_EQ(counters.jobsDeadlineExpired, 1u);
     EXPECT_EQ(counters.jobsExecuted, 1u);
     EXPECT_EQ(counters.responsesDropped, 0u);
+}
+
+TEST(ServiceDaemonTest, QueuedDeadlineAnsweredWhileWorkerBusy)
+{
+    failpoint::ScopedSchedule off("");
+    DaemonOptions options;
+    options.workers = 1;
+    DaemonFixture fixture(options);
+    ASSERT_TRUE(fixture.started);
+
+    // The one worker runs A, a long reference with no deadline. B waits
+    // behind it with a 50 ms deadline, and must be answered when that
+    // passes, while A still runs: not when the worker pops B.
+    ExperimentRequest a = sampleRequest();
+    a.id = 1;
+    a.suite.referenceInstructions = 3'000'000;
+    ExperimentRequest b = sampleRequest();
+    b.id = 2;
+    b.config = "arch:4";
+    b.deadlineMs = 50;
+
+    RawConn conn(fixture.socketPath);
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn.sendAll(frameRequest(a) + frameRequest(b)));
+
+    std::vector<ExperimentResponse> responses;
+    ASSERT_TRUE(conn.readResponses(2, responses));
+    EXPECT_EQ(responses[0].id, 2u);
+    EXPECT_EQ(responses[0].status, ResponseStatus::DeadlineExceeded);
+    EXPECT_EQ(responses[0].error, "deadline expired while queued");
+    EXPECT_EQ(responses[1].id, 1u);
+    EXPECT_EQ(responses[1].status, ResponseStatus::Ok);
 }
 
 TEST(ServiceDaemonTest, DispatchExpiryFailpointForcesDeadline)
@@ -990,9 +1128,7 @@ TEST(ServiceDaemonTest, MidRunDeadlineUnwindsCooperatively)
     EXPECT_EQ(counters.jobsExecuted, 0u);
     // The run really started and was really cancelled (not expired in
     // the queue): the engine charged a cancelled run.
-    EXPECT_GE(fixture.engine.counters().runsCancelled +
-                  counters.watchdogWakeups,
-              1u);
+    EXPECT_GE(fixture.engine.counters().runsCancelled, 1u);
 }
 
 TEST(ServiceDaemonTest, CancelRunningJobUnwindsMidRun)
@@ -1177,5 +1313,75 @@ TEST(ServiceDaemonTest, StatsReportCarriesCancellationCounters)
     EXPECT_EQ(parsed.count("svc_jobs_deadline_expired"), 1u);
     EXPECT_TRUE(parsed.has("svc_jobs_cancelled"));
     EXPECT_TRUE(parsed.has("svc_jobs_shed"));
-    EXPECT_TRUE(parsed.has("svc_watchdog_wakeups"));
+}
+
+TEST(ServiceDaemonTest, ClosesEveryDescriptorItOpens)
+{
+    ExperimentEngine engine;
+    char dir_template[] = "/tmp/yasim-test-svc-XXXXXX";
+    const std::string dir = mkdtemp(dir_template);
+    const std::string socket_path = dir + "/d.sock";
+    auto open_fds = [] {
+        size_t n = 0;
+        for ([[maybe_unused]] const auto &entry :
+             std::filesystem::directory_iterator("/proc/self/fd"))
+            ++n;
+        return n;
+    };
+    const size_t before = open_fds();
+
+    // Daemons that start, serve a connection and stop.
+    for (uint64_t round = 1; round <= 3; ++round) {
+        DaemonOptions options;
+        options.socketPath = socket_path;
+        options.tcpPort = 0;
+        ServiceDaemon daemon(options, engine);
+        std::string error;
+        ASSERT_TRUE(daemon.start(error)) << error;
+        {
+            ClientOptions client_options;
+            client_options.socketPath = socket_path;
+            ServiceClient client(client_options);
+            ExperimentRequest ping;
+            ping.id = round;
+            ping.kind = RequestKind::Ping;
+            ExperimentResponse response;
+            ASSERT_TRUE(client.call(ping, response, error)) << error;
+        }
+        daemon.stop();
+    }
+    EXPECT_EQ(open_fds(), before);
+
+    // A start() that fails after opening its wake pipe: the socket path
+    // does not fit sun_path.
+    {
+        DaemonOptions options;
+        options.socketPath = dir + "/" + std::string(200, 's');
+        ServiceDaemon daemon(options, engine);
+        std::string error;
+        EXPECT_FALSE(daemon.start(error));
+    }
+    EXPECT_EQ(open_fds(), before);
+
+    // A start() that fails after binding its Unix listener: the TCP
+    // port is taken.
+    {
+        DaemonOptions taken_options;
+        taken_options.tcpPort = 0;
+        ServiceDaemon taken(taken_options, engine);
+        std::string error;
+        ASSERT_TRUE(taken.start(error)) << error;
+        {
+            DaemonOptions options;
+            options.socketPath = socket_path;
+            options.tcpPort = taken.tcpPort();
+            ServiceDaemon daemon(options, engine);
+            EXPECT_FALSE(daemon.start(error));
+        }
+        taken.stop();
+    }
+    EXPECT_EQ(open_fds(), before);
+
+    ::unlink(socket_path.c_str());
+    ::rmdir(dir.c_str());
 }

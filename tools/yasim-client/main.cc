@@ -29,10 +29,13 @@
 #include <iostream>
 #include <string>
 
+#include "engine/options.hh"
 #include "service/client.hh"
 #include "support/logging.hh"
 
 namespace {
+
+constexpr const char *kTool = "yasim-client";
 
 [[noreturn]] void
 usage(const char *argv0)
@@ -68,41 +71,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-const char *
-nextValue(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "yasim-client: option '%s' needs a value\n",
-                     argv[i]);
-        std::exit(2);
-    }
-    return argv[++i];
-}
-
-/**
- * @p text, the value of @p flag, as a whole decimal number no larger
- * than @p max, the largest value the flag's field holds; exit 2
- * otherwise.
- */
-uint64_t
-parseCount(const char *flag, const char *text, uint64_t max = UINT64_MAX)
-{
-    uint64_t value = 0;
-    if (!yasim::parseDecimal(text, value)) {
-        std::fprintf(stderr,
-                     "yasim-client: %s wants a number, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    if (value > max) {
-        std::fprintf(stderr,
-                     "yasim-client: %s wants a number up to %llu, got '%s'\n",
-                     flag, static_cast<unsigned long long>(max), text);
-        std::exit(2);
-    }
-    return value;
-}
-
 } // namespace
 
 int
@@ -118,36 +86,33 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--socket") {
-            client_opts.socketPath = nextValue(argc, argv, i);
+            client_opts.socketPath = toolFlagValue(kTool, argc, argv, i);
         } else if (arg == "--port") {
             client_opts.tcpPort =
-                int(parseCount("--port", nextValue(argc, argv, i), 65535));
+                int(toolFlagCount(kTool, argc, argv, i, 65535));
         } else if (arg == "--reconnects") {
-            client_opts.maxReconnects = uint32_t(parseCount(
-                "--reconnects", nextValue(argc, argv, i), UINT32_MAX));
+            client_opts.maxReconnects =
+                uint32_t(toolFlagCount(kTool, argc, argv, i, UINT32_MAX));
         } else if (arg == "--bench") {
-            request.benchmark = nextValue(argc, argv, i);
+            request.benchmark = toolFlagValue(kTool, argc, argv, i);
         } else if (arg == "--technique") {
-            request.technique = nextValue(argc, argv, i);
+            request.technique = toolFlagValue(kTool, argc, argv, i);
         } else if (arg == "--config") {
-            request.config = nextValue(argc, argv, i);
+            request.config = toolFlagValue(kTool, argc, argv, i);
         } else if (arg == "--priority") {
-            request.priority = uint32_t(parseCount(
-                "--priority", nextValue(argc, argv, i), UINT32_MAX));
+            request.priority =
+                uint32_t(toolFlagCount(kTool, argc, argv, i, UINT32_MAX));
         } else if (arg == "--id") {
-            request.id = parseCount("--id", nextValue(argc, argv, i));
+            request.id = toolFlagCount(kTool, argc, argv, i);
         } else if (arg == "--ref-insts") {
             request.suite.referenceInstructions =
-                parseCount("--ref-insts", nextValue(argc, argv, i));
+                toolFlagCount(kTool, argc, argv, i);
         } else if (arg == "--seed") {
-            request.suite.seed =
-                parseCount("--seed", nextValue(argc, argv, i));
+            request.suite.seed = toolFlagCount(kTool, argc, argv, i);
         } else if (arg == "--deadline-ms") {
-            request.deadlineMs =
-                parseCount("--deadline-ms", nextValue(argc, argv, i));
+            request.deadlineMs = toolFlagCount(kTool, argc, argv, i);
         } else if (arg == "--target") {
-            request.target =
-                parseCount("--target", nextValue(argc, argv, i));
+            request.target = toolFlagCount(kTool, argc, argv, i);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
         } else if (!arg.empty() && arg[0] == '-') {

@@ -26,6 +26,8 @@
 
 namespace {
 
+constexpr const char *kTool = "yasimd";
+
 yasim::ServiceDaemon *activeDaemon = nullptr;
 
 /** Async-signal-safe: requestDrain is a flag store + pipe write. */
@@ -57,40 +59,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-const char *
-nextValue(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "yasimd: option '%s' needs a value\n",
-                     argv[i]);
-        std::exit(2);
-    }
-    return argv[++i];
-}
-
-/**
- * @p text, the value of @p flag, as a whole decimal number no larger
- * than @p max, the largest value the flag's field holds; exit 2
- * otherwise.
- */
-uint64_t
-parseCount(const char *flag, const char *text, uint64_t max = UINT64_MAX)
-{
-    uint64_t value = 0;
-    if (!yasim::parseDecimal(text, value)) {
-        std::fprintf(stderr, "yasimd: %s wants a number, got '%s'\n",
-                     flag, text);
-        std::exit(2);
-    }
-    if (value > max) {
-        std::fprintf(stderr,
-                     "yasimd: %s wants a number up to %llu, got '%s'\n",
-                     flag, static_cast<unsigned long long>(max), text);
-        std::exit(2);
-    }
-    return value;
-}
-
 } // namespace
 
 int
@@ -106,19 +74,18 @@ main(int argc, char **argv)
             continue;
         const std::string arg = argv[i];
         if (arg == "--socket") {
-            daemon_opts.socketPath = nextValue(argc, argv, i);
+            daemon_opts.socketPath = toolFlagValue(kTool, argc, argv, i);
         } else if (arg == "--port") {
             daemon_opts.tcpPort =
-                int(parseCount("--port", nextValue(argc, argv, i), 65535));
+                int(toolFlagCount(kTool, argc, argv, i, 65535));
         } else if (arg == "--service-workers") {
-            daemon_opts.workers = unsigned(parseCount(
-                "--service-workers", nextValue(argc, argv, i), UINT_MAX));
+            daemon_opts.workers =
+                unsigned(toolFlagCount(kTool, argc, argv, i, UINT_MAX));
         } else if (arg == "--max-queue") {
-            daemon_opts.maxQueue = size_t(
-                parseCount("--max-queue", nextValue(argc, argv, i)));
+            daemon_opts.maxQueue = size_t(toolFlagCount(kTool, argc, argv, i));
         } else if (arg == "--client-quota") {
-            daemon_opts.clientQuota = uint32_t(parseCount(
-                "--client-quota", nextValue(argc, argv, i), UINT32_MAX));
+            daemon_opts.clientQuota =
+                uint32_t(toolFlagCount(kTool, argc, argv, i, UINT32_MAX));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
         } else {
